@@ -17,10 +17,10 @@
 //! # Binary format
 //!
 //! `SIMMRCKP` magic + `u16` version + little-endian body + trailing
-//! CRC-64/XZ over everything before it, mirroring the SIMMRBIN trace
-//! format's layout and typed-error discipline (`simmr_trace::binfmt`).
-//! The CRC-64 is implemented locally because the dependency runs the
-//! other way (`simmr-trace` depends on this crate). Encoding is
+//! CRC-64/XZ over everything before it, built on the shared
+//! [`crate::codec`] writers, reader and checksum. Job templates are
+//! content-interned into a [`TemplateTable`] in SIMMRBIN's per-template
+//! layout (version 2; version 1 used a layout of its own). Encoding is
 //! canonical: `encode(decode(bytes)) == bytes` for any accepted input,
 //! which is what lets the serve layer memoize *encoded* checkpoints and
 //! key caches on their digest.
@@ -37,6 +37,10 @@
 //! rebuilds it, and the policy blob carries only what replay cannot (see
 //! [`crate::SchedulerPolicy::restore`]).
 
+use crate::codec::{
+    put_bool_vec, put_f64_vec, put_opt_u64, put_str, put_u16, put_u32, put_u32_vec, put_u64, Crc64,
+    DecodeError, Reader, TemplateTable,
+};
 use crate::engine::{HostFailure, JobState, RunningMap, RunningReduce};
 use crate::event::{Event, EventKind};
 use crate::{EngineConfig, SchedulerPolicy, SimulatorEngine};
@@ -45,14 +49,13 @@ use simmr_types::{
     HostId, JobId, JobResult, JobSpec, JobTemplate, SimTime, SimulationReport, TimelineEntry,
     TimelinePhase, WorkloadTrace,
 };
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 /// Magic bytes opening every serialized checkpoint.
 pub const CKPT_MAGIC: &[u8; 8] = b"SIMMRCKP";
 /// Current checkpoint format version.
-pub const CKPT_VERSION: u16 = 1;
+pub const CKPT_VERSION: u16 = 2;
 
 /// Why a checkpoint failed to decode or resume.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,30 +105,14 @@ impl fmt::Display for CkptError {
 
 impl std::error::Error for CkptError {}
 
-// CRC-64/XZ (ECMA-182 polynomial, reflected, init/xor-out all-ones) —
-// the same parameterization `simmr_trace::digest` uses for trace digests.
-const CRC64_TABLE: [u64; 256] = {
-    let mut table = [0u64; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u64;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xC96C_5795_D787_0F42 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
+impl From<DecodeError> for CkptError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => CkptError::Truncated,
+            DecodeError::BadUtf8 => CkptError::BadUtf8,
+            other => CkptError::Malformed(other.to_string()),
         }
-        table[i] = c;
-        i += 1;
     }
-    table
-};
-
-fn crc64(bytes: &[u8]) -> u64 {
-    let mut c = u64::MAX;
-    for &b in bytes {
-        c = CRC64_TABLE[((c ^ b as u64) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ u64::MAX
 }
 
 /// A serializable snapshot of a [`SimulatorEngine`] at a settled batch
@@ -206,7 +193,7 @@ impl EngineCheckpoint {
     /// CRC-64/XZ content digest of the canonical encoding — the identity
     /// the serve layer keys warm-start cache entries on.
     pub fn digest(&self) -> u64 {
-        crc64(&self.encode())
+        Crc64::checksum(&self.encode())
     }
 
     /// Serializes the checkpoint to its canonical binary form.
@@ -252,22 +239,11 @@ impl EngineCheckpoint {
         // Templates are content-interned in first-appearance order over
         // the job table, so re-encoding a decoded checkpoint reproduces
         // the table byte for byte.
-        let mut template_bytes: Vec<Vec<u8>> = Vec::new();
-        let mut template_ids: HashMap<Vec<u8>, u32> = HashMap::new();
-        let mut job_template: Vec<u32> = Vec::with_capacity(self.jobs.len());
-        for job in self.jobs.iter().flatten() {
-            let enc = encode_template(&job.template);
-            let next = template_bytes.len() as u32;
-            let id = *template_ids.entry(enc.clone()).or_insert_with(|| {
-                template_bytes.push(enc);
-                next
-            });
-            job_template.push(id);
-        }
-        put_u32(&mut out, template_bytes.len() as u32);
-        for t in &template_bytes {
-            out.extend_from_slice(t);
-        }
+        let mut templates = TemplateTable::default();
+        let job_template: Vec<u32> =
+            self.jobs.iter().flatten().map(|job| templates.intern(&job.template)).collect();
+        put_u32(&mut out, templates.count());
+        out.extend_from_slice(templates.bytes());
         put_u64(&mut out, self.jobs_base as u64);
         put_u32(&mut out, self.jobs.len() as u32);
         let mut live = 0usize;
@@ -311,7 +287,7 @@ impl EngineCheckpoint {
         put_str(&mut out, &self.policy_name);
         put_u32(&mut out, self.policy_blob.len() as u32);
         out.extend_from_slice(&self.policy_blob);
-        let crc = crc64(&out);
+        let crc = Crc64::checksum(&out);
         put_u64(&mut out, crc);
         out
     }
@@ -330,103 +306,100 @@ impl EngineCheckpoint {
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
         let expected = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        let actual = crc64(body);
+        let actual = Crc64::checksum(body);
         if expected != actual {
             return Err(CkptError::ChecksumMismatch { expected, actual });
         }
-        let mut c = Cursor { buf: body, pos: CKPT_MAGIC.len() };
-        let version = c.u16()?;
+        let mut r = Reader::new(&body[CKPT_MAGIC.len()..]);
+        let version = r.u16()?;
         if version != CKPT_VERSION {
             return Err(CkptError::BadVersion(version));
         }
-        let at = SimTime::from_millis(c.u64()?);
-        let clock = SimTime::from_millis(c.u64()?);
-        let map_slots = c.u32()? as usize;
-        let reduce_slots = c.u32()? as usize;
-        let hosts = c.u32()? as usize;
-        let flags = c.u8()?;
+        let at = SimTime::from_millis(r.u64()?);
+        let clock = SimTime::from_millis(r.u64()?);
+        let map_slots = r.u32()? as usize;
+        let reduce_slots = r.u32()? as usize;
+        let hosts = r.u32()? as usize;
+        let flags = r.u8()?;
         if flags & !0b111 != 0 {
             return Err(CkptError::Malformed(format!("unknown flag bits {flags:#04x}")));
         }
         let streaming = flags & 1 != 0;
         let collected = flags & 2 != 0;
         let jobq_dirty = flags & 4 != 0;
-        let last_pulled_arrival = SimTime::from_millis(c.u64()?);
-        let policy_wakeup_at = c.opt_time()?;
-        let events_processed = c.u64()?;
-        let makespan = SimTime::from_millis(c.u64()?);
-        let next_seq = c.u64()?;
-        let pushed = c.u64()?;
-        let n_events = c.len_u32()?;
+        let last_pulled_arrival = SimTime::from_millis(r.u64()?);
+        let policy_wakeup_at = read_opt_time(&mut r)?;
+        let events_processed = r.u64()?;
+        let makespan = SimTime::from_millis(r.u64()?);
+        let next_seq = r.u64()?;
+        let pushed = r.u64()?;
+        let n_events = r.count(29)?; // time, seq, kind, job, task, attempt
         let mut events = Vec::with_capacity(n_events);
         for _ in 0..n_events {
-            let time = SimTime::from_millis(c.u64()?);
-            let seq = c.u64()?;
-            let kind = event_kind_from_tag(c.u8()?)?;
-            let job = JobId(c.u32()?);
-            let task_index = c.u32()?;
-            let attempt = c.u32()?;
+            let time = SimTime::from_millis(r.u64()?);
+            let seq = r.u64()?;
+            let kind = event_kind_from_tag(r.u8()?)?;
+            let job = JobId(r.u32()?);
+            let task_index = r.u32()?;
+            let attempt = r.u32()?;
             events.push(Event { time, seq, kind, job, task_index, attempt });
         }
-        let free_map_slots = c.u32_vec()?;
-        let free_reduce_slots = c.u32_vec()?;
-        let dead_hosts = c.bool_vec()?;
-        let dead_map_slots = c.bool_vec()?;
-        let dead_reduce_slots = c.bool_vec()?;
-        let n_faults = c.len_u32()?;
+        let free_map_slots = r.u32_vec()?;
+        let free_reduce_slots = r.u32_vec()?;
+        let dead_hosts = r.bool_vec()?;
+        let dead_map_slots = r.bool_vec()?;
+        let dead_reduce_slots = r.bool_vec()?;
+        let n_faults = r.count(12)?; // host, instant
         let mut fault_plan = Vec::with_capacity(n_faults);
         for _ in 0..n_faults {
-            let host = HostId(c.u32()?);
-            let fat = SimTime::from_millis(c.u64()?);
+            let host = HostId(r.u32()?);
+            let fat = SimTime::from_millis(r.u64()?);
             fault_plan.push(HostFailure { host, at: fat });
         }
-        let map_slowdown = c.f64_vec()?;
-        let reduce_slowdown = c.f64_vec()?;
-        let n_templates = c.len_u32()?;
-        let mut templates: Vec<Arc<JobTemplate>> = Vec::with_capacity(n_templates);
-        for _ in 0..n_templates {
-            templates.push(Arc::new(c.template()?));
-        }
-        let jobs_base = c.u64()? as usize;
-        let n_jobs = c.len_u32()?;
+        let map_slowdown = r.f64_vec()?;
+        let reduce_slowdown = r.f64_vec()?;
+        let n_templates = r.u32()? as usize;
+        let templates = r.templates(n_templates)?;
+        let jobs_base = r.u64()? as usize;
+        let n_jobs = r.count(1)?; // at least the slot tag
         let mut jobs: Vec<Option<JobState>> = Vec::with_capacity(n_jobs);
         for _ in 0..n_jobs {
-            match c.u8()? {
+            match r.u8()? {
                 0 => jobs.push(None),
-                1 => jobs.push(Some(c.job(&templates)?)),
+                1 => jobs.push(Some(decode_job(&mut r, &templates)?)),
                 t => return Err(CkptError::Malformed(format!("unknown job slot tag {t}"))),
             }
         }
-        let n_bars = c.len_u32()?;
+        let n_bars = r.count(25)?; // job, phase, slot, start, end
         let mut timeline = Vec::with_capacity(n_bars);
         for _ in 0..n_bars {
-            let job = JobId(c.u32()?);
-            let phase = match c.u8()? {
+            let job = JobId(r.u32()?);
+            let phase = match r.u8()? {
                 0 => TimelinePhase::Map,
                 1 => TimelinePhase::Shuffle,
                 2 => TimelinePhase::Reduce,
                 t => return Err(CkptError::Malformed(format!("unknown timeline phase {t}"))),
             };
-            let slot = c.u32()?;
-            let start = SimTime::from_millis(c.u64()?);
-            let end = SimTime::from_millis(c.u64()?);
+            let slot = r.u32()?;
+            let start = SimTime::from_millis(r.u64()?);
+            let end = SimTime::from_millis(r.u64()?);
             timeline.push(TimelineEntry { job, phase, slot, start, end });
         }
-        let n_results = c.len_u32()?;
+        let n_results = r.count(1)?; // at least the slot tag
         let mut results: Vec<Option<JobResult>> = Vec::with_capacity(n_results);
         for _ in 0..n_results {
-            match c.u8()? {
+            match r.u8()? {
                 0 => results.push(None),
                 1 => {
-                    let job = JobId(c.u32()?);
-                    let name: Arc<str> = Arc::from(c.str()?);
-                    let arrival = SimTime::from_millis(c.u64()?);
-                    let first_map_start = c.opt_time()?;
-                    let maps_finished = c.opt_time()?;
-                    let completion = SimTime::from_millis(c.u64()?);
-                    let deadline = c.opt_time()?;
-                    let num_maps = c.u32()? as usize;
-                    let num_reduces = c.u32()? as usize;
+                    let job = JobId(r.u32()?);
+                    let name: Arc<str> = Arc::from(r.str()?);
+                    let arrival = SimTime::from_millis(r.u64()?);
+                    let first_map_start = read_opt_time(&mut r)?;
+                    let maps_finished = read_opt_time(&mut r)?;
+                    let completion = SimTime::from_millis(r.u64()?);
+                    let deadline = read_opt_time(&mut r)?;
+                    let num_maps = r.u32()? as usize;
+                    let num_reduces = r.u32()? as usize;
                     results.push(Some(JobResult {
                         job,
                         name,
@@ -442,15 +415,10 @@ impl EngineCheckpoint {
                 t => return Err(CkptError::Malformed(format!("unknown result tag {t}"))),
             }
         }
-        let policy_name = c.str()?;
-        let blob_len = c.len_u32()?;
-        let policy_blob = c.take(blob_len)?.to_vec();
-        if c.pos != body.len() {
-            return Err(CkptError::Malformed(format!(
-                "{} trailing bytes after the checkpoint body",
-                body.len() - c.pos
-            )));
-        }
+        let policy_name = r.str()?.to_owned();
+        let blob_len = r.count(1)?;
+        let policy_blob = r.take(blob_len)?.to_vec();
+        r.finish()?;
         Ok(EngineCheckpoint {
             at,
             clock,
@@ -585,15 +553,13 @@ fn event_kind_tag(kind: EventKind) -> u8 {
     match kind {
         EventKind::JobArrival => 0,
         EventKind::JobDeparture => 1,
-        EventKind::MapTaskArrival => 2,
-        EventKind::MapTaskDeparture => 3,
-        EventKind::ReduceTaskArrival => 4,
-        EventKind::ReduceTaskDeparture => 5,
-        EventKind::AllMapsFinished => 6,
-        EventKind::HostFailure => 7,
-        EventKind::SpeculationDue => 8,
-        EventKind::HostRecovery => 9,
-        EventKind::PolicyWakeup => 10,
+        EventKind::MapTaskDeparture => 2,
+        EventKind::ReduceTaskDeparture => 3,
+        EventKind::AllMapsFinished => 4,
+        EventKind::HostFailure => 5,
+        EventKind::SpeculationDue => 6,
+        EventKind::HostRecovery => 7,
+        EventKind::PolicyWakeup => 8,
     }
 }
 
@@ -601,84 +567,23 @@ fn event_kind_from_tag(tag: u8) -> Result<EventKind, CkptError> {
     Ok(match tag {
         0 => EventKind::JobArrival,
         1 => EventKind::JobDeparture,
-        2 => EventKind::MapTaskArrival,
-        3 => EventKind::MapTaskDeparture,
-        4 => EventKind::ReduceTaskArrival,
-        5 => EventKind::ReduceTaskDeparture,
-        6 => EventKind::AllMapsFinished,
-        7 => EventKind::HostFailure,
-        8 => EventKind::SpeculationDue,
-        9 => EventKind::HostRecovery,
-        10 => EventKind::PolicyWakeup,
+        2 => EventKind::MapTaskDeparture,
+        3 => EventKind::ReduceTaskDeparture,
+        4 => EventKind::AllMapsFinished,
+        5 => EventKind::HostFailure,
+        6 => EventKind::SpeculationDue,
+        7 => EventKind::HostRecovery,
+        8 => EventKind::PolicyWakeup,
         t => return Err(CkptError::Malformed(format!("unknown event kind tag {t}"))),
     })
 }
 
-// ---- little-endian write helpers ----------------------------------------
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
 fn put_opt_time(out: &mut Vec<u8>, t: Option<SimTime>) {
-    match t {
-        None => out.push(0),
-        Some(t) => {
-            out.push(1);
-            put_u64(out, t.as_millis());
-        }
-    }
+    put_opt_u64(out, t.map(SimTime::as_millis));
 }
 
-fn put_u32_vec(out: &mut Vec<u8>, v: &[u32]) {
-    put_u32(out, v.len() as u32);
-    for &x in v {
-        put_u32(out, x);
-    }
-}
-
-fn put_u64_vec(out: &mut Vec<u8>, v: &[u64]) {
-    put_u32(out, v.len() as u32);
-    for &x in v {
-        put_u64(out, x);
-    }
-}
-
-fn put_bool_vec(out: &mut Vec<u8>, v: &[bool]) {
-    put_u32(out, v.len() as u32);
-    out.extend(v.iter().map(|&b| b as u8));
-}
-
-fn put_f64_vec(out: &mut Vec<u8>, v: &[f64]) {
-    put_u32(out, v.len() as u32);
-    for &x in v {
-        put_u64(out, x.to_bits());
-    }
-}
-
-fn encode_template(t: &JobTemplate) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    put_str(&mut out, &t.name);
-    put_u32(&mut out, t.num_maps as u32);
-    put_u32(&mut out, t.num_reduces as u32);
-    put_u64_vec(&mut out, &t.map_durations);
-    put_u64_vec(&mut out, &t.first_shuffle_durations);
-    put_u64_vec(&mut out, &t.typical_shuffle_durations);
-    put_u64_vec(&mut out, &t.reduce_durations);
-    out
+fn read_opt_time(r: &mut Reader) -> Result<Option<SimTime>, DecodeError> {
+    Ok(r.opt_u64()?.map(SimTime::from_millis))
 }
 
 fn encode_job(out: &mut Vec<u8>, s: &JobState, template_id: u32) {
@@ -721,204 +626,94 @@ fn encode_job(out: &mut Vec<u8>, s: &JobState, template_id: u32) {
     put_u32_vec(out, &s.spec_pending);
 }
 
-// ---- bounds-checked read cursor ------------------------------------------
-
-struct Cursor<'b> {
-    buf: &'b [u8],
-    pos: usize,
-}
-
-impl<'b> Cursor<'b> {
-    fn take(&mut self, n: usize) -> Result<&'b [u8], CkptError> {
-        let end = self.pos.checked_add(n).ok_or(CkptError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CkptError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+fn decode_job(r: &mut Reader, templates: &[Arc<JobTemplate>]) -> Result<JobState, CkptError> {
+    let tid = r.u32()? as usize;
+    let template = templates
+        .get(tid)
+        .ok_or_else(|| {
+            CkptError::Malformed(format!(
+                "job names template {tid} of {} interned",
+                templates.len()
+            ))
+        })?
+        .clone();
+    let arrival = SimTime::from_millis(r.u64()?);
+    let deadline = read_opt_time(r)?;
+    let maps_total = r.u32()? as usize;
+    let reduces_total = r.u32()? as usize;
+    let fresh_maps = r.u32()? as usize;
+    let requeued_maps = r.u32_vec()?;
+    let n_rm = r.count(20)?; // idx, attempt, start, slot
+    let mut running_map_list = Vec::with_capacity(n_rm);
+    for _ in 0..n_rm {
+        let idx = r.u32()?;
+        let attempt = r.u32()?;
+        let start = SimTime::from_millis(r.u64()?);
+        let slot = r.u32()?;
+        running_map_list.push(RunningMap { idx, attempt, start, slot });
     }
-
-    fn u8(&mut self) -> Result<u8, CkptError> {
-        Ok(self.take(1)?[0])
+    let map_gen = r.u32_vec()?;
+    let map_done = r.bool_vec()?;
+    let map_done_slot = r.u32_vec()?;
+    let maps_completed = r.u32()? as usize;
+    let fresh_reduces = r.u32()? as usize;
+    let requeued_reduces = r.u32_vec()?;
+    let n_rr = r.count(28)?; // idx, attempt, start, slot, shuffle end
+    let mut running_reduce_list = Vec::with_capacity(n_rr);
+    for _ in 0..n_rr {
+        let idx = r.u32()?;
+        let attempt = r.u32()?;
+        let start = SimTime::from_millis(r.u64()?);
+        let slot = r.u32()?;
+        let shuffle_end = SimTime::from_millis(r.u64()?);
+        running_reduce_list.push(RunningReduce { idx, attempt, start, slot, shuffle_end });
     }
-
-    fn u16(&mut self) -> Result<u16, CkptError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+    let reduce_gen = r.u32_vec()?;
+    let reduces_completed = r.u32()? as usize;
+    let reduce_threshold = r.u32()? as usize;
+    let active = r.bool()?;
+    let first_map_start = read_opt_time(r)?;
+    let maps_finished = read_opt_time(r)?;
+    let spec_threshold = r.u64()?;
+    let speculated = r.bool_vec()?;
+    let spec_pending = r.u32_vec()?;
+    if map_gen.len() != maps_total
+        || map_done.len() != maps_total
+        || map_done_slot.len() != maps_total
+        || speculated.len() != maps_total
+        || reduce_gen.len() != reduces_total
+    {
+        return Err(CkptError::Malformed(format!(
+            "job task-vector lengths disagree with totals ({maps_total} maps, \
+             {reduces_total} reduces)"
+        )));
     }
-
-    fn u32(&mut self) -> Result<u32, CkptError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, CkptError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// A `u32` length prefix, sanity-capped against the bytes remaining
-    /// so a corrupted length cannot trigger a huge allocation.
-    fn len_u32(&mut self) -> Result<usize, CkptError> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() - self.pos {
-            return Err(CkptError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn opt_time(&mut self) -> Result<Option<SimTime>, CkptError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(SimTime::from_millis(self.u64()?))),
-            t => Err(CkptError::Malformed(format!("unknown option tag {t}"))),
-        }
-    }
-
-    fn str(&mut self) -> Result<String, CkptError> {
-        let n = self.len_u32()?;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| CkptError::BadUtf8)
-    }
-
-    fn u32_vec(&mut self) -> Result<Vec<u32>, CkptError> {
-        let n = self.len_u32()?;
-        (0..n).map(|_| self.u32()).collect()
-    }
-
-    fn u64_vec(&mut self) -> Result<Vec<u64>, CkptError> {
-        let n = self.len_u32()?;
-        (0..n).map(|_| self.u64()).collect()
-    }
-
-    fn bool_vec(&mut self) -> Result<Vec<bool>, CkptError> {
-        let n = self.len_u32()?;
-        self.take(n)?
-            .iter()
-            .map(|&b| match b {
-                0 => Ok(false),
-                1 => Ok(true),
-                t => Err(CkptError::Malformed(format!("non-boolean byte {t}"))),
-            })
-            .collect()
-    }
-
-    fn f64_vec(&mut self) -> Result<Vec<f64>, CkptError> {
-        let n = self.len_u32()?;
-        (0..n).map(|_| Ok(f64::from_bits(self.u64()?))).collect()
-    }
-
-    fn template(&mut self) -> Result<JobTemplate, CkptError> {
-        let name: Arc<str> = Arc::from(self.str()?);
-        let num_maps = self.u32()? as usize;
-        let num_reduces = self.u32()? as usize;
-        let map_durations = self.u64_vec()?;
-        let first_shuffle_durations = self.u64_vec()?;
-        let typical_shuffle_durations = self.u64_vec()?;
-        let reduce_durations = self.u64_vec()?;
-        let t = JobTemplate {
-            name,
-            num_maps,
-            num_reduces,
-            map_durations,
-            first_shuffle_durations,
-            typical_shuffle_durations,
-            reduce_durations,
-        };
-        t.validate().map_err(|e| CkptError::Malformed(format!("invalid job template: {e}")))?;
-        Ok(t)
-    }
-
-    fn job(&mut self, templates: &[Arc<JobTemplate>]) -> Result<JobState, CkptError> {
-        let tid = self.u32()? as usize;
-        let template = templates
-            .get(tid)
-            .ok_or_else(|| {
-                CkptError::Malformed(format!(
-                    "job names template {tid} of {} interned",
-                    templates.len()
-                ))
-            })?
-            .clone();
-        let arrival = SimTime::from_millis(self.u64()?);
-        let deadline = self.opt_time()?;
-        let maps_total = self.u32()? as usize;
-        let reduces_total = self.u32()? as usize;
-        let fresh_maps = self.u32()? as usize;
-        let requeued_maps = self.u32_vec()?;
-        let n_rm = self.len_u32()?;
-        let mut running_map_list = Vec::with_capacity(n_rm);
-        for _ in 0..n_rm {
-            let idx = self.u32()?;
-            let attempt = self.u32()?;
-            let start = SimTime::from_millis(self.u64()?);
-            let slot = self.u32()?;
-            running_map_list.push(RunningMap { idx, attempt, start, slot });
-        }
-        let map_gen = self.u32_vec()?;
-        let map_done = self.bool_vec()?;
-        let map_done_slot = self.u32_vec()?;
-        let maps_completed = self.u32()? as usize;
-        let fresh_reduces = self.u32()? as usize;
-        let requeued_reduces = self.u32_vec()?;
-        let n_rr = self.len_u32()?;
-        let mut running_reduce_list = Vec::with_capacity(n_rr);
-        for _ in 0..n_rr {
-            let idx = self.u32()?;
-            let attempt = self.u32()?;
-            let start = SimTime::from_millis(self.u64()?);
-            let slot = self.u32()?;
-            let shuffle_end = SimTime::from_millis(self.u64()?);
-            running_reduce_list.push(RunningReduce { idx, attempt, start, slot, shuffle_end });
-        }
-        let reduce_gen = self.u32_vec()?;
-        let reduces_completed = self.u32()? as usize;
-        let reduce_threshold = self.u32()? as usize;
-        let active = match self.u8()? {
-            0 => false,
-            1 => true,
-            t => return Err(CkptError::Malformed(format!("non-boolean active byte {t}"))),
-        };
-        let first_map_start = self.opt_time()?;
-        let maps_finished = self.opt_time()?;
-        let spec_threshold = self.u64()?;
-        let speculated = self.bool_vec()?;
-        let spec_pending = self.u32_vec()?;
-        if map_gen.len() != maps_total
-            || map_done.len() != maps_total
-            || map_done_slot.len() != maps_total
-            || speculated.len() != maps_total
-            || reduce_gen.len() != reduces_total
-        {
-            return Err(CkptError::Malformed(format!(
-                "job task-vector lengths disagree with totals ({maps_total} maps, \
-                 {reduces_total} reduces)"
-            )));
-        }
-        Ok(JobState {
-            template,
-            arrival,
-            deadline,
-            maps_total,
-            reduces_total,
-            fresh_maps,
-            requeued_maps,
-            running_map_list,
-            map_gen,
-            map_done,
-            map_done_slot,
-            maps_completed,
-            fresh_reduces,
-            requeued_reduces,
-            running_reduce_list,
-            reduce_gen,
-            reduces_completed,
-            reduce_threshold,
-            active,
-            first_map_start,
-            maps_finished,
-            spec_threshold,
-            speculated,
-            spec_pending,
-        })
-    }
+    Ok(JobState {
+        template,
+        arrival,
+        deadline,
+        maps_total,
+        reduces_total,
+        fresh_maps,
+        requeued_maps,
+        running_map_list,
+        map_gen,
+        map_done,
+        map_done_slot,
+        maps_completed,
+        fresh_reduces,
+        requeued_reduces,
+        running_reduce_list,
+        reduce_gen,
+        reduces_completed,
+        reduce_threshold,
+        active,
+        first_map_start,
+        maps_finished,
+        spec_threshold,
+        speculated,
+        spec_pending,
+    })
 }
 
 #[cfg(test)]
@@ -987,7 +782,7 @@ mod tests {
     #[test]
     fn crc64_known_vector() {
         // CRC-64/XZ check value, same parameterization as trace digests.
-        assert_eq!(crc64(b"123456789"), 0x995D_C9BB_DF19_39FA);
+        assert_eq!(Crc64::checksum(b"123456789"), 0x995D_C9BB_DF19_39FA);
     }
 
     #[test]
@@ -1116,7 +911,7 @@ mod tests {
                 expected: u64::from_le_bytes(
                     bytes[bytes.len() - 17..bytes.len() - 9].try_into().unwrap()
                 ),
-                actual: crc64(&bytes[..bytes.len() - 17]),
+                actual: Crc64::checksum(&bytes[..bytes.len() - 17]),
             }
         );
 
@@ -1124,13 +919,16 @@ mod tests {
         flipped[40] ^= 0x10;
         assert!(matches!(decode_err(&flipped), CkptError::ChecksumMismatch { .. }));
 
-        // bump the version and re-sign: the version check must fire
-        let mut wrong_version = bytes.clone();
-        wrong_version[8] = 0xFF;
-        let body_len = wrong_version.len() - 8;
-        let crc = crc64(&wrong_version[..body_len]);
-        wrong_version[body_len..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(decode_err(&wrong_version), CkptError::BadVersion(0x00FF));
+        // rewrite the version and re-sign: the version check must fire,
+        // for an unknown future version and for the retired version 1
+        for version in [0x00FF, 1] {
+            let mut wrong_version = bytes.clone();
+            wrong_version[8..10].copy_from_slice(&u16::to_le_bytes(version));
+            let body_len = wrong_version.len() - 8;
+            let crc = Crc64::checksum(&wrong_version[..body_len]);
+            wrong_version[body_len..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(decode_err(&wrong_version), CkptError::BadVersion(version));
+        }
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! in place (O(1)) by every launch / completion / preemption — scheduling
 //! never rebuilds a snapshot of the active jobs. A dirty flag skips the
 //! scheduling pass entirely for event batches that did not change the
-//! queue. Task *arrival* marker events are not pushed through the priority
-//! queue either: a launch is counted directly in `events_processed` and the
-//! end-of-batch scheduling loop re-runs until no further task launches at
-//! the current instant, which preserves the exact fixpoint semantics the
-//! markers used to provide.
+//! queue. Task placements have no event kind of their own: a launch is
+//! counted directly in `events_processed` and the end-of-batch scheduling
+//! loop re-runs until no further task launches at the current instant,
+//! which preserves the exact fixpoint semantics that per-launch marker
+//! events would provide.
 //!
 //! # Failure and speculation model
 //!
@@ -672,12 +672,6 @@ impl<'a> SimulatorEngine<'a> {
                     // a same-instant next arrival must join this batch so
                     // the policy sees every job submitted at the instant.
                     self.pull_next_arrival()?;
-                }
-                EventKind::MapTaskArrival | EventKind::ReduceTaskArrival => {
-                    // task placements are counted at launch time and no
-                    // longer travel through the priority queue; nothing
-                    // else enqueues these kinds
-                    debug_assert!(false, "marker event in queue");
                 }
                 EventKind::MapTaskDeparture => {
                     self.on_map_departure(job, event.task_index, event.attempt, now)

@@ -4,6 +4,9 @@
 //! seven event types: job arrivals and departures, map and reduce task
 //! arrivals and departures, and an event signaling the completion of the
 //! map stage. Each event is a triplet (eventTime, eventType, jobId)."*
+//! Task *arrivals* (placements on a slot) are not queued here: the engine
+//! counts each launch directly in `events_processed` at launch time, so
+//! five of the paper's kinds remain.
 //!
 //! The failure/speculation model (§VII future work) adds two more kinds:
 //! [`EventKind::HostFailure`] for the seeded fault plan and
@@ -15,7 +18,7 @@
 
 use simmr_types::{JobId, SimTime};
 
-/// The event types of the SimMR engine: the paper's seven plus the
+/// The event types of the SimMR engine: the paper's queued kinds plus the
 /// failure-model and policy-timer kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventKind {
@@ -23,12 +26,8 @@ pub enum EventKind {
     JobArrival,
     /// A job has fully completed and leaves the system.
     JobDeparture,
-    /// A map task is placed on a slot.
-    MapTaskArrival,
     /// A map task finishes and frees its slot.
     MapTaskDeparture,
-    /// A reduce task is placed on a slot.
-    ReduceTaskArrival,
     /// A reduce task finishes and frees its slot.
     ReduceTaskDeparture,
     /// The job's entire map stage has completed (triggers the first-shuffle
@@ -116,9 +115,7 @@ mod tests {
         let kinds: HashSet<EventKind> = [
             EventKind::JobArrival,
             EventKind::JobDeparture,
-            EventKind::MapTaskArrival,
             EventKind::MapTaskDeparture,
-            EventKind::ReduceTaskArrival,
             EventKind::ReduceTaskDeparture,
             EventKind::AllMapsFinished,
             EventKind::HostFailure,
@@ -128,6 +125,6 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        assert_eq!(kinds.len(), 11);
+        assert_eq!(kinds.len(), 9);
     }
 }

@@ -11,10 +11,11 @@
 //!   reduce slots (TaskTracker internals are deliberately *not* simulated —
 //!   that is SimMR's speed advantage over Mumak and MRPerf; per-task
 //!   latencies come from the replayed job profiles instead).
-//! * Nine event types drive the simulation: the paper's seven (job
-//!   arrivals/departures, map and reduce task arrivals/departures, and
-//!   `AllMapsFinished`) plus `HostFailure` and `SpeculationDue` from the
-//!   failure/speculation model.
+//! * Nine event types drive the simulation: five of the paper's seven (job
+//!   arrivals/departures, map and reduce task departures, and
+//!   `AllMapsFinished`; task arrivals are counted at launch and never
+//!   enqueued) plus `HostFailure`, `SpeculationDue` and `HostRecovery`
+//!   from the failure/speculation model and the policy's `PolicyWakeup`.
 //! * Reduce tasks launched before a job's map stage completes are **filler
 //!   tasks of infinite duration**; when `AllMapsFinished` fires their
 //!   duration is rewritten to the profile's *non-overlapping first-shuffle*
@@ -96,6 +97,7 @@
 //! ```
 
 pub mod checkpoint;
+pub mod codec;
 pub mod config;
 pub mod engine;
 pub mod event;

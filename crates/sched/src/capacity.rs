@@ -16,6 +16,7 @@
 //! what lets `capacity:` spec strings normalize their parameter order
 //! into a canonical cache-key form (see [`crate::PolicySpec`]).
 
+use simmr_core::codec::{put_u32, Reader};
 use simmr_core::{JobQueue, SchedulerPolicy};
 use simmr_types::{DurationMs, JobId, JobTemplate, TaskKind};
 use std::collections::HashMap;
@@ -154,10 +155,10 @@ impl SchedulerPolicy for CapacityPolicy {
             self.assignment.iter().map(|(&j, &q)| (j, q)).collect();
         pairs.sort_unstable();
         let mut out = Vec::with_capacity(4 + pairs.len() * 8);
-        crate::snap::put_u32(&mut out, pairs.len() as u32);
+        put_u32(&mut out, pairs.len() as u32);
         for (job, queue) in pairs {
-            crate::snap::put_u32(&mut out, job.0);
-            crate::snap::put_u32(&mut out, queue as u32);
+            put_u32(&mut out, job.0);
+            put_u32(&mut out, queue as u32);
         }
         out
     }
@@ -166,15 +167,15 @@ impl SchedulerPolicy for CapacityPolicy {
     /// the captured one — a resume under a different queue list parses
     /// fine but routes differently, and this is what catches it.
     fn restore(&mut self, blob: &[u8]) -> Result<(), String> {
-        let mut r = crate::snap::Reader::new(blob);
-        let n = r.u32()? as usize;
+        let mut r = Reader::new(blob);
+        let n = r.count(8)?;
         let mut captured = Vec::with_capacity(n);
         for _ in 0..n {
             let job = JobId(r.u32()?);
             let queue = r.u32()? as usize;
             captured.push((job, queue));
         }
-        r.done()?;
+        r.finish()?;
         let mut rebuilt: Vec<(JobId, usize)> =
             self.assignment.iter().map(|(&j, &q)| (j, q)).collect();
         rebuilt.sort_unstable();

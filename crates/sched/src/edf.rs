@@ -31,6 +31,7 @@
 //! speculation and preemption.
 
 use crate::edf_index::{DeadlineIndex, EdfKey};
+use simmr_core::codec::{put_u32, Reader};
 use simmr_core::{JobEntry, JobQueue, SchedulerPolicy};
 use simmr_model::{min_slots_for_deadline, JobProfileSummary, SlotAllocation};
 use simmr_types::{DurationMs, JobId, JobTemplate};
@@ -176,9 +177,9 @@ impl SchedulerPolicy for MaxEdfPolicy {
     }
 
     fn restore(&mut self, blob: &[u8]) -> Result<(), String> {
-        let mut r = crate::snap::Reader::new(blob);
-        let (preemptive, full_scan) = (r.u8()? != 0, r.u8()? != 0);
-        r.done()?;
+        let mut r = Reader::new(blob);
+        let (preemptive, full_scan) = (r.bool()?, r.bool()?);
+        r.finish()?;
         if preemptive != self.preemptive || full_scan != self.full_scan {
             return Err(format!(
                 "maxedf variant mismatch: checkpoint taken with preemptive={preemptive}, \
@@ -417,18 +418,18 @@ impl SchedulerPolicy for MinEdfPolicy {
         let mut out = vec![self.preemptive as u8, self.full_scan as u8];
         let live: Vec<(u32, SlotAllocation)> =
             self.wanted.iter().enumerate().filter_map(|(i, w)| w.map(|w| (i as u32, w))).collect();
-        crate::snap::put_u32(&mut out, live.len() as u32);
+        put_u32(&mut out, live.len() as u32);
         for (job, w) in live {
-            crate::snap::put_u32(&mut out, job);
-            crate::snap::put_u32(&mut out, w.maps as u32);
-            crate::snap::put_u32(&mut out, w.reduces as u32);
+            put_u32(&mut out, job);
+            put_u32(&mut out, w.maps as u32);
+            put_u32(&mut out, w.reduces as u32);
         }
         out
     }
 
     fn restore(&mut self, blob: &[u8]) -> Result<(), String> {
-        let mut r = crate::snap::Reader::new(blob);
-        let (preemptive, full_scan) = (r.u8()? != 0, r.u8()? != 0);
+        let mut r = Reader::new(blob);
+        let (preemptive, full_scan) = (r.bool()?, r.bool()?);
         if preemptive != self.preemptive || full_scan != self.full_scan {
             return Err(format!(
                 "minedf variant mismatch: checkpoint taken with preemptive={preemptive}, \
@@ -436,7 +437,7 @@ impl SchedulerPolicy for MinEdfPolicy {
                 self.preemptive, self.full_scan
             ));
         }
-        let n = r.u32()? as usize;
+        let n = r.count(12)?;
         let mut captured = Vec::with_capacity(n);
         for _ in 0..n {
             let job = r.u32()?;
@@ -444,7 +445,7 @@ impl SchedulerPolicy for MinEdfPolicy {
             let reduces = r.u32()? as usize;
             captured.push((job, SlotAllocation { maps, reduces }));
         }
-        r.done()?;
+        r.finish()?;
         let rebuilt: Vec<(u32, SlotAllocation)> =
             self.wanted.iter().enumerate().filter_map(|(i, w)| w.map(|w| (i as u32, w))).collect();
         if rebuilt != captured {

@@ -57,6 +57,7 @@
 //! the sanctioned `map_preemptions` / `next_wakeup` hooks.
 
 use crate::pool::{join_prefix, validate_pools, PoolSpec};
+use simmr_core::codec::{put_opt_u64, put_u32, Reader};
 use simmr_core::{JobEntry, JobQueue, SchedulerPolicy};
 use simmr_types::{DurationMs, JobId, JobTemplate, SimTime, TaskKind};
 use std::collections::HashMap;
@@ -648,23 +649,23 @@ impl SchedulerPolicy for HierPolicy {
     /// catches a resume under a different pool tree.
     fn snapshot(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        crate::snap::put_u32(&mut out, self.nodes.len() as u32);
+        put_u32(&mut out, self.nodes.len() as u32);
         for since in &self.starved_since {
-            crate::snap::put_opt_u64(&mut out, since.map(|t| t.as_millis()));
+            put_opt_u64(&mut out, since.map(|t| t.as_millis()));
         }
         let mut pairs: Vec<(JobId, usize)> =
             self.assignment.iter().map(|(&j, &l)| (j, l)).collect();
         pairs.sort_unstable();
-        crate::snap::put_u32(&mut out, pairs.len() as u32);
+        put_u32(&mut out, pairs.len() as u32);
         for (job, leaf) in pairs {
-            crate::snap::put_u32(&mut out, job.0);
-            crate::snap::put_u32(&mut out, leaf as u32);
+            put_u32(&mut out, job.0);
+            put_u32(&mut out, leaf as u32);
         }
         out
     }
 
     fn restore(&mut self, blob: &[u8]) -> Result<(), String> {
-        let mut r = crate::snap::Reader::new(blob);
+        let mut r = Reader::new(blob);
         let n_nodes = r.u32()? as usize;
         if n_nodes != self.nodes.len() {
             return Err(format!(
@@ -677,14 +678,14 @@ impl SchedulerPolicy for HierPolicy {
         for _ in 0..n_nodes {
             starved.push(r.opt_u64()?.map(SimTime::from_millis));
         }
-        let n = r.u32()? as usize;
+        let n = r.count(8)?;
         let mut captured = Vec::with_capacity(n);
         for _ in 0..n {
             let job = JobId(r.u32()?);
             let leaf = r.u32()? as usize;
             captured.push((job, leaf));
         }
-        r.done()?;
+        r.finish()?;
         let mut rebuilt: Vec<(JobId, usize)> =
             self.assignment.iter().map(|(&j, &l)| (j, l)).collect();
         rebuilt.sort_unstable();

@@ -70,7 +70,6 @@ pub mod fair;
 pub mod fifo;
 pub mod hier;
 pub mod pool;
-mod snap;
 
 pub use capacity::{CapacityPolicy, QueueConfig};
 pub use edf::{MaxEdfPolicy, MinEdfPolicy};

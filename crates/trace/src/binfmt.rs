@@ -31,7 +31,9 @@
 //! name, four `u32` array lengths (map, first-shuffle, typical-shuffle,
 //! reduce) and the four duration arrays as raw `u64`s. Identical
 //! templates are interned: the table stores one copy, records refer to it
-//! by index.
+//! by index. The template codec, the interning table, the CRC-32 and the
+//! bounds-checked reader are the shared ones in [`simmr_core::codec`];
+//! this module owns only the header, meta and record layouts.
 //!
 //! *Job records*: `job_count` fixed-stride 21-byte entries sorted by
 //! `(arrival, insertion order)` — `template_index: u32`, `arrival: u64`,
@@ -47,9 +49,11 @@
 //! [`encode_trace`]/[`decode_trace`] convert a materialized
 //! [`WorkloadTrace`].
 
+use simmr_core::codec::{
+    put_str, put_u16, put_u32, put_u64, Crc32, DecodeError, Reader, TemplateTable,
+};
 use simmr_core::{JobSource, SourceError, SourcedJob};
 use simmr_types::{JobSpec, JobTemplate, SimTime, TemplateError, TraceMeta, WorkloadTrace};
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -142,65 +146,19 @@ impl From<TemplateError> for BinError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, the zlib/PNG polynomial), table-driven.
+// Section codecs on the shared `simmr_core::codec` writers and reader.
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
+/// SIMMRBIN has no tagged fields, and a section whose contents disagree
+/// with its declared length is reported as truncation.
+impl From<DecodeError> for BinError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::BadUtf8 => BinError::BadUtf8,
+            DecodeError::InvalidTemplate(e) => BinError::InvalidTemplate(e),
+            DecodeError::Truncated | DecodeError::BadTag { .. } | DecodeError::TrailingBytes(_) => {
+                BinError::Truncated
+            }
         }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// Incremental IEEE CRC32.
-#[derive(Debug, Clone)]
-struct Crc32(u32);
-
-impl Crc32 {
-    fn new() -> Self {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        let mut c = self.0;
-        for &b in bytes {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.0 = c;
-    }
-
-    fn finish(&self) -> u32 {
-        self.0 ^ 0xFFFF_FFFF
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Little-endian section encoding helpers.
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_durations(out: &mut Vec<u8>, ds: &[u64]) {
-    for &d in ds {
-        put_u64(out, d);
     }
 }
 
@@ -213,26 +171,6 @@ fn encode_meta(meta: &TraceMeta) -> Vec<u8> {
     out
 }
 
-/// Lossless byte encoding of one template — also the interning key, so
-/// templates with identical content share one table entry.
-fn encode_template(t: &JobTemplate) -> Vec<u8> {
-    let arrays = t.num_maps
-        + t.first_shuffle_durations.len()
-        + t.typical_shuffle_durations.len()
-        + t.num_reduces;
-    let mut out = Vec::with_capacity(4 + t.name.len() + 16 + arrays * 8);
-    put_str(&mut out, &t.name);
-    put_u32(&mut out, t.map_durations.len() as u32);
-    put_u32(&mut out, t.first_shuffle_durations.len() as u32);
-    put_u32(&mut out, t.typical_shuffle_durations.len() as u32);
-    put_u32(&mut out, t.reduce_durations.len() as u32);
-    put_durations(&mut out, &t.map_durations);
-    put_durations(&mut out, &t.first_shuffle_durations);
-    put_durations(&mut out, &t.typical_shuffle_durations);
-    put_durations(&mut out, &t.reduce_durations);
-    out
-}
-
 fn encode_record(template_index: u32, arrival: SimTime, deadline: Option<SimTime>) -> [u8; 21] {
     let mut rec = [0u8; RECORD_BYTES];
     rec[0..4].copy_from_slice(&template_index.to_le_bytes());
@@ -242,96 +180,23 @@ fn encode_record(template_index: u32, arrival: SimTime, deadline: Option<SimTime
     rec
 }
 
-// ---------------------------------------------------------------------------
-// Section decoding: a bounds-checked cursor over a byte slice.
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], BinError> {
-        let end = self.pos.checked_add(n).ok_or(BinError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(BinError::Truncated);
-        }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, BinError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, BinError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn u8(&mut self) -> Result<u8, BinError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn str(&mut self) -> Result<&'a str, BinError> {
-        let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?).map_err(|_| BinError::BadUtf8)
-    }
-
-    fn durations(&mut self, count: usize) -> Result<Vec<u64>, BinError> {
-        let raw = self.take(count.checked_mul(8).ok_or(BinError::Truncated)?)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
-    }
-
-    fn exhausted(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
-
 fn decode_meta(bytes: &[u8]) -> Result<TraceMeta, BinError> {
-    let mut c = Cursor::new(bytes);
-    let description = c.str()?.to_owned();
-    let source = c.str()?.to_owned();
-    let has_seed = c.u8()? != 0;
-    let seed = c.u64()?;
-    if !c.exhausted() {
-        return Err(BinError::Truncated);
-    }
+    let mut r = Reader::new(bytes);
+    let description = r.str()?.to_owned();
+    let source = r.str()?.to_owned();
+    let has_seed = r.u8()? != 0;
+    let seed = r.u64()?;
+    r.finish()?;
     Ok(TraceMeta { description, source, seed: has_seed.then_some(seed) })
 }
 
+/// Decodes the template table. `count` comes from the header, so it is
+/// checked against the section's bytes before the table is sized.
 fn decode_templates(bytes: &[u8], count: u32) -> Result<Vec<Arc<JobTemplate>>, BinError> {
-    let mut c = Cursor::new(bytes);
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let name: Arc<str> = c.str()?.into();
-        let maps = c.u32()? as usize;
-        let firsts = c.u32()? as usize;
-        let typicals = c.u32()? as usize;
-        let reduces = c.u32()? as usize;
-        let template = JobTemplate {
-            name,
-            num_maps: maps,
-            num_reduces: reduces,
-            map_durations: c.durations(maps)?,
-            first_shuffle_durations: c.durations(firsts)?,
-            typical_shuffle_durations: c.durations(typicals)?,
-            reduce_durations: c.durations(reduces)?,
-        };
-        template.validate()?;
-        out.push(Arc::new(template));
-    }
-    if !c.exhausted() {
-        return Err(BinError::Truncated);
-    }
-    Ok(out)
+    let mut r = Reader::new(bytes);
+    let templates = r.templates(count as usize)?;
+    r.finish()?;
+    Ok(templates)
 }
 
 /// One decoded job record (the template stays in the table).
@@ -377,35 +242,36 @@ impl Header {
             }
             return Err(BinError::BadMagic);
         }
-        let mut c = Cursor::new(bytes);
-        if c.take(8)? != MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.take(8)? != MAGIC {
             return Err(BinError::BadMagic);
         }
-        let version = u16::from_le_bytes(c.take(2)?.try_into().expect("2 bytes"));
+        let version = r.u16()?;
         if version != VERSION {
             return Err(BinError::BadVersion(version));
         }
-        c.take(2)?; // reserved
+        r.take(2)?; // reserved
         Ok(Header {
-            job_count: c.u64()?,
-            first_arrival: c.u64()?,
-            meta_len: c.u32()?,
-            template_count: c.u32()?,
-            template_bytes: c.u64()?,
-            crc: c.u32()?,
+            job_count: r.u64()?,
+            first_arrival: r.u64()?,
+            meta_len: r.u32()?,
+            template_count: r.u32()?,
+            template_bytes: r.u64()?,
+            crc: r.u32()?,
         })
     }
 
-    fn encode(&self) -> [u8; HEADER_BYTES] {
-        let mut out = [0u8; HEADER_BYTES];
-        out[0..8].copy_from_slice(&MAGIC);
-        out[8..10].copy_from_slice(&VERSION.to_le_bytes());
-        out[12..20].copy_from_slice(&self.job_count.to_le_bytes());
-        out[20..28].copy_from_slice(&self.first_arrival.to_le_bytes());
-        out[28..32].copy_from_slice(&self.meta_len.to_le_bytes());
-        out[32..36].copy_from_slice(&self.template_count.to_le_bytes());
-        out[36..44].copy_from_slice(&self.template_bytes.to_le_bytes());
-        out[44..48].copy_from_slice(&self.crc.to_le_bytes());
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_BYTES);
+        out.extend_from_slice(&MAGIC);
+        put_u16(&mut out, VERSION);
+        put_u16(&mut out, 0); // reserved
+        put_u64(&mut out, self.job_count);
+        put_u64(&mut out, self.first_arrival);
+        put_u32(&mut out, self.meta_len);
+        put_u32(&mut out, self.template_count);
+        put_u64(&mut out, self.template_bytes);
+        put_u32(&mut out, self.crc);
         out
     }
 
@@ -436,9 +302,7 @@ impl Header {
 pub struct BinTraceWriter<W: Write + Seek> {
     out: W,
     meta_bytes: Vec<u8>,
-    template_bytes: Vec<u8>,
-    interned: HashMap<Vec<u8>, u32>,
-    template_count: u32,
+    templates: TemplateTable,
     sealed: bool,
     crc: Crc32,
     job_count: u64,
@@ -452,9 +316,7 @@ impl<W: Write + Seek> BinTraceWriter<W> {
         BinTraceWriter {
             out,
             meta_bytes: encode_meta(meta),
-            template_bytes: Vec::new(),
-            interned: HashMap::new(),
-            template_count: 0,
+            templates: TemplateTable::default(),
             sealed: false,
             crc: Crc32::new(),
             job_count: 0,
@@ -471,15 +333,7 @@ impl<W: Write + Seek> BinTraceWriter<W> {
             return Err(BinError::TemplatesSealed);
         }
         template.validate()?;
-        let key = encode_template(template);
-        if let Some(&id) = self.interned.get(&key) {
-            return Ok(id);
-        }
-        let id = self.template_count;
-        self.template_bytes.extend_from_slice(&key);
-        self.interned.insert(key, id);
-        self.template_count += 1;
-        Ok(id)
+        Ok(self.templates.intern(template))
     }
 
     /// Writes the placeholder header plus the meta and template sections;
@@ -487,11 +341,11 @@ impl<W: Write + Seek> BinTraceWriter<W> {
     fn seal(&mut self) -> Result<(), BinError> {
         self.out.write_all(&[0u8; HEADER_BYTES])?;
         self.out.write_all(&self.meta_bytes)?;
-        self.out.write_all(&self.template_bytes)?;
+        self.out.write_all(self.templates.bytes())?;
         self.crc.update(&self.meta_bytes);
-        self.crc.update(&self.template_bytes);
+        self.crc.update(self.templates.bytes());
         self.sealed = true;
-        self.interned = HashMap::new(); // the dedup map is dead weight now
+        self.templates.seal(); // the dedup map is dead weight now
         Ok(())
     }
 
@@ -505,10 +359,10 @@ impl<W: Write + Seek> BinTraceWriter<W> {
         if !self.sealed {
             self.seal()?;
         }
-        if template_index >= self.template_count {
+        if template_index >= self.templates.count() {
             return Err(BinError::BadTemplateIndex {
                 index: template_index,
-                count: self.template_count,
+                count: self.templates.count(),
             });
         }
         if arrival < self.last_arrival {
@@ -532,8 +386,8 @@ impl<W: Write + Seek> BinTraceWriter<W> {
             job_count: self.job_count,
             first_arrival: self.first_arrival.map_or(u64::MAX, SimTime::as_millis),
             meta_len: self.meta_bytes.len() as u32,
-            template_count: self.template_count,
-            template_bytes: self.template_bytes.len() as u64,
+            template_count: self.templates.count(),
+            template_bytes: self.templates.bytes().len() as u64,
             crc: self.crc.finish(),
         };
         self.out.seek(SeekFrom::Start(0))?;
@@ -589,9 +443,7 @@ impl<'a> BinTraceReader<'a> {
             return Err(BinError::Truncated);
         }
         let body = &bytes[HEADER_BYTES..expect_len as usize];
-        let mut crc = Crc32::new();
-        crc.update(body);
-        let actual = crc.finish();
+        let actual = Crc32::checksum(body);
         if actual != header.crc {
             return Err(BinError::ChecksumMismatch { expected: header.crc, actual });
         }

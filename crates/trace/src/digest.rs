@@ -11,9 +11,9 @@
 //! format's CRC-32 body-checksum machinery to a width where accidental
 //! collisions are negligible for cache keying.
 //!
-//! CRC-64 uses the ECMA-182 polynomial in reflected form (the
-//! `CRC-64/XZ` parameterization: init and xor-out all-ones), table-driven
-//! like the CRC-32 in [`crate::binfmt`].
+//! CRC-64 is the `CRC-64/XZ` parameterization (ECMA-182 polynomial,
+//! reflected, init and xor-out all-ones) from [`simmr_core::codec`],
+//! re-exported here as [`Crc64`].
 //!
 //! ```
 //! use simmr_trace::TraceDigestExt;
@@ -30,57 +30,10 @@
 //! ```
 
 use crate::binfmt::{encode_trace, BinError};
+pub use simmr_core::codec::Crc64;
 use simmr_types::WorkloadTrace;
 use std::fmt;
 use std::str::FromStr;
-
-// CRC-64/XZ: ECMA-182 polynomial 0x42F0E1EBA9EA3693, reflected.
-const CRC64_TABLE: [u64; 256] = {
-    let mut table = [0u64; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u64;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xC96C_5795_D787_0F42 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// Streaming CRC-64 (the 64-bit sibling of the SIMMRBIN CRC-32).
-#[derive(Debug, Clone)]
-pub struct Crc64(u64);
-
-impl Crc64 {
-    /// A fresh checksum state.
-    pub fn new() -> Self {
-        Crc64(u64::MAX)
-    }
-
-    /// Feeds bytes into the checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut c = self.0;
-        for &b in bytes {
-            c = CRC64_TABLE[((c ^ b as u64) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.0 = c;
-    }
-
-    /// The final checksum value.
-    pub fn finish(&self) -> u64 {
-        self.0 ^ u64::MAX
-    }
-}
-
-impl Default for Crc64 {
-    fn default() -> Self {
-        Crc64::new()
-    }
-}
 
 /// A stable 64-bit content digest of a workload trace.
 ///
@@ -129,10 +82,7 @@ impl serde::Deserialize for TraceDigest {
 /// SIMMRBIN encoding. Fails only where the encoder does (a trace too
 /// large for the format's length fields).
 pub fn digest_trace(trace: &WorkloadTrace) -> Result<TraceDigest, BinError> {
-    let bytes = encode_trace(trace)?;
-    let mut crc = Crc64::new();
-    crc.update(&bytes);
-    Ok(TraceDigest(crc.finish()))
+    Ok(TraceDigest(Crc64::checksum(&encode_trace(trace)?)))
 }
 
 /// Adds [`WorkloadTrace::digest`]-style sugar: `trace.digest()`.

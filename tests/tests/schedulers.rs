@@ -253,6 +253,33 @@ fn hier_empty_pool_is_inert() {
     assert_eq!(with_idle, without);
 }
 
+/// Restores into a fresh `policy` its own empty snapshot with the trailing
+/// `u32` pair count rewritten to `u32::MAX`: a blob that declares ~4G
+/// entries in zero bytes must be rejected as an error, not sized into an
+/// allocation.
+fn restore_crafted_pair_count(spec: &str) -> Result<(), String> {
+    let mut blob = parse_policy(spec).unwrap().snapshot();
+    let count_at = blob.len() - 4;
+    blob[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+    parse_policy(spec).unwrap().restore(&blob)
+}
+
+#[test]
+fn crafted_capacity_blob_count_is_an_error() {
+    assert!(restore_crafted_pair_count("capacity").is_err());
+}
+
+#[test]
+fn crafted_minedf_blob_count_is_an_error() {
+    // 6 bytes: the two variant flags, then the declared allocation count
+    assert!(restore_crafted_pair_count("minedf").is_err());
+}
+
+#[test]
+fn crafted_hier_blob_count_is_an_error() {
+    assert!(restore_crafted_pair_count("hier").is_err());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

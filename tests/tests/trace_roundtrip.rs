@@ -24,8 +24,8 @@ use simmr_core::{CkptError, EngineCheckpoint, EngineConfig, JobSource, Simulator
 use simmr_integration::small_job;
 use simmr_sched::FifoPolicy;
 use simmr_trace::{
-    decode_trace, encode_trace, scale_template, trace_from_history, BinError, BinTraceSource,
-    FacebookWorkload, TraceDatabase,
+    decode_trace, encode_trace, scale_template, trace_from_history, BinError, BinTraceReader,
+    BinTraceSource, FacebookWorkload, TraceDatabase,
 };
 use simmr_types::{parse_history, JobSpec, JobTemplate, SimTime, WorkloadTrace};
 
@@ -417,6 +417,61 @@ fn json_and_binary_replays_are_byte_identical() {
         serde_json::to_string(&report_bin).unwrap()
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fixed trace whose SIMMRBIN encoding is pinned by
+/// [`simmrbin_encoding_and_digest_are_pinned`]: seeded meta with a
+/// non-ASCII, escape-heavy description, one template shared by two jobs,
+/// a reduce job with a deadline, and jobs listed out of arrival order.
+fn golden_trace() -> WorkloadTrace {
+    let mut trace = WorkloadTrace::new("golden \"trace\" \u{3c0}", "simmrbin-golden");
+    trace.meta.seed = Some(0x5EED);
+    let wc =
+        JobTemplate::new("wc", vec![1200, 950, 1100], vec![300], vec![120, 140], vec![2000, 2100])
+            .unwrap();
+    let grep = JobTemplate::new("grep", vec![400], vec![], vec![], vec![]).unwrap();
+    trace.push(
+        JobSpec::new(wc.clone(), SimTime::from_millis(5_000)).with_deadline(SimTime::from_secs(60)),
+    );
+    trace.push(JobSpec::new(grep, SimTime::from_millis(1_000)));
+    trace.push(JobSpec::new(wc, SimTime::from_millis(5_000)));
+    trace
+}
+
+/// SIMMRBIN bytes and trace digests key the serve memo cache, so they
+/// must never drift: the encoding of [`golden_trace`] is pinned by its
+/// length and CRC-64, and the digest (the CRC-64 of that encoding) by
+/// its value.
+#[test]
+fn simmrbin_encoding_and_digest_are_pinned() {
+    let trace = golden_trace();
+    let bytes = encode_trace(&trace).unwrap();
+    let mut crc = simmr_trace::Crc64::new();
+    crc.update(&bytes);
+    assert_eq!(bytes.len(), 278);
+    assert_eq!(crc.finish(), 0x5F80_864A_D446_8FE5);
+    assert_eq!(simmr_trace::digest_trace(&trace).unwrap().to_string(), "5f80864ad4468fe5");
+}
+
+/// A 69-byte SIMMRBIN file — an empty trace whose header is rewritten to
+/// declare `u32::MAX` templates in a zero-byte template table (the header
+/// sits outside the CRC-32, so the checksum stays valid) — is a typed
+/// error from both readers, not a multi-gigabyte allocation.
+#[test]
+fn crafted_template_count_is_a_typed_error() {
+    let mut bytes = encode_trace(&WorkloadTrace::new("evil", "")).unwrap();
+    assert_eq!(bytes.len(), 69);
+    bytes[32..36].copy_from_slice(&u32::MAX.to_le_bytes()); // template_count
+    assert_eq!(bytes[36..44], [0; 8]); // template_bytes
+    let parsed = BinTraceReader::parse(&bytes);
+    assert!(matches!(parsed, Err(BinError::Truncated)), "{parsed:?}");
+
+    let path =
+        std::env::temp_dir().join(format!("simmr-it-crafted-{}.trace.bin", std::process::id()));
+    std::fs::write(&path, &bytes).unwrap();
+    let opened = BinTraceSource::open(&path);
+    let _ = std::fs::remove_file(&path);
+    assert!(matches!(opened, Err(BinError::Truncated)), "{opened:?}");
 }
 
 /// 100k-job streaming smoke replay, gated for CI: set
