@@ -33,22 +33,7 @@ fn format_from_extension(path: &str) -> Option<TraceFormat> {
 
 /// Sniffs a trace file's on-disk format by its magic bytes.
 fn sniff_format(path: &str) -> Result<TraceFormat, String> {
-    use std::io::Read;
-    let mut file = std::fs::File::open(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let mut magic = [0u8; 8];
-    let mut filled = 0;
-    while filled < magic.len() {
-        match file.read(&mut magic[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) => return Err(format!("cannot read `{path}`: {e}")),
-        }
-    }
-    Ok(if simmr_trace::is_binary_trace(&magic[..filled]) {
-        TraceFormat::Bin
-    } else {
-        TraceFormat::Json
-    })
+    TraceFormat::sniff(path).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
 
 /// `simmr generate`: synthetic Facebook-like trace to JSON or binary.

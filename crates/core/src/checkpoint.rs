@@ -20,7 +20,10 @@
 //! CRC-64/XZ over everything before it, built on the shared
 //! [`crate::codec`] writers, reader and checksum. Job templates are
 //! content-interned into a [`TemplateTable`] in SIMMRBIN's per-template
-//! layout (version 2; version 1 used a layout of its own). Encoding is
+//! layout (since version 2; version 1 used a layout of its own). Version
+//! 3 changed no engine field: `capacity` policy blobs became pool-tree
+//! blobs, so a version-2 checkpoint is rejected rather than restored
+//! against the wrong policy layout. Encoding is
 //! canonical: `encode(decode(bytes)) == bytes` for any accepted input,
 //! which is what lets the serve layer memoize *encoded* checkpoints and
 //! key caches on their digest.
@@ -55,7 +58,7 @@ use std::sync::Arc;
 /// Magic bytes opening every serialized checkpoint.
 pub const CKPT_MAGIC: &[u8; 8] = b"SIMMRCKP";
 /// Current checkpoint format version.
-pub const CKPT_VERSION: u16 = 2;
+pub const CKPT_VERSION: u16 = 3;
 
 /// Why a checkpoint failed to decode or resume.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -920,8 +923,9 @@ mod tests {
         assert!(matches!(decode_err(&flipped), CkptError::ChecksumMismatch { .. }));
 
         // rewrite the version and re-sign: the version check must fire,
-        // for an unknown future version and for the retired version 1
-        for version in [0x00FF, 1] {
+        // for an unknown future version and for the retired versions 1
+        // and 2
+        for version in [0x00FF, 1, 2] {
             let mut wrong_version = bytes.clone();
             wrong_version[8..10].copy_from_slice(&u16::to_le_bytes(version));
             let body_len = wrong_version.len() - 8;

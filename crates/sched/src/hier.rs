@@ -1,24 +1,25 @@
 //! Hierarchical pool-tree scheduling (extension beyond the paper).
 //!
-//! SimMR's §V case study replays a multi-user Facebook workload, but the
-//! flat [`CapacityPolicy`](crate::CapacityPolicy) cannot express what
-//! Hadoop's Fair/Capacity schedulers (the paper's refs. 2–3) actually
-//! provide: *nested* pools with weights, min/max shares and min-share
+//! Hadoop's Fair/Capacity schedulers (the paper's refs. 2–3) arrange
+//! tenants in *nested* pools with weights, min/max shares and min-share
 //! preemption. [`HierPolicy`] implements that model on top of the
-//! declarative [`PoolSpec`] tree from [`pool`](crate::pool):
+//! declarative [`PoolSpec`] tree from [`pool`](crate::pool); the
+//! `capacity:` spec family is the same policy on a one-level tree
+//! ([`HierPolicy::capacity`]):
 //!
-//! * **Routing** — jobs land in the first leaf (depth-first order) whose
-//!   routing prefix is a prefix of the job name, falling back to the last
-//!   leaf. A one-level tree therefore routes exactly like
-//!   `CapacityPolicy`.
+//! * **Routing** — jobs land in the first leaf of the policy's routing
+//!   order whose routing prefix is a prefix of the job name, falling back
+//!   to the last leaf. For `hier:` trees the routing order is depth-first
+//!   leaf order; for capacity queues it is longest prefix first, so the
+//!   listed queue order carries no routing semantics.
 //! * **Slot assignment** — each free slot walks the tree from the root,
 //!   picking at every level the most under-served *eligible* child:
 //!   children below their min share come first (smallest `running/min`
 //!   ratio), then smallest `running/weight`; ties break on listed order.
 //!   A child is eligible when its subtree has schedulable work and every
 //!   node on the path respects its max share. At the leaf, the
-//!   earliest-arrived schedulable job wins — so a flat tree with no
-//!   min/max shares reproduces `CapacityPolicy` schedules byte for byte.
+//!   earliest-arrived schedulable job wins — on a flat tree with no
+//!   min/max shares this is the weighted-queue capacity scheduler.
 //! * **Min-share preemption** — a pool sitting below its map min share
 //!   with pending work for longer than its `preemption_timeout` triggers
 //!   the engine's `map_preemptions` path: one task of the most over-share
@@ -60,6 +61,7 @@ use crate::pool::{join_prefix, validate_pools, PoolSpec};
 use simmr_core::codec::{put_opt_u64, put_u32, Reader};
 use simmr_core::{JobEntry, JobQueue, SchedulerPolicy};
 use simmr_types::{DurationMs, JobId, JobTemplate, SimTime, TaskKind};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// Map/reduce index into per-kind share arrays.
@@ -89,11 +91,16 @@ struct Node {
 /// Hierarchical pool-tree scheduling policy.
 #[derive(Debug)]
 pub struct HierPolicy {
+    /// `"hier"`, or `"capacity"` for [`HierPolicy::capacity`] trees.
+    name: &'static str,
     /// Arena in depth-first order; 0 is a synthetic root, and a parent
     /// always precedes its children (aggregation sweeps in reverse).
     nodes: Vec<Node>,
-    /// Leaf node indices, depth-first — the routing order.
+    /// Leaf node indices, depth-first.
     leaves: Vec<usize>,
+    /// The leaves in routing priority order: a job goes to the first
+    /// whose prefix matches its name.
+    routes: Vec<usize>,
     /// Active job → leaf node index.
     assignment: HashMap<JobId, usize>,
     /// When each pool dropped below its map min share (with pending
@@ -136,6 +143,7 @@ impl HierPolicy {
             panic!("invalid pool tree: {e}");
         }
         let mut policy = HierPolicy {
+            name: "hier",
             nodes: vec![Node {
                 prefix: String::new(),
                 weight: 1.0,
@@ -146,6 +154,7 @@ impl HierPolicy {
                 children: Vec::new(),
             }],
             leaves: Vec::new(),
+            routes: Vec::new(),
             assignment: HashMap::new(),
             starved_since: Vec::new(),
             run: [Vec::new(), Vec::new()],
@@ -160,6 +169,7 @@ impl HierPolicy {
         for pool in &pools {
             policy.add_subtree(pool, 0, "");
         }
+        policy.routes = policy.leaves.clone();
         let n = policy.nodes.len();
         policy.starved_since = vec![None; n];
         policy.run = [vec![0; n], vec![0; n]];
@@ -179,10 +189,35 @@ impl HierPolicy {
         self
     }
 
-    /// The `CapacityPolicy::two_tier` shape as a one-level tree: `prod`
-    /// (weight 2) and a catch-all (weight 1).
+    /// The default one-level tree of bare `hier` and bare `capacity`:
+    /// `prod` (weight 2) and a catch-all (weight 1).
     pub fn two_tier() -> Self {
         HierPolicy::new(vec![PoolSpec::leaf("prod").weight(2.0), PoolSpec::leaf("").weight(1.0)])
+    }
+
+    /// Capacity-scheduler queues as a one-level tree named `"capacity"`:
+    /// one leaf per `(name, weight)` queue, in the given order (slot
+    /// assignment breaks ratio ties toward earlier queues). A job routes
+    /// to the queue with the longest name that prefixes the job name,
+    /// else to the last queue; an empty name is a catch-all. Empty
+    /// `queues` means the [`two_tier`](Self::two_tier) queues.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a weight is not finite and positive or a name repeats.
+    pub fn capacity(queues: &[(String, f64)]) -> Self {
+        let mut policy = if queues.is_empty() {
+            HierPolicy::two_tier()
+        } else {
+            HierPolicy::new(
+                queues.iter().map(|(name, weight)| PoolSpec::leaf(name).weight(*weight)).collect(),
+            )
+        };
+        policy.name = "capacity";
+        // stable: of two equal-length names at most one can match a job
+        let nodes = &policy.nodes;
+        policy.routes.sort_by_key(|&l| Reverse(nodes[l].prefix.len()));
+        policy
     }
 
     fn add_subtree(&mut self, pool: &PoolSpec, parent: usize, parent_prefix: &str) {
@@ -207,11 +242,10 @@ impl HierPolicy {
         }
     }
 
-    /// Leaf a job name routes to: first leaf whose prefix matches, else
-    /// the last leaf — the `CapacityPolicy` routing rule on the
-    /// flattened leaf list.
+    /// Leaf a job name routes to: first leaf in routing order whose
+    /// prefix matches, else the last leaf.
     fn route(&self, job_name: &str) -> usize {
-        self.leaves
+        self.routes
             .iter()
             .copied()
             .find(|&l| job_name.starts_with(&self.nodes[l].prefix))
@@ -495,7 +529,7 @@ impl HierPolicy {
 
 impl SchedulerPolicy for HierPolicy {
     fn name(&self) -> &str {
-        "hier"
+        self.name
     }
 
     fn on_job_arrival(
@@ -669,8 +703,9 @@ impl SchedulerPolicy for HierPolicy {
         let n_nodes = r.u32()? as usize;
         if n_nodes != self.nodes.len() {
             return Err(format!(
-                "hier pool tree has {} nodes but the checkpoint was taken with {n_nodes} — \
-                 was the policy built with the same pool spec?",
+                "{} pool tree has {} nodes but the checkpoint was taken with {n_nodes} — \
+                 was the policy built with the same spec?",
+                self.name,
                 self.nodes.len()
             ));
         }
@@ -691,8 +726,9 @@ impl SchedulerPolicy for HierPolicy {
         rebuilt.sort_unstable();
         if rebuilt != captured {
             return Err(format!(
-                "hier pool assignments diverged from the checkpoint (rebuilt {} assignments, \
-                 captured {n}) — was the policy built with the same pool spec?",
+                "{} pool assignments diverged from the checkpoint (rebuilt {} assignments, \
+                 captured {n}) — was the policy built with the same spec?",
+                self.name,
                 rebuilt.len()
             ));
         }
@@ -802,7 +838,6 @@ impl SchedulerPolicy for HierPolicy {
 mod tests {
     use super::*;
     use crate::pool::parse_pool_spec;
-    use crate::CapacityPolicy;
     use simmr_core::{EngineConfig, SimulatorEngine};
     use simmr_types::{JobSpec, JobTemplate, SimTime, WorkloadTrace};
 
@@ -836,23 +871,38 @@ mod tests {
 
     #[test]
     fn flat_tree_matches_capacity_schedule() {
-        // identical queues, identical weights: the one-level tree must
-        // reproduce CapacityPolicy task for task
+        // a flat tree listing longer prefixes first routes like the same
+        // capacity queues, so it must reproduce their schedule task for
+        // task; only the routing order tells the two apart
         let mut trace = WorkloadTrace::new("t", "test");
-        trace.push(named_job("prod-big", 12, 1000, 0));
+        trace.push(named_job("prod-etl-big", 12, 1000, 0));
         trace.push(named_job("adhoc-big", 6, 700, 50));
         trace.push(named_job("prod-late", 3, 400, 900));
-        let run = |policy: Box<dyn SchedulerPolicy>| {
-            SimulatorEngine::new(EngineConfig::new(6, 6).with_timeline(), &trace, policy).run()
+        let run = |policy: HierPolicy| {
+            SimulatorEngine::new(EngineConfig::new(6, 6).with_timeline(), &trace, Box::new(policy))
+                .run()
         };
-        let capacity = run(Box::new(CapacityPolicy::two_tier()));
-        let tree = run(Box::new(HierPolicy::two_tier()));
-        assert_eq!(capacity, tree);
+        let queues = [("prod-etl".into(), 3.0), ("prod".into(), 2.0), ("adhoc".into(), 1.0)];
+        let capacity = HierPolicy::capacity(&queues);
+        assert_eq!(capacity.name(), "capacity");
+        let tree = hier("prod-etl[w=3],prod[w=2],adhoc");
+        assert_eq!(run(capacity), run(tree));
+        // listed shortest-first, the tree routes `prod-etl-*` into `prod`;
+        // the capacity queues still route it into `prod-etl`
+        let tree = hier("prod[w=2],prod-etl[w=3],adhoc");
+        let capacity =
+            HierPolicy::capacity(&[queues[1].clone(), queues[0].clone(), queues[2].clone()]);
+        assert_eq!(tree.route("prod-etl-big"), tree.leaves[0]);
+        assert_eq!(capacity.route("prod-etl-big"), capacity.leaves[1]);
+        assert_eq!(
+            HierPolicy::capacity(&[]).leaf_prefixes(),
+            HierPolicy::two_tier().leaf_prefixes()
+        );
     }
 
     #[test]
     fn weighted_split_between_pools() {
-        // same scenario as the CapacityPolicy unit test: prod w=2 vs
+        // same scenario as the capacity unit test: prod w=2 vs
         // adhoc w=1 on 6 slots → 4/2 split, both finish at 3 s
         let mut trace = WorkloadTrace::new("t", "test");
         trace.push(named_job("prod-big", 12, 1000, 0));

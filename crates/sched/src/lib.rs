@@ -12,12 +12,12 @@
 //!   than that, leaving spare slots to later arrivals;
 //! * [`FairSharePolicy`] — an HFS-flavoured extension: the job with the
 //!   smallest running-task share goes first;
-//! * [`CapacityPolicy`] — a Capacity-Scheduler-flavoured extension:
-//!   weighted queues with FIFO inside each queue;
 //! * [`HierPolicy`] — hierarchical pool *trees* (Hadoop Fair/Capacity
 //!   style, the paper's refs. 2–3): nested pools with weights, min/max
 //!   shares per slot kind and min-share preemption timeouts, declared via
-//!   [`pool::PoolSpec`].
+//!   [`pool::PoolSpec`]. The `capacity` spec family (weighted queues with
+//!   FIFO inside each queue, routed by longest name prefix) builds a
+//!   one-level tree ([`HierPolicy::capacity`]).
 //!
 //! All policies implement [`simmr_core::SchedulerPolicy`] and are
 //! deterministic: ties break on `(arrival, job id)`.
@@ -25,9 +25,10 @@
 //! The EDF policies schedule from an incremental lazy-deletion deadline
 //! index ([`edf_index::DeadlineIndex`]) maintained from the engine's
 //! queue-mutation hooks — amortized O(log n) per decision instead of a
-//! full queue scan; the hierarchical policy keeps incremental share
-//! aggregates the same way. Both retain their full-scan reference modes
-//! for differential testing.
+//! full queue scan; the hierarchical policy (and with it `capacity`)
+//! keeps incremental share aggregates the same way. Both retain their
+//! full-scan reference modes for differential testing. FIFO reads the
+//! queue's own arrival cursor; fair share scans the queue per decision.
 //!
 //! ## Policy specs
 //!
@@ -63,7 +64,6 @@
 //! (The old `Option`-returning `policy_by_name` shim, deprecated since
 //! the spec grammar landed, is gone — call [`parse_policy`] instead.)
 
-pub mod capacity;
 pub mod edf;
 pub mod edf_index;
 pub mod fair;
@@ -71,7 +71,6 @@ pub mod fifo;
 pub mod hier;
 pub mod pool;
 
-pub use capacity::{CapacityPolicy, QueueConfig};
 pub use edf::{MaxEdfPolicy, MinEdfPolicy};
 pub use edf_index::{DeadlineIndex, EdfHeap, EdfKey};
 pub use fair::FairSharePolicy;
@@ -109,8 +108,9 @@ pub enum PolicySpec {
     },
     /// Fair share: smallest running share first.
     Fair,
-    /// Weighted capacity queues, FIFO inside each queue, in listed order.
-    /// Empty means [`CapacityPolicy::two_tier`].
+    /// Weighted capacity queues, FIFO inside each queue, in listed order,
+    /// run as a one-level [`HierPolicy::capacity`] tree. Empty means the
+    /// [`HierPolicy::two_tier`] queues.
     Capacity {
         /// Ordered `(queue name, weight)` pairs.
         queues: Vec<(String, f64)>,
@@ -305,15 +305,7 @@ impl PolicySpec {
             PolicySpec::MinEdf { preemptive: false } => Box::new(MinEdfPolicy::new()),
             PolicySpec::MinEdf { preemptive: true } => Box::new(MinEdfPolicy::preemptive()),
             PolicySpec::Fair => Box::new(FairSharePolicy::new()),
-            PolicySpec::Capacity { queues } if queues.is_empty() => {
-                Box::new(CapacityPolicy::two_tier())
-            }
-            PolicySpec::Capacity { queues } => Box::new(CapacityPolicy::new(
-                queues
-                    .iter()
-                    .map(|(name, weight)| QueueConfig { name: name.clone(), weight: *weight })
-                    .collect(),
-            )),
+            PolicySpec::Capacity { queues } => Box::new(HierPolicy::capacity(queues)),
             PolicySpec::Hier { pools } if pools.is_empty() => Box::new(HierPolicy::two_tier()),
             PolicySpec::Hier { pools } => Box::new(HierPolicy::new(pools.clone())),
         }
@@ -479,5 +471,102 @@ mod tests {
             assert!(parse_policy(name).is_ok(), "{name}");
         }
         assert!(parse_policy("nope").is_err());
+    }
+}
+
+/// The `capacity` spec family end to end: every test builds its policy
+/// from a [`PolicySpec::Capacity`].
+#[cfg(test)]
+mod capacity {
+    use super::*;
+    use simmr_core::{EngineConfig, SimulatorEngine};
+    use simmr_types::{ClusterSpec, JobId, JobSpec, JobTemplate, SimTime, WorkloadTrace};
+
+    fn named_job(name: &str, maps: usize, map_ms: u64, arrival_ms: u64) -> JobSpec {
+        JobSpec::new(
+            JobTemplate::new(name, vec![map_ms; maps], vec![], vec![], vec![]).unwrap(),
+            SimTime::from_millis(arrival_ms),
+        )
+    }
+
+    /// Replays `trace` under the capacity `spec` on `slots` map slots.
+    fn run(trace: &WorkloadTrace, spec: &str, slots: usize) -> simmr_types::SimulationReport {
+        let policy = spec.parse::<PolicySpec>().unwrap().build();
+        SimulatorEngine::new(EngineConfig::new(slots, slots).with_invariants(), trace, policy).run()
+    }
+
+    /// The queue each job name routes to under the capacity `spec`.
+    fn routes(spec: &str, names: &[&str]) -> Vec<String> {
+        let PolicySpec::Capacity { queues } = spec.parse().unwrap() else {
+            panic!("{spec} is not a capacity spec")
+        };
+        let mut policy = HierPolicy::capacity(&queues);
+        for (i, name) in names.iter().enumerate() {
+            let template = JobTemplate::new(*name, vec![1], vec![], vec![], vec![]).unwrap();
+            policy.on_job_arrival(JobId(i as u32), &template, None, ClusterSpec::new(1, 1));
+        }
+        (0..names.len()).map(|i| policy.pool_of(JobId(i as u32)).unwrap().to_owned()).collect()
+    }
+
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn routing_by_prefix() {
+            assert_eq!(routes("capacity", &["prod-wordcount", "adhoc-sort"]), ["prod", ""]);
+            // longest prefix wins whatever the listed order; no match
+            // falls back to the last queue in canonical (name) order
+            assert_eq!(
+                routes(
+                    "capacity:prod-etl=4,prod=1,adhoc=2",
+                    &["prod-etl-daily", "prod-serving", "adhoc-x", "other"]
+                ),
+                ["prod-etl", "prod", "adhoc", "prod-etl"]
+            );
+        }
+
+        #[test]
+        #[should_panic(expected = "empty parameter list")]
+        fn rejects_empty_queues() {
+            "capacity:".parse::<PolicySpec>().unwrap();
+        }
+
+        #[test]
+        #[should_panic(expected = "weight must be finite and > 0")]
+        fn rejects_zero_weight() {
+            PolicySpec::Capacity { queues: vec![("q".into(), 0.0)] }.build();
+        }
+
+        #[test]
+        fn weighted_split_between_queues() {
+            // prod (weight 2) and adhoc (weight 1) each submit one long job
+            // on 6 slots: prod should hold ~4 slots, adhoc ~2, so prod
+            // finishes its 12 tasks around when adhoc finishes its 6.
+            let mut trace = WorkloadTrace::new("t", "test");
+            trace.push(named_job("prod-big", 12, 1000, 0));
+            trace.push(named_job("adhoc-big", 6, 1000, 0));
+            let report = run(&trace, "capacity", 6);
+            // prod: 12 tasks / 4 slots = 3s; adhoc: 6 / 2 = 3s
+            assert_eq!(report.jobs[0].completion, SimTime::from_millis(3000));
+            assert_eq!(report.jobs[1].completion, SimTime::from_millis(3000));
+        }
+
+        #[test]
+        fn idle_capacity_flows_to_busy_queue() {
+            // only adhoc has work: it should get ALL slots despite weight 1.
+            let mut trace = WorkloadTrace::new("t", "test");
+            trace.push(named_job("adhoc-only", 4, 1000, 0));
+            let report = run(&trace, "capacity", 4);
+            assert_eq!(report.jobs[0].completion, SimTime::from_millis(1000));
+        }
+
+        #[test]
+        fn fifo_within_queue() {
+            let mut trace = WorkloadTrace::new("t", "test");
+            trace.push(named_job("adhoc-late", 1, 1000, 10));
+            trace.push(named_job("adhoc-early", 1, 1000, 0));
+            let report = run(&trace, "capacity", 1);
+            assert!(report.jobs[1].completion < report.jobs[0].completion);
+        }
     }
 }

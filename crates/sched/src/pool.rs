@@ -28,9 +28,10 @@
 //! A leaf's routing prefix is its path of non-empty names joined with
 //! `-`: `prod{etl,serving}` yields leaves `prod-etl` and `prod-serving`.
 //! Jobs route to the first leaf (depth-first order) whose prefix is a
-//! prefix of the job name, falling back to the **last** leaf — identical
-//! to [`CapacityPolicy`](crate::CapacityPolicy) routing, so list a
-//! catch-all pool last.
+//! prefix of the job name, falling back to the **last** leaf, so list a
+//! catch-all pool last. (`capacity:` queues, built as one-level trees by
+//! [`HierPolicy::capacity`](crate::HierPolicy::capacity), route by
+//! longest prefix instead.)
 //!
 //! ## JSON config (`--pools FILE`)
 //!

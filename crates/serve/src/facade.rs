@@ -19,7 +19,7 @@ use simmr_core::{
 use simmr_sched::PolicySpec;
 use simmr_stats::parallel_sweep;
 use simmr_stats::{Dist, SeededRng};
-use simmr_trace::{digest_trace, BinTraceSource, TraceDatabase, TraceDigest};
+use simmr_trace::{digest_trace, BinTraceSource, TraceDatabase, TraceDigest, TraceFormat};
 use simmr_types::{ClusterSpec, HostId, JobSpec, SimTime, SimulationReport, WorkloadTrace};
 use std::collections::HashMap;
 use std::fmt;
@@ -805,7 +805,7 @@ impl SimFacade {
             if spec.deadline_factor.is_none()
                 && spec.fork_at.is_none()
                 && spec.divergences.is_empty()
-                && file_is_binary_trace(path)
+                && TraceFormat::sniff(path).is_ok_and(|f| f == TraceFormat::Bin)
             {
                 let mut spec = spec.clone();
                 spec.normalize();
@@ -902,22 +902,6 @@ impl Default for SimFacade {
     fn default() -> Self {
         SimFacade::new()
     }
-}
-
-/// Sniffs whether the file at `path` starts with the SIMMRBIN magic.
-fn file_is_binary_trace(path: &str) -> bool {
-    use std::io::Read;
-    let Ok(mut file) = std::fs::File::open(path) else { return false };
-    let mut magic = [0u8; 8];
-    let mut filled = 0;
-    while filled < magic.len() {
-        match file.read(&mut magic[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(_) => return false,
-        }
-    }
-    simmr_trace::is_binary_trace(&magic[..filled])
 }
 
 #[cfg(test)]

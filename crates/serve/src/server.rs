@@ -276,7 +276,13 @@ fn run_one(state: &ServerState, request: &Request) -> Response {
         Ok(r) => r,
         Err(e) => return facade_error_response(&e),
     };
-    let (cached, ckpt, body) = report_for(state, &resolved);
+    let (cached, ckpt, body) = match state.cache.get(&resolved.key) {
+        Some(body) => (true, None, body),
+        None => {
+            let (ckpt, body) = run_miss(state, &resolved);
+            (false, ckpt, body)
+        }
+    };
     let mut response = Response::json(200, body.as_bytes().to_vec())
         .with_header("x-simmr-cache", if cached { "hit" } else { "miss" })
         .with_header("x-simmr-digest", &resolved.digest.to_string());
@@ -284,21 +290,6 @@ fn run_one(state: &ServerState, request: &Request) -> Response {
         response = response.with_header("x-simmr-ckpt", if hit { "hit" } else { "miss" });
     }
     response
-}
-
-/// The serialized report for a resolved scenario: from the cache when
-/// present, computed (and cached) otherwise. The returned bytes are
-/// identical either way. The middle element is the fork scenario's
-/// checkpoint-memo outcome (`None` for non-forks and report-cache hits).
-fn report_for(state: &ServerState, resolved: &ResolvedScenario) -> (bool, Option<bool>, Arc<str>) {
-    if let Some(body) = state.cache.get(&resolved.key) {
-        return (true, None, body);
-    }
-    let run = resolved.run_warm(&state.ckpts);
-    let body: Arc<str> =
-        Arc::from(serde_json::to_string(&run.report).expect("report serializes").as_str());
-    state.cache.insert(resolved.key.clone(), Arc::clone(&body));
-    (false, run.ckpt, body)
 }
 
 /// A sweep request: a base scenario crossed with policy and seed lists,
@@ -456,13 +447,21 @@ fn warm_checkpoints(state: &ServerState, misses: &[(usize, ResolvedScenario)]) {
     }
 }
 
-/// Runs one resolved miss (warm-starting forks from the checkpoint
-/// memo), caches its report, returns its entry.
-fn run_miss(state: &ServerState, resolved: &ResolvedScenario) -> SweepEntry {
+/// Runs one report-cache miss (warm-starting forks from the checkpoint
+/// memo) and caches its serialized report — the bytes a later hit
+/// returns. Also returns the fork's checkpoint-memo outcome (`None` for
+/// non-forks).
+fn run_miss(state: &ServerState, resolved: &ResolvedScenario) -> (Option<bool>, Arc<str>) {
     let run = resolved.run_warm(&state.ckpts);
     let body: Arc<str> =
         Arc::from(serde_json::to_string(&run.report).expect("report serializes").as_str());
     state.cache.insert(resolved.key.clone(), Arc::clone(&body));
+    (run.ckpt, body)
+}
+
+/// [`run_miss`] as a sweep entry.
+fn miss_entry(state: &ServerState, resolved: &ResolvedScenario) -> SweepEntry {
+    let (_, body) = run_miss(state, resolved);
     SweepEntry::Report { cached: false, key: resolved.key.clone(), digest: resolved.digest, body }
 }
 
@@ -473,7 +472,7 @@ fn sweep(state: &ServerState, request: &Request) -> Response {
         Ok(p) => p,
         Err(resp) => return resp,
     };
-    let computed = parallel_sweep(misses.len(), |i| run_miss(state, &misses[i].1));
+    let computed = parallel_sweep(misses.len(), |i| miss_entry(state, &misses[i].1));
     for ((index, _), entry) in misses.iter().zip(computed) {
         entries[*index] = Some(entry);
     }
@@ -510,7 +509,7 @@ fn sweep_streamed<W: Write>(
         scope.spawn(move || {
             let _ = parallel_sweep(misses.len(), |i| {
                 let (index, resolved) = &misses[i];
-                let _ = tx.send((*index, run_miss(state, resolved)));
+                let _ = tx.send((*index, miss_entry(state, resolved)));
             });
             // tx drops here; the drain loop below sees the channel close
         });

@@ -104,6 +104,13 @@ pub enum BinError {
     /// [`BinTraceWriter::intern_template`] called after the first
     /// `push_job` — the template table is already on disk.
     TemplatesSealed,
+    /// [`BinTraceReader::record`] asked for a record past the last one.
+    RecordOutOfRange {
+        /// Index asked for.
+        index: usize,
+        /// Number of job records.
+        count: usize,
+    },
 }
 
 impl std::fmt::Display for BinError {
@@ -126,6 +133,9 @@ impl std::fmt::Display for BinError {
             BinError::ArrivalOrder => write!(f, "job records are not sorted by arrival"),
             BinError::TemplatesSealed => {
                 write!(f, "cannot intern templates after the first job record")
+            }
+            BinError::RecordOutOfRange { index, count } => {
+                write!(f, "job record {index} is out of range (the trace holds {count})")
             }
         }
     }
@@ -210,15 +220,21 @@ pub struct BinRecord {
     pub deadline: Option<SimTime>,
 }
 
-fn decode_record(rec: &[u8]) -> BinRecord {
-    debug_assert_eq!(rec.len(), RECORD_BYTES);
-    BinRecord {
-        template_index: u32::from_le_bytes(rec[0..4].try_into().expect("4 bytes")),
-        arrival: SimTime::from_millis(u64::from_le_bytes(rec[4..12].try_into().expect("8 bytes"))),
-        deadline: (rec[12] != 0).then(|| {
-            SimTime::from_millis(u64::from_le_bytes(rec[13..21].try_into().expect("8 bytes")))
-        }),
+/// Reads one fixed-stride job record and checks its template index
+/// against a table of `templates` entries.
+fn decode_record(r: &mut Reader, templates: usize) -> Result<BinRecord, BinError> {
+    let template_index = r.u32()?;
+    let arrival = SimTime::from_millis(r.u64()?);
+    let has_deadline = r.u8()? != 0;
+    let deadline = r.u64()?;
+    if template_index as usize >= templates {
+        return Err(BinError::BadTemplateIndex { index: template_index, count: templates as u32 });
     }
+    Ok(BinRecord {
+        template_index,
+        arrival,
+        deadline: has_deadline.then_some(SimTime::from_millis(deadline)),
+    })
 }
 
 /// The parsed header of a binary trace.
@@ -483,15 +499,13 @@ impl<'a> BinTraceReader<'a> {
 
     /// Reads record `i` straight from the underlying bytes.
     pub fn record(&self, i: usize) -> Result<BinRecord, BinError> {
-        let start = i * RECORD_BYTES;
-        let rec = decode_record(&self.records[start..start + RECORD_BYTES]);
-        if rec.template_index as usize >= self.templates.len() {
-            return Err(BinError::BadTemplateIndex {
-                index: rec.template_index,
-                count: self.templates.len() as u32,
-            });
+        if i >= self.job_count {
+            return Err(BinError::RecordOutOfRange { index: i, count: self.job_count });
         }
-        Ok(rec)
+        let start = i.checked_mul(RECORD_BYTES).ok_or(BinError::Truncated)?;
+        let mut r = Reader::new(self.records);
+        r.take(start)?;
+        decode_record(&mut r, self.templates.len())
     }
 
     /// Materializes job `i` (clones its template out of the table).
@@ -599,13 +613,8 @@ impl BinTraceSource {
         }
         let mut rec = [0u8; RECORD_BYTES];
         self.reader.read_exact(&mut rec).map_err(truncated_eof)?;
-        let rec = decode_record(&rec);
-        let template = self.templates.get(rec.template_index as usize).cloned().ok_or(
-            BinError::BadTemplateIndex {
-                index: rec.template_index,
-                count: self.templates.len() as u32,
-            },
-        )?;
+        let rec = decode_record(&mut Reader::new(&rec), self.templates.len())?;
+        let template = Arc::clone(&self.templates[rec.template_index as usize]);
         if rec.arrival < self.last_arrival {
             return Err(BinError::ArrivalOrder);
         }
@@ -729,6 +738,22 @@ mod tests {
             BinTraceReader::parse(&f).unwrap_err(),
             BinError::ChecksumMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn record_past_the_end_is_an_error() {
+        let bytes = encode_trace(&sample_trace()).unwrap();
+        let r = BinTraceReader::parse(&bytes).unwrap();
+        let count = r.job_count();
+        assert!(r.record(count - 1).is_ok());
+        for index in [count, count + 1, usize::MAX / RECORD_BYTES + 1, usize::MAX] {
+            assert!(
+                matches!(r.record(index), Err(BinError::RecordOutOfRange { index: i, count: c })
+                    if i == index && c == count),
+                "record {index}"
+            );
+            assert!(r.job(index).is_err());
+        }
     }
 
     #[test]

@@ -83,6 +83,18 @@ pub enum TraceFormat {
     Bin,
 }
 
+impl TraceFormat {
+    /// Sniffs the format of the trace file at `path` from its first
+    /// bytes: the SIMMRBIN magic means [`TraceFormat::Bin`], anything
+    /// else (a short file included) [`TraceFormat::Json`].
+    pub fn sniff(path: impl AsRef<Path>) -> io::Result<TraceFormat> {
+        use std::io::Read;
+        let mut magic = Vec::with_capacity(binfmt::MAGIC.len());
+        std::fs::File::open(path)?.take(binfmt::MAGIC.len() as u64).read_to_end(&mut magic)?;
+        Ok(if binfmt::is_binary_trace(&magic) { TraceFormat::Bin } else { TraceFormat::Json })
+    }
+}
+
 impl std::fmt::Display for TraceFormat {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -325,6 +337,24 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("simmr-db-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn sniff_reads_the_magic_not_the_name() {
+        let dir = tmpdir("sniff");
+        std::fs::create_dir_all(&dir).unwrap();
+        let bin = binfmt::encode_trace(&sample_trace(2)).unwrap();
+        for (file, bytes, want) in [
+            ("a.json", &bin[..], TraceFormat::Bin),
+            ("b.bin", b"{\"jobs\": []}".as_slice(), TraceFormat::Json),
+            ("short", &bin[..7], TraceFormat::Json),
+            ("empty", b"".as_slice(), TraceFormat::Json),
+        ] {
+            std::fs::write(dir.join(file), bytes).unwrap();
+            assert_eq!(TraceFormat::sniff(dir.join(file)).unwrap(), want, "{file}");
+        }
+        assert!(TraceFormat::sniff(dir.join("missing")).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -36,7 +36,7 @@ use simmr_core::{
     SimulatorEngine,
 };
 use simmr_model::{estimate_completion, JobProfileSummary};
-use simmr_sched::{parse_policy, parse_pool_spec, HierPolicy, MaxEdfPolicy, MinEdfPolicy};
+use simmr_sched::{parse_policy, HierPolicy, MaxEdfPolicy, MinEdfPolicy, PolicySpec};
 use simmr_stats::Dist;
 use simmr_trace::MultiTenantWorkload;
 use simmr_types::{HostId, JobSpec, JobTemplate, SimTime, TimelinePhase, WorkloadTrace};
@@ -216,18 +216,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// (d) Differential oracle for the incremental share view: the same
-    /// random pool tree replays the same random multi-tenant workload
-    /// (failures and speculation included) under the incremental `hier`
-    /// policy and under its retained full-reaggregation reference mode.
+    /// random pool tree — a `hier:` tree, or `capacity:` queues with
+    /// nested names routed by longest prefix — replays the same random
+    /// multi-tenant workload (failures and speculation included) under
+    /// the incremental policy and under its retained full-reaggregation
+    /// reference mode.
     /// Reports — event timelines included — must match byte for byte,
     /// and the armed invariant checker cross-checks the maintained
     /// per-pool share counters against the re-aggregation oracle after
     /// every settled batch on both sides.
     #[test]
     fn hier_incremental_matches_full_reaggregation_reference(
-        shape in 0usize..4,
+        shape in 0usize..7,
         w0 in 1u32..6,
         w1 in 1u32..6,
+        w2 in 1u32..6,
         min0 in 0usize..5,
         max0 in 2usize..7,
         timeout_ds in 0u64..12, // deciseconds; 0 = same-pass preemption
@@ -246,14 +249,27 @@ proptest! {
             String::new()
         };
         // pool-tree shapes over the three_tenant routing prefixes, from
-        // flat weighted splits to nested min/max/timeout combinations
+        // flat weighted splits to nested min/max/timeout combinations,
+        // then capacity queues whose names nest (longest prefix wins), a
+        // tenant matching no queue (last-queue fallback) and a catch-all
         let spec = match shape {
-            0 => format!("prod[w={w0},min={min0}{t}]{{etl,serving}},adhoc[w={w1}]"),
-            1 => format!("prod[w={w0}]{{etl[min={min0}{t}],serving[max={max0}]}},adhoc[w={w1}]"),
-            2 => format!("prod-etl[w={w0},min={min0}{t}],prod-serving[w={w1}],adhoc[max={max0}]"),
-            _ => format!("prod[w={w0}]{{etl[min={min0}{t}],serving{{a,b}}}},adhoc[w={w1}]"),
+            0 => format!("hier:prod[w={w0},min={min0}{t}]{{etl,serving}},adhoc[w={w1}]"),
+            1 => format!(
+                "hier:prod[w={w0}]{{etl[min={min0}{t}],serving[max={max0}]}},adhoc[w={w1}]"
+            ),
+            2 => format!(
+                "hier:prod-etl[w={w0},min={min0}{t}],prod-serving[w={w1}],adhoc[max={max0}]"
+            ),
+            3 => format!("hier:prod[w={w0}]{{etl[min={min0}{t}],serving{{a,b}}}},adhoc[w={w1}]"),
+            4 => format!("capacity:prod={w0},prod-etl={w1},adhoc={w2}"),
+            5 => format!("capacity:prod={w0},prod-etl={w1},prod-etl-fb-1={w2}"),
+            _ => format!("capacity:={w0},prod-serving={w1},prod-etl-fb-2={w2}"),
         };
-        let pools = parse_pool_spec(&spec).expect("generated pool spec parses");
+        let build = || match spec.parse::<PolicySpec>().expect("generated spec parses") {
+            PolicySpec::Hier { pools } => HierPolicy::new(pools),
+            PolicySpec::Capacity { queues } => HierPolicy::capacity(&queues),
+            other => unreachable!("not a pool-tree spec: {other}"),
+        };
         let trace = MultiTenantWorkload::three_tenant(interarrival as f64)
             .generate(jobs, seed);
         let mut config = EngineConfig::new(map_slots, reduce_slots)
@@ -264,15 +280,10 @@ proptest! {
         if speculation_on {
             config = config.with_speculation(1.5);
         }
-        let incremental =
-            SimulatorEngine::new(config, &trace, Box::new(HierPolicy::new(pools.clone()))).run();
-        let reference = SimulatorEngine::new(
-            config,
-            &trace,
-            Box::new(HierPolicy::new(pools).with_full_reaggregation()),
-        )
-        .run();
-        prop_assert_eq!(incremental, reference, "incremental hier diverged on {}", spec);
+        let incremental = SimulatorEngine::new(config, &trace, Box::new(build())).run();
+        let reference =
+            SimulatorEngine::new(config, &trace, Box::new(build().with_full_reaggregation())).run();
+        prop_assert_eq!(incremental, reference, "incremental policy diverged on {}", spec);
     }
 
     /// (e) Differential oracle for the incremental deadline index: random

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use simmr_bench::workloads::assign_deadlines;
+use simmr_core::codec::Crc64;
 use simmr_core::{EngineConfig, SimulatorEngine};
 use simmr_sched::parse_policy;
 use simmr_stats::SeededRng;
@@ -208,6 +209,55 @@ fn flat_hier_tree_matches_capacity_byte_identically() {
         let c = run_invariant_checked(&trace, capacity, 6);
         assert_eq!(h, c, "{hier} diverged from {capacity}");
     }
+}
+
+/// Golden digests pinning `capacity:` schedules: CRC-64 of each serialized
+/// report (timeline included) for nine queue layouts × three cluster
+/// shapes over one seeded three-tenant trace, with the invariant checker
+/// armed. The layouts cover the default queues, nested prefixes routed
+/// by longest match, three nesting levels, an empty-name catch-all and a
+/// tenant that matches no queue (last-queue fallback). Any change to
+/// capacity routing, tie-breaking or slot assignment moves a digest.
+#[test]
+fn capacity_schedules_match_golden_digests() {
+    const SPECS: [&str; 9] = [
+        "capacity",
+        "capacity:adhoc=1,prod=3",
+        "capacity:prod=1,prod-etl=4,adhoc=2",
+        "capacity:prod=1,prod-etl=2,prod-etl-fb-1=5,adhoc=1",
+        "capacity:=1,prod-serving=3",
+        "capacity:=2,prod=1,prod-etl=1",
+        "capacity:prod-etl=2,zzz=1",
+        "capacity:only=1",
+        "capacity:adhoc=0.5,prod-etl=2.5,prod-serving=1.5",
+    ];
+    const SHAPES: [(usize, usize); 3] = [(3, 2), (8, 4), (21, 9)];
+    const GOLDEN: [[u64; 3]; 9] = [
+        [0xc9c6_085e_01a9_02e2, 0xd459_9290_76e9_64c9, 0x0ddb_62e6_f825_c9f9],
+        [0xc9c6_085e_01a9_02e2, 0x35ff_8d7c_9dc6_c155, 0xee3d_d725_f07f_f772],
+        [0xb02e_b98b_6af2_0cbb, 0x6db8_3e66_7601_6a7f, 0xebd2_11bf_a09d_16f3],
+        [0x9147_4abe_bca4_987c, 0x9c9b_4ead_9035_3938, 0x52f8_a5fc_4fb8_4f7d],
+        [0x12f5_2ff9_125b_5991, 0x2723_9623_5c89_acb4, 0x5e38_8488_85d7_3a97],
+        [0xd1ef_f345_8420_de69, 0x4f17_69ba_6c41_39d5, 0x9141_dcba_3115_22bb],
+        [0xb404_f6eb_4c7b_7049, 0x283d_cd57_ff35_a8f9, 0x1abf_8736_8876_d552],
+        [0x24c0_afdf_5d6f_4069, 0x1898_6d5c_ae83_5b13, 0x77ba_28db_dc4e_089e],
+        [0x72b7_b1ee_9d11_aa4e, 0x7a74_6aee_8b6c_2e86, 0x8cc6_3d5f_d56d_4409],
+    ];
+    let trace = MultiTenantWorkload::three_tenant(2_500.0).generate(40, 25);
+    let mut got = [[0u64; 3]; 9];
+    for (i, spec) in SPECS.iter().enumerate() {
+        for (j, &(maps, reduces)) in SHAPES.iter().enumerate() {
+            let report = SimulatorEngine::new(
+                EngineConfig::new(maps, reduces).with_invariants().with_timeline(),
+                &trace,
+                parse_policy(spec).expect("known policy"),
+            )
+            .run();
+            let json = serde_json::to_string(&report).expect("report serializes");
+            got[i][j] = Crc64::checksum(json.as_bytes());
+        }
+    }
+    assert_eq!(got, GOLDEN, "capacity schedules moved: {got:#018x?}");
 }
 
 /// A min share larger than the whole cluster cannot over-kill: preemption
