@@ -96,7 +96,7 @@ fn main() {
         let simmr = if policy == ClusterPolicy::MinEdf {
             replay_in_simmr_with(
                 &run.history,
-                Box::new(simmr_sched::MinEdfPolicy::with_presets(presets)),
+                Box::new(simmr_sched::EdfPolicy::with_presets(presets)),
                 64,
                 64,
                 &deadlines,

@@ -193,14 +193,24 @@ impl EngineCheckpoint {
         self.events_processed
     }
 
-    /// CRC-64/XZ content digest of the canonical encoding — the identity
-    /// the serve layer keys warm-start cache entries on.
+    /// CRC-64/XZ content digest: the checksum that ends the canonical
+    /// encoding, taken over every byte before it. (A checksum over the
+    /// whole encoding, trailer included, is the same CRC residue constant
+    /// for every checkpoint.)
     pub fn digest(&self) -> u64 {
-        Crc64::checksum(&self.encode())
+        Crc64::checksum(&self.encode_body())
     }
 
-    /// Serializes the checkpoint to its canonical binary form.
+    /// Serializes the checkpoint to its canonical binary form: the body,
+    /// then its CRC-64.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = self.encode_body();
+        let crc = Crc64::checksum(&out);
+        put_u64(&mut out, crc);
+        out
+    }
+
+    fn encode_body(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(256 + self.events.len() * 29 + self.jobs.len() * 64);
         out.extend_from_slice(CKPT_MAGIC);
         put_u16(&mut out, CKPT_VERSION);
@@ -290,8 +300,6 @@ impl EngineCheckpoint {
         put_str(&mut out, &self.policy_name);
         put_u32(&mut out, self.policy_blob.len() as u32);
         out.extend_from_slice(&self.policy_blob);
-        let crc = Crc64::checksum(&out);
-        put_u64(&mut out, crc);
         out
     }
 
@@ -800,6 +808,21 @@ mod tests {
         assert_eq!(decoded.digest(), ckpt.digest());
         assert!(ckpt.pending_events() > 0);
         assert!(ckpt.boundary() <= ckpt.at());
+    }
+
+    #[test]
+    fn digest_tells_checkpoints_apart() {
+        let trace = busy_trace();
+        let at = |ms| {
+            SimulatorEngine::new(busy_config(), &trace, Box::new(TestFifo))
+                .checkpoint_at(SimTime::from_millis(ms))
+                .unwrap()
+        };
+        let (early, late) = (at(150), at(400));
+        assert_ne!(early.digest(), late.digest());
+        // the digest is the checksum trailer of the encoding
+        let bytes = late.encode();
+        assert_eq!(late.digest().to_le_bytes(), bytes[bytes.len() - 8..]);
     }
 
     #[test]

@@ -1,199 +1,85 @@
 //! The deadline-driven schedulers: MaxEDF and MinEDF (§V-A).
 //!
-//! Both order jobs by Earliest Deadline First. They differ in *how many*
-//! slots they hand a job:
+//! Both order jobs by Earliest Deadline First and differ only in *how
+//! many* slots they hand a job, so one [`EdfPolicy`] implements both:
 //!
-//! * **MaxEDF** allocates the maximum available slots (FIFO-style greed,
-//!   EDF order). Jobs often finish well before their deadline, but an
-//!   urgent later arrival may find all slots taken — and tasks are never
-//!   preempted.
-//! * **MinEDF** computes, at arrival, the **minimal** `(S_M, S_R)` that the
-//!   ARIA bounds model predicts will meet the job's deadline, and caps the
-//!   job's concurrently running tasks at that amount, leaving spare slots
-//!   for later arrivals.
+//! * **MaxEDF** ([`EdfPolicy::maxedf`]) allocates the maximum available
+//!   slots (FIFO-style greed, EDF order). Jobs often finish well before
+//!   their deadline, but an urgent later arrival may find all slots
+//!   taken — and tasks are never preempted.
+//! * **MinEDF** ([`EdfPolicy::minedf`]) computes, at arrival, the
+//!   **minimal** `(S_M, S_R)` that the ARIA bounds model predicts will
+//!   meet the job's deadline, and caps the job's concurrently running
+//!   tasks at that amount, leaving spare slots for later arrivals.
+//!
+//! A job without a cap is schedulable whenever it has a pending task,
+//! so MaxEDF is MinEDF with every cap lifted: it computes none.
 //!
 //! # Incremental deadline index
 //!
 //! Every pick and preemption check used to scan the whole queue with
 //! `min_by_key(edf_key)` — the last O(n)-per-decision policy family.
-//! Both policies now schedule from a [`DeadlineIndex`]: keyed
+//! The policy now schedules from a [`DeadlineIndex`]: keyed
 //! lazy-deletion heaps (see [`crate::edf_index`]) maintained O(log n)
 //! per queue mutation from the `on_job_queued` / `on_entry_mutated` /
-//! `on_job_dequeued` hooks. MinEDF layers its under-`wanted`-cap filter
-//! into the predicates it indexes and validates with, so its views hold
-//! exactly the jobs it may launch. The pre-index full-scan paths are
-//! retained behind [`MaxEdfPolicy::with_full_scan`] /
-//! [`MinEdfPolicy::with_full_scan`] as a differential reference (the
-//! index is still maintained there, so `verify_invariants` cross-checks
-//! it in both modes), and the
+//! `on_job_dequeued` hooks. The under-cap filter is part of the
+//! predicates the index is offered and validated with, so its views
+//! hold exactly the jobs the policy may launch. The pre-index full-scan
+//! paths are retained behind [`EdfPolicy::with_full_scan`] as a
+//! differential reference (the index is still maintained there, so
+//! `verify_invariants` cross-checks it in both modes), and the
 //! `edf_incremental_matches_full_scan_reference` proptest in `tests/`
 //! pins both modes to byte-identical schedules under faults,
 //! speculation and preemption.
 
-use crate::edf_index::{DeadlineIndex, EdfKey};
+use crate::edf_index::{DeadlineIndex, EdfHeap};
 use simmr_core::codec::{put_u32, Reader};
 use simmr_core::{JobEntry, JobQueue, SchedulerPolicy};
 use simmr_model::{min_slots_for_deadline, JobProfileSummary, SlotAllocation};
 use simmr_types::{DurationMs, JobId, JobTemplate};
 use std::collections::HashMap;
 
-/// Shared EDF preemption rule, full-scan reference path: kill one map of
-/// the latest-deadline running job, provided it sorts strictly after the
-/// given urgent (waiting) job. The urgent choice is policy-specific —
-/// MaxEDF passes its global EDF minimum, MinEDF its under-cap minimum —
-/// so the freed slot always lands on the job named here.
-fn full_scan_victim(jobq: &JobQueue, urgent: EdfKey) -> Option<JobId> {
-    jobq.entries()
-        .iter()
-        .filter(|e| e.running_maps > 0 && e.edf_key() > urgent)
-        .max_by_key(|e| e.edf_key())
-        .map(|e| e.id)
+/// Per-job wanted slot counts, indexed by job id; `None` is uncapped.
+type Wanted = [Option<SlotAllocation>];
+
+fn wanted_of(wanted: &Wanted, id: JobId) -> Option<SlotAllocation> {
+    wanted.get(id.index()).copied().flatten()
 }
 
-/// EDF ordering with maximum resource allocation.
-#[derive(Debug, Default, Clone)]
-pub struct MaxEdfPolicy {
-    preemptive: bool,
-    /// Use the pre-index full-scan selection paths (differential
-    /// reference mode); the index is still maintained.
+/// A map launch for this job stays within its wanted cap.
+fn under_map_cap(wanted: &Wanted, e: &JobEntry) -> bool {
+    e.has_schedulable_map() && wanted_of(wanted, e.id).is_none_or(|w| e.running_maps < w.maps)
+}
+
+/// A reduce launch for this job stays within its wanted cap.
+fn under_reduce_cap(wanted: &Wanted, e: &JobEntry) -> bool {
+    e.has_schedulable_reduce()
+        && wanted_of(wanted, e.id).is_none_or(|w| e.running_reduces < w.reduces)
+}
+
+/// The most urgent job satisfying `ok`: from the index view, or by a
+/// full queue scan in the reference mode. The view re-checks `ok`
+/// against the live entry, so a job that filled its cap since being
+/// offered is evicted, not picked.
+fn pick(
+    view: &mut EdfHeap<false>,
     full_scan: bool,
-    index: DeadlineIndex,
+    jobq: &JobQueue,
+    ok: impl Fn(&JobEntry) -> bool,
+) -> Option<JobId> {
+    if full_scan {
+        return jobq.entries().iter().filter(|e| ok(e)).min_by_key(|e| e.edf_key()).map(|e| e.id);
+    }
+    view.peek_valid(|id| jobq.get(id).is_some_and(&ok)).map(|key| key.2)
 }
 
-impl MaxEdfPolicy {
-    /// Creates the (non-preemptive) policy, as evaluated in the paper.
-    pub fn new() -> Self {
-        MaxEdfPolicy::default()
-    }
-
-    /// Creates a **preemptive** variant: when a job with an earlier
-    /// deadline has pending maps and no slot is free, the running job with
-    /// the latest deadline loses its most recent map task (killed and
-    /// requeued). The paper attributes the "bump" near 100 s inter-arrival
-    /// in Figure 7(a) to the lack of exactly this; the
-    /// `ablation_preemption` binary quantifies it.
-    pub fn preemptive() -> Self {
-        MaxEdfPolicy { preemptive: true, ..MaxEdfPolicy::default() }
-    }
-
-    /// Switches to the retained full-scan reference mode: every pick and
-    /// preemption check scans `jobq.entries()` exactly as before the
-    /// deadline index. Schedules are identical by construction — the
-    /// differential proptest in `tests/` holds both modes to that.
-    pub fn with_full_scan(mut self) -> Self {
-        self.full_scan = true;
-        self
-    }
-}
-
-impl SchedulerPolicy for MaxEdfPolicy {
-    fn name(&self) -> &str {
-        "maxedf"
-    }
-
-    fn on_job_queued(&mut self, entry: &JobEntry) {
-        self.index.apply(
-            entry.edf_key(),
-            (false, entry.has_schedulable_map()),
-            (false, entry.has_schedulable_reduce()),
-            (false, entry.running_maps > 0),
-        );
-    }
-
-    fn on_entry_mutated(&mut self, before: &JobEntry, after: &JobEntry) {
-        self.index.apply(
-            after.edf_key(),
-            (before.has_schedulable_map(), after.has_schedulable_map()),
-            (before.has_schedulable_reduce(), after.has_schedulable_reduce()),
-            (before.running_maps > 0, after.running_maps > 0),
-        );
-    }
-
-    fn choose_next_map_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
-        if self.full_scan {
-            return jobq
-                .entries()
-                .iter()
-                .filter(|e| e.has_schedulable_map())
-                .min_by_key(|e| e.edf_key())
-                .map(|e| e.id);
-        }
-        self.index
-            .maps
-            .peek_valid(|id| jobq.get(id).is_some_and(|e| e.has_schedulable_map()))
-            .map(|key| key.2)
-    }
-
-    fn choose_next_reduce_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
-        if self.full_scan {
-            return jobq
-                .entries()
-                .iter()
-                .filter(|e| e.has_schedulable_reduce())
-                .min_by_key(|e| e.edf_key())
-                .map(|e| e.id);
-        }
-        self.index
-            .reduces
-            .peek_valid(|id| jobq.get(id).is_some_and(|e| e.has_schedulable_reduce()))
-            .map(|key| key.2)
-    }
-
-    fn map_preemptions(&mut self, jobq: &JobQueue, victims: &mut Vec<JobId>) {
-        if !self.preemptive {
-            return;
-        }
-        // the urgent job is exactly the one choose_next_map_task would
-        // launch once the kill frees a slot
-        let Some(urgent) = self
-            .choose_next_map_task(jobq)
-            .map(|id| jobq.get(id).expect("urgent job is in the queue").edf_key())
-        else {
-            return;
-        };
-        let victim = if self.full_scan {
-            full_scan_victim(jobq, urgent)
-        } else {
-            self.index
-                .preemption_victim(urgent, |id| jobq.get(id).is_some_and(|e| e.running_maps > 0))
-        };
-        if let Some(id) = victim {
-            victims.push(id);
-        }
-    }
-
-    fn verify_invariants(&self, jobq: &JobQueue) {
-        self.index.verify_against(
-            jobq.entries().iter().map(|e| (e, e.has_schedulable_map(), e.has_schedulable_reduce())),
-            "maxedf",
-        );
-    }
-
-    /// The deadline index is rebuilt by the hook replay (a rebuilt index
-    /// has no lazy-deletion debt, which is behaviorally invisible), so
-    /// only the construction flags need cross-checking.
-    fn snapshot(&self) -> Vec<u8> {
-        vec![self.preemptive as u8, self.full_scan as u8]
-    }
-
-    fn restore(&mut self, blob: &[u8]) -> Result<(), String> {
-        let mut r = Reader::new(blob);
-        let (preemptive, full_scan) = (r.bool()?, r.bool()?);
-        r.finish()?;
-        if preemptive != self.preemptive || full_scan != self.full_scan {
-            return Err(format!(
-                "maxedf variant mismatch: checkpoint taken with preemptive={preemptive}, \
-                 full_scan={full_scan}; resuming policy has preemptive={}, full_scan={}",
-                self.preemptive, self.full_scan
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// EDF ordering with model-derived minimal resource allocation.
+/// EDF ordering; MinEDF additionally caps each job at its model-derived
+/// minimal allocation.
 #[derive(Debug, Default)]
-pub struct MinEdfPolicy {
+pub struct EdfPolicy {
+    /// Compute a wanted cap per arriving job (MinEDF); MaxEDF computes
+    /// none, which leaves every job uncapped.
+    caps: bool,
     /// Per-job wanted slot counts, computed on arrival. Dense, indexed
     /// by job id — the hot paths (per-pick cap filters, per-mutation
     /// index edges) do O(1) slot reads instead of hashing.
@@ -206,57 +92,70 @@ pub struct MinEdfPolicy {
     /// Use the pre-index full-scan selection paths (differential
     /// reference mode); the index is still maintained.
     full_scan: bool,
-    /// Deadline views over the *under-cap* schedulable predicates.
+    /// Deadline views over the under-cap schedulable predicates.
     index: DeadlineIndex,
 }
 
-impl MinEdfPolicy {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        MinEdfPolicy::default()
+impl EdfPolicy {
+    /// MaxEDF: EDF ordering with maximum resource allocation, as
+    /// evaluated in the paper (non-preemptive).
+    pub fn maxedf() -> Self {
+        EdfPolicy::default()
     }
 
-    /// Creates the policy with preset per-job allocations. In the paper
-    /// both the real cluster's MinEDF and the simulated one consult the
-    /// same profile database; presets let a harness reproduce that setup
-    /// (any job without a preset falls back to the bounds model).
+    /// MinEDF: EDF ordering with model-derived minimal resource
+    /// allocation.
+    pub fn minedf() -> Self {
+        EdfPolicy { caps: true, ..EdfPolicy::default() }
+    }
+
+    /// MinEDF with preset per-job allocations. In the paper both the
+    /// real cluster's MinEDF and the simulated one consult the same
+    /// profile database; presets let a harness reproduce that setup (any
+    /// job without a preset falls back to the bounds model).
     pub fn with_presets(presets: HashMap<JobId, SlotAllocation>) -> Self {
-        MinEdfPolicy { presets, ..MinEdfPolicy::default() }
+        EdfPolicy { presets, ..EdfPolicy::minedf() }
     }
 
-    /// Creates a preemptive variant (see [`MaxEdfPolicy::preemptive`]).
-    pub fn preemptive() -> Self {
-        MinEdfPolicy { preemptive: true, ..MinEdfPolicy::default() }
+    /// Arms preemption: when a job with an earlier deadline has pending
+    /// maps and no slot is free, the running job with the latest
+    /// deadline loses its most recent map task (killed and requeued).
+    /// The paper attributes the "bump" near 100 s inter-arrival in
+    /// Figure 7(a) to the lack of exactly this; the
+    /// `ablation_preemption` binary quantifies it.
+    pub fn preemptive(mut self) -> Self {
+        self.preemptive = true;
+        self
     }
 
-    /// Switches to the retained full-scan reference mode (see
-    /// [`MaxEdfPolicy::with_full_scan`]).
+    /// Switches to the retained full-scan reference mode: every pick and
+    /// preemption check scans `jobq.entries()` exactly as before the
+    /// deadline index. Schedules are identical by construction — the
+    /// differential proptest in `tests/` holds both modes to that.
     pub fn with_full_scan(mut self) -> Self {
         self.full_scan = true;
         self
     }
 
-    /// The wanted allocation for a job (visible for tests/diagnostics).
+    /// The wanted allocation for a job (visible for tests/diagnostics);
+    /// always `None` under MaxEDF.
     pub fn wanted(&self, id: JobId) -> Option<SlotAllocation> {
-        self.wanted.get(id.index()).copied().flatten()
+        wanted_of(&self.wanted, id)
     }
 
-    /// A map launch for this job stays within its wanted cap (jobs
-    /// without a computed allocation are uncapped, like MaxEDF).
-    fn under_map_cap(&self, e: &JobEntry) -> bool {
-        e.has_schedulable_map() && self.wanted(e.id).is_none_or(|w| e.running_maps < w.maps)
-    }
-
-    /// A reduce launch for this job stays within its wanted cap.
-    fn under_reduce_cap(&self, e: &JobEntry) -> bool {
-        e.has_schedulable_reduce()
-            && self.wanted(e.id).is_none_or(|w| e.running_reduces < w.reduces)
+    /// The live wanted allocations, sorted by job id.
+    fn live_wanted(&self) -> Vec<(u32, SlotAllocation)> {
+        self.wanted.iter().enumerate().filter_map(|(i, w)| w.map(|w| (i as u32, w))).collect()
     }
 }
 
-impl SchedulerPolicy for MinEdfPolicy {
+impl SchedulerPolicy for EdfPolicy {
     fn name(&self) -> &str {
-        "minedf"
+        if self.caps {
+            "minedf"
+        } else {
+            "maxedf"
+        }
     }
 
     fn on_job_arrival(
@@ -266,6 +165,9 @@ impl SchedulerPolicy for MinEdfPolicy {
         relative_deadline: Option<DurationMs>,
         cluster: simmr_types::ClusterSpec,
     ) {
+        if !self.caps {
+            return;
+        }
         let (max_maps, max_reduces) = (cluster.map_slots, cluster.reduce_slots);
         let alloc = if let Some(&preset) = self.presets.get(&id) {
             preset
@@ -299,83 +201,43 @@ impl SchedulerPolicy for MinEdfPolicy {
         // entry's first predicate edge is recorded
         self.index.apply(
             entry.edf_key(),
-            (false, self.under_map_cap(entry)),
-            (false, self.under_reduce_cap(entry)),
+            (false, under_map_cap(&self.wanted, entry)),
+            (false, under_reduce_cap(&self.wanted, entry)),
             (false, entry.running_maps > 0),
         );
     }
 
     fn on_entry_mutated(&mut self, before: &JobEntry, after: &JobEntry) {
+        let wanted = &self.wanted;
         self.index.apply(
             after.edf_key(),
-            (self.under_map_cap(before), self.under_map_cap(after)),
-            (self.under_reduce_cap(before), self.under_reduce_cap(after)),
+            (under_map_cap(wanted, before), under_map_cap(wanted, after)),
+            (under_reduce_cap(wanted, before), under_reduce_cap(wanted, after)),
             (before.running_maps > 0, after.running_maps > 0),
         );
     }
 
     fn choose_next_map_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
-        if self.full_scan {
-            return jobq
-                .entries()
-                .iter()
-                .filter(|e| self.under_map_cap(e))
-                .min_by_key(|e| e.edf_key())
-                .map(|e| e.id);
-        }
-        // the closure re-checks the cap against the live entry, so a job
-        // that filled its cap since being offered is evicted, not picked
         let wanted = &self.wanted;
-        self.index
-            .maps
-            .peek_valid(|id| {
-                jobq.get(id).is_some_and(|e| {
-                    e.has_schedulable_map()
-                        && wanted
-                            .get(id.index())
-                            .copied()
-                            .flatten()
-                            .is_none_or(|w| e.running_maps < w.maps)
-                })
-            })
-            .map(|key| key.2)
+        pick(&mut self.index.maps, self.full_scan, jobq, |e| under_map_cap(wanted, e))
     }
 
     fn choose_next_reduce_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
-        if self.full_scan {
-            return jobq
-                .entries()
-                .iter()
-                .filter(|e| self.under_reduce_cap(e))
-                .min_by_key(|e| e.edf_key())
-                .map(|e| e.id);
-        }
         let wanted = &self.wanted;
-        self.index
-            .reduces
-            .peek_valid(|id| {
-                jobq.get(id).is_some_and(|e| {
-                    e.has_schedulable_reduce()
-                        && wanted
-                            .get(id.index())
-                            .copied()
-                            .flatten()
-                            .is_none_or(|w| e.running_reduces < w.reduces)
-                })
-            })
-            .map(|key| key.2)
+        pick(&mut self.index.reduces, self.full_scan, jobq, |e| under_reduce_cap(wanted, e))
     }
 
+    /// Kills one map of the latest-deadline running job, provided it
+    /// sorts strictly after the urgent job. The urgent job is the one
+    /// `choose_next_map_task` would launch once the kill frees a slot —
+    /// the under-cap EDF minimum, not the global one: an at-cap job
+    /// cannot use the freed slot, so killing on its behalf would hand
+    /// the slot to a job with a later deadline than the victim's; see
+    /// `minedf_preemption_gate_respects_wanted_caps`.
     fn map_preemptions(&mut self, jobq: &JobQueue, victims: &mut Vec<JobId>) {
         if !self.preemptive {
             return;
         }
-        // The urgent job is the one choose_next_map_task would launch
-        // once the kill frees a slot — the under-cap EDF minimum. Using
-        // the *global* EDF minimum here (as an earlier version did)
-        // could name an at-cap job as urgent and kill a victim with an
-        // earlier deadline than the job the slot actually goes to; see
-        // `minedf_preemption_gate_respects_wanted_caps`.
         let Some(urgent) = self
             .choose_next_map_task(jobq)
             .map(|id| jobq.get(id).expect("urgent job is in the queue").edf_key())
@@ -383,46 +245,57 @@ impl SchedulerPolicy for MinEdfPolicy {
             return;
         };
         let victim = if self.full_scan {
-            full_scan_victim(jobq, urgent)
+            jobq.entries()
+                .iter()
+                .filter(|e| e.running_maps > 0 && e.edf_key() > urgent)
+                .max_by_key(|e| e.edf_key())
+                .map(|e| e.id)
         } else {
             self.index
                 .preemption_victim(urgent, |id| jobq.get(id).is_some_and(|e| e.running_maps > 0))
         };
-        if let Some(id) = victim {
-            victims.push(id);
-        }
+        victims.extend(victim);
     }
 
     fn verify_invariants(&self, jobq: &JobQueue) {
-        for e in jobq.entries() {
-            if self.wanted(e.id).is_none() {
-                panic!(
-                    "engine invariant violated [minedf-wanted]: active job {} has no wanted \
-                     allocation",
-                    e.id
-                );
+        if self.caps {
+            for e in jobq.entries() {
+                if self.wanted(e.id).is_none() {
+                    panic!(
+                        "engine invariant violated [minedf-wanted]: active job {} has no wanted \
+                         allocation",
+                        e.id
+                    );
+                }
             }
         }
+        let wanted = &self.wanted;
         self.index.verify_against(
-            jobq.entries().iter().map(|e| (e, self.under_map_cap(e), self.under_reduce_cap(e))),
-            "minedf",
+            jobq.entries()
+                .iter()
+                .map(|e| (e, under_map_cap(wanted, e), under_reduce_cap(wanted, e))),
+            self.name(),
         );
     }
 
-    /// Variant flags plus the live wanted allocations, sorted by job id.
-    /// The allocations are derivable (the arrival replay recomputes them
-    /// from the bounds model), so the blob is a cross-check: a resume
-    /// with different presets routes every job through the same replay
-    /// but lands on different caps, and this is what catches it.
+    /// Variant flags, then for MinEDF the live wanted allocations sorted
+    /// by job id. The deadline index is rebuilt by the hook replay (a
+    /// rebuilt index has no lazy-deletion debt, which is behaviorally
+    /// invisible), and so are the allocations (the arrival replay
+    /// recomputes them from the bounds model), so the blob is a
+    /// cross-check: a resume with different presets routes every job
+    /// through the same replay but lands on different caps, and this is
+    /// what catches it.
     fn snapshot(&self) -> Vec<u8> {
         let mut out = vec![self.preemptive as u8, self.full_scan as u8];
-        let live: Vec<(u32, SlotAllocation)> =
-            self.wanted.iter().enumerate().filter_map(|(i, w)| w.map(|w| (i as u32, w))).collect();
-        put_u32(&mut out, live.len() as u32);
-        for (job, w) in live {
-            put_u32(&mut out, job);
-            put_u32(&mut out, w.maps as u32);
-            put_u32(&mut out, w.reduces as u32);
+        if self.caps {
+            let live = self.live_wanted();
+            put_u32(&mut out, live.len() as u32);
+            for (job, w) in live {
+                put_u32(&mut out, job);
+                put_u32(&mut out, w.maps as u32);
+                put_u32(&mut out, w.reduces as u32);
+            }
         }
         out
     }
@@ -432,30 +305,32 @@ impl SchedulerPolicy for MinEdfPolicy {
         let (preemptive, full_scan) = (r.bool()?, r.bool()?);
         if preemptive != self.preemptive || full_scan != self.full_scan {
             return Err(format!(
-                "minedf variant mismatch: checkpoint taken with preemptive={preemptive}, \
+                "{} variant mismatch: checkpoint taken with preemptive={preemptive}, \
                  full_scan={full_scan}; resuming policy has preemptive={}, full_scan={}",
-                self.preemptive, self.full_scan
+                self.name(),
+                self.preemptive,
+                self.full_scan
             ));
         }
-        let n = r.count(12)?;
-        let mut captured = Vec::with_capacity(n);
-        for _ in 0..n {
-            let job = r.u32()?;
-            let maps = r.u32()? as usize;
-            let reduces = r.u32()? as usize;
-            captured.push((job, SlotAllocation { maps, reduces }));
+        if self.caps {
+            let n = r.count(12)?;
+            let mut captured = Vec::with_capacity(n);
+            for _ in 0..n {
+                let job = r.u32()?;
+                let maps = r.u32()? as usize;
+                let reduces = r.u32()? as usize;
+                captured.push((job, SlotAllocation { maps, reduces }));
+            }
+            let rebuilt = self.live_wanted();
+            if rebuilt != captured {
+                return Err(format!(
+                    "minedf wanted allocations diverged from the checkpoint (rebuilt {}, \
+                     captured {n}) — was the policy built with the same presets?",
+                    rebuilt.len()
+                ));
+            }
         }
-        r.finish()?;
-        let rebuilt: Vec<(u32, SlotAllocation)> =
-            self.wanted.iter().enumerate().filter_map(|(i, w)| w.map(|w| (i as u32, w))).collect();
-        if rebuilt != captured {
-            return Err(format!(
-                "minedf wanted allocations diverged from the checkpoint (rebuilt {}, captured \
-                 {n}) — was the policy built with the same presets?",
-                rebuilt.len()
-            ));
-        }
-        Ok(())
+        Ok(r.finish()?)
     }
 }
 
@@ -479,7 +354,7 @@ mod tests {
         trace.push(map_job(2, 100, 0, 10_000)); // relaxed deadline
         trace.push(map_job(2, 100, 0, 500)); // urgent
         let report =
-            SimulatorEngine::new(EngineConfig::new(2, 2), &trace, Box::new(MaxEdfPolicy::new()))
+            SimulatorEngine::new(EngineConfig::new(2, 2), &trace, Box::new(EdfPolicy::maxedf()))
                 .run();
         // urgent job 1 grabs both slots first
         assert_eq!(report.jobs[1].completion, SimTime::from_millis(100));
@@ -495,14 +370,14 @@ mod tests {
         ));
         trace.push(map_job(2, 100, 0, 50_000));
         let report =
-            SimulatorEngine::new(EngineConfig::new(2, 2), &trace, Box::new(MaxEdfPolicy::new()))
+            SimulatorEngine::new(EngineConfig::new(2, 2), &trace, Box::new(EdfPolicy::maxedf()))
                 .run();
         assert!(report.jobs[1].completion < report.jobs[0].completion);
     }
 
     #[test]
     fn minedf_computes_wanted_on_arrival() {
-        let mut p = MinEdfPolicy::new();
+        let mut p = EdfPolicy::minedf();
         let t = JobTemplate::new("j", vec![1000; 16], vec![10], vec![10; 8], vec![10; 8]).unwrap();
         // very relaxed deadline: minimal slots
         p.on_job_arrival(JobId(0), &t, Some(1_000_000), simmr_types::ClusterSpec::new(64, 64));
@@ -531,10 +406,10 @@ mod tests {
         trace.push(map_job(2, 1000, 100, 1_200));
 
         let min_report =
-            SimulatorEngine::new(EngineConfig::new(8, 8), &trace, Box::new(MinEdfPolicy::new()))
+            SimulatorEngine::new(EngineConfig::new(8, 8), &trace, Box::new(EdfPolicy::minedf()))
                 .run();
         let max_report =
-            SimulatorEngine::new(EngineConfig::new(8, 8), &trace, Box::new(MaxEdfPolicy::new()))
+            SimulatorEngine::new(EngineConfig::new(8, 8), &trace, Box::new(EdfPolicy::maxedf()))
                 .run();
 
         // MaxEDF: job 1 waits until t=1000, finishes 2000 (missed).
@@ -558,7 +433,7 @@ mod tests {
         let mut trace = WorkloadTrace::new("t", "test");
         trace.push(map_job(8, 1000, 0, 9_000)); // deadline allows ~1 slot
         let report =
-            SimulatorEngine::new(EngineConfig::new(8, 8), &trace, Box::new(MinEdfPolicy::new()))
+            SimulatorEngine::new(EngineConfig::new(8, 8), &trace, Box::new(EdfPolicy::minedf()))
                 .run();
         // with k slots the job takes ceil(8/k) seconds; wanted k is small,
         // so completion must be well beyond the 1s that MaxEDF would give
@@ -581,12 +456,12 @@ mod tests {
         trace.push(map_job(1, 1_000, 2_000, 4_000));
 
         let plain =
-            SimulatorEngine::new(EngineConfig::new(2, 2), &trace, Box::new(MaxEdfPolicy::new()))
+            SimulatorEngine::new(EngineConfig::new(2, 2), &trace, Box::new(EdfPolicy::maxedf()))
                 .run();
         let preempt = SimulatorEngine::new(
             EngineConfig::new(2, 2),
             &trace,
-            Box::new(MaxEdfPolicy::preemptive()),
+            Box::new(EdfPolicy::maxedf().preemptive()),
         )
         .run();
         // plain: job 1 waits until t=10s, done 11s (missed)
@@ -615,7 +490,7 @@ mod tests {
             SimulatorEngine::new(
                 EngineConfig::new(3, 3),
                 &trace,
-                Box::new(MaxEdfPolicy::preemptive()),
+                Box::new(EdfPolicy::maxedf().preemptive()),
             )
             .run()
         };
@@ -635,10 +510,10 @@ mod tests {
         // 8 maps of 1s on 4 slots => 2 waves => 2s standalone
         trace.push(map_job(8, 1000, 0, 2_000));
         let min_r =
-            SimulatorEngine::new(EngineConfig::new(4, 4), &trace, Box::new(MinEdfPolicy::new()))
+            SimulatorEngine::new(EngineConfig::new(4, 4), &trace, Box::new(EdfPolicy::minedf()))
                 .run();
         let max_r =
-            SimulatorEngine::new(EngineConfig::new(4, 4), &trace, Box::new(MaxEdfPolicy::new()))
+            SimulatorEngine::new(EngineConfig::new(4, 4), &trace, Box::new(EdfPolicy::maxedf()))
                 .run();
         assert_eq!(min_r.jobs[0].completion, max_r.jobs[0].completion);
     }
@@ -667,11 +542,8 @@ mod tests {
         let run = |policy: Box<dyn SchedulerPolicy>| {
             SimulatorEngine::new(EngineConfig::new(2, 2).with_timeline(), &trace, policy).run()
         };
-        let preemptive = run(Box::new(MinEdfPolicy {
-            preemptive: true,
-            ..MinEdfPolicy::with_presets(presets.clone())
-        }));
-        let plain = run(Box::new(MinEdfPolicy::with_presets(presets)));
+        let preemptive = run(Box::new(EdfPolicy::with_presets(presets.clone()).preemptive()));
+        let plain = run(Box::new(EdfPolicy::with_presets(presets)));
         // no kill on behalf of a job that cannot use the slot: the
         // preemptive run matches the non-preemptive one task for task
         assert_eq!(preemptive, plain);
@@ -689,7 +561,7 @@ mod tests {
         let report = SimulatorEngine::new(
             EngineConfig::new(2, 2),
             &trace,
-            Box::new(MinEdfPolicy::preemptive()),
+            Box::new(EdfPolicy::minedf().preemptive()),
         )
         .run();
         // job 1 preempts at arrival and meets its deadline

@@ -1,4 +1,4 @@
-//! Deadline-ordered incremental index for the EDF policies.
+//! Deadline-ordered incremental index for the EDF policy.
 //!
 //! The original MaxEDF/MinEDF implementations scanned the whole
 //! [`JobQueue`](simmr_core::JobQueue) with `min_by_key(edf_key)` on every
@@ -41,9 +41,9 @@
 //! `min_by_key(edf_key)` scan over qualifying entries would return.
 //! [`DeadlineIndex::verify_against`] checks that equivalence's one
 //! precondition (every qualifying job is a member) against a full-scan
-//! oracle; the `with_full_scan()` reference modes on the EDF policies
-//! and the `edf_incremental_matches_full_scan_reference` differential
-//! proptest in `tests/` hold the schedules themselves to it.
+//! oracle; the [`EdfPolicy::with_full_scan`](crate::EdfPolicy::with_full_scan)
+//! reference mode and the `edf_incremental_matches_full_scan_reference`
+//! differential proptest in `tests/` hold the schedules themselves to it.
 
 use simmr_core::JobEntry;
 use simmr_types::{JobId, SimTime};
@@ -141,15 +141,15 @@ impl<const MAX: bool> EdfHeap<MAX> {
     }
 }
 
-/// The three views the EDF policies schedule from.
+/// The three views the EDF policy schedules from.
 ///
 /// The map/reduce views order *schedulable* jobs most-urgent-first (what
 /// `choose_next_map_task` / `choose_next_reduce_task` pop); the running
 /// view orders jobs with running maps latest-deadline-first (the
 /// preemption victim search). What "schedulable" means is the owning
-/// policy's business — MinEDF layers its under-`wanted`-cap filter into
-/// the predicate it offers edges for and validates peeks with; the index
-/// itself only sees the resulting booleans.
+/// policy's business — it layers its under-`wanted`-cap filter (vacuous
+/// under MaxEDF) into the predicate it offers edges for and validates
+/// peeks with; the index itself only sees the resulting booleans.
 #[derive(Debug, Clone, Default)]
 pub struct DeadlineIndex {
     /// Min view over jobs with a schedulable map.

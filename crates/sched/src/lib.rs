@@ -4,9 +4,9 @@
 //! paper):
 //!
 //! * [`FifoPolicy`] — Hadoop's default FIFO: earliest-arrived job first;
-//! * [`MaxEdfPolicy`] — Earliest-Deadline-First ordering with FIFO-style
-//!   greedy resource allocation (grab every free slot);
-//! * [`MinEdfPolicy`] — EDF ordering with *minimal* resource allocation:
+//! * [`EdfPolicy`] — Earliest-Deadline-First ordering, in two allocation
+//!   rules: `maxedf` ([`EdfPolicy::maxedf`]) grabs every free slot,
+//!   FIFO-style; `minedf` ([`EdfPolicy::minedf`]) allocates *minimally*:
 //!   on arrival, the ARIA bounds model computes the smallest `(S_M, S_R)`
 //!   that meets the job's deadline, and the policy never runs more tasks
 //!   than that, leaving spare slots to later arrivals;
@@ -22,7 +22,7 @@
 //! All policies implement [`simmr_core::SchedulerPolicy`] and are
 //! deterministic: ties break on `(arrival, job id)`.
 //!
-//! The EDF policies schedule from an incremental lazy-deletion deadline
+//! The EDF policy schedules from an incremental lazy-deletion deadline
 //! index ([`edf_index::DeadlineIndex`]) maintained from the engine's
 //! queue-mutation hooks — amortized O(log n) per decision instead of a
 //! full queue scan; the hierarchical policy (and with it `capacity`)
@@ -71,7 +71,7 @@ pub mod fifo;
 pub mod hier;
 pub mod pool;
 
-pub use edf::{MaxEdfPolicy, MinEdfPolicy};
+pub use edf::EdfPolicy;
 pub use edf_index::{DeadlineIndex, EdfHeap, EdfKey};
 pub use fair::FairSharePolicy;
 pub use fifo::FifoPolicy;
@@ -300,10 +300,10 @@ impl PolicySpec {
     pub fn build(&self) -> Box<dyn SchedulerPolicy> {
         match self {
             PolicySpec::Fifo => Box::new(FifoPolicy::new()),
-            PolicySpec::MaxEdf { preemptive: false } => Box::new(MaxEdfPolicy::new()),
-            PolicySpec::MaxEdf { preemptive: true } => Box::new(MaxEdfPolicy::preemptive()),
-            PolicySpec::MinEdf { preemptive: false } => Box::new(MinEdfPolicy::new()),
-            PolicySpec::MinEdf { preemptive: true } => Box::new(MinEdfPolicy::preemptive()),
+            PolicySpec::MaxEdf { preemptive: false } => Box::new(EdfPolicy::maxedf()),
+            PolicySpec::MaxEdf { preemptive: true } => Box::new(EdfPolicy::maxedf().preemptive()),
+            PolicySpec::MinEdf { preemptive: false } => Box::new(EdfPolicy::minedf()),
+            PolicySpec::MinEdf { preemptive: true } => Box::new(EdfPolicy::minedf().preemptive()),
             PolicySpec::Fair => Box::new(FairSharePolicy::new()),
             PolicySpec::Capacity { queues } => Box::new(HierPolicy::capacity(queues)),
             PolicySpec::Hier { pools } if pools.is_empty() => Box::new(HierPolicy::two_tier()),

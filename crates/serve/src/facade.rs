@@ -193,6 +193,13 @@ impl serde::Deserialize for DivergenceSpec {
     }
 }
 
+/// The largest map-slot, reduce-slot or host count a scenario may ask
+/// for, after any `add_slots` divergences. The engine numbers slots with
+/// `u32` ids and allocates per-slot and per-host tables up front, so
+/// larger requests are rejected as bad specs instead of aborting the
+/// process on a failed allocation.
+pub const MAX_CLUSTER_SIZE: usize = 1 << 20;
+
 /// The complete, serializable description of one simulation run.
 ///
 /// Construct with [`ScenarioSpec::new`] (which fills the CLI's defaults)
@@ -305,6 +312,24 @@ impl ScenarioSpec {
     /// Rejects inconsistent specs with the CLI's rules.
     pub fn validate(&self) -> Result<(), FacadeError> {
         let bad = |msg: &str| Err(FacadeError::BadSpec(msg.into()));
+        let c = self.cluster;
+        if c.map_slots == 0 || c.reduce_slots == 0 {
+            return bad("a cluster needs at least one map slot and one reduce slot");
+        }
+        let (mut maps, mut reduces) = (c.map_slots, c.reduce_slots);
+        for d in &self.divergences {
+            if let DivergenceSpec::AddSlots { map_slots, reduce_slots } = d {
+                maps = maps.saturating_add(*map_slots);
+                reduces = reduces.saturating_add(*reduce_slots);
+            }
+        }
+        if maps.max(reduces).max(c.hosts) > MAX_CLUSTER_SIZE {
+            return Err(FacadeError::BadSpec(format!(
+                "cluster too large: {maps} map slots, {reduces} reduce slots and {} hosts \
+                 (after add_slots); each may be at most {MAX_CLUSTER_SIZE}",
+                c.hosts
+            )));
+        }
         if self.failures.is_some() {
             if self.cluster.hosts < 2 {
                 return bad("failures need a cluster of at least 2 hosts (host 0 never fails)");
@@ -865,7 +890,7 @@ impl SimFacade {
 
     /// Materializes a trace reference into a validated trace + digest.
     fn materialize(&self, r: &TraceRef) -> Result<(Arc<WorkloadTrace>, TraceDigest), FacadeError> {
-        let trace = match r {
+        let mut trace = match r {
             TraceRef::Name(name) => {
                 self.require_db()?.load(name).map_err(|e| FacadeError::Trace(e.to_string()))?
             }
@@ -887,6 +912,13 @@ impl SimFacade {
                 trace.clone()
             }
         };
+        // The digest encodes jobs in stable arrival order, but the engine
+        // numbers jobs and attach_deadlines draws deadlines in trace
+        // order: replay the digest's order, so equal digests mean equal
+        // runs and the cache key stays sound.
+        if !trace.jobs.is_sorted_by_key(|j| j.arrival) {
+            trace.jobs.sort_by_key(|j| j.arrival);
+        }
         let digest = digest_trace(&trace).map_err(|e| FacadeError::Trace(e.to_string()))?;
         Ok((Arc::new(trace), digest))
     }
@@ -976,6 +1008,66 @@ mod tests {
         let mut s = spec();
         s.failure_recovery_s = Some(30.0);
         assert!(s.validate().is_err(), "recovery without failures");
+    }
+
+    #[test]
+    fn cluster_shape_is_validated() {
+        let with_cluster = |map_slots, reduce_slots, hosts| {
+            let mut s = spec();
+            s.cluster = ClusterSpec::new(map_slots, reduce_slots).with_hosts(hosts);
+            s
+        };
+        let rejected = |s: &ScenarioSpec| matches!(s.validate(), Err(FacadeError::BadSpec(_)));
+        assert!(rejected(&with_cluster(0, 4, 1)), "no map slots");
+        assert!(rejected(&with_cluster(4, 0, 1)), "no reduce slots");
+        assert!(rejected(&with_cluster(MAX_CLUSTER_SIZE + 1, 4, 1)));
+        assert!(rejected(&with_cluster(4, MAX_CLUSTER_SIZE + 1, 1)));
+        assert!(rejected(&with_cluster(4, 4, 1 << 40)), "hosts past the bound");
+        assert!(with_cluster(MAX_CLUSTER_SIZE, MAX_CLUSTER_SIZE, MAX_CLUSTER_SIZE)
+            .validate()
+            .is_ok());
+        // add_slots divergences count toward the bound
+        let grow = |map_slots| DivergenceSpec::AddSlots { map_slots, reduce_slots: 0 };
+        let mut s = forked_spec(700, vec![grow(MAX_CLUSTER_SIZE - 4), grow(1)]);
+        assert!(rejected(&s), "two divergences sum past the bound");
+        s.divergences.pop();
+        assert!(s.validate().is_ok());
+        let s = forked_spec(700, vec![grow(usize::MAX)]);
+        assert!(rejected(&s), "the sum saturates instead of wrapping");
+        // and a rejected spec never reaches the engine
+        let err = SimFacade::new().run(&with_cluster(0, 4, 1)).expect_err("rejected");
+        assert!(err.message().contains("at least one map slot"), "{err}");
+    }
+
+    /// The cache key digests the trace in stable arrival order, so a
+    /// trace listed out of order must replay in that order too: the
+    /// same jobs listed backwards share the key and must produce the
+    /// same report bytes, deadlines included.
+    #[test]
+    fn trace_order_does_not_change_the_run() {
+        let mut trace = WorkloadTrace::new("order", "unit");
+        for i in 0..40u64 {
+            let maps = vec![300 + 97 * (i % 7); 1 + (i % 5) as usize];
+            let reduces = vec![150 + 31 * (i % 3); (i % 3) as usize];
+            let template =
+                JobTemplate::new(format!("j{i}"), maps, vec![40], reduces.clone(), reduces)
+                    .unwrap();
+            trace.push(JobSpec::new(template, SimTime::from_millis(i * 700)));
+        }
+        let mut reversed = trace.clone();
+        reversed.jobs.reverse();
+        for policy in ["fifo", "maxedf"] {
+            let run = |t: &WorkloadTrace| {
+                let mut s = ScenarioSpec::new(TraceRef::Inline(t.clone()), policy.parse().unwrap());
+                s.cluster = ClusterSpec::new(4, 2);
+                s.deadline_factor = Some(2.0);
+                let run = SimFacade::new().run(&s).unwrap();
+                (run.key, serde_json::to_string(&run.report).unwrap())
+            };
+            let (forward, backward) = (run(&trace), run(&reversed));
+            assert_eq!(forward.0, backward.0, "{policy}: one trace, one key");
+            assert!(forward.1 == backward.1, "{policy}: one key, different reports");
+        }
     }
 
     #[test]

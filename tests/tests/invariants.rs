@@ -36,7 +36,7 @@ use simmr_core::{
     SimulatorEngine,
 };
 use simmr_model::{estimate_completion, JobProfileSummary};
-use simmr_sched::{parse_policy, HierPolicy, MaxEdfPolicy, MinEdfPolicy, PolicySpec};
+use simmr_sched::{parse_policy, EdfPolicy, HierPolicy, PolicySpec};
 use simmr_stats::Dist;
 use simmr_trace::MultiTenantWorkload;
 use simmr_types::{HostId, JobSpec, JobTemplate, SimTime, TimelinePhase, WorkloadTrace};
@@ -330,17 +330,14 @@ proptest! {
             config = config.with_speculation(1.5);
         }
         let build = |variant: &str, full_scan: bool| -> Box<dyn SchedulerPolicy> {
-            match (variant, full_scan) {
-                ("maxedf", false) => Box::new(MaxEdfPolicy::new()),
-                ("maxedf", true) => Box::new(MaxEdfPolicy::new().with_full_scan()),
-                ("maxedf-p", false) => Box::new(MaxEdfPolicy::preemptive()),
-                ("maxedf-p", true) => Box::new(MaxEdfPolicy::preemptive().with_full_scan()),
-                ("minedf", false) => Box::new(MinEdfPolicy::new()),
-                ("minedf", true) => Box::new(MinEdfPolicy::new().with_full_scan()),
-                ("minedf-p", false) => Box::new(MinEdfPolicy::preemptive()),
-                ("minedf-p", true) => Box::new(MinEdfPolicy::preemptive().with_full_scan()),
+            let edf = match variant {
+                "maxedf" => EdfPolicy::maxedf(),
+                "maxedf-p" => EdfPolicy::maxedf().preemptive(),
+                "minedf" => EdfPolicy::minedf(),
+                "minedf-p" => EdfPolicy::minedf().preemptive(),
                 _ => unreachable!("unknown EDF variant {variant}"),
-            }
+            };
+            Box::new(if full_scan { edf.with_full_scan() } else { edf })
         };
         for variant in ["maxedf", "maxedf-p", "minedf", "minedf-p"] {
             let incremental =

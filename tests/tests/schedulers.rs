@@ -4,9 +4,9 @@
 use proptest::prelude::*;
 use simmr_bench::workloads::assign_deadlines;
 use simmr_core::codec::Crc64;
-use simmr_core::{EngineConfig, SimulatorEngine};
+use simmr_core::{EngineConfig, FaultSpec, SimulatorEngine};
 use simmr_sched::parse_policy;
-use simmr_stats::SeededRng;
+use simmr_stats::{Dist, SeededRng};
 use simmr_trace::{FacebookWorkload, MultiTenantWorkload};
 use simmr_types::{JobSpec, JobTemplate, SimTime, WorkloadTrace};
 
@@ -258,6 +258,60 @@ fn capacity_schedules_match_golden_digests() {
         }
     }
     assert_eq!(got, GOLDEN, "capacity schedules moved: {got:#018x?}");
+}
+
+/// Golden pin for the four EDF variants: each replays one seeded,
+/// deadline-stamped Facebook trace on a plain 16×16 cluster and on a
+/// 12×8, 4-host cluster with host failures, speculation and per-slot
+/// slowdowns, with the invariant checker armed. Asserts the CRC-64 of
+/// each serialized report (timeline included) and the checkpoint digest
+/// at half that run's makespan: the CRC-64 the codec appends to the
+/// encoding, which covers the policy's snapshot blob byte for byte. The
+/// constants were captured before MaxEDF and MinEDF became one
+/// `EdfPolicy`.
+#[test]
+fn edf_schedules_match_golden_digests() {
+    const SPECS: [&str; 4] = ["maxedf", "minedf", "maxedf-p", "minedf-p"];
+    const REPORTS: [[u64; 2]; 4] = [
+        [0xb8d9_aa45_70c7_c2e9, 0x9339_a818_df3d_10dc],
+        [0x3133_d415_9034_ba17, 0x95df_cd9c_e580_5429],
+        [0xf184_6681_19e5_44f1, 0x86d2_9b19_2459_b2ea],
+        [0xbb81_f0a2_ead5_12b5, 0xc80f_87fd_5937_e97f],
+    ];
+    const CHECKPOINTS: [[u64; 2]; 4] = [
+        [0x0f7a_3aa7_4e87_837b, 0x4fc6_ac9a_51c5_e85e],
+        [0x2673_870d_6915_f1d6, 0x9159_b820_6a40_d56b],
+        [0xb6d1_bc76_ebee_b66b, 0x961b_fa84_b502_0c08],
+        [0x0a90_3191_6fcd_537e, 0x917c_4b24_6025_a895],
+    ];
+    let mut trace = FacebookWorkload { mean_interarrival_ms: 6_000.0 }.generate(50, 14);
+    assign_deadlines(&mut trace, 1.6, 16, 16, &mut SeededRng::new(0xEDF));
+    let shapes = [
+        EngineConfig::new(16, 16),
+        EngineConfig::new(12, 8)
+            .with_hosts(4)
+            .with_faults(FaultSpec { seed: 21, count: 3, mean_interval_ms: 40_000 })
+            .with_speculation(1.5)
+            .with_slowdown(Dist::LogNormal { mu: -0.125, sigma: 0.5 }, 22),
+    ];
+    let (mut reports, mut checkpoints) = ([[0u64; 2]; 4], [[0u64; 2]; 4]);
+    for (i, spec) in SPECS.iter().enumerate() {
+        for (j, shape) in shapes.iter().enumerate() {
+            let config = shape.with_invariants().with_timeline();
+            let policy = || parse_policy(spec).expect("known policy");
+            let report = SimulatorEngine::new(config, &trace, policy()).run();
+            let json = serde_json::to_string(&report).expect("report serializes");
+            reports[i][j] = Crc64::checksum(json.as_bytes());
+            let mid = SimTime::from_millis(report.makespan.as_millis() / 2);
+            let ckpt = SimulatorEngine::new(config, &trace, policy())
+                .checkpoint_at(mid)
+                .expect("materialized trace");
+            let bytes = ckpt.encode();
+            checkpoints[i][j] = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+        }
+    }
+    assert_eq!(reports, REPORTS, "EDF schedules moved: {reports:#018x?}");
+    assert_eq!(checkpoints, CHECKPOINTS, "EDF checkpoints moved: {checkpoints:#018x?}");
 }
 
 /// A min share larger than the whole cluster cannot over-kill: preemption

@@ -226,6 +226,33 @@ fn serve_caches_byte_identically_and_shuts_down_cleanly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Cluster shapes the engine cannot run are bad requests: an empty slot
+/// pool used to panic the handler mid-run, and a huge host count used to
+/// abort the whole process on a failed allocation.
+#[test]
+fn serve_rejects_unrunnable_cluster_shapes() {
+    let dir = tmpdir("shapes");
+    TraceDatabase::open(&dir).unwrap().store("workload", &sample_trace()).unwrap();
+    let (addr, handle) = start_server(&dir);
+    let too_many = simmr_serve::MAX_CLUSTER_SIZE + 1;
+    for (map_slots, reduce_slots, hosts) in
+        [(0, 4, 1), (4, 0, 1), (too_many, 4, 1), (4, 4, 1usize << 40)]
+    {
+        let body = format!(
+            r#"{{"trace": "workload", "policy": "fifo",
+                 "cluster": {{"map_slots": {map_slots}, "reduce_slots": {reduce_slots},
+                              "hosts": {hosts}}}}}"#
+        );
+        let reply = http(addr, "POST", "/v1/run", &body);
+        assert_eq!(reply.status, 400, "{map_slots}x{reduce_slots} on {hosts} hosts");
+        assert!(reply.body.contains("cluster"), "body: {}", reply.body);
+        assert_eq!(http(addr, "GET", "/healthz", "").status, 200);
+    }
+    assert_eq!(http(addr, "POST", "/v1/shutdown", "").status, 200);
+    handle.join().expect("server thread").expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn serve_sweep_batches_and_streams() {
     let dir = tmpdir("sweep");
