@@ -237,29 +237,12 @@ fn scenario_from_args(args: &Args, trace: TraceRef) -> Result<ScenarioSpec, Stri
 
 /// `simmr replay`: trace -> scenario spec -> facade -> per-job report.
 ///
-/// JSON traces are materialized; binary traces (`--format bin`, or sniffed
-/// from the file's magic bytes) stream through the engine one arrival at a
-/// time.
+/// The facade sniffs the file's magic bytes: JSON traces are materialized;
+/// binary traces stream through the engine one arrival at a time unless
+/// deadline stamping or a fork needs the materialized trace.
 pub fn replay(args: &Args) -> Result<(), String> {
     let path = args.positional(0).ok_or("usage: simmr replay TRACE.{json,bin} [flags]")?;
-    let format = match args.get("format") {
-        None | Some("auto") => sniff_format(path)?,
-        _ => format_flag(args, "format")?.expect("checked above"),
-    };
-    if args.has("deadline-factor") && format == TraceFormat::Bin {
-        return Err("--deadline-factor rewrites the trace and needs the materialized JSON form; \
-             run `simmr trace convert` first"
-            .into());
-    }
-    // an explicit --format json forces materialization even for a file
-    // whose magic says binary; `auto` lets the facade stream it
-    let trace_ref = match format {
-        TraceFormat::Json if args.get("format").is_some_and(|f| f != "auto") => {
-            TraceRef::Inline(load_trace(path)?)
-        }
-        _ => TraceRef::Path(path.to_owned()),
-    };
-    let spec = scenario_from_args(args, trace_ref)?;
+    let spec = scenario_from_args(args, TraceRef::Path(path.to_owned()))?;
     let facade = SimFacade::new();
     let start = std::time::Instant::now();
     let run = facade.run(&spec).map_err(|e| e.message().to_string())?;

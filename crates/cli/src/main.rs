@@ -72,8 +72,8 @@ USAGE:
   simmr testbed  [--policy fifo|maxedf|minedf] [--datasets 0,1,2] [--seed S] --out HISTORY.log
   simmr profile  HISTORY.log --out TRACE.json
   simmr replay   TRACE.{json,bin} [--policy NAME] [--pools POOLS.json]
-                 [--format auto|json|bin] [--aggregate] [--map-slots N]
-                 [--reduce-slots N] [--deadline-factor F --seed S] [--timeline]
+                 [--aggregate] [--map-slots N] [--reduce-slots N]
+                 [--deadline-factor F --seed S] [--timeline]
                  [--check-invariants] [--hosts N] [--failures N]
                  [--failure-mtbf-s S] [--failure-recovery-s S]
                  [--speculation F] [--slowdown SIGMA]
@@ -97,7 +97,8 @@ Traces: JSON (`.json`) is human-readable; the compact binary format
 (`.bin`, SIMMRBIN) interns templates and stores tens of bytes per job.
 `replay` sniffs the format and *streams* binary traces through the engine
 without materializing them (`--aggregate` skips per-job results, keeping
-memory flat for million-job traces). `generate --variants V` draws jobs
+memory flat for million-job traces); deadline stamping and forks load the
+binary trace into memory first. `generate --variants V` draws jobs
 from a bounded template pool of V variants per class, which is what makes
 binary interning effective.
 

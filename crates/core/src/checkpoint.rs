@@ -9,10 +9,10 @@
 //! ties keep breaking identically), the clock, the job table, slot and
 //! host state, the derived fault/slowdown plans, and the policy's own
 //! state through [`crate::SchedulerPolicy::snapshot`]. Resuming it
-//! continues the run **byte-identically** to never having stopped; a
-//! [`ForkSpec`] applies a divergence at the boundary instead, and
-//! [`fork_sweep`] runs the shared prefix once and fans the suffixes out in
-//! parallel.
+//! continues the run **byte-identically** to never having stopped, and a
+//! [`ForkSpec`] applies a divergence at the boundary instead. A sweep of
+//! late-diverging variants captures the shared prefix once and resumes
+//! each variant from it.
 //!
 //! # Binary format
 //!
@@ -46,11 +46,9 @@ use crate::codec::{
 };
 use crate::engine::{HostFailure, JobState, RunningMap, RunningReduce};
 use crate::event::{Event, EventKind};
-use crate::{EngineConfig, SchedulerPolicy, SimulatorEngine};
-use simmr_stats::parallel_sweep;
+use crate::SchedulerPolicy;
 use simmr_types::{
-    HostId, JobId, JobResult, JobSpec, JobTemplate, SimTime, SimulationReport, TimelineEntry,
-    TimelinePhase, WorkloadTrace,
+    HostId, JobId, JobResult, JobSpec, JobTemplate, SimTime, TimelineEntry, TimelinePhase,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -122,7 +120,13 @@ impl From<DecodeError> for CkptError {
 /// boundary. Captured by [`SimulatorEngine::checkpoint_at`]; resumed by
 /// [`SimulatorEngine::resume_materialized`] /
 /// [`SimulatorEngine::resume_with_source`]; forked by
-/// [`SimulatorEngine::apply_fork`] or driven wholesale by [`fork_sweep`].
+/// [`SimulatorEngine::apply_fork`].
+///
+/// [`SimulatorEngine`]: crate::SimulatorEngine
+/// [`SimulatorEngine::checkpoint_at`]: crate::SimulatorEngine::checkpoint_at
+/// [`SimulatorEngine::resume_materialized`]: crate::SimulatorEngine::resume_materialized
+/// [`SimulatorEngine::resume_with_source`]: crate::SimulatorEngine::resume_with_source
+/// [`SimulatorEngine::apply_fork`]: crate::SimulatorEngine::apply_fork
 pub struct EngineCheckpoint {
     /// The requested checkpoint instant.
     pub(crate) at: SimTime,
@@ -466,7 +470,7 @@ impl EngineCheckpoint {
 
 /// A divergence to apply at a fork boundary. Injected events land
 /// strictly after the boundary batch; see
-/// [`SimulatorEngine::apply_fork`].
+/// [`SimulatorEngine::apply_fork`](crate::SimulatorEngine::apply_fork).
 pub enum Divergence {
     /// Replace the scheduling policy; the new policy adopts the live
     /// queue through the same hook replay a restore uses and starts with
@@ -524,40 +528,6 @@ impl ForkSpec {
     pub fn new(at: SimTime, divergences: Vec<Divergence>) -> Self {
         ForkSpec { at, divergences }
     }
-}
-
-/// Runs the shared prefix of `trace` once under `prefix_policy` up to
-/// `at`, then fans `variants` forked suffixes out over all cores via
-/// [`simmr_stats::parallel_sweep`].
-///
-/// `make(i)` builds variant `i` inside its worker thread: a fresh policy
-/// of the *prefix* kind (checkpoints only resume under the policy that
-/// captured them — swaps are a [`Divergence::PolicySwap`]) plus the fork
-/// to apply. Reports come back in variant order, each byte-identical to
-/// a from-scratch [`SimulatorEngine::run_forked`] of the same fork.
-pub fn fork_sweep<F>(
-    config: EngineConfig,
-    trace: &WorkloadTrace,
-    prefix_policy: Box<dyn SchedulerPolicy + '_>,
-    at: SimTime,
-    variants: usize,
-    make: F,
-) -> Result<Vec<SimulationReport>, CkptError>
-where
-    F: Fn(usize) -> (Box<dyn SchedulerPolicy>, ForkSpec) + Sync,
-{
-    let ckpt = SimulatorEngine::new(config, trace, prefix_policy)
-        .checkpoint_at(at)
-        .map_err(|e| CkptError::Mismatch(e.to_string()))?;
-    let ckpt = &ckpt;
-    parallel_sweep(variants, |i| {
-        let (policy, fork) = make(i);
-        let mut engine = SimulatorEngine::resume_materialized(config, ckpt, policy)?;
-        engine.apply_fork(fork)?;
-        engine.try_run().map_err(|e| CkptError::Mismatch(e.to_string()))
-    })
-    .into_iter()
-    .collect()
 }
 
 fn event_kind_tag(kind: EventKind) -> u8 {
@@ -731,9 +701,9 @@ fn decode_job(r: &mut Reader, templates: &[Arc<JobTemplate>]) -> Result<JobState
 mod tests {
     use super::*;
     use crate::source::TraceJobSource;
-    use crate::{FaultSpec, RecoverySpec};
+    use crate::{EngineConfig, FaultSpec, RecoverySpec, SimulatorEngine};
     use simmr_stats::Dist;
-    use simmr_types::{JobId, JobTemplate};
+    use simmr_types::{JobId, JobTemplate, WorkloadTrace};
 
     /// Minimal FIFO — the checkpoint layer must not depend on simmr-sched.
     struct TestFifo;
@@ -878,42 +848,6 @@ mod tests {
             .map(|_| ())
             .unwrap_err();
         assert!(matches!(err, CkptError::Mismatch(_)), "{err}");
-    }
-
-    #[test]
-    fn fork_sweep_matches_from_scratch_forks() {
-        let trace = busy_trace();
-        let config = busy_config();
-        let at = SimTime::from_millis(160);
-        let fork_for = |i: usize| {
-            ForkSpec::new(
-                at,
-                match i {
-                    0 => vec![Divergence::AddSlots { map_slots: 2, reduce_slots: 1 }],
-                    1 => vec![Divergence::InjectFault {
-                        host: HostId(2),
-                        at: SimTime::from_millis(10), // before the boundary: clamped
-                    }],
-                    _ => vec![
-                        Divergence::ArrivalSurge(vec![job(4, 1, 30, 100)]),
-                        Divergence::AddSlots { map_slots: 0, reduce_slots: 1 },
-                    ],
-                },
-            )
-        };
-        let swept = fork_sweep(config, &trace, Box::new(TestFifo), at, 3, |i| {
-            (Box::new(TestFifo) as Box<dyn SchedulerPolicy>, fork_for(i))
-        })
-        .unwrap();
-        for (i, report) in swept.iter().enumerate() {
-            let reference = SimulatorEngine::new(config, &trace, Box::new(TestFifo))
-                .run_forked(fork_for(i))
-                .unwrap();
-            assert_eq!(report, &reference, "variant {i} diverged from its reference");
-        }
-        // forks actually change the outcome vs the unforked run
-        let base = SimulatorEngine::new(config, &trace, Box::new(TestFifo)).try_run().unwrap();
-        assert_ne!(swept[2].jobs.len(), base.jobs.len());
     }
 
     #[test]

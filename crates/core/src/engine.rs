@@ -3,8 +3,11 @@
 //! # Hot path
 //!
 //! The engine keeps a persistent, incrementally-maintained [`JobQueue`]:
-//! entries are inserted on job arrival, removed on departure, and mutated
-//! in place (O(1)) by every launch / completion / preemption — scheduling
+//! entries are inserted on job arrival and removed on departure. Every
+//! other change — launch, completion, preemption, speculation, host
+//! failure — mutates the job's `JobState` and then calls `sync_entry`
+//! once, which re-derives the entry (`entry_of`), swaps it in place and
+//! hands both sides to [`SchedulerPolicy::on_entry_mutated`] — scheduling
 //! never rebuilds a snapshot of the active jobs. A dirty flag skips the
 //! scheduling pass entirely for event batches that did not change the
 //! queue. Task placements have no event kind of their own: a launch is
@@ -788,9 +791,13 @@ impl<'a> SimulatorEngine<'a> {
         }
     }
 
-    /// Fetches the incrementally-maintained entry of an active job.
-    fn entry_mut(&mut self, job: JobId) -> &mut JobEntry {
-        self.jobq.get_mut(job).expect("active job missing from the job queue")
+    /// Re-derives an active job's queue entry from its state and reports
+    /// the change to the policy: the one way a queued entry changes.
+    /// Every mutation site edits the `JobState`, then syncs once.
+    fn sync_entry(&mut self, job: JobId) {
+        let after = self.entry_of(job);
+        let before = self.jobq.replace(after);
+        self.policy.on_entry_mutated(&before, &after);
     }
 
     fn on_job_arrival(&mut self, job: JobId, _now: SimTime) {
@@ -833,7 +840,6 @@ impl<'a> SimulatorEngine<'a> {
         // cancel a not-yet-launched duplicate. Only speculation can create
         // a second attempt, so the scan is gated off the hot path.
         let mut losers: Vec<RunningMap> = Vec::new();
-        let mut spec_cancelled = false;
         if speculation {
             let mut i = 0;
             while i < state.running_map_list.len() {
@@ -845,30 +851,14 @@ impl<'a> SimulatorEngine<'a> {
             }
             if let Some(p) = state.spec_pending.iter().position(|&x| x == task_index) {
                 state.spec_pending.remove(p);
-                spec_cancelled = true;
             }
         }
-        let completed = state.maps_completed;
-        let threshold = state.reduce_threshold;
-        let all_done = completed == state.maps_total;
+        let all_done = state.maps_completed == state.maps_total;
         self.free_map_slots.push(winner.slot);
         for l in &losers {
             self.free_map_slots.push(l.slot);
         }
-        let entry = self.entry_mut(job);
-        let before = *entry;
-        entry.running_maps -= 1 + losers.len();
-        entry.completed_maps += 1;
-        if spec_cancelled {
-            entry.pending_maps -= 1;
-        }
-        let flipped_eligible = !entry.reduce_eligible && completed >= threshold;
-        entry.reduce_eligible = completed >= threshold;
-        let after = *entry;
-        self.policy.on_entry_mutated(&before, &after);
-        if flipped_eligible {
-            self.jobq.reset_reduce_hint();
-        }
+        self.sync_entry(job);
         self.jobq_dirty = true;
         // Map bars are recorded at *departure* (not launch): a killed
         // attempt must not leave a full-duration phantom bar overlapping
@@ -914,29 +904,16 @@ impl<'a> SimulatorEngine<'a> {
         // is no longer in the running list and attempts are never reused.
         let idx = victim.idx;
         let other_live = state.running_map_list.iter().any(|r| r.idx == idx);
-        let mut requeued = false;
         if !other_live {
             if let Some(p) = state.spec_pending.iter().position(|&x| x == idx) {
                 // downgrade the pending duplicate to the requeued primary
                 state.spec_pending.remove(p);
                 state.speculated[idx as usize] = false;
-                state.requeued_maps.push(idx);
-                // pending count is unchanged: spec_pending −1, requeued +1
-            } else {
-                state.requeued_maps.push(idx);
-                requeued = true;
             }
+            state.requeued_maps.push(idx);
         }
         self.free_map_slots.push(victim.slot);
-        let entry = self.entry_mut(job);
-        let before = *entry;
-        entry.running_maps -= 1;
-        if requeued {
-            entry.pending_maps += 1;
-        }
-        let after = *entry;
-        self.policy.on_entry_mutated(&before, &after);
-        self.jobq.reset_map_hint();
+        self.sync_entry(job);
         // The kill changed the policy-visible queue and freed a slot: the
         // next scheduling pass must not no-op behind a clean flag (a pass
         // that kills without relaunching would otherwise end that way).
@@ -1020,12 +997,7 @@ impl<'a> SimulatorEngine<'a> {
         let job_done = state.reduces_completed == state.reduces_total
             && state.maps_completed == state.maps_total;
         self.free_reduce_slots.push(done.slot);
-        let entry = self.entry_mut(job);
-        let before = *entry;
-        entry.running_reduces -= 1;
-        entry.completed_reduces += 1;
-        let after = *entry;
-        self.policy.on_entry_mutated(&before, &after);
+        self.sync_entry(job);
         self.jobq_dirty = true;
         if self.config.record_timeline {
             self.record_bar(TimelineEntry {
@@ -1177,14 +1149,7 @@ impl<'a> SimulatorEngine<'a> {
             if map_bars.is_empty() && reduce_bars.is_empty() && reruns == 0 {
                 continue;
             }
-            // The per-field deltas are intricate here (kills, downgrades,
-            // reruns, eligibility may flip back off); re-derive the policy
-            // view wholesale from the mutated job state instead.
-            let rebuilt = self.entry_of(job);
-            let entry = self.entry_mut(job);
-            let before = *entry;
-            *entry = rebuilt;
-            self.policy.on_entry_mutated(&before, &rebuilt);
+            self.sync_entry(job);
             if self.config.record_timeline {
                 for m in &map_bars {
                     self.record_bar(TimelineEntry {
@@ -1224,8 +1189,6 @@ impl<'a> SimulatorEngine<'a> {
                 }
             }
         }
-        self.jobq.reset_map_hint();
-        self.jobq.reset_reduce_hint();
         self.jobq_dirty = true;
         self.note_mutation("on_host_failure");
     }
@@ -1290,12 +1253,7 @@ impl<'a> SimulatorEngine<'a> {
         }
         state.speculated[idx] = true;
         state.spec_pending.push(task_index);
-        let entry = self.entry_mut(job);
-        let before = *entry;
-        entry.pending_maps += 1;
-        let after = *entry;
-        self.policy.on_entry_mutated(&before, &after);
-        self.jobq.reset_map_hint();
+        self.sync_entry(job);
         self.jobq_dirty = true;
         self.note_mutation("on_speculation_due");
     }
@@ -1453,12 +1411,7 @@ impl<'a> SimulatorEngine<'a> {
         let spec_threshold = state.spec_threshold;
         let already_speculated = state.speculated[idx as usize];
         let base = state.template.map_duration(idx as usize);
-        let entry = self.entry_mut(job);
-        let before = *entry;
-        entry.pending_maps -= 1;
-        entry.running_maps += 1;
-        let after = *entry;
-        self.policy.on_entry_mutated(&before, &after);
+        self.sync_entry(job);
         let duration = match self.map_slowdown.get(slot as usize) {
             Some(&f) => scaled(base, f),
             None => base,
@@ -1493,18 +1446,10 @@ impl<'a> SimulatorEngine<'a> {
         });
         state.reduce_gen[idx as usize] += 1;
         let attempt = state.reduce_gen[idx as usize];
-        // later-wave reduce: typical shuffle + reduce phase (unused for a
-        // first-wave filler, whose duration is resolved by AllMapsFinished)
-        let base_shuffle = state.template.typical_shuffle_duration(idx as usize);
-        let base_reduce = state.template.reduce_duration(idx as usize);
-        let entry = self.entry_mut(job);
-        let before = *entry;
-        entry.pending_reduces -= 1;
-        entry.running_reduces += 1;
-        let after = *entry;
-        self.policy.on_entry_mutated(&before, &after);
         let shuffle_end = if maps_done {
-            let (mut shuffle, mut reduce) = (base_shuffle, base_reduce);
+            // later-wave reduce: typical shuffle + reduce phase
+            let mut shuffle = state.template.typical_shuffle_duration(idx as usize);
+            let mut reduce = state.template.reduce_duration(idx as usize);
             if let Some(&f) = self.reduce_slowdown.get(slot as usize) {
                 shuffle = scaled(shuffle, f);
                 reduce = scaled(reduce, f);
@@ -1523,11 +1468,15 @@ impl<'a> SimulatorEngine<'a> {
             // AllMapsFinished
             SimTime::INFINITY
         };
-        self.jobs
-            .get_mut(job)
-            .expect("state fetched above")
-            .running_reduce_list
-            .push(RunningReduce { idx, attempt, start: now, slot, shuffle_end });
+        state.running_reduce_list.push(RunningReduce {
+            idx,
+            attempt,
+            start: now,
+            slot,
+            shuffle_end,
+        });
+        // after the push: the entry's running count is the list length
+        self.sync_entry(job);
         // No timeline bars yet: reduce bars are recorded at departure (or
         // kill) so a host failure can truncate them at the true extent.
     }

@@ -1,13 +1,15 @@
 //! Opt-in runtime invariant checking for the simulator engine.
 //!
-//! PR 1 moved engine correctness onto hand-maintained incremental counters
-//! (the persistent [`crate::JobQueue`], dirty-flag pass skipping, slot
-//! free-lists). The snapshot oracle ([`crate::SimulatorEngine::with_snapshot_oracle`])
-//! defends the *policy-visible* view, but only in debug builds and only by
+//! The engine keeps redundant incremental state: the persistent
+//! [`crate::JobQueue`] (each entry re-derived by one `sync_entry` call per
+//! mutation, so a mutation site that forgets it leaves a stale entry),
+//! dirty-flag pass skipping, and slot free-lists. The snapshot oracle
+//! ([`crate::SimulatorEngine::with_snapshot_oracle`]) defends the
+//! *policy-visible* view, but only in debug builds and only by
 //! whole-report comparison. This module is the continuous, field-level
-//! defense: after every settled event batch the engine's redundant state is
-//! re-derived from first principles and cross-checked, panicking with a
-//! precise diagnosis on the first divergence.
+//! defense: after every settled event batch the engine's redundant state
+//! is re-derived from first principles and cross-checked, panicking with
+//! a precise diagnosis on the first divergence.
 //!
 //! Checked invariants:
 //!

@@ -8,13 +8,13 @@
 //! MinEDF wanted-slot caps, fair-share deficits, ...) internally.
 //!
 //! The [`JobQueue`] is maintained **incrementally** by the engine: entries
-//! are inserted on job arrival, removed on job departure, and their
-//! counters mutated in place as tasks launch, finish, or are preempted —
-//! the queue is *not* rebuilt per event. Entries are kept sorted by
-//! `(arrival, id)`: arrivals are processed in time order so insertion is a
-//! plain append, and removal advances a head pointer (oldest job, the
-//! FIFO-service common case, O(1)) or shifts the shorter side of the hole
-//! (mid-queue). Policies may rely
+//! are inserted on job arrival, removed on job departure, and replaced in
+//! place — re-derived from the job's state — whenever a task launches,
+//! finishes, or is killed; the queue is *not* rebuilt per event. Entries
+//! are kept sorted by `(arrival, id)`: arrivals are processed in time
+//! order so insertion is a plain append, and removal advances a head
+//! pointer (oldest job, the FIFO-service common case, O(1)) or shifts the
+//! shorter side of the hole (mid-queue). Policies may rely
 //! on that order — [`FifoPolicy`](../../simmr_sched) stops at the first
 //! schedulable entry instead of scanning the whole backlog — but every
 //! selection must still use a total order over entry *fields* (job id as
@@ -80,7 +80,7 @@ impl JobEntry {
 /// (arrivals come in time order); `remove` of the oldest job — the common
 /// case under FIFO-like service — just advances `head` in O(1), while a
 /// mid-queue removal shifts the (shorter) front segment right into the
-/// hole. `get` / `get_mut` are O(1) through an id→position table. The
+/// hole. `get` / `replace` are O(1) through an id→position table. The
 /// dead prefix is compacted away once it outgrows the live region, so
 /// memory stays proportional to the active-job high-water mark.
 #[derive(Debug, Default)]
@@ -94,11 +94,12 @@ pub struct JobQueue {
     /// reduce-bound cluster, jobs whose maps are done pile up at the front
     /// of the queue waiting for reduce slots; this cursor lets FIFO-order
     /// selection skip that dead prefix in amortized O(1) instead of
-    /// re-scanning it on every free map slot. A job only regains pending
-    /// maps on preemption, which resets the cursor.
+    /// re-scanning it on every free map slot. [`Self::replace`] rewinds it
+    /// when an entry regains a schedulable map (a kill, a failure rerun or
+    /// a speculative duplicate).
     map_hint: Cell<usize>,
-    /// Same, for schedulable reduces; reset when a job's slowstart
-    /// eligibility flips on (once per job).
+    /// Same, for schedulable reduces; rewound when an entry gains a
+    /// schedulable reduce (slowstart eligibility, a failure requeue).
     reduce_hint: Cell<usize>,
     /// Current simulated time at the moment of the scheduling decision.
     pub now: SimTime,
@@ -131,8 +132,8 @@ impl JobQueue {
 
     /// The earliest-arrived job with a schedulable map — the FIFO map
     /// choice. Amortized O(1): a cursor remembers how far the
-    /// nothing-schedulable prefix reaches, and only preemption can make an
-    /// entry behind the cursor schedulable again.
+    /// nothing-schedulable prefix reaches, and replacing an entry rewinds
+    /// it when an entry behind it becomes schedulable again.
     pub fn first_schedulable_map(&self) -> Option<&JobEntry> {
         let live = self.entries();
         let start = self.map_hint.get().min(live.len());
@@ -161,18 +162,6 @@ impl JobQueue {
         None
     }
 
-    /// A map task returned to the pending queue (preemption): entries
-    /// behind the scan cursor may be schedulable again.
-    pub(crate) fn reset_map_hint(&mut self) {
-        self.map_hint.set(0);
-    }
-
-    /// A job's slowstart eligibility flipped on: its position may be
-    /// behind the reduce scan cursor.
-    pub(crate) fn reset_reduce_hint(&mut self) {
-        self.reduce_hint.set(0);
-    }
-
     /// Number of active jobs.
     pub fn len(&self) -> usize {
         self.entries.len() - self.head
@@ -191,13 +180,26 @@ impl JobQueue {
         }
     }
 
-    /// Mutable lookup — used by the engine to update the view after
-    /// launching a task, so a scheduling loop sees its own placements.
-    pub(crate) fn get_mut(&mut self, id: JobId) -> Option<&mut JobEntry> {
-        match self.index.get(id.index()) {
-            Some(&pos) if pos != ABSENT => Some(&mut self.entries[pos as usize]),
-            _ => None,
+    /// Swaps an active job's entry for `entry` in place and returns the
+    /// old one — the engine re-derives the entry after every mutation, so
+    /// a scheduling loop sees its own placements. A scan cursor moves back
+    /// to the entry only when its schedulable predicate flips from false
+    /// to true: that is the one change that can put a schedulable entry
+    /// behind the cursor.
+    pub(crate) fn replace(&mut self, entry: JobEntry) -> JobEntry {
+        let pos = match self.index.get(entry.id.index()) {
+            Some(&pos) if pos != ABSENT => pos as usize,
+            _ => panic!("job {} is not in the job queue", entry.id),
+        };
+        let before = std::mem::replace(&mut self.entries[pos], entry);
+        let live_pos = pos - self.head;
+        if !before.has_schedulable_map() && entry.has_schedulable_map() {
+            self.map_hint.set(self.map_hint.get().min(live_pos));
         }
+        if !before.has_schedulable_reduce() && entry.has_schedulable_reduce() {
+            self.reduce_hint.set(self.reduce_hint.get().min(live_pos));
+        }
+        before
     }
 
     /// Adds a job's entry (on arrival). Arrivals are processed in time
@@ -341,13 +343,14 @@ pub trait SchedulerPolicy {
     /// never an entry's contents.)
     fn on_job_queued(&mut self, _entry: &JobEntry) {}
 
-    /// Called right after the engine mutates a job's entry in place —
+    /// Called right after the engine re-derives a job's entry in place —
     /// task launch, task completion, preemption kill, host-failure
     /// kill/re-run, speculative duplicate — with the entry state `before`
-    /// and `after` the mutation. Fired for *every* counter change,
-    /// including launches made mid-pass by the engine's own scheduling
-    /// loop, so incremental aggregates stay exact between two
-    /// `choose_next_*` calls of the same pass. The default ignores it.
+    /// and `after` the mutation. Fired once per mutation, from the one
+    /// place the engine replaces an entry, including launches made
+    /// mid-pass by the engine's own scheduling loop, so incremental
+    /// aggregates stay exact between two `choose_next_*` calls of the
+    /// same pass. The default ignores it.
     fn on_entry_mutated(&mut self, _before: &JobEntry, _after: &JobEntry) {}
 
     /// Called right after a job's entry leaves the queue view (on
@@ -548,6 +551,13 @@ mod tests {
         }
     }
 
+    /// Replaces job `id`'s entry with `f` applied to it.
+    fn update(q: &mut JobQueue, id: u32, f: impl FnOnce(&mut JobEntry)) -> JobEntry {
+        let mut e = *q.get(JobId(id)).unwrap();
+        f(&mut e);
+        q.replace(e)
+    }
+
     #[test]
     fn schedulable_cursors_follow_mutations() {
         let mut q = JobQueue::with_capacity(3);
@@ -555,22 +565,102 @@ mod tests {
             q.insert(entry(id, None));
         }
         assert_eq!(q.first_schedulable_map().unwrap().id, JobId(0));
-        q.get_mut(JobId(0)).unwrap().pending_maps = 0;
+        update(&mut q, 0, |e| e.pending_maps = 0);
         assert_eq!(q.first_schedulable_map().unwrap().id, JobId(1));
         // preemption makes a job behind the cursor schedulable again
-        q.get_mut(JobId(0)).unwrap().pending_maps = 1;
-        q.reset_map_hint();
+        update(&mut q, 0, |e| e.pending_maps = 1);
         assert_eq!(q.first_schedulable_map().unwrap().id, JobId(0));
         // slowstart eligibility flips on behind the reduce cursor
         assert!(q.first_schedulable_reduce().is_none());
-        q.get_mut(JobId(1)).unwrap().reduce_eligible = true;
-        q.reset_reduce_hint();
+        update(&mut q, 1, |e| e.reduce_eligible = true);
         assert_eq!(q.first_schedulable_reduce().unwrap().id, JobId(1));
         // removal ahead of the cursor keeps it aligned
         q.remove(JobId(0));
         assert_eq!(q.first_schedulable_reduce().unwrap().id, JobId(1));
-        q.get_mut(JobId(1)).unwrap().pending_reduces = 0;
-        q.get_mut(JobId(2)).unwrap().reduce_eligible = true;
+        update(&mut q, 1, |e| e.pending_reduces = 0);
+        update(&mut q, 2, |e| e.reduce_eligible = true);
+        assert_eq!(q.first_schedulable_reduce().unwrap().id, JobId(2));
+    }
+
+    /// A queue of four jobs with nothing schedulable, both cursors scanned
+    /// to the end.
+    fn drained_queue() -> JobQueue {
+        let mut q = JobQueue::with_capacity(4);
+        for id in 0..4 {
+            let mut e = entry(id, None);
+            e.pending_maps = 0;
+            e.pending_reduces = 0;
+            e.reduce_eligible = true;
+            q.insert(e);
+        }
+        assert!(q.first_schedulable_map().is_none());
+        assert!(q.first_schedulable_reduce().is_none());
+        assert_eq!((q.map_hint.get(), q.reduce_hint.get()), (4, 4));
+        q
+    }
+
+    #[test]
+    fn replace_rewinds_a_cursor_on_each_flip_to_schedulable() {
+        // pending maps 0 -> n
+        let mut q = drained_queue();
+        update(&mut q, 1, |e| e.pending_maps = 3);
+        assert_eq!((q.map_hint.get(), q.reduce_hint.get()), (1, 4));
+        assert_eq!(q.first_schedulable_map().unwrap().id, JobId(1));
+        // pending reduces 0 -> n on an eligible job
+        let mut q = drained_queue();
+        update(&mut q, 2, |e| e.pending_reduces = 2);
+        assert_eq!((q.map_hint.get(), q.reduce_hint.get()), (4, 2));
+        assert_eq!(q.first_schedulable_reduce().unwrap().id, JobId(2));
+        // the reduce-eligibility flip
+        let mut q = drained_queue();
+        update(&mut q, 3, |e| {
+            e.reduce_eligible = false;
+            e.pending_reduces = 1;
+        });
+        assert_eq!(q.reduce_hint.get(), 4, "still not schedulable");
+        update(&mut q, 3, |e| e.reduce_eligible = true);
+        assert_eq!(q.reduce_hint.get(), 3);
+        assert_eq!(q.first_schedulable_reduce().unwrap().id, JobId(3));
+        // a flip ahead of the cursor never moves it forward
+        update(&mut q, 1, |e| e.pending_reduces = 1);
+        assert_eq!(q.reduce_hint.get(), 1);
+        update(&mut q, 2, |e| e.pending_reduces = 1);
+        assert_eq!(q.reduce_hint.get(), 1);
+    }
+
+    #[test]
+    fn replace_without_a_flip_to_schedulable_keeps_the_cursors() {
+        let mut q = JobQueue::with_capacity(3);
+        for id in 0..3 {
+            let mut e = entry(id, None);
+            e.reduce_eligible = true;
+            q.insert(e);
+        }
+        update(&mut q, 0, |e| {
+            e.pending_maps = 0;
+            e.pending_reduces = 0;
+        });
+        assert_eq!(q.first_schedulable_map().unwrap().id, JobId(1));
+        assert_eq!(q.first_schedulable_reduce().unwrap().id, JobId(1));
+        assert_eq!((q.map_hint.get(), q.reduce_hint.get()), (1, 1));
+        // predicate stays true: more pending work, a launch
+        update(&mut q, 2, |e| e.pending_maps = 5);
+        update(&mut q, 1, |e| {
+            e.pending_maps -= 1;
+            e.running_maps += 1;
+            e.pending_reduces += 1;
+        });
+        assert_eq!((q.map_hint.get(), q.reduce_hint.get()), (1, 1));
+        // predicate stays false behind the cursor
+        update(&mut q, 0, |e| e.completed_maps = 1);
+        assert_eq!((q.map_hint.get(), q.reduce_hint.get()), (1, 1));
+        // predicate turns false: the next scan moves on by itself
+        update(&mut q, 1, |e| {
+            e.pending_maps = 0;
+            e.reduce_eligible = false;
+        });
+        assert_eq!((q.map_hint.get(), q.reduce_hint.get()), (1, 1));
+        assert_eq!(q.first_schedulable_map().unwrap().id, JobId(2));
         assert_eq!(q.first_schedulable_reduce().unwrap().id, JobId(2));
     }
 
@@ -615,9 +705,12 @@ mod tests {
     }
 
     #[test]
-    fn get_mut_updates_in_place() {
-        let mut q = JobQueue::new(vec![entry(0, None)], SimTime::ZERO);
-        q.get_mut(JobId(0)).unwrap().running_maps = 5;
+    fn replace_updates_in_place() {
+        let mut q = JobQueue::new(vec![entry(0, None), entry(1, None)], SimTime::ZERO);
+        let before = update(&mut q, 0, |e| e.running_maps = 5);
+        assert_eq!(before, entry(0, None));
         assert_eq!(q.get(JobId(0)).unwrap().running_maps, 5);
+        let order: Vec<u32> = q.entries().iter().map(|e| e.id.0).collect();
+        assert_eq!(order, vec![0, 1]);
     }
 }

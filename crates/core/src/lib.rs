@@ -106,9 +106,7 @@ pub mod jobq;
 pub mod queue;
 pub mod source;
 
-pub use checkpoint::{
-    fork_sweep, CkptError, Divergence, EngineCheckpoint, ForkSpec, CKPT_MAGIC, CKPT_VERSION,
-};
+pub use checkpoint::{CkptError, Divergence, EngineCheckpoint, ForkSpec, CKPT_MAGIC, CKPT_VERSION};
 pub use config::{EngineConfig, FaultSpec, RecoverySpec, SlowdownSpec};
 pub use engine::{HostFailure, SimulatorEngine};
 pub use event::{Event, EventKind};

@@ -1070,6 +1070,33 @@ mod tests {
         }
     }
 
+    /// Deadline stamping rewrites the trace, so the facade materializes a
+    /// SIMMRBIN path instead of streaming it: the run must match the same
+    /// trace given inline.
+    #[test]
+    fn binary_path_with_deadline_factor_matches_inline() {
+        let path = std::env::temp_dir()
+            .join(format!("simmr-facade-deadlines-{}.trace.bin", std::process::id()));
+        std::fs::write(&path, simmr_trace::encode_trace(&tiny_trace()).unwrap()).unwrap();
+        let run = |trace| {
+            let mut s = ScenarioSpec::new(trace, "maxedf".parse().unwrap());
+            s.deadline_factor = Some(2.0);
+            s.seed = 7;
+            SimFacade::new().run(&s)
+        };
+        let from_file = run(TraceRef::Path(path.to_string_lossy().into_owned()));
+        let _ = std::fs::remove_file(&path);
+        let (from_file, inline) =
+            (from_file.unwrap(), run(TraceRef::Inline(tiny_trace())).unwrap());
+        assert!(!from_file.streamed);
+        assert!(from_file.report.jobs.iter().all(|j| j.deadline.is_some()));
+        assert_eq!(from_file.key, inline.key);
+        assert_eq!(
+            serde_json::to_string(&from_file.report).unwrap(),
+            serde_json::to_string(&inline.report).unwrap()
+        );
+    }
+
     #[test]
     fn run_and_batch_agree() {
         let facade = SimFacade::new();

@@ -518,11 +518,16 @@ impl<'a> BinTraceReader<'a> {
         })
     }
 
-    /// Materializes the whole trace.
+    /// Materializes the whole trace. Records out of arrival order are
+    /// [`BinError::ArrivalOrder`], as in the streaming [`BinTraceSource`].
     pub fn to_trace(&self) -> Result<WorkloadTrace, BinError> {
-        let mut jobs = Vec::with_capacity(self.job_count);
+        let mut jobs: Vec<JobSpec> = Vec::with_capacity(self.job_count);
         for i in 0..self.job_count {
-            jobs.push(self.job(i)?);
+            let job = self.job(i)?;
+            if jobs.last().is_some_and(|prev| job.arrival < prev.arrival) {
+                return Err(BinError::ArrivalOrder);
+            }
+            jobs.push(job);
         }
         Ok(WorkloadTrace { meta: self.meta.clone(), jobs })
     }

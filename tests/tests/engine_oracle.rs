@@ -1,8 +1,9 @@
 //! The incremental scheduler view must be observationally identical to a
 //! from-scratch snapshot rebuild: random traces replayed under every
 //! policy produce reports that are equal — and serialize byte-for-byte —
-//! whether the engine trusts its O(1) in-place entry updates or rebuilds
-//! the whole job queue before every scheduling pass (the snapshot oracle).
+//! whether the engine keeps its job queue by re-deriving each changed
+//! entry in place (one `sync_entry` per mutation) or rebuilds the whole
+//! job queue before every scheduling pass (the snapshot oracle).
 
 // with_snapshot_oracle is compiled under cfg(any(test, debug_assertions)),
 // which for this (external) test crate means debug builds only

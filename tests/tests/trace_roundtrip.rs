@@ -474,6 +474,46 @@ fn crafted_template_count_is_a_typed_error() {
     assert!(matches!(opened, Err(BinError::Truncated)), "{opened:?}");
 }
 
+/// A SIMMRBIN file with its two job records swapped — and the header's
+/// CRC-32 recomputed over the new body, so the checksum holds — is
+/// [`BinError::ArrivalOrder`] from the in-memory decode (and so from
+/// `TraceDatabase::load`), just as it is from the streaming source.
+#[test]
+fn crafted_out_of_order_records_are_an_arrival_order_error() {
+    let mut trace = WorkloadTrace::new("swapped", "");
+    for (maps, secs) in [(1, 1), (2, 5)] {
+        let template = JobTemplate::new("t", vec![10; maps], vec![], vec![], vec![]).unwrap();
+        trace.push(JobSpec::new(template, SimTime::from_secs(secs)));
+    }
+    let mut bytes = encode_trace(&trace).unwrap();
+    assert_eq!(decode_trace(&bytes).unwrap(), trace);
+    let record = simmr_trace::binfmt::RECORD_BYTES;
+    let last = bytes.len() - record;
+    let first: Vec<u8> = bytes[last - record..last].to_vec();
+    bytes.copy_within(last.., last - record);
+    bytes[last..].copy_from_slice(&first);
+    let crc = simmr_core::codec::Crc32::checksum(&bytes[simmr_trace::binfmt::HEADER_BYTES..]);
+    bytes[44..48].copy_from_slice(&crc.to_le_bytes());
+
+    let decoded = decode_trace(&bytes);
+    assert!(matches!(decoded, Err(BinError::ArrivalOrder)), "{decoded:?}");
+    let reader = BinTraceReader::parse(&bytes).unwrap();
+    assert!(matches!(reader.to_trace(), Err(BinError::ArrivalOrder)));
+
+    let dir = std::env::temp_dir().join(format!("simmr-it-swapped-{}", std::process::id()));
+    let db = TraceDatabase::open(&dir).unwrap();
+    db.store_bin("swapped", &trace).unwrap();
+    let path = db.path("swapped").unwrap();
+    std::fs::write(&path, &bytes).unwrap();
+    let loaded = db.load("swapped");
+    let mut src = BinTraceSource::open(&path).unwrap();
+    let pulled = (src.next_job(), src.next_job());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(matches!(loaded, Err(simmr_trace::DbError::Bin(BinError::ArrivalOrder))), "{loaded:?}");
+    assert!(pulled.0.is_ok());
+    assert!(pulled.1.unwrap_err().to_string().contains("not sorted by arrival"));
+}
+
 /// 100k-job streaming smoke replay, gated for CI: set
 /// `SIMMR_STREAM_SMOKE=1` to run. Generates a pooled binary trace on
 /// disk, streams it through the engine in aggregate mode and checks the
