@@ -23,7 +23,9 @@
 //! layout (since version 2; version 1 used a layout of its own). Version
 //! 3 changed no engine field: `capacity` policy blobs became pool-tree
 //! blobs, so a version-2 checkpoint is rejected rather than restored
-//! against the wrong policy layout. Encoding is
+//! against the wrong policy layout. Version 4 dropped the streaming flag
+//! (bit 0 of the flag byte, now rejected) and the last pulled arrival:
+//! every checkpoint holds every job of its run. Encoding is
 //! canonical: `encode(decode(bytes)) == bytes` for any accepted input,
 //! which is what lets the serve layer memoize *encoded* checkpoints and
 //! key caches on their digest.
@@ -56,7 +58,7 @@ use std::sync::Arc;
 /// Magic bytes opening every serialized checkpoint.
 pub const CKPT_MAGIC: &[u8; 8] = b"SIMMRCKP";
 /// Current checkpoint format version.
-pub const CKPT_VERSION: u16 = 3;
+pub const CKPT_VERSION: u16 = 4;
 
 /// Why a checkpoint failed to decode or resume.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,14 +120,17 @@ impl From<DecodeError> for CkptError {
 
 /// A serializable snapshot of a [`SimulatorEngine`] at a settled batch
 /// boundary. Captured by [`SimulatorEngine::checkpoint_at`]; resumed by
-/// [`SimulatorEngine::resume_materialized`] /
-/// [`SimulatorEngine::resume_with_source`]; forked by
+/// [`SimulatorEngine::resume_materialized`]; forked by
 /// [`SimulatorEngine::apply_fork`].
+///
+/// A checkpoint is self-contained: before capturing, the engine pulls
+/// every job its source had left, so the job table holds the whole run —
+/// departed jobs as retired holes, live jobs, and jobs yet to arrive with
+/// their arrivals queued — however the trace was fed.
 ///
 /// [`SimulatorEngine`]: crate::SimulatorEngine
 /// [`SimulatorEngine::checkpoint_at`]: crate::SimulatorEngine::checkpoint_at
 /// [`SimulatorEngine::resume_materialized`]: crate::SimulatorEngine::resume_materialized
-/// [`SimulatorEngine::resume_with_source`]: crate::SimulatorEngine::resume_with_source
 /// [`SimulatorEngine::apply_fork`]: crate::SimulatorEngine::apply_fork
 pub struct EngineCheckpoint {
     /// The requested checkpoint instant.
@@ -135,8 +140,6 @@ pub struct EngineCheckpoint {
     pub(crate) map_slots: usize,
     pub(crate) reduce_slots: usize,
     pub(crate) hosts: usize,
-    /// Captured from a streaming engine (resume needs a fresh source).
-    pub(crate) streaming: bool,
     /// The run collects per-job results.
     pub(crate) collected: bool,
     pub(crate) jobq_dirty: bool,
@@ -144,7 +147,6 @@ pub struct EngineCheckpoint {
     pub(crate) events: Vec<Event>,
     pub(crate) next_seq: u64,
     pub(crate) pushed: u64,
-    pub(crate) last_pulled_arrival: SimTime,
     pub(crate) jobs_base: usize,
     pub(crate) jobs: Vec<Option<JobState>>,
     pub(crate) free_map_slots: Vec<u32>,
@@ -181,8 +183,8 @@ impl EngineCheckpoint {
         &self.policy_name
     }
 
-    /// Jobs admitted so far (live, departed, and — for materialized
-    /// engines — future arrivals already in the table).
+    /// Jobs in the run: departed, live, and not yet arrived (a
+    /// checkpoint admits every job its source had left).
     pub fn jobs_admitted(&self) -> usize {
         self.jobs_base + self.jobs.len()
     }
@@ -223,10 +225,8 @@ impl EngineCheckpoint {
         put_u32(&mut out, self.map_slots as u32);
         put_u32(&mut out, self.reduce_slots as u32);
         put_u32(&mut out, self.hosts as u32);
-        let flags =
-            (self.streaming as u8) | (self.collected as u8) << 1 | (self.jobq_dirty as u8) << 2;
-        out.push(flags);
-        put_u64(&mut out, self.last_pulled_arrival.as_millis());
+        // bit 0 held the streaming flag until version 4
+        out.push((self.collected as u8) << 1 | (self.jobq_dirty as u8) << 2);
         put_opt_time(&mut out, self.policy_wakeup_at);
         put_u64(&mut out, self.events_processed);
         put_u64(&mut out, self.makespan.as_millis());
@@ -336,13 +336,11 @@ impl EngineCheckpoint {
         let reduce_slots = r.u32()? as usize;
         let hosts = r.u32()? as usize;
         let flags = r.u8()?;
-        if flags & !0b111 != 0 {
+        if flags & !0b110 != 0 {
             return Err(CkptError::Malformed(format!("unknown flag bits {flags:#04x}")));
         }
-        let streaming = flags & 1 != 0;
         let collected = flags & 2 != 0;
         let jobq_dirty = flags & 4 != 0;
-        let last_pulled_arrival = SimTime::from_millis(r.u64()?);
         let policy_wakeup_at = read_opt_time(&mut r)?;
         let events_processed = r.u64()?;
         let makespan = SimTime::from_millis(r.u64()?);
@@ -440,13 +438,11 @@ impl EngineCheckpoint {
             map_slots,
             reduce_slots,
             hosts,
-            streaming,
             collected,
             jobq_dirty,
             events,
             next_seq,
             pushed,
-            last_pulled_arrival,
             jobs_base,
             jobs,
             free_map_slots,
@@ -700,7 +696,6 @@ fn decode_job(r: &mut Reader, templates: &[Arc<JobTemplate>]) -> Result<JobState
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::TraceJobSource;
     use crate::{EngineConfig, FaultSpec, RecoverySpec, SimulatorEngine};
     use simmr_stats::Dist;
     use simmr_types::{JobId, JobTemplate, WorkloadTrace};
@@ -815,42 +810,6 @@ mod tests {
     }
 
     #[test]
-    fn resume_streaming_matches_uninterrupted() {
-        let trace = busy_trace();
-        let config = busy_config();
-        let full = SimulatorEngine::from_source(
-            config,
-            Box::new(TraceJobSource::new(&trace)),
-            Box::new(TestFifo),
-        )
-        .try_run()
-        .unwrap();
-        let ckpt = SimulatorEngine::from_source(
-            config,
-            Box::new(TraceJobSource::new(&trace)),
-            Box::new(TestFifo),
-        )
-        .checkpoint_at(SimTime::from_millis(140))
-        .unwrap();
-        let ckpt = EngineCheckpoint::decode(&ckpt.encode()).unwrap();
-        let resumed = SimulatorEngine::resume_with_source(
-            config,
-            &ckpt,
-            Box::new(TraceJobSource::new(&trace)),
-            Box::new(TestFifo),
-        )
-        .unwrap()
-        .try_run()
-        .unwrap();
-        assert_eq!(resumed, full);
-        // a materialized resume of a streaming checkpoint is refused
-        let err = SimulatorEngine::resume_materialized(config, &ckpt, Box::new(TestFifo))
-            .map(|_| ())
-            .unwrap_err();
-        assert!(matches!(err, CkptError::Mismatch(_)), "{err}");
-    }
-
-    #[test]
     fn decode_rejects_corruption() {
         let trace = busy_trace();
         let ckpt = SimulatorEngine::new(busy_config(), &trace, Box::new(TestFifo))
@@ -879,17 +838,26 @@ mod tests {
         flipped[40] ^= 0x10;
         assert!(matches!(decode_err(&flipped), CkptError::ChecksumMismatch { .. }));
 
-        // rewrite the version and re-sign: the version check must fire,
-        // for an unknown future version and for the retired versions 1
-        // and 2
-        for version in [0x00FF, 1, 2] {
-            let mut wrong_version = bytes.clone();
-            wrong_version[8..10].copy_from_slice(&u16::to_le_bytes(version));
-            let body_len = wrong_version.len() - 8;
-            let crc = Crc64::checksum(&wrong_version[..body_len]);
-            wrong_version[body_len..].copy_from_slice(&crc.to_le_bytes());
+        // rewrite a byte and re-sign, so the check behind the checksum
+        // must fire
+        let resigned = |at: std::ops::Range<usize>, with: &[u8]| {
+            let mut b = bytes.clone();
+            b[at].copy_from_slice(with);
+            let body_len = b.len() - 8;
+            let crc = Crc64::checksum(&b[..body_len]);
+            b[body_len..].copy_from_slice(&crc.to_le_bytes());
+            b
+        };
+        // an unknown future version and the retired versions 1 to 3
+        for version in [0x00FF, 1, 2, 3] {
+            let wrong_version = resigned(8..10, &u16::to_le_bytes(version));
             assert_eq!(decode_err(&wrong_version), CkptError::BadVersion(version));
         }
+        // flag byte after magic, version, at, clock and the cluster shape:
+        // bit 0 was the streaming flag before version 4
+        let flags = 8 + 2 + 8 + 8 + 3 * 4;
+        let streaming = resigned(flags..flags + 1, &[bytes[flags] | 1]);
+        assert!(matches!(decode_err(&streaming), CkptError::Malformed(_)));
     }
 
     #[test]

@@ -49,7 +49,7 @@ use crate::event::EventKind;
 use crate::invariants::InvariantState;
 use crate::jobq::{JobEntry, JobQueue, SchedulerPolicy};
 use crate::queue::EventQueue;
-use crate::source::{JobSource, SourceError};
+use crate::source::{JobSource, SourceError, TraceJobSource};
 use simmr_stats::{Dist, Distribution, SeededRng};
 use simmr_types::{
     DurationMs, HostId, JobId, JobResult, JobTemplate, SimTime, SimulationReport, TimelineEntry,
@@ -228,10 +228,6 @@ pub(crate) struct JobTable {
 }
 
 impl JobTable {
-    fn with_capacity(n: usize) -> Self {
-        JobTable { slots: VecDeque::with_capacity(n), base: 0 }
-    }
-
     /// Jobs ever admitted (also the next id to be assigned).
     pub(crate) fn total(&self) -> usize {
         self.base + self.slots.len()
@@ -313,8 +309,9 @@ const RECOVERY_STREAM: u64 = 3;
 /// end-to-end example.
 pub struct SimulatorEngine<'a> {
     pub(crate) config: EngineConfig,
-    /// Streaming job feed ([`Self::from_source`]); `None` for engines built
-    /// from a materialized trace, whose arrivals are all pushed up front.
+    /// The job feed, pulled one arrival ahead. `None` once every job has
+    /// been admitted: the source ran dry, or the engine was resumed from
+    /// a checkpoint, which holds every job of the run.
     source: Option<Box<dyn JobSource + 'a>>,
     /// Arrival of the most recently pulled job, for enforcing the source's
     /// ordering contract.
@@ -376,74 +373,40 @@ pub struct SimulatorEngine<'a> {
 }
 
 impl<'a> SimulatorEngine<'a> {
-    /// Builds an engine for one simulation run.
+    /// Builds an engine that replays an in-memory trace: [`Self::from_source`]
+    /// over a [`TraceJobSource`], so a materialized trace is admitted
+    /// exactly like a streamed one.
     ///
-    /// # Panics
+    /// Jobs are numbered by stable arrival rank — sorted by
+    /// `(arrival, trace position)` — which is the order the serve facade,
+    /// the CLI and SIMMRBIN files already keep traces in. For an unsorted
+    /// trace, `report.jobs[i]` is therefore the `i`-th job to arrive, not
+    /// the `i`-th job of `trace.jobs`.
     ///
-    /// Panics if the trace contains a structurally invalid job template
-    /// (impossible for traces built through [`simmr_types::JobTemplate::new`],
-    /// possible for hand-edited serialized traces).
+    /// A structurally invalid job template (impossible for traces built
+    /// through [`simmr_types::JobTemplate::new`], possible for hand-edited
+    /// serialized traces) fails the run when the job is pulled:
+    /// [`Self::try_run`] returns the error and [`Self::run`] panics.
     pub fn new(
         config: EngineConfig,
         trace: &'a WorkloadTrace,
         policy: Box<dyn SchedulerPolicy + 'a>,
     ) -> Self {
-        trace.validate().expect("workload trace contains an invalid job template");
-        let mut jobs = JobTable::with_capacity(trace.jobs.len());
-        for spec in &trace.jobs {
-            jobs.push(Box::new(JobState::new(
-                Arc::new(spec.template.clone()),
-                spec.arrival,
-                spec.deadline,
-                &config,
-            )));
-        }
-        let timeline_bars = if config.record_timeline {
-            // one bar per map attempt (preemptions may add more) plus a
-            // shuffle and a reduce bar per reduce task
-            trace.jobs.iter().map(|s| s.template.num_maps + 2 * s.template.num_reduces).sum()
-        } else {
-            0
-        };
-        // in-flight events: per-job arrival/departure bookkeeping plus
-        // at most one departure per occupied slot and the fault plan
-        let queue_capacity = trace.jobs.len()
-            + config.cluster.map_slots
-            + config.cluster.reduce_slots
-            + config.faults.map_or(0, |f| f.count as usize)
-            + 8;
-        Self::with_parts(config, None, policy, jobs, queue_capacity, timeline_bars)
+        Self::from_source(config, Box::new(TraceJobSource::new(trace)), policy)
     }
 
-    /// Builds an engine fed by a streaming [`JobSource`] instead of a
-    /// materialized trace.
+    /// Builds an engine fed by a [`JobSource`].
     ///
     /// Exactly one arrival of lookahead is held in the event queue: the
     /// next job is pulled when the current arrival event pops, and a
     /// departed job's state is dropped immediately, so resident memory
     /// tracks the *active* job span rather than the source's job count.
-    /// Source failures (I/O, decode, an out-of-order arrival) surface
-    /// through [`Self::try_run`].
+    /// Source failures (I/O, decode, an out-of-order arrival, an invalid
+    /// template) surface through [`Self::try_run`].
     pub fn from_source(
         config: EngineConfig,
         source: Box<dyn JobSource + 'a>,
         policy: Box<dyn SchedulerPolicy + 'a>,
-    ) -> Self {
-        // nothing here is sized by the source's job count
-        let queue_capacity = config.cluster.map_slots
-            + config.cluster.reduce_slots
-            + config.faults.map_or(0, |f| f.count as usize)
-            + 16;
-        Self::with_parts(config, Some(source), policy, JobTable::default(), queue_capacity, 0)
-    }
-
-    fn with_parts(
-        config: EngineConfig,
-        source: Option<Box<dyn JobSource + 'a>>,
-        policy: Box<dyn SchedulerPolicy + 'a>,
-        jobs: JobTable,
-        queue_capacity: usize,
-        timeline_bars: usize,
     ) -> Self {
         let cluster = config.cluster;
         let (map_slowdown, reduce_slowdown) = match config.slowdown {
@@ -473,11 +436,16 @@ impl<'a> SimulatorEngine<'a> {
             }
             _ => Vec::new(),
         };
-        let results =
-            if config.collect_job_results { vec![None; jobs.total()] } else { Vec::new() };
+        // in-flight events: at most one departure per occupied slot, the
+        // fault plan and the arrival lookahead — nothing here is sized by
+        // the source's job count
+        let queue_capacity = cluster.map_slots
+            + cluster.reduce_slots
+            + config.faults.map_or(0, |f| f.count as usize)
+            + 16;
         SimulatorEngine {
             config,
-            source,
+            source: Some(source),
             last_pulled_arrival: SimTime::ZERO,
             policy,
             queue: EventQueue::with_capacity(queue_capacity),
@@ -489,16 +457,16 @@ impl<'a> SimulatorEngine<'a> {
             fault_plan,
             map_slowdown,
             reduce_slowdown,
-            jobq: JobQueue::with_capacity(jobs.total().min(1024)),
+            jobq: JobQueue::default(),
             jobq_dirty: false,
             victims: Vec::new(),
             policy_wakeup_at: None,
             clock: SimTime::ZERO,
             seeded: false,
-            jobs,
+            jobs: JobTable::default(),
             events_processed: 0,
-            timeline: Vec::with_capacity(timeline_bars),
-            results,
+            timeline: Vec::new(),
+            results: Vec::new(),
             makespan: SimTime::ZERO,
             invariants: config.invariants_enabled().then(|| Box::new(InvariantState::new(&config))),
             #[cfg(any(test, debug_assertions))]
@@ -534,20 +502,22 @@ impl<'a> SimulatorEngine<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the job source fails mid-run (impossible for engines built
-    /// with [`Self::new`]); streaming callers who want the failure as a
-    /// value use [`Self::try_run`].
+    /// Panics if the job source fails mid-run (for an in-memory trace:
+    /// only on an invalid job template); callers who want the failure as
+    /// a value use [`Self::try_run`].
     pub fn run(self) -> SimulationReport {
         self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Pulls one job from the streaming source (if any) into the job table
-    /// and schedules its arrival — the engine's one-event lookahead.
+    /// Pulls one job from the source (if any is left) into the job table
+    /// and schedules its arrival — the engine's one-event lookahead. Drops
+    /// the source once it runs dry.
     fn pull_next_arrival(&mut self) -> Result<(), SourceError> {
         let Some(src) = self.source.as_deref_mut() else {
             return Ok(());
         };
         let Some(job) = src.next_job()? else {
+            self.source = None;
             return Ok(());
         };
         if job.arrival < self.last_pulled_arrival {
@@ -559,13 +529,18 @@ impl<'a> SimulatorEngine<'a> {
         }
         job.template.validate().map_err(|e| SourceError::new(e.to_string()))?;
         self.last_pulled_arrival = job.arrival;
-        let state = JobState::new(job.template, job.arrival, job.deadline, &self.config);
+        self.admit(job.template, job.arrival, job.deadline);
+        Ok(())
+    }
+
+    /// Adds a job to the table under the next id and queues its arrival.
+    fn admit(&mut self, template: Arc<JobTemplate>, arrival: SimTime, deadline: Option<SimTime>) {
+        let state = JobState::new(template, arrival, deadline, &self.config);
         let id = self.jobs.push(Box::new(state));
         if self.config.collect_job_results {
             self.results.push(None);
         }
-        self.queue.push(job.arrival, EventKind::JobArrival, id, 0);
-        Ok(())
+        self.queue.push(arrival, EventKind::JobArrival, id, 0);
     }
 
     /// Runs the simulation to completion, surfacing streaming-source
@@ -576,13 +551,27 @@ impl<'a> SimulatorEngine<'a> {
         Ok(self.finish())
     }
 
+    /// Pulls every job the source has left into the job table, each
+    /// arrival queued. Checkpoints do this before capturing, so they are
+    /// self-contained; an arrival surge does it before admitting its jobs,
+    /// so surge jobs are numbered after every trace job however the trace
+    /// is fed.
+    fn admit_rest(&mut self) -> Result<(), SourceError> {
+        while self.source.is_some() {
+            self.pull_next_arrival()?;
+        }
+        Ok(())
+    }
+
     /// Runs the shared prefix to the last settled batch at or before `t`
-    /// and captures it as a checkpoint. The returned snapshot, resumed
-    /// through [`Self::resume_materialized`] / [`Self::resume_with_source`],
-    /// continues the run byte-identically to never having stopped.
+    /// and captures it as a checkpoint. The checkpoint holds every job the
+    /// source had left, so [`Self::resume_materialized`] continues the run
+    /// from it alone — no trace or source needed — byte-identically to
+    /// never having stopped.
     pub fn checkpoint_at(mut self, t: SimTime) -> Result<crate::EngineCheckpoint, SourceError> {
         self.seed()?;
         self.run_loop(Some(t))?;
+        self.admit_rest()?;
         Ok(self.capture(t))
     }
 
@@ -599,27 +588,16 @@ impl<'a> SimulatorEngine<'a> {
         Ok(self.finish())
     }
 
-    /// Seeds the initial events. Materialized engines push every arrival
-    /// up front (ids in trace order, preserving the exact historical event
-    /// sequence); streaming engines hold one arrival of lookahead and pull
-    /// the next each time an arrival pops. The fault plan and its
-    /// recoveries are seeded alongside. A no-op on resumed engines, whose
-    /// event heap already carries everything still pending.
+    /// Seeds the initial events: the first arrival of the one-event
+    /// lookahead (the next is pulled each time an arrival pops), the fault
+    /// plan and its recoveries. A no-op on resumed engines, whose event
+    /// heap already carries everything still pending.
     fn seed(&mut self) -> Result<(), SourceError> {
         if self.seeded {
             return Ok(());
         }
         self.seeded = true;
-        if self.source.is_some() {
-            self.pull_next_arrival()?;
-        } else {
-            let (lo, hi) = self.jobs.id_range();
-            for i in lo..hi {
-                let id = JobId(i as u32);
-                let arrival = self.jobs.get(id).expect("fresh job table has no holes").arrival;
-                self.queue.push(arrival, EventKind::JobArrival, id, 0);
-            }
-        }
+        self.pull_next_arrival()?;
         for i in 0..self.fault_plan.len() {
             let f = self.fault_plan[i];
             self.queue.push(f.at, EventKind::HostFailure, JobId(0), f.host.0);
@@ -1261,8 +1239,8 @@ impl<'a> SimulatorEngine<'a> {
     /// Rebuilds the policy view from scratch, in the same `(arrival, id)`
     /// order the incremental queue guarantees. Shared by the debug-only
     /// snapshot oracle and the checkpoint-restore path, so the oracle's
-    /// differential tests exercise the exact rebuild `resume_from` relies
-    /// on.
+    /// differential tests exercise the exact rebuild `resume_materialized`
+    /// relies on.
     fn rebuild_jobq(&mut self) {
         let mut entries: Vec<crate::JobEntry> =
             self.jobs.iter().filter(|(_, s)| s.active).map(|(id, _)| self.entry_of(id)).collect();
@@ -1493,13 +1471,11 @@ impl<'a> SimulatorEngine<'a> {
             map_slots: self.config.cluster.map_slots,
             reduce_slots: self.config.cluster.reduce_slots,
             hosts: self.config.cluster.hosts,
-            streaming: self.source.is_some(),
             collected: self.config.collect_job_results,
             jobq_dirty: self.jobq_dirty,
             events,
             next_seq,
             pushed,
-            last_pulled_arrival: self.last_pulled_arrival,
             jobs_base: self.jobs.id_range().0,
             jobs: self.jobs.raw_slots().map(|s| s.cloned()).collect(),
             free_map_slots: self.free_map_slots.clone(),
@@ -1520,72 +1496,21 @@ impl<'a> SimulatorEngine<'a> {
         }
     }
 
-    /// Resumes a checkpoint captured from a materialized-trace engine.
+    /// Resumes a checkpoint: the one way back into a captured run.
     ///
-    /// Materialized engines admit every trace job at construction, so the
-    /// checkpoint carries the whole job table and no trace is needed to
-    /// continue — which is what lets the serve layer replay suffixes from
-    /// a memoized checkpoint alone. `config` must be the configuration of
-    /// the original run (the cluster shape and result collection are
-    /// validated; behavioral knobs like speculation are the caller's
-    /// contract), and `policy` a fresh policy of the kind that captured
-    /// the checkpoint — divergences are applied afterwards via
-    /// [`Self::apply_fork`].
+    /// [`Self::checkpoint_at`] admits every job the source had left before
+    /// capturing, so the checkpoint carries the whole job table and no
+    /// trace or source is needed to continue — which is what lets the
+    /// serve layer replay suffixes from a memoized checkpoint alone.
+    /// `config` must be the configuration of the original run (the cluster
+    /// shape and result collection are validated; behavioral knobs like
+    /// speculation are the caller's contract), and `policy` a fresh policy
+    /// of the kind that captured the checkpoint — divergences are applied
+    /// afterwards via [`Self::apply_fork`].
     pub fn resume_materialized(
         config: EngineConfig,
         ckpt: &crate::EngineCheckpoint,
         policy: Box<dyn SchedulerPolicy + 'a>,
-    ) -> Result<Self, crate::CkptError> {
-        if ckpt.streaming {
-            return Err(crate::CkptError::Mismatch(
-                "checkpoint was captured from a streaming engine; \
-                 resume it with resume_with_source"
-                    .into(),
-            ));
-        }
-        Self::resume_common(config, ckpt, policy, None)
-    }
-
-    /// Resumes a checkpoint captured from a streaming engine.
-    ///
-    /// The checkpoint records how many jobs the original run had admitted;
-    /// that many are pulled from the fresh `source` and discarded (their
-    /// state — including the one-arrival lookahead — lives in the
-    /// checkpoint), after which the source supplies the remaining jobs
-    /// exactly as the original run would have seen them.
-    pub fn resume_with_source(
-        config: EngineConfig,
-        ckpt: &crate::EngineCheckpoint,
-        mut source: Box<dyn JobSource + 'a>,
-        policy: Box<dyn SchedulerPolicy + 'a>,
-    ) -> Result<Self, crate::CkptError> {
-        if !ckpt.streaming {
-            return Err(crate::CkptError::Mismatch(
-                "checkpoint was captured from a materialized engine; \
-                 resume it with resume_materialized"
-                    .into(),
-            ));
-        }
-        let admitted = ckpt.jobs_base + ckpt.jobs.len();
-        for i in 0..admitted {
-            match source.next_job() {
-                Ok(Some(_)) => {}
-                Ok(None) => {
-                    return Err(crate::CkptError::Mismatch(format!(
-                        "source ran dry after {i} jobs; the checkpoint had admitted {admitted}"
-                    )))
-                }
-                Err(e) => return Err(crate::CkptError::Mismatch(e.to_string())),
-            }
-        }
-        Self::resume_common(config, ckpt, policy, Some(source))
-    }
-
-    fn resume_common(
-        config: EngineConfig,
-        ckpt: &crate::EngineCheckpoint,
-        policy: Box<dyn SchedulerPolicy + 'a>,
-        source: Option<Box<dyn JobSource + 'a>>,
     ) -> Result<Self, crate::CkptError> {
         use crate::CkptError;
         let c = config.cluster;
@@ -1617,8 +1542,8 @@ impl<'a> SimulatorEngine<'a> {
         let boundary = (ckpt.events_processed > 0).then_some(ckpt.clock);
         let mut engine = SimulatorEngine {
             config,
-            source,
-            last_pulled_arrival: ckpt.last_pulled_arrival,
+            source: None,
+            last_pulled_arrival: SimTime::ZERO,
             policy,
             queue: EventQueue::from_snapshot(ckpt.events.clone(), ckpt.next_seq, ckpt.pushed),
             free_map_slots: ckpt.free_map_slots.clone(),
@@ -1741,22 +1666,18 @@ impl<'a> SimulatorEngine<'a> {
                     self.queue.push(t, EventKind::HostFailure, JobId(0), host.0);
                 }
                 Divergence::ArrivalSurge(specs) => {
+                    self.admit_rest().map_err(|e| {
+                        CkptError::Mismatch(format!("job source failed before the surge: {e}"))
+                    })?;
                     for spec in specs {
                         spec.template.validate().map_err(|e| {
                             CkptError::Mismatch(format!("surge job template invalid: {e}"))
                         })?;
-                        let arrival = spec.arrival.max(horizon);
-                        let state = JobState::new(
+                        self.admit(
                             Arc::new(spec.template),
-                            arrival,
+                            spec.arrival.max(horizon),
                             spec.deadline,
-                            &self.config,
                         );
-                        let id = self.jobs.push(Box::new(state));
-                        if self.config.collect_job_results {
-                            self.results.push(None);
-                        }
-                        self.queue.push(arrival, EventKind::JobArrival, id, 0);
                     }
                 }
             }

@@ -1,17 +1,18 @@
-//! Streaming job ingestion: the [`JobSource`] abstraction.
+//! Job ingestion: the [`JobSource`] abstraction.
 //!
-//! [`crate::SimulatorEngine::new`] requires a fully materialized
-//! [`WorkloadTrace`] — fine at bench scale, hopeless for million-job
-//! traces. A `JobSource` decouples the engine from the container: it is
-//! an **arrival-ordered** pull iterator plus two header facts (job count,
+//! The engine admits every job through a `JobSource`: an
+//! **arrival-ordered** pull iterator plus two header facts (job count,
 //! first arrival) that let the engine size nothing proportional to the
 //! trace. The engine keeps exactly one arrival of lookahead in its event
 //! queue, pulling the next job when the current arrival event pops, so
 //! resident memory tracks the *active* job span rather than the trace
-//! length.
+//! length. Taking a checkpoint or applying an arrival surge first pulls
+//! every job the source has left.
 //!
-//! In-memory traces adapt through [`TraceJobSource`]; the binary trace
-//! format (`simmr-trace`'s `binfmt`) streams records straight off disk.
+//! In-memory traces adapt through [`TraceJobSource`], which is all
+//! [`crate::SimulatorEngine::new`] does; the binary trace format
+//! (`simmr-trace`'s `binfmt`) streams records straight off disk through
+//! [`crate::SimulatorEngine::from_source`].
 //!
 //! ## Contract
 //!
@@ -75,10 +76,10 @@ pub trait JobSource {
 /// Adapts a materialized [`WorkloadTrace`] (in any job order) to the
 /// arrival-ordered [`JobSource`] contract.
 ///
-/// Jobs are yielded sorted by `(arrival, original position)`; each pull
-/// clones the job's template into a fresh `Arc`. Useful for feeding the
-/// streaming engine path from JSON traces and for differential tests
-/// against [`crate::SimulatorEngine::new`].
+/// Jobs are yielded sorted by `(arrival, original position)` — the stable
+/// arrival rank that numbers them in the engine — and each pull clones
+/// the job's template into a fresh `Arc`.
+/// [`crate::SimulatorEngine::new`] is `from_source` over this adapter.
 #[derive(Debug)]
 pub struct TraceJobSource<'a> {
     trace: &'a WorkloadTrace,

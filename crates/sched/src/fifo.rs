@@ -55,10 +55,15 @@ mod tests {
         let report =
             SimulatorEngine::new(EngineConfig::new(2, 2), &trace, Box::new(FifoPolicy::new()))
                 .run();
-        // job 1 occupies both slots at t=0 and finishes at 100;
-        // job 0 runs 100..200
-        assert_eq!(report.jobs[1].completion, SimTime::from_millis(100));
-        assert_eq!(report.jobs[0].completion, SimTime::from_millis(200));
+        // the engine numbers jobs by arrival, so find them by arrival:
+        // trace job 1 occupies both slots at t=0 and finishes at 100;
+        // trace job 0 runs 100..200
+        let completion = |arrival_ms| {
+            let arrival = SimTime::from_millis(arrival_ms);
+            report.jobs.iter().find(|j| j.arrival == arrival).unwrap().completion
+        };
+        assert_eq!(completion(0), SimTime::from_millis(100));
+        assert_eq!(completion(50), SimTime::from_millis(200));
     }
 
     #[test]

@@ -566,7 +566,12 @@ mod capacity {
             trace.push(named_job("adhoc-late", 1, 1000, 10));
             trace.push(named_job("adhoc-early", 1, 1000, 0));
             let report = run(&trace, "capacity", 1);
-            assert!(report.jobs[1].completion < report.jobs[0].completion);
+            // the engine numbers jobs by arrival, so find them by arrival
+            let completion = |arrival_ms| {
+                let arrival = SimTime::from_millis(arrival_ms);
+                report.jobs.iter().find(|j| j.arrival == arrival).unwrap().completion
+            };
+            assert!(completion(0) < completion(10));
         }
     }
 }

@@ -621,7 +621,7 @@ impl ResolvedScenario {
         engine
             .apply_fork(self.spec.fork_spec())
             .expect("fork divergences are validated at resolve time");
-        let report = engine.try_run().expect("materialized engines cannot hit source errors");
+        let report = engine.try_run().expect("a resumed engine has no job source to fail");
         self.wrap(report, Some(hit))
     }
 
@@ -630,7 +630,7 @@ impl ResolvedScenario {
     pub fn checkpoint(&self, at: SimTime) -> EngineCheckpoint {
         SimulatorEngine::new(self.spec.engine_config(), &self.trace, self.spec.policy.build())
             .checkpoint_at(at)
-            .expect("materialized engines cannot hit source errors")
+            .expect("resolved traces hold only validated job templates")
     }
 
     /// The memo key of the prefix checkpoint a fork scenario warm-starts
@@ -825,8 +825,9 @@ impl SimFacade {
     /// or cache key.
     pub fn run(&self, spec: &ScenarioSpec) -> Result<FacadeRun, FacadeError> {
         if let TraceRef::Path(path) = &spec.trace {
-            // forks need the materialized resume path, deadline stamping
-            // rewrites the trace — both opt out of streaming
+            // forks need a resolved trace for their checkpoint cache key,
+            // deadline stamping rewrites the trace — both opt out of
+            // streaming
             if spec.deadline_factor.is_none()
                 && spec.fork_at.is_none()
                 && spec.divergences.is_empty()
@@ -912,10 +913,10 @@ impl SimFacade {
                 trace.clone()
             }
         };
-        // The digest encodes jobs in stable arrival order, but the engine
-        // numbers jobs and attach_deadlines draws deadlines in trace
-        // order: replay the digest's order, so equal digests mean equal
-        // runs and the cache key stays sound.
+        // The digest encodes jobs in stable arrival order, the order the
+        // engine numbers them in, but attach_deadlines draws deadlines in
+        // trace order: replay the digest's order, so equal digests mean
+        // equal runs and the cache key stays sound.
         if !trace.jobs.is_sorted_by_key(|j| j.arrival) {
             trace.jobs.sort_by_key(|j| j.arrival);
         }

@@ -33,12 +33,12 @@ use proptest::prelude::*;
 use simmr_core::SchedulerPolicy;
 use simmr_core::{
     Divergence, EngineCheckpoint, EngineConfig, FaultSpec, ForkSpec, HostFailure, RecoverySpec,
-    SimulatorEngine,
+    SimulatorEngine, TraceJobSource,
 };
 use simmr_model::{estimate_completion, JobProfileSummary};
 use simmr_sched::{parse_policy, EdfPolicy, HierPolicy, PolicySpec};
 use simmr_stats::Dist;
-use simmr_trace::MultiTenantWorkload;
+use simmr_trace::{encode_trace, BinTraceSource, MultiTenantWorkload};
 use simmr_types::{HostId, JobSpec, JobTemplate, SimTime, TimelinePhase, WorkloadTrace};
 
 const POLICIES: [&str; 8] = [
@@ -447,6 +447,59 @@ proptest! {
             );
         }
     }
+}
+
+/// An arrival surge must not depend on how the trace was fed. Six jobs
+/// arrive 300 ms apart on a 2×2 cluster; a fork at 350 ms adds one surge
+/// job at 900 ms, while trace jobs 2..6 have not arrived yet. The fork
+/// replayed from the in-memory trace (`new`), from a `TraceJobSource` and
+/// from a SIMMRBIN file streamed off disk must produce byte-identical
+/// reports, with the surge job numbered after every trace job.
+#[test]
+fn surge_fork_is_independent_of_how_the_trace_is_fed() {
+    let mut trace = WorkloadTrace::new("surge", "invariant-harness");
+    for i in 0..6u64 {
+        let arrival = 300 * i;
+        trace.push(
+            JobSpec::new(uniform_template(2, 1, 200, 10, 20), SimTime::from_millis(arrival))
+                .with_deadline(SimTime::from_millis(arrival + 2_000 - 150 * i)),
+        );
+    }
+    let dir = std::env::temp_dir().join(format!("simmr-it-surge-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let bin_path = dir.join("surge.trace.bin");
+    std::fs::write(&bin_path, encode_trace(&trace).unwrap()).unwrap();
+
+    let config = EngineConfig::new(2, 2).with_timeline().with_invariants();
+    let fork = || {
+        let surge = JobTemplate::new("surge", vec![100; 2], vec![10], vec![10], vec![20]).unwrap();
+        ForkSpec::new(
+            SimTime::from_millis(350),
+            vec![Divergence::ArrivalSurge(vec![JobSpec::new(surge, SimTime::from_millis(900))
+                .with_deadline(SimTime::from_millis(1_000))])],
+        )
+    };
+    for policy in ["fifo", "maxedf", "fair"] {
+        let policy = || parse_policy(policy).unwrap();
+        let reference = SimulatorEngine::new(config, &trace, policy()).run_forked(fork()).unwrap();
+        assert_eq!(&*reference.jobs[6].name, "surge", "surge job follows every trace job");
+        let streamed =
+            SimulatorEngine::from_source(config, Box::new(TraceJobSource::new(&trace)), policy())
+                .run_forked(fork())
+                .unwrap();
+        let from_file = SimulatorEngine::from_source(
+            config,
+            Box::new(BinTraceSource::open(&bin_path).unwrap()),
+            policy(),
+        )
+        .run_forked(fork())
+        .unwrap();
+        let json = |r: &simmr_types::SimulationReport| serde_json::to_string(r).unwrap();
+        assert_eq!(json(&streamed), json(&reference), "{}: TraceJobSource", policy().name());
+        assert_eq!(json(&from_file), json(&reference), "{}: SIMMRBIN source", policy().name());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Deterministic host-failure scenario: killing a host mid-stage re-runs

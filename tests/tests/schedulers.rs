@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use simmr_bench::workloads::assign_deadlines;
 use simmr_core::codec::Crc64;
-use simmr_core::{EngineConfig, FaultSpec, SimulatorEngine};
+use simmr_core::{EngineConfig, FaultSpec, RecoverySpec, SimulatorEngine};
 use simmr_sched::parse_policy;
 use simmr_stats::{Dist, SeededRng};
 use simmr_trace::{FacebookWorkload, MultiTenantWorkload};
@@ -267,8 +267,11 @@ fn capacity_schedules_match_golden_digests() {
 /// each serialized report (timeline included) and the checkpoint digest
 /// at half that run's makespan: the CRC-64 the codec appends to the
 /// encoding, which covers the policy's snapshot blob byte for byte. The
-/// constants were captured before MaxEDF and MinEDF became one
-/// `EdfPolicy`.
+/// report constants were captured before MaxEDF and MinEDF became one
+/// `EdfPolicy`; the checkpoint constants were re-captured with SIMMRCKP
+/// version 4, when arrivals began to be pulled one at a time (which
+/// renumbers queued events) and the streaming flag and last pulled
+/// arrival left the encoding.
 #[test]
 fn edf_schedules_match_golden_digests() {
     const SPECS: [&str; 4] = ["maxedf", "minedf", "maxedf-p", "minedf-p"];
@@ -279,10 +282,10 @@ fn edf_schedules_match_golden_digests() {
         [0xbb81_f0a2_ead5_12b5, 0xc80f_87fd_5937_e97f],
     ];
     const CHECKPOINTS: [[u64; 2]; 4] = [
-        [0x0f7a_3aa7_4e87_837b, 0x4fc6_ac9a_51c5_e85e],
-        [0x2673_870d_6915_f1d6, 0x9159_b820_6a40_d56b],
-        [0xb6d1_bc76_ebee_b66b, 0x961b_fa84_b502_0c08],
-        [0x0a90_3191_6fcd_537e, 0x917c_4b24_6025_a895],
+        [0x4002_6b81_5ca2_f971, 0xc320_5173_f6da_5f63],
+        [0x132b_c566_140c_5eb5, 0xe54c_ebef_aa5d_5306],
+        [0x4efd_7e3b_0f14_0669, 0xc7a5_f569_1ac4_657f],
+        [0xa780_93b7_1a92_2d2d, 0xa636_6933_5ab6_2c85],
     ];
     let mut trace = FacebookWorkload { mean_interarrival_ms: 6_000.0 }.generate(50, 14);
     assign_deadlines(&mut trace, 1.6, 16, 16, &mut SeededRng::new(0xEDF));
@@ -312,6 +315,94 @@ fn edf_schedules_match_golden_digests() {
     }
     assert_eq!(reports, REPORTS, "EDF schedules moved: {reports:#018x?}");
     assert_eq!(checkpoints, CHECKPOINTS, "EDF checkpoints moved: {checkpoints:#018x?}");
+}
+
+/// An arrival-sorted trace built to make same-instant ordering matter:
+/// arrivals sit on a 1 s grid (several jobs often share one) and every
+/// task duration is a multiple of 250 ms, so arrivals collide with each
+/// other and with task departures. Names route to every `hier`/`capacity`
+/// leaf; two jobs in three carry a deadline for the EDF policies.
+fn grid_trace() -> WorkloadTrace {
+    const NAMES: [&str; 4] = ["j-etl", "spare-adhoc", "prod-serving", "adhoc-query"];
+    let mut rng = SeededRng::new(0xA221);
+    let mut trace = WorkloadTrace::new("arrival-grid", "golden");
+    let mut arrival = 0;
+    for i in 0..48 {
+        arrival += 1_000 * rng.uniform_u64(0, 2);
+        let mut quarter_seconds = |n: usize, hi: u64| -> Vec<u64> {
+            (0..n).map(|_| 250 * rng.uniform_u64(1, hi)).collect()
+        };
+        let maps = quarter_seconds(1 + i % 9, 12);
+        let reduces = quarter_seconds(i % 4, 8);
+        let (first, typical) = if reduces.is_empty() {
+            (vec![], vec![])
+        } else {
+            (quarter_seconds(1, 4), quarter_seconds(reduces.len(), 4))
+        };
+        let template = JobTemplate::new(NAMES[i % NAMES.len()], maps, first, typical, reduces)
+            .expect("grid template is valid");
+        let mut spec = JobSpec::new(template, SimTime::from_millis(arrival));
+        if i % 3 != 0 {
+            spec =
+                spec.with_deadline(SimTime::from_millis(arrival + 1_000 * rng.uniform_u64(4, 40)));
+        }
+        trace.push(spec);
+    }
+    trace
+}
+
+/// Golden pin for the engine's arrival path: all eight policies replay
+/// [`grid_trace`] on a plain 16×16 cluster and on a 12×8, 4-host cluster
+/// with host failures, recovery, speculation and per-slot slowdowns,
+/// with the timeline on and the invariant checker armed. Asserts the
+/// CRC-64 of each serialized report. The constants were captured while
+/// `SimulatorEngine::new` still built the whole job table and pushed
+/// every arrival up front; the engine now pulls one arrival of lookahead
+/// at a time, and same-instant batching must keep the schedules equal.
+#[test]
+fn arrival_path_reports_match_golden_digests() {
+    const POLICIES: [&str; 8] = [
+        "fifo",
+        "maxedf",
+        "minedf",
+        "fair",
+        "maxedf-p",
+        "minedf-p",
+        "capacity",
+        "hier:j[w=2,min=1,timeout=0.5],spare[w=1]",
+    ];
+    const GOLDEN: [[u64; 2]; 8] = [
+        [0x4376_ba54_3aba_48c0, 0x836b_6cf6_28c7_fd1b],
+        [0xb072_358c_7d00_5189, 0x2394_5c40_5932_8da9],
+        [0x9c3a_e5bf_06b5_cb2f, 0xeb11_2c13_4126_de41],
+        [0x94c1_f193_deea_45ca, 0xdbb8_1d62_2259_9eef],
+        [0x12d4_4a68_f2c4_2dc6, 0x88c1_3cc7_f785_25cb],
+        [0x7c38_de02_5dbb_8ff1, 0x45c7_5ba6_ff51_4996],
+        [0x3a83_a435_db92_bbe3, 0xa965_f972_0cef_8f2d],
+        [0xf59f_5a39_3240_7d89, 0x6b34_179d_0122_e541],
+    ];
+    let trace = grid_trace();
+    let shapes = [
+        EngineConfig::new(16, 16),
+        EngineConfig::new(12, 8)
+            .with_hosts(4)
+            .with_faults(FaultSpec { seed: 31, count: 3, mean_interval_ms: 9_000 })
+            .with_recovery(RecoverySpec { seed: 32, mean_ms: 6_000 })
+            .with_speculation(1.5)
+            .with_slowdown(Dist::LogNormal { mu: -0.125, sigma: 0.5 }, 33),
+    ];
+    let mut got = [[0u64; 2]; 8];
+    for (i, spec) in POLICIES.iter().enumerate() {
+        for (j, shape) in shapes.iter().enumerate() {
+            let config = shape.with_invariants().with_timeline();
+            let report =
+                SimulatorEngine::new(config, &trace, parse_policy(spec).expect("known policy"))
+                    .run();
+            let json = serde_json::to_string(&report).expect("report serializes");
+            got[i][j] = Crc64::checksum(json.as_bytes());
+        }
+    }
+    assert_eq!(got, GOLDEN, "arrival-path schedules moved: {got:#018x?}");
 }
 
 /// A min share larger than the whole cluster cannot over-kill: preemption

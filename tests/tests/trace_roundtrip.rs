@@ -15,7 +15,8 @@
 //! Engine checkpoints ([`simmr_core::EngineCheckpoint`]) are held to the
 //! same contract: canonical encoding (encode → decode → encode is the
 //! identity) and typed [`simmr_core::CkptError`]s for every truncation or
-//! bit flip.
+//! bit flip. A checkpoint of a streamed binary replay is self-contained: it
+//! resumes with the trace file gone.
 
 use proptest::prelude::*;
 use simmr_bench::pipeline::run_testbed;
@@ -377,6 +378,46 @@ proptest! {
                 "flip at {}: unexpected {:?}", flip_at, err
             );
         }
+    }
+}
+
+/// A checkpoint of an engine streaming a SIMMRBIN file is self-contained:
+/// capturing it pulls every job the file had left, so after an encode and
+/// decode it resumes through `resume_materialized` with the file deleted,
+/// and the resumed report equals the uninterrupted one at every instant.
+#[test]
+fn checkpoint_of_a_streamed_trace_resumes_without_the_file() {
+    let trace = FacebookWorkload { mean_interarrival_ms: 20_000.0 }.generate_pooled(24, 4, 0xC4);
+    let dir = std::env::temp_dir().join(format!("simmr-it-ckptbin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let bin_path = dir.join("t.trace.bin");
+    std::fs::write(&bin_path, encode_trace(&trace).unwrap()).unwrap();
+
+    let config = EngineConfig::new(8, 4).with_timeline().with_invariants();
+    let streamed = || {
+        SimulatorEngine::from_source(
+            config,
+            Box::new(BinTraceSource::open(&bin_path).unwrap()),
+            Box::new(FifoPolicy::new()),
+        )
+    };
+    let full = streamed().try_run().unwrap();
+    let makespan = full.makespan.as_millis();
+    let bytes: Vec<Vec<u8>> = [0, makespan / 4, makespan / 2, makespan + 1]
+        .into_iter()
+        .map(|at| streamed().checkpoint_at(SimTime::from_millis(at)).unwrap().encode())
+        .collect();
+    std::fs::remove_dir_all(&dir).unwrap();
+    for (i, bytes) in bytes.iter().enumerate() {
+        let ckpt = EngineCheckpoint::decode(bytes).unwrap();
+        let resumed =
+            SimulatorEngine::resume_materialized(config, &ckpt, Box::new(FifoPolicy::new()))
+                .unwrap()
+                .try_run()
+                .unwrap();
+        assert_eq!(resumed, full, "checkpoint {i} at {} ms", ckpt.at().as_millis());
+        assert_eq!(ckpt.jobs_admitted(), trace.jobs.len(), "checkpoint {i} holds every job");
     }
 }
 
