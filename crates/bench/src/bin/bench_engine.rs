@@ -1,8 +1,9 @@
 //! Engine throughput check: the §I claim that *"SimMR can process over one
 //! million events per second"* — measured at 100-, 1 000- and 10 000-job
-//! scale on the synthetic Facebook workload, under FIFO, MaxEDF, MinEDF
-//! and the hierarchical pool tree (`hier`, the heaviest scheduler: every
-//! slot assignment walks the tree and the min-share clocks).
+//! scale on the synthetic Facebook workload, under FIFO, MaxEDF, MinEDF,
+//! fair share and the hierarchical pool tree (`hier`, the heaviest
+//! scheduler: every slot assignment walks the tree and the min-share
+//! clocks).
 //!
 //! A streaming section runs first: 100k- and 1M-job pooled binary traces
 //! (`SIMMR_BENCH_STREAM_JOBS` overrides, empty disables) are generated
@@ -26,9 +27,11 @@
 //! runners; tune with `SIMMR_BENCH_NOISE_FRAC`). The `hier` floor keeps
 //! the incremental share view's ~2-orders-of-magnitude speedup from
 //! silently regressing to the full-queue re-aggregation cost; the EDF
-//! floors do the same for the incremental deadline index (the old
-//! full-scan `maxedf` ran 10k jobs ~85x slower). The baseline is read
-//! before the file is overwritten.
+//! floors do the same for the deadline views (the old full-scan
+//! `maxedf` ran 10k jobs ~85x slower). A ratio gate keeps
+//! `fair` at 10k jobs at no less than a third of `fifo`'s rate: both
+//! pick from ordered views, and the old full-queue scan put fair ~45x
+//! behind. The baseline is read before the file is overwritten.
 //!
 //! A fork-sweep section measures the time-travel checkpoint claim: ten
 //! what-if variants diverging at 90% of the makespan, replayed from
@@ -48,13 +51,14 @@ use std::time::Instant;
 
 const SIZES: [usize; 3] = [100, 1_000, 10_000];
 /// (JSON label, parse spec, largest size measured). The regression gates
-/// read the `fifo`, `hier`, `maxedf` and `minedf` rows. The incremental
-/// share view and deadline index keep every policy's per-event cost flat
-/// in the backlog depth, so all run the full 10k point.
-const POLICIES: [(&str, &str, usize); 4] = [
+/// read the `fifo`, `fair`, `hier`, `maxedf` and `minedf` rows. Every
+/// policy picks from ordered job views, which keeps its per-event cost
+/// flat in the backlog depth, so all run the full 10k point.
+const POLICIES: [(&str, &str, usize); 5] = [
     ("fifo", "fifo", 10_000),
     ("maxedf", "maxedf", 10_000),
     ("minedf", "minedf", 10_000),
+    ("fair", "fair", 10_000),
     ("hier", "hier:prod[w=3,min=4]{etl,serving},adhoc[w=1]", 10_000),
 ];
 
@@ -516,6 +520,22 @@ fn main() {
                 );
             }
         }
+        // fair picks from ordered views like fifo; the old full-queue
+        // scan ran it ~45x behind fifo at 10k jobs
+        let fair_10k = rate(10_000, "fair");
+        if fair_10k * 3.0 < fifo_10k {
+            failures.push(format!(
+                "fair 10k ({:.2} M/s) below a third of fifo 10k ({:.2} M/s)",
+                fair_10k / 1e6,
+                fifo_10k / 1e6
+            ));
+        } else {
+            eprintln!(
+                "[bench_engine] fair 10k {:.2} M/s within 3x of fifo 10k {:.2} M/s",
+                fair_10k / 1e6,
+                fifo_10k / 1e6
+            );
+        }
         // the time-travel claim: warm-starting a late-divergence sweep
         // from one shared checkpoint must clearly beat replaying every
         // variant from scratch. Both loops are serial, so the ratio is
@@ -565,8 +585,8 @@ fn main() {
         // keeps the incremental share view's speedup: a regression to the
         // old full-reaggregation cost sits ~100x under this floor
         noise_gate("hier", "1k", rate(1_000, "hier"), baseline_hier_1k);
-        // likewise for the incremental deadline index: the old full-scan
-        // maxedf sat ~85x under its 10k floor
+        // likewise for the deadline views: the old full-scan maxedf sat
+        // ~85x under its 10k floor
         noise_gate("maxedf", "10k", rate(10_000, "maxedf"), baseline_maxedf_10k);
         noise_gate("minedf", "1k", rate(1_000, "minedf"), baseline_minedf_1k);
         if !failures.is_empty() {

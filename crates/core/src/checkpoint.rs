@@ -37,7 +37,7 @@
 //! and the checkpoint stores the derived artifacts (factor vectors, the
 //! plan, the already-queued recovery events) instead of generator state.
 //! Policy state that is derivable from the queue (routing tables,
-//! wanted-slot caps, deadline-index membership, share counters) is also
+//! wanted-slot caps, ordered job views, share counters) is also
 //! not stored: restore replays the arrival hooks over the live queue and
 //! rebuilds it, and the policy blob carries only what replay cannot (see
 //! [`crate::SchedulerPolicy::restore`]).

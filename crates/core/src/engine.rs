@@ -1588,7 +1588,7 @@ impl<'a> SimulatorEngine<'a> {
     /// still-active jobs — used when a fresh policy object takes over a
     /// mid-run queue (checkpoint restore, the policy-swap divergence).
     /// Derivable policy state (routing tables, wanted-slot caps,
-    /// deadline-index membership, share counters) is fully rebuilt by the
+    /// ordered job views, share counters) is fully rebuilt by the
     /// replay; only non-derivable state (starvation clocks) needs the
     /// snapshot blob on top.
     fn adopt_policy(&mut self) {

@@ -14,14 +14,13 @@
 //! are kept sorted by `(arrival, id)`: arrivals are processed in time
 //! order so insertion is a plain append, and removal advances a head
 //! pointer (oldest job, the FIFO-service common case, O(1)) or shifts the
-//! shorter side of the hole (mid-queue). Policies may rely
-//! on that order — [`FifoPolicy`](../../simmr_sched) stops at the first
-//! schedulable entry instead of scanning the whole backlog — but every
-//! selection must still use a total order over entry *fields* (job id as
-//! the final tie-breaker), as all built-in policies do.
+//! shorter side of the hole (mid-queue). Every selection must use a
+//! total order over entry *fields* (job id as the final tie-breaker).
+//! The built-in policies never scan the queue to decide: each keeps its
+//! own ordered views of the jobs that qualify, maintained from the entry
+//! hooks on [`SchedulerPolicy`].
 
 use simmr_types::{DurationMs, JobId, SimTime};
-use std::cell::Cell;
 
 /// Sentinel in the id→position table for jobs not currently in the queue.
 const ABSENT: u32 = u32::MAX;
@@ -90,17 +89,6 @@ pub struct JobQueue {
     head: usize,
     /// Absolute position of each job in `entries`, indexed by job id.
     index: Vec<u32>,
-    /// No entry before this live position has a schedulable map. On a
-    /// reduce-bound cluster, jobs whose maps are done pile up at the front
-    /// of the queue waiting for reduce slots; this cursor lets FIFO-order
-    /// selection skip that dead prefix in amortized O(1) instead of
-    /// re-scanning it on every free map slot. [`Self::replace`] rewinds it
-    /// when an entry regains a schedulable map (a kill, a failure rerun or
-    /// a speculative duplicate).
-    map_hint: Cell<usize>,
-    /// Same, for schedulable reduces; rewound when an entry gains a
-    /// schedulable reduce (slowstart eligibility, a failure requeue).
-    reduce_hint: Cell<usize>,
     /// Current simulated time at the moment of the scheduling decision.
     pub now: SimTime,
 }
@@ -124,42 +112,9 @@ impl JobQueue {
     }
 
     /// The active jobs, sorted by `(arrival, id)`. The order is an API
-    /// guarantee: FIFO-style policies may stop at the first schedulable
-    /// entry.
+    /// guarantee.
     pub fn entries(&self) -> &[JobEntry] {
         &self.entries[self.head..]
-    }
-
-    /// The earliest-arrived job with a schedulable map — the FIFO map
-    /// choice. Amortized O(1): a cursor remembers how far the
-    /// nothing-schedulable prefix reaches, and replacing an entry rewinds
-    /// it when an entry behind it becomes schedulable again.
-    pub fn first_schedulable_map(&self) -> Option<&JobEntry> {
-        let live = self.entries();
-        let start = self.map_hint.get().min(live.len());
-        for (i, e) in live[start..].iter().enumerate() {
-            if e.has_schedulable_map() {
-                self.map_hint.set(start + i);
-                return Some(e);
-            }
-        }
-        self.map_hint.set(live.len());
-        None
-    }
-
-    /// The earliest-arrived job with a schedulable reduce — the FIFO
-    /// reduce choice. Amortized O(1), like [`Self::first_schedulable_map`].
-    pub fn first_schedulable_reduce(&self) -> Option<&JobEntry> {
-        let live = self.entries();
-        let start = self.reduce_hint.get().min(live.len());
-        for (i, e) in live[start..].iter().enumerate() {
-            if e.has_schedulable_reduce() {
-                self.reduce_hint.set(start + i);
-                return Some(e);
-            }
-        }
-        self.reduce_hint.set(live.len());
-        None
     }
 
     /// Number of active jobs.
@@ -182,24 +137,13 @@ impl JobQueue {
 
     /// Swaps an active job's entry for `entry` in place and returns the
     /// old one — the engine re-derives the entry after every mutation, so
-    /// a scheduling loop sees its own placements. A scan cursor moves back
-    /// to the entry only when its schedulable predicate flips from false
-    /// to true: that is the one change that can put a schedulable entry
-    /// behind the cursor.
+    /// a scheduling loop sees its own placements.
     pub(crate) fn replace(&mut self, entry: JobEntry) -> JobEntry {
         let pos = match self.index.get(entry.id.index()) {
             Some(&pos) if pos != ABSENT => pos as usize,
             _ => panic!("job {} is not in the job queue", entry.id),
         };
-        let before = std::mem::replace(&mut self.entries[pos], entry);
-        let live_pos = pos - self.head;
-        if !before.has_schedulable_map() && entry.has_schedulable_map() {
-            self.map_hint.set(self.map_hint.get().min(live_pos));
-        }
-        if !before.has_schedulable_reduce() && entry.has_schedulable_reduce() {
-            self.reduce_hint.set(self.reduce_hint.get().min(live_pos));
-        }
-        before
+        std::mem::replace(&mut self.entries[pos], entry)
     }
 
     /// Adds a job's entry (on arrival). Arrivals are processed in time
@@ -233,14 +177,6 @@ impl JobQueue {
         };
         self.index[i] = ABSENT;
         let entry = self.entries[pos];
-        // entries after the removed one move down one live position
-        let live_pos = pos - self.head;
-        for hint in [&self.map_hint, &self.reduce_hint] {
-            let h = hint.get();
-            if live_pos < h {
-                hint.set(h - 1);
-            }
-        }
         if pos - self.head <= self.entries.len() - 1 - pos {
             // shift the front segment right into the hole
             self.entries.copy_within(self.head..pos, self.head + 1);
@@ -279,8 +215,6 @@ impl JobQueue {
         self.entries.clear();
         self.head = 0;
         self.index.fill(ABSENT);
-        self.map_hint.set(0);
-        self.reduce_hint.set(0);
     }
 }
 
@@ -302,10 +236,9 @@ impl JobQueue {
 /// [`Self::next_wakeup`], which the engine re-consults on every pass and
 /// backs with a timer event so a deadline expiring *between* queue events
 /// still fires at the right instant.
-/// [`JobQueue::entries`] is guaranteed sorted by `(arrival, id)`; policies
-/// may exploit that order (FIFO stops at the first schedulable entry) but
-/// must select by a total order over entry fields either way. All built-in
-/// policies satisfy this.
+/// [`JobQueue::entries`] is guaranteed sorted by `(arrival, id)`, but a
+/// policy must select by a total order over entry fields either way. All
+/// built-in policies satisfy this.
 pub trait SchedulerPolicy {
     /// Human-readable policy name, used in reports.
     fn name(&self) -> &str;
@@ -330,9 +263,8 @@ pub trait SchedulerPolicy {
     /// Called right after a job's entry joins the queue view (on arrival,
     /// after [`Self::on_job_arrival`]), with the entry exactly as the
     /// policy will first observe it. Policies that keep incremental
-    /// aggregates over the queue (per-pool share counters, the EDF
-    /// policies' deadline index) seed them here; the default keeps no
-    /// such state.
+    /// state over the queue (ordered job views, per-pool share counters)
+    /// seed it here; the default keeps no such state.
     ///
     /// Together, this hook, [`Self::on_entry_mutated`] and
     /// [`Self::on_job_dequeued`] cover **every** entry mutation the
@@ -420,7 +352,7 @@ pub trait SchedulerPolicy {
     /// [`Self::on_job_queued`] for every live job in `(arrival, id)`
     /// order — exactly the order the original run fired them, restricted
     /// to still-active jobs. Derivable state (routing tables, wanted-slot
-    /// caps, deadline-index membership, share counters) is therefore
+    /// caps, ordered job views, share counters) is therefore
     /// already rebuilt when this runs; implementations overlay or verify
     /// against it. Returns a human-readable error when the blob does not
     /// match this policy's shape or configuration. The default accepts
@@ -556,112 +488,6 @@ mod tests {
         let mut e = *q.get(JobId(id)).unwrap();
         f(&mut e);
         q.replace(e)
-    }
-
-    #[test]
-    fn schedulable_cursors_follow_mutations() {
-        let mut q = JobQueue::with_capacity(3);
-        for id in 0..3 {
-            q.insert(entry(id, None));
-        }
-        assert_eq!(q.first_schedulable_map().unwrap().id, JobId(0));
-        update(&mut q, 0, |e| e.pending_maps = 0);
-        assert_eq!(q.first_schedulable_map().unwrap().id, JobId(1));
-        // preemption makes a job behind the cursor schedulable again
-        update(&mut q, 0, |e| e.pending_maps = 1);
-        assert_eq!(q.first_schedulable_map().unwrap().id, JobId(0));
-        // slowstart eligibility flips on behind the reduce cursor
-        assert!(q.first_schedulable_reduce().is_none());
-        update(&mut q, 1, |e| e.reduce_eligible = true);
-        assert_eq!(q.first_schedulable_reduce().unwrap().id, JobId(1));
-        // removal ahead of the cursor keeps it aligned
-        q.remove(JobId(0));
-        assert_eq!(q.first_schedulable_reduce().unwrap().id, JobId(1));
-        update(&mut q, 1, |e| e.pending_reduces = 0);
-        update(&mut q, 2, |e| e.reduce_eligible = true);
-        assert_eq!(q.first_schedulable_reduce().unwrap().id, JobId(2));
-    }
-
-    /// A queue of four jobs with nothing schedulable, both cursors scanned
-    /// to the end.
-    fn drained_queue() -> JobQueue {
-        let mut q = JobQueue::with_capacity(4);
-        for id in 0..4 {
-            let mut e = entry(id, None);
-            e.pending_maps = 0;
-            e.pending_reduces = 0;
-            e.reduce_eligible = true;
-            q.insert(e);
-        }
-        assert!(q.first_schedulable_map().is_none());
-        assert!(q.first_schedulable_reduce().is_none());
-        assert_eq!((q.map_hint.get(), q.reduce_hint.get()), (4, 4));
-        q
-    }
-
-    #[test]
-    fn replace_rewinds_a_cursor_on_each_flip_to_schedulable() {
-        // pending maps 0 -> n
-        let mut q = drained_queue();
-        update(&mut q, 1, |e| e.pending_maps = 3);
-        assert_eq!((q.map_hint.get(), q.reduce_hint.get()), (1, 4));
-        assert_eq!(q.first_schedulable_map().unwrap().id, JobId(1));
-        // pending reduces 0 -> n on an eligible job
-        let mut q = drained_queue();
-        update(&mut q, 2, |e| e.pending_reduces = 2);
-        assert_eq!((q.map_hint.get(), q.reduce_hint.get()), (4, 2));
-        assert_eq!(q.first_schedulable_reduce().unwrap().id, JobId(2));
-        // the reduce-eligibility flip
-        let mut q = drained_queue();
-        update(&mut q, 3, |e| {
-            e.reduce_eligible = false;
-            e.pending_reduces = 1;
-        });
-        assert_eq!(q.reduce_hint.get(), 4, "still not schedulable");
-        update(&mut q, 3, |e| e.reduce_eligible = true);
-        assert_eq!(q.reduce_hint.get(), 3);
-        assert_eq!(q.first_schedulable_reduce().unwrap().id, JobId(3));
-        // a flip ahead of the cursor never moves it forward
-        update(&mut q, 1, |e| e.pending_reduces = 1);
-        assert_eq!(q.reduce_hint.get(), 1);
-        update(&mut q, 2, |e| e.pending_reduces = 1);
-        assert_eq!(q.reduce_hint.get(), 1);
-    }
-
-    #[test]
-    fn replace_without_a_flip_to_schedulable_keeps_the_cursors() {
-        let mut q = JobQueue::with_capacity(3);
-        for id in 0..3 {
-            let mut e = entry(id, None);
-            e.reduce_eligible = true;
-            q.insert(e);
-        }
-        update(&mut q, 0, |e| {
-            e.pending_maps = 0;
-            e.pending_reduces = 0;
-        });
-        assert_eq!(q.first_schedulable_map().unwrap().id, JobId(1));
-        assert_eq!(q.first_schedulable_reduce().unwrap().id, JobId(1));
-        assert_eq!((q.map_hint.get(), q.reduce_hint.get()), (1, 1));
-        // predicate stays true: more pending work, a launch
-        update(&mut q, 2, |e| e.pending_maps = 5);
-        update(&mut q, 1, |e| {
-            e.pending_maps -= 1;
-            e.running_maps += 1;
-            e.pending_reduces += 1;
-        });
-        assert_eq!((q.map_hint.get(), q.reduce_hint.get()), (1, 1));
-        // predicate stays false behind the cursor
-        update(&mut q, 0, |e| e.completed_maps = 1);
-        assert_eq!((q.map_hint.get(), q.reduce_hint.get()), (1, 1));
-        // predicate turns false: the next scan moves on by itself
-        update(&mut q, 1, |e| {
-            e.pending_maps = 0;
-            e.reduce_eligible = false;
-        });
-        assert_eq!((q.map_hint.get(), q.reduce_hint.get()), (1, 1));
-        assert_eq!(q.first_schedulable_map().unwrap().id, JobId(2));
-        assert_eq!(q.first_schedulable_reduce().unwrap().id, JobId(2));
     }
 
     #[test]

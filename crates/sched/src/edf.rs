@@ -15,29 +15,32 @@
 //! A job without a cap is schedulable whenever it has a pending task,
 //! so MaxEDF is MinEDF with every cap lifted: it computes none.
 //!
-//! # Incremental deadline index
+//! # Deadline views
 //!
-//! Every pick and preemption check used to scan the whole queue with
-//! `min_by_key(edf_key)` — the last O(n)-per-decision policy family.
-//! The policy now schedules from a [`DeadlineIndex`]: keyed
-//! lazy-deletion heaps (see [`crate::edf_index`]) maintained O(log n)
-//! per queue mutation from the `on_job_queued` / `on_entry_mutated` /
-//! `on_job_dequeued` hooks. The under-cap filter is part of the
-//! predicates the index is offered and validated with, so its views
-//! hold exactly the jobs the policy may launch. The pre-index full-scan
+//! The policy schedules from three exact `OrderedView`s over
+//! [`JobEntry::edf_key`], maintained in O(log n) per queue mutation from
+//! the `on_job_queued` / `on_entry_mutated` / `on_job_dequeued` hooks:
+//! jobs with an under-cap schedulable map, jobs with an under-cap
+//! schedulable reduce, and jobs with a running map. A pick is the first
+//! key of its view; the preemption victim is the last running-map key,
+//! taken only if it sorts strictly after the urgent job. A job's key
+//! never changes, only whether it qualifies for a view. The full-scan
 //! paths are retained behind [`EdfPolicy::with_full_scan`] as a
-//! differential reference (the index is still maintained there, so
-//! `verify_invariants` cross-checks it in both modes), and the
+//! differential reference (the views are still maintained there, so
+//! `verify_invariants` cross-checks them in both modes), and the
 //! `edf_incremental_matches_full_scan_reference` proptest in `tests/`
 //! pins both modes to byte-identical schedules under faults,
 //! speculation and preemption.
 
-use crate::edf_index::{DeadlineIndex, EdfHeap};
+use crate::view::{update_views, verify_views, OrderedView};
 use simmr_core::codec::{put_u32, Reader};
 use simmr_core::{JobEntry, JobQueue, SchedulerPolicy};
 use simmr_model::{min_slots_for_deadline, JobProfileSummary, SlotAllocation};
-use simmr_types::{DurationMs, JobId, JobTemplate};
+use simmr_types::{DurationMs, JobId, JobTemplate, SimTime};
 use std::collections::HashMap;
+
+/// [`JobEntry::edf_key`]: `(deadline, arrival, id)`, no deadline last.
+type EdfKey = (SimTime, SimTime, JobId);
 
 /// Per-job wanted slot counts, indexed by job id; `None` is uncapped.
 type Wanted = [Option<SlotAllocation>];
@@ -57,12 +60,21 @@ fn under_reduce_cap(wanted: &Wanted, e: &JobEntry) -> bool {
         && wanted_of(wanted, e.id).is_none_or(|w| e.running_reduces < w.reduces)
 }
 
-/// The most urgent job satisfying `ok`: from the index view, or by a
-/// full queue scan in the reference mode. The view re-checks `ok`
-/// against the live entry, so a job that filled its cap since being
-/// offered is evicted, not picked.
+/// The entry's key in each view — under-cap schedulable map, under-cap
+/// schedulable reduce, running map — `None` where it does not qualify.
+fn keys(wanted: &Wanted, e: &JobEntry) -> [Option<EdfKey>; 3] {
+    let key = e.edf_key();
+    [
+        under_map_cap(wanted, e).then_some(key),
+        under_reduce_cap(wanted, e).then_some(key),
+        (e.running_maps > 0).then_some(key),
+    ]
+}
+
+/// The most urgent job satisfying `ok`: the view's first key, or a full
+/// queue scan in the reference mode.
 fn pick(
-    view: &mut EdfHeap<false>,
+    view: &OrderedView<EdfKey>,
     full_scan: bool,
     jobq: &JobQueue,
     ok: impl Fn(&JobEntry) -> bool,
@@ -70,7 +82,15 @@ fn pick(
     if full_scan {
         return jobq.entries().iter().filter(|e| ok(e)).min_by_key(|e| e.edf_key()).map(|e| e.id);
     }
-    view.peek_valid(|id| jobq.get(id).is_some_and(&ok)).map(|key| key.2)
+    view.first().map(|key| key.2)
+}
+
+/// The latest-deadline job with a running map, provided it sorts
+/// strictly after `urgent`. Keys are a total order, so if the last one
+/// *is* the urgent job (or sorts before it) no other running job sorts
+/// after the urgent one either.
+fn preemption_victim(running: &OrderedView<EdfKey>, urgent: EdfKey) -> Option<JobId> {
+    running.last().filter(|&victim| victim > urgent).map(|victim| victim.2)
 }
 
 /// EDF ordering; MinEDF additionally caps each job at its model-derived
@@ -81,19 +101,19 @@ pub struct EdfPolicy {
     /// none, which leaves every job uncapped.
     caps: bool,
     /// Per-job wanted slot counts, computed on arrival. Dense, indexed
-    /// by job id — the hot paths (per-pick cap filters, per-mutation
-    /// index edges) do O(1) slot reads instead of hashing.
+    /// by job id — the per-mutation view keys do O(1) slot reads
+    /// instead of hashing.
     wanted: Vec<Option<SlotAllocation>>,
     /// Allocations supplied up front (e.g. from a shared ARIA profile
     /// database) that take precedence over the model computation.
     /// Consulted once per arrival, so a map is fine here.
     presets: HashMap<JobId, SlotAllocation>,
     preemptive: bool,
-    /// Use the pre-index full-scan selection paths (differential
-    /// reference mode); the index is still maintained.
+    /// Use the full-scan selection paths (differential reference mode);
+    /// the views are still maintained.
     full_scan: bool,
-    /// Deadline views over the under-cap schedulable predicates.
-    index: DeadlineIndex,
+    /// The deadline views, in [`keys`] order.
+    views: [OrderedView<EdfKey>; 3],
 }
 
 impl EdfPolicy {
@@ -129,8 +149,8 @@ impl EdfPolicy {
     }
 
     /// Switches to the retained full-scan reference mode: every pick and
-    /// preemption check scans `jobq.entries()` exactly as before the
-    /// deadline index. Schedules are identical by construction — the
+    /// preemption check scans `jobq.entries()` instead of reading the
+    /// deadline views. Schedules are identical by construction — the
     /// differential proptest in `tests/` holds both modes to that.
     pub fn with_full_scan(mut self) -> Self {
         self.full_scan = true;
@@ -198,33 +218,27 @@ impl SchedulerPolicy for EdfPolicy {
 
     fn on_job_queued(&mut self, entry: &JobEntry) {
         // on_job_arrival has already run: the cap exists before the
-        // entry's first predicate edge is recorded
-        self.index.apply(
-            entry.edf_key(),
-            (false, under_map_cap(&self.wanted, entry)),
-            (false, under_reduce_cap(&self.wanted, entry)),
-            (false, entry.running_maps > 0),
-        );
+        // entry's first keys are computed
+        update_views(&mut self.views, [None; 3], keys(&self.wanted, entry));
     }
 
     fn on_entry_mutated(&mut self, before: &JobEntry, after: &JobEntry) {
-        let wanted = &self.wanted;
-        self.index.apply(
-            after.edf_key(),
-            (under_map_cap(wanted, before), under_map_cap(wanted, after)),
-            (under_reduce_cap(wanted, before), under_reduce_cap(wanted, after)),
-            (before.running_maps > 0, after.running_maps > 0),
-        );
+        update_views(&mut self.views, keys(&self.wanted, before), keys(&self.wanted, after));
+    }
+
+    fn on_job_dequeued(&mut self, entry: &JobEntry) {
+        // before on_job_departure drops the cap the keys were taken under
+        update_views(&mut self.views, keys(&self.wanted, entry), [None; 3]);
     }
 
     fn choose_next_map_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
         let wanted = &self.wanted;
-        pick(&mut self.index.maps, self.full_scan, jobq, |e| under_map_cap(wanted, e))
+        pick(&self.views[0], self.full_scan, jobq, |e| under_map_cap(wanted, e))
     }
 
     fn choose_next_reduce_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
         let wanted = &self.wanted;
-        pick(&mut self.index.reduces, self.full_scan, jobq, |e| under_reduce_cap(wanted, e))
+        pick(&self.views[1], self.full_scan, jobq, |e| under_reduce_cap(wanted, e))
     }
 
     /// Kills one map of the latest-deadline running job, provided it
@@ -251,8 +265,7 @@ impl SchedulerPolicy for EdfPolicy {
                 .max_by_key(|e| e.edf_key())
                 .map(|e| e.id)
         } else {
-            self.index
-                .preemption_victim(urgent, |id| jobq.get(id).is_some_and(|e| e.running_maps > 0))
+            preemption_victim(&self.views[2], urgent)
         };
         victims.extend(victim);
     }
@@ -269,19 +282,13 @@ impl SchedulerPolicy for EdfPolicy {
                 }
             }
         }
-        let wanted = &self.wanted;
-        self.index.verify_against(
-            jobq.entries()
-                .iter()
-                .map(|e| (e, under_map_cap(wanted, e), under_reduce_cap(wanted, e))),
-            self.name(),
-        );
+        let keys: Vec<_> = jobq.entries().iter().map(|e| keys(&self.wanted, e)).collect();
+        verify_views(&self.views, &keys, self.name(), ["map", "reduce", "running"]);
     }
 
     /// Variant flags, then for MinEDF the live wanted allocations sorted
-    /// by job id. The deadline index is rebuilt by the hook replay (a
-    /// rebuilt index has no lazy-deletion debt, which is behaviorally
-    /// invisible), and so are the allocations (the arrival replay
+    /// by job id. The deadline views are rebuilt by the hook replay, and
+    /// so are the allocations (the arrival replay
     /// recomputes them from the bounds model), so the blob is a
     /// cross-check: a resume with different presets routes every job
     /// through the same replay but lands on different caps, and this is
@@ -567,5 +574,26 @@ mod tests {
         // job 1 preempts at arrival and meets its deadline
         assert_eq!(report.jobs[1].completion, SimTime::from_millis(3_000));
         assert!(report.jobs[1].met_deadline());
+    }
+
+    #[test]
+    fn preemption_victim_requires_strictly_later_deadline() {
+        let key = |id, deadline| (SimTime::from_millis(deadline), SimTime::ZERO, JobId(id));
+        let mut running = OrderedView::default();
+        running.update(None, Some(key(1, 500)));
+        running.update(None, Some(key(2, 900)));
+        // urgent at 100: job 2 (latest deadline) is the victim
+        assert_eq!(preemption_victim(&running, key(0, 100)), Some(JobId(2)));
+        // the urgent job is itself the latest-deadline running job: no
+        // other running job can sort strictly after it
+        assert_eq!(preemption_victim(&running, key(2, 900)), None);
+        // no running job has a strictly later deadline than the urgent
+        assert_eq!(preemption_victim(&running, key(0, 1_000)), None);
+        // equal deadline: the id tiebreak decides strictness both ways
+        assert_eq!(preemption_victim(&running, key(3, 900)), None);
+        assert_eq!(preemption_victim(&running, key(0, 900)), Some(JobId(2)));
+        // a job whose last running map ends leaves the view at once
+        running.update(Some(key(2, 900)), None);
+        assert_eq!(preemption_victim(&running, key(0, 100)), Some(JobId(1)));
     }
 }

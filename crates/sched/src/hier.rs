@@ -41,14 +41,16 @@
 //! [`SchedulerPolicy::on_job_queued`] / [`on_entry_mutated`] /
 //! [`on_job_dequeued`] hooks, and each delta walks the leaf's ancestor
 //! chain in O(depth), keeping subtree sums exact between any two
-//! `choose` calls. The final-leaf pick reads a per-leaf FIFO index —
-//! job ids in `(arrival, id)` order with an amortized-O(1) per-kind
-//! cursor, mirroring the [`JobQueue`] hint design (the cursor rewinds
-//! whenever a job's schedulable-pending count goes 0 → >0). A retained
-//! full-reaggregation path ([`HierPolicy::with_full_reaggregation`])
-//! reproduces the pre-incremental behaviour for differential testing,
-//! and `verify_invariants` cross-checks the maintained counters against
-//! that full re-aggregation oracle.
+//! `choose` calls. Each leaf also keeps three exact `OrderedView`s
+//! keyed `(arrival, id)`, updated from the same hooks in O(log n): its
+//! jobs with a schedulable map, with a schedulable reduce, and with a
+//! running map. The final-leaf pick is the first key of a schedulable
+//! view and the preemption victim job the last key of the running one.
+//! A retained full-reaggregation path
+//! ([`HierPolicy::with_full_reaggregation`]) reproduces the
+//! pre-incremental behaviour for differential testing, and
+//! `verify_invariants` cross-checks the maintained counters against that
+//! full re-aggregation oracle and every leaf view against the queue.
 //!
 //! [`on_entry_mutated`]: SchedulerPolicy::on_entry_mutated
 //! [`on_job_dequeued`]: SchedulerPolicy::on_job_dequeued
@@ -58,11 +60,26 @@
 //! the sanctioned `map_preemptions` / `next_wakeup` hooks.
 
 use crate::pool::{join_prefix, validate_pools, PoolSpec};
+use crate::view::{update_views, verify_views, OrderedView};
 use simmr_core::codec::{put_opt_u64, put_u32, Reader};
 use simmr_core::{JobEntry, JobQueue, SchedulerPolicy};
 use simmr_types::{DurationMs, JobId, JobTemplate, SimTime, TaskKind};
 use std::cmp::Reverse;
 use std::collections::HashMap;
+
+/// `(arrival, id)`: FIFO order within a leaf.
+type LeafKey = (SimTime, JobId);
+
+/// The entry's key in each leaf view — schedulable map, schedulable
+/// reduce, running map — `None` where it does not qualify.
+fn leaf_keys(e: &JobEntry) -> [Option<LeafKey>; 3] {
+    let key = (e.arrival, e.id);
+    [
+        e.has_schedulable_map().then_some(key),
+        e.has_schedulable_reduce().then_some(key),
+        (e.running_maps > 0).then_some(key),
+    ]
+}
 
 /// Map/reduce index into per-kind share arrays.
 fn ki(kind: TaskKind) -> usize {
@@ -113,13 +130,10 @@ pub struct HierPolicy {
     /// queue outside the reference mode and the invariant oracle.
     run: [Vec<usize>; 2],
     pend: [Vec<usize>; 2],
-    /// Per-leaf active job ids in `(arrival, id)` order — the FIFO index
-    /// the final-leaf pick scans instead of the whole queue.
-    leaf_fifo: Vec<Vec<JobId>>,
-    /// Per-leaf, per-kind cursor into `leaf_fifo`: no schedulable job of
-    /// that kind sits strictly before it. Rewound to 0 whenever a job in
-    /// the leaf goes schedulable-pending 0 → >0.
-    leaf_hint: Vec<[usize; 2]>,
+    /// Per-node job views in [`leaf_keys`] order (empty on internal
+    /// nodes): the final-leaf pick and the victim job read them instead
+    /// of the queue.
+    leaf_views: Vec<[OrderedView<LeafKey>; 3]>,
     /// Use the pre-incremental full-reaggregation paths (reference mode
     /// for differential tests); the maintained state is still updated.
     reference: bool,
@@ -159,8 +173,7 @@ impl HierPolicy {
             starved_since: Vec::new(),
             run: [Vec::new(), Vec::new()],
             pend: [Vec::new(), Vec::new()],
-            leaf_fifo: Vec::new(),
-            leaf_hint: Vec::new(),
+            leaf_views: Vec::new(),
             reference: false,
             scratch_run: Vec::new(),
             scratch_pend: Vec::new(),
@@ -174,16 +187,16 @@ impl HierPolicy {
         policy.starved_since = vec![None; n];
         policy.run = [vec![0; n], vec![0; n]];
         policy.pend = [vec![0; n], vec![0; n]];
-        policy.leaf_fifo = vec![Vec::new(); n];
-        policy.leaf_hint = vec![[0, 0]; n];
+        policy.leaf_views = vec![Default::default(); n];
         policy
     }
 
     /// Switches to the retained full-reaggregation reference mode: every
     /// `choose`/starvation pass rebuilds per-pool counts from the whole
-    /// queue and scans it for the leaf pick, exactly as before the
-    /// incremental share view. Schedules are identical by construction —
-    /// the differential proptest in `tests/` holds both modes to that.
+    /// queue and scans it for the leaf pick and the victim job, instead
+    /// of reading the maintained counters and leaf views. Schedules are
+    /// identical by construction — the differential proptest in `tests/`
+    /// holds both modes to that.
     pub fn with_full_reaggregation(mut self) -> Self {
         self.reference = true;
         self
@@ -432,34 +445,8 @@ impl HierPolicy {
                 .min_by_key(|e| (e.arrival, e.id))
                 .map(|e| e.id)
         } else {
-            self.pick_from_leaf(jobq, leaf, kind)
+            self.leaf_views[leaf][k].first().map(|key| key.1)
         }
-    }
-
-    /// FIFO pick within a leaf: resume the per-kind cursor and return the
-    /// first schedulable job at or after it. Entries the cursor passes
-    /// are non-schedulable *now* and stay skipped until a 0 → >0
-    /// transition rewinds the cursor, so successive picks are amortized
-    /// O(1) — the `JobQueue` hint discipline on a per-leaf list.
-    fn pick_from_leaf(&mut self, jobq: &JobQueue, leaf: usize, kind: TaskKind) -> Option<JobId> {
-        let k = ki(kind);
-        let fifo = &self.leaf_fifo[leaf];
-        let mut i = self.leaf_hint[leaf][k].min(fifo.len());
-        while i < fifo.len() {
-            if let Some(e) = jobq.get(fifo[i]) {
-                let schedulable = match kind {
-                    TaskKind::Map => e.has_schedulable_map(),
-                    TaskKind::Reduce => e.has_schedulable_reduce(),
-                };
-                if schedulable {
-                    self.leaf_hint[leaf][k] = i;
-                    return Some(e.id);
-                }
-            }
-            i += 1;
-        }
-        self.leaf_hint[leaf][k] = i;
-        None
     }
 
     /// Updates the per-pool starvation clocks from the current share
@@ -553,10 +540,7 @@ impl SchedulerPolicy for HierPolicy {
             let (r, p) = Self::entry_counts(entry, kind);
             self.apply_delta(leaf, ki(kind), r as isize, p as isize);
         }
-        // Arrivals come in (arrival, id) order — the queue asserts it —
-        // so appending keeps the leaf FIFO sorted. The new tail sits at
-        // or after every cursor, so no rewind is needed.
-        self.leaf_fifo[leaf].push(entry.id);
+        update_views(&mut self.leaf_views[leaf], [None; 3], leaf_keys(entry));
     }
 
     fn on_entry_mutated(&mut self, before: &JobEntry, after: &JobEntry) {
@@ -566,13 +550,8 @@ impl SchedulerPolicy for HierPolicy {
             let (r0, p0) = Self::entry_counts(before, kind);
             let (r1, p1) = Self::entry_counts(after, kind);
             self.apply_delta(leaf, k, r1 as isize - r0 as isize, p1 as isize - p0 as isize);
-            // A job turning schedulable again (preemption requeue,
-            // failure rerun, speculative duplicate, reduce-eligibility
-            // flip) may sit before the cursor: rewind it.
-            if p0 == 0 && p1 > 0 {
-                self.leaf_hint[leaf][k] = 0;
-            }
         }
+        update_views(&mut self.leaf_views[leaf], leaf_keys(before), leaf_keys(after));
     }
 
     fn on_job_dequeued(&mut self, entry: &JobEntry) {
@@ -581,17 +560,7 @@ impl SchedulerPolicy for HierPolicy {
             let (r, p) = Self::entry_counts(entry, kind);
             self.apply_delta(leaf, ki(kind), -(r as isize), -(p as isize));
         }
-        let fifo = &mut self.leaf_fifo[leaf];
-        let pos = fifo
-            .iter()
-            .position(|&id| id == entry.id)
-            .expect("dequeued job present in its leaf FIFO");
-        fifo.remove(pos);
-        for hint in &mut self.leaf_hint[leaf] {
-            if pos < *hint {
-                *hint -= 1;
-            }
-        }
+        update_views(&mut self.leaf_views[leaf], leaf_keys(entry), [None; 3]);
     }
 
     fn choose_next_map_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
@@ -663,13 +632,7 @@ impl SchedulerPolicy for HierPolicy {
                 .max_by_key(|e| (e.arrival, e.id))
                 .map(|e| e.id)
         } else {
-            // the leaf FIFO is (arrival, id)-sorted: first hit from the
-            // back is the youngest job with a running map
-            self.leaf_fifo[leaf]
-                .iter()
-                .rev()
-                .copied()
-                .find(|&id| jobq.get(id).is_some_and(|e| e.running_maps > 0))
+            self.leaf_views[leaf][2].last().map(|key| key.1)
         };
         if let Some(id) = victim {
             victims.push(id);
@@ -677,7 +640,7 @@ impl SchedulerPolicy for HierPolicy {
     }
 
     /// Almost everything is derivable from the hook replay (routing,
-    /// subtree counters, leaf FIFOs); the starvation clocks are not —
+    /// subtree counters, leaf views); the starvation clocks are not —
     /// *when* a pool dropped below its min share drives preemption timing
     /// — so they are captured, alongside an assignment fingerprint that
     /// catches a resume under a different pool tree.
@@ -764,13 +727,12 @@ impl SchedulerPolicy for HierPolicy {
                 jobq.len()
             );
         }
-        // (2) every leaf FIFO holds exactly its assigned active jobs, in
-        // (arrival, id) order — queue entries come out in that order, so
-        // splitting them by leaf rebuilds the expected lists
-        let mut expect_fifo: Vec<Vec<JobId>> = vec![Vec::new(); self.nodes.len()];
+        // (2) every leaf's views hold exactly the keys of its assigned
+        // active jobs
+        let mut expected: Vec<Vec<[Option<LeafKey>; 3]>> = vec![Vec::new(); self.nodes.len()];
         for e in jobq.entries() {
             match self.assignment.get(&e.id) {
-                Some(&leaf) if self.leaves.contains(&leaf) => expect_fifo[leaf].push(e.id),
+                Some(&leaf) if self.leaves.contains(&leaf) => expected[leaf].push(leaf_keys(e)),
                 got => panic!(
                     "engine invariant violated [pool-routing]: job {} assigned to {:?}, \
                      not a leaf pool",
@@ -778,10 +740,13 @@ impl SchedulerPolicy for HierPolicy {
                 ),
             }
         }
-        if expect_fifo != self.leaf_fifo {
-            panic!(
-                "engine invariant violated [pool-fifo]: leaf FIFOs {:?} != expected {:?}",
-                self.leaf_fifo, expect_fifo
+        for &leaf in &self.leaves {
+            let owner = format!("{} pool {:?}", self.name, self.nodes[leaf].prefix);
+            verify_views(
+                &self.leaf_views[leaf],
+                &expected[leaf],
+                &owner,
+                ["map", "reduce", "running"],
             );
         }
         // (3) maintained subtree counters match the full re-aggregation
@@ -798,27 +763,8 @@ impl SchedulerPolicy for HierPolicy {
                     self.run[k], self.pend[k]
                 );
             }
-            // (4) cursor invariant: no schedulable job strictly before a
-            // leaf's per-kind hint
-            for &leaf in &self.leaves {
-                let hint = self.leaf_hint[leaf][k];
-                for &id in self.leaf_fifo[leaf].iter().take(hint) {
-                    let Some(e) = jobq.get(id) else { continue };
-                    let schedulable = match kind {
-                        TaskKind::Map => e.has_schedulable_map(),
-                        TaskKind::Reduce => e.has_schedulable_reduce(),
-                    };
-                    if schedulable {
-                        panic!(
-                            "engine invariant violated [pool-fifo-cursor]: job {id} in pool \
-                             {:?} is {kind:?}-schedulable before the cursor (hint {hint})",
-                            self.nodes[leaf].prefix
-                        );
-                    }
-                }
-            }
         }
-        // (5) starvation clocks agree with freshly derived share state
+        // (4) starvation clocks agree with freshly derived share state
         // (`running`/`pending` still hold the Reduce oracle; rebuild Map)
         self.aggregate_into(jobq, TaskKind::Map, &mut running, &mut pending);
         for (i, node) in self.nodes.iter().enumerate() {

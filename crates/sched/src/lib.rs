@@ -4,14 +4,14 @@
 //! paper):
 //!
 //! * [`FifoPolicy`] — Hadoop's default FIFO: earliest-arrived job first;
+//!   [`FifoPolicy::fair`] is its fair-share variant, an HFS-flavoured
+//!   extension: the job with the fewest running tasks goes first;
 //! * [`EdfPolicy`] — Earliest-Deadline-First ordering, in two allocation
 //!   rules: `maxedf` ([`EdfPolicy::maxedf`]) grabs every free slot,
 //!   FIFO-style; `minedf` ([`EdfPolicy::minedf`]) allocates *minimally*:
 //!   on arrival, the ARIA bounds model computes the smallest `(S_M, S_R)`
 //!   that meets the job's deadline, and the policy never runs more tasks
 //!   than that, leaving spare slots to later arrivals;
-//! * [`FairSharePolicy`] — an HFS-flavoured extension: the job with the
-//!   smallest running-task share goes first;
 //! * [`HierPolicy`] — hierarchical pool *trees* (Hadoop Fair/Capacity
 //!   style, the paper's refs. 2–3): nested pools with weights, min/max
 //!   shares per slot kind and min-share preemption timeouts, declared via
@@ -22,13 +22,14 @@
 //! All policies implement [`simmr_core::SchedulerPolicy`] and are
 //! deterministic: ties break on `(arrival, job id)`.
 //!
-//! The EDF policy schedules from an incremental lazy-deletion deadline
-//! index ([`edf_index::DeadlineIndex`]) maintained from the engine's
-//! queue-mutation hooks — amortized O(log n) per decision instead of a
-//! full queue scan; the hierarchical policy (and with it `capacity`)
-//! keeps incremental share aggregates the same way. Both retain their
-//! full-scan reference modes for differential testing. FIFO reads the
-//! queue's own arrival cursor; fair share scans the queue per decision.
+//! Every policy picks from exact ordered views (`view.rs`):
+//! `BTreeSet`s holding exactly the jobs that qualify for a decision,
+//! under the policy's key, maintained from the engine's queue-mutation
+//! hooks in O(log n) per mutation. FIFO and fair keep one view per slot
+//! kind, EDF three deadline views, and the hierarchical policy (and with
+//! it `capacity`) three views per leaf pool next to its incremental
+//! share aggregates. No decision scans the queue. EDF and hier retain
+//! their full-scan reference modes for differential testing.
 //!
 //! ## Policy specs
 //!
@@ -65,15 +66,12 @@
 //! the spec grammar landed, is gone — call [`parse_policy`] instead.)
 
 pub mod edf;
-pub mod edf_index;
-pub mod fair;
 pub mod fifo;
 pub mod hier;
 pub mod pool;
+mod view;
 
 pub use edf::EdfPolicy;
-pub use edf_index::{DeadlineIndex, EdfHeap, EdfKey};
-pub use fair::FairSharePolicy;
 pub use fifo::FifoPolicy;
 pub use hier::HierPolicy;
 pub use pool::{parse_pool_spec, pools_from_json, render_pool_specs, PoolSpec};
@@ -304,7 +302,7 @@ impl PolicySpec {
             PolicySpec::MaxEdf { preemptive: true } => Box::new(EdfPolicy::maxedf().preemptive()),
             PolicySpec::MinEdf { preemptive: false } => Box::new(EdfPolicy::minedf()),
             PolicySpec::MinEdf { preemptive: true } => Box::new(EdfPolicy::minedf().preemptive()),
-            PolicySpec::Fair => Box::new(FairSharePolicy::new()),
+            PolicySpec::Fair => Box::new(FifoPolicy::fair()),
             PolicySpec::Capacity { queues } => Box::new(HierPolicy::capacity(queues)),
             PolicySpec::Hier { pools } if pools.is_empty() => Box::new(HierPolicy::two_tier()),
             PolicySpec::Hier { pools } => Box::new(HierPolicy::new(pools.clone())),

@@ -19,10 +19,14 @@
 //!   the maintained per-pool counters against the re-aggregation oracle
 //!   after every batch;
 //! * random deadline-heavy traces (faults, speculation and preemption
-//!   included) replay under the EDF policies' incremental deadline index
+//!   included) replay under the EDF policies' ordered deadline views
 //!   and their retained full-scan reference modes — byte-identical
-//!   reports required, with the checker cross-checking the index against
-//!   the live queue after every batch;
+//!   reports required, with the checker verifying the views against the
+//!   live queue after every batch;
+//! * random traces under the full failure model replay under `fifo` and
+//!   `fair`, scheduling from their ordered views, and under test-local
+//!   policies that scan the whole queue per decision — byte-identical
+//!   reports required, with the views verified after every batch;
 //! * a deterministic preemption scenario is cross-checked against the
 //!   snapshot oracle. With the two preemption fixes reverted
 //!   (`preempt_map` not setting `jobq_dirty`; map bars recorded at launch
@@ -30,16 +34,15 @@
 //!   that bug class.
 
 use proptest::prelude::*;
-use simmr_core::SchedulerPolicy;
 use simmr_core::{
-    Divergence, EngineCheckpoint, EngineConfig, FaultSpec, ForkSpec, HostFailure, RecoverySpec,
-    SimulatorEngine, TraceJobSource,
+    Divergence, EngineCheckpoint, EngineConfig, FaultSpec, ForkSpec, HostFailure, JobQueue,
+    RecoverySpec, SchedulerPolicy, SimulatorEngine, TraceJobSource,
 };
 use simmr_model::{estimate_completion, JobProfileSummary};
 use simmr_sched::{parse_policy, EdfPolicy, HierPolicy, PolicySpec};
 use simmr_stats::Dist;
 use simmr_trace::{encode_trace, BinTraceSource, MultiTenantWorkload};
-use simmr_types::{HostId, JobSpec, JobTemplate, SimTime, TimelinePhase, WorkloadTrace};
+use simmr_types::{HostId, JobId, JobSpec, JobTemplate, SimTime, TimelinePhase, WorkloadTrace};
 
 const POLICIES: [&str; 8] = [
     "fifo",
@@ -286,15 +289,15 @@ proptest! {
         prop_assert_eq!(incremental, reference, "incremental policy diverged on {}", spec);
     }
 
-    /// (e) Differential oracle for the incremental deadline index: random
+    /// (e) Differential oracle for the EDF deadline views: random
     /// deadline-heavy traces (a mix of tight, relaxed and absent
     /// deadlines) replay under every EDF variant — plain and preemptive,
-    /// MaxEDF and MinEDF — once scheduling from the lazy-deletion
-    /// deadline index and once in the retained `with_full_scan()`
-    /// reference mode, with host failures and speculation in play.
-    /// Reports (event timelines included) must match byte for byte, and
-    /// the armed invariant checker cross-checks index membership against
-    /// the live queue after every settled batch on both sides.
+    /// MaxEDF and MinEDF — once scheduling from the ordered deadline
+    /// views and once in the retained `with_full_scan()` reference mode,
+    /// with host failures and speculation in play. Reports (event
+    /// timelines included) must match byte for byte, and the armed
+    /// invariant checker verifies each view against the live queue after
+    /// every settled batch on both sides.
     #[test]
     fn edf_incremental_matches_full_scan_reference(
         jobs in proptest::collection::vec(
@@ -347,12 +350,113 @@ proptest! {
             prop_assert_eq!(incremental, reference, "incremental {} diverged", variant);
         }
     }
+
+    /// (f) Differential oracle for the queue-order policies' ordered
+    /// views: random traces (arrivals on a coarse grid, so ties are
+    /// common) replay under `fifo` and `fair`, scheduling from their
+    /// views, and under test-local naive policies that scan the whole
+    /// queue per decision, with host failures, recovery, speculation and
+    /// slowdowns in play. Reports (event timelines included) must match
+    /// byte for byte, and the armed invariant checker verifies the views
+    /// against the live queue after every settled batch.
+    #[test]
+    fn queue_order_policies_match_naive_scan_reference(
+        jobs in proptest::collection::vec(
+            // (maps, reduces, map_ms, sh_ms, red_ms, arrival in 100 ms)
+            (1usize..7, 0usize..4, 50u64..600, 1u64..60, 1u64..80, 0u64..12),
+            2..16,
+        ),
+        map_slots in 1usize..6,
+        reduce_slots in 1usize..4,
+        hosts in 2usize..4,
+        fault_count in 0u32..3,
+        seed in 0u64..1_000,
+        speculation_on in proptest::bool::ANY,
+    ) {
+        let mut trace = WorkloadTrace::new("queue-order-diff", "invariant-harness");
+        for &(maps, reduces, map_ms, sh_ms, red_ms, arrival) in &jobs {
+            trace.push(JobSpec::new(
+                uniform_template(maps, reduces, map_ms, sh_ms, red_ms),
+                SimTime::from_millis(100 * arrival),
+            ));
+        }
+        let mut config = EngineConfig::new(map_slots, reduce_slots)
+            .with_hosts(hosts)
+            .with_faults(FaultSpec { seed, count: fault_count, mean_interval_ms: 900 })
+            .with_recovery(RecoverySpec { seed, mean_ms: 1_500 })
+            .with_slowdown(Dist::LogNormal { mu: -0.125, sigma: 0.5 }, seed)
+            .with_timeline()
+            .with_invariants();
+        if speculation_on {
+            config = config.with_speculation(1.5);
+        }
+        let naive: [(&str, Box<dyn SchedulerPolicy>); 2] =
+            [("fifo", Box::new(NaiveFifo)), ("fair", Box::new(NaiveFair))];
+        for (spec, reference) in naive {
+            let views =
+                SimulatorEngine::new(config, &trace, parse_policy(spec).expect("known policy")).run();
+            let naive = SimulatorEngine::new(config, &trace, reference).run();
+            prop_assert_eq!(views, naive, "{} diverged from its naive scan", spec);
+        }
+    }
+}
+
+/// Test-local FIFO reference: the minimal FIFO of the `simmr_core` crate
+/// docs, a scan of the whole queue per decision.
+struct NaiveFifo;
+
+impl SchedulerPolicy for NaiveFifo {
+    fn name(&self) -> &str {
+        "fifo"
+    }
+
+    fn choose_next_map_task(&mut self, q: &JobQueue) -> Option<JobId> {
+        q.entries()
+            .iter()
+            .filter(|e| e.pending_maps > 0)
+            .min_by_key(|e| (e.arrival, e.id))
+            .map(|e| e.id)
+    }
+
+    fn choose_next_reduce_task(&mut self, q: &JobQueue) -> Option<JobId> {
+        q.entries()
+            .iter()
+            .filter(|e| e.reduce_eligible && e.pending_reduces > 0)
+            .min_by_key(|e| (e.arrival, e.id))
+            .map(|e| e.id)
+    }
+}
+
+/// Test-local fair-share reference: fewest running tasks first, by a
+/// `min_by_key` scan of the whole queue per decision.
+struct NaiveFair;
+
+impl SchedulerPolicy for NaiveFair {
+    fn name(&self) -> &str {
+        "fair"
+    }
+
+    fn choose_next_map_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
+        jobq.entries()
+            .iter()
+            .filter(|e| e.has_schedulable_map())
+            .min_by_key(|e| (e.running_maps, e.arrival, e.id))
+            .map(|e| e.id)
+    }
+
+    fn choose_next_reduce_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
+        jobq.entries()
+            .iter()
+            .filter(|e| e.has_schedulable_reduce())
+            .min_by_key(|e| (e.running_reduces, e.arrival, e.id))
+            .map(|e| e.id)
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// (f) Fork differential oracle for the time-travel checkpoints: for
+    /// (g) Fork differential oracle for the time-travel checkpoints: for
     /// every policy, a run under the full perturbation stack (host
     /// failures, recovery, speculation, per-slot slowdowns) is
     /// checkpointed at a random instant — through the full binary codec —

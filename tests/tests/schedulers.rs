@@ -405,6 +405,59 @@ fn arrival_path_reports_match_golden_digests() {
     assert_eq!(got, GOLDEN, "arrival-path schedules moved: {got:#018x?}");
 }
 
+/// Golden pin for the queue-order policies on a deep backlog: `fifo`
+/// and `fair` replay a seeded 400-job Facebook trace at 2 s mean
+/// inter-arrival — far more work than the cluster drains, so hundreds of
+/// jobs wait at once — on a plain 16×16 cluster and on a 12×8, 4-host
+/// cluster with host failures, recovery, speculation and per-slot
+/// slowdowns. Asserts the CRC-64 of each serialized report (timeline
+/// included) and the checkpoint digest at half that run's makespan. The
+/// checker is not armed here: on this backlog it costs over half a
+/// minute per debug run. The `check-invariants` CI step arms it, and
+/// `queue_order_policies_match_naive_scan_reference` arms it on small
+/// random workloads. The constants were captured while fifo scanned the
+/// queue behind a cursor and fair scanned it whole.
+#[test]
+fn queue_order_schedules_match_golden_digests() {
+    const POLICIES: [&str; 2] = ["fifo", "fair"];
+    const REPORTS: [[u64; 2]; 2] = [
+        [0xdc4f_44e0_b002_bd52, 0x2bab_f8df_c891_84dc],
+        [0x453a_754b_e8e5_47a5, 0xbf82_7fee_047b_75ba],
+    ];
+    const CHECKPOINTS: [[u64; 2]; 2] = [
+        [0x8502_bc36_5198_1228, 0x48a2_ebbc_9c4d_e5f5],
+        [0x60fd_e383_9766_cb3b, 0xc178_8cc6_7561_659c],
+    ];
+    let trace = FacebookWorkload { mean_interarrival_ms: 2_000.0 }.generate(400, 17);
+    let shapes = [
+        EngineConfig::new(16, 16),
+        EngineConfig::new(12, 8)
+            .with_hosts(4)
+            .with_faults(FaultSpec { seed: 41, count: 4, mean_interval_ms: 120_000 })
+            .with_recovery(RecoverySpec { seed: 42, mean_ms: 60_000 })
+            .with_speculation(1.5)
+            .with_slowdown(Dist::LogNormal { mu: -0.125, sigma: 0.5 }, 43),
+    ];
+    let (mut reports, mut checkpoints) = ([[0u64; 2]; 2], [[0u64; 2]; 2]);
+    for (i, spec) in POLICIES.iter().enumerate() {
+        for (j, shape) in shapes.iter().enumerate() {
+            let config = shape.with_timeline();
+            let policy = || parse_policy(spec).expect("known policy");
+            let report = SimulatorEngine::new(config, &trace, policy()).run();
+            let json = serde_json::to_string(&report).expect("report serializes");
+            reports[i][j] = Crc64::checksum(json.as_bytes());
+            let mid = SimTime::from_millis(report.makespan.as_millis() / 2);
+            let ckpt = SimulatorEngine::new(config, &trace, policy())
+                .checkpoint_at(mid)
+                .expect("materialized trace");
+            let bytes = ckpt.encode();
+            checkpoints[i][j] = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+        }
+    }
+    assert_eq!(reports, REPORTS, "queue-order schedules moved: {reports:#018x?}");
+    assert_eq!(checkpoints, CHECKPOINTS, "queue-order checkpoints moved: {checkpoints:#018x?}");
+}
+
 /// A min share larger than the whole cluster cannot over-kill: preemption
 /// stops as soon as the starved pool has no pending work left, so the
 /// number of kills is bounded by the pool's own demand.
