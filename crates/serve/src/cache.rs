@@ -63,7 +63,16 @@ impl<V: Clone> MemoCache<V> {
 
     /// Looks a key up, counting the hit or miss.
     pub fn get(&self, key: &str) -> Option<V> {
-        let found = self.shard(key).lock().expect("cache shard poisoned").get(key).cloned();
+        self.get_if(key, |_| true)
+    }
+
+    /// Looks a key up, keeping the resident value only when `valid`
+    /// accepts it: a rejected value is not returned and counts as a
+    /// miss, as if it had not been there.
+    pub fn get_if(&self, key: &str, valid: impl FnOnce(&V) -> bool) -> Option<V> {
+        let shard = self.shard(key).lock().expect("cache shard poisoned");
+        let found = shard.get(key).filter(|v| valid(v)).cloned();
+        drop(shard);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -123,6 +132,10 @@ mod tests {
         let b = cache.get("k").unwrap();
         assert!(Arc::ptr_eq(&a, &b), "hits share the stored allocation");
         assert_eq!(cache.stats(), CacheStats { entries: 1, hits: 2, misses: 1 });
+        // a resident value the caller rejects is a miss
+        assert!(cache.get_if("k", |body| body.is_empty()).is_none());
+        assert!(cache.get_if("k", |body| !body.is_empty()).is_some());
+        assert_eq!(cache.stats(), CacheStats { entries: 1, hits: 3, misses: 2 });
     }
 
     #[test]

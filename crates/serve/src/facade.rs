@@ -10,8 +10,11 @@
 //! normalized spec plus the trace's content digest — the
 //! [`ScenarioSpec::canonical_key`] — fully determines the report byte
 //! for byte, which is what makes the serve layer's memo cache sound.
+//! Resolved traces and their deadline-stamped variants are memoized for
+//! the facade's lifetime; a file-backed trace is reused only while its
+//! file still holds the bytes it was decoded from (see [`SimFacade`]).
 
-use crate::cache::CkptCache;
+use crate::cache::{CacheStats, CkptCache, MemoCache};
 use simmr_core::{
     Divergence, EngineCheckpoint, EngineConfig, FaultSpec, ForkSpec, JobSource, RecoverySpec,
     SimulatorEngine,
@@ -21,7 +24,6 @@ use simmr_stats::parallel_sweep;
 use simmr_stats::{Dist, SeededRng};
 use simmr_trace::{digest_trace, BinTraceSource, TraceDatabase, TraceDigest, TraceFormat};
 use simmr_types::{ClusterSpec, HostId, JobSpec, SimTime, SimulationReport, WorkloadTrace};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -694,16 +696,20 @@ pub struct FacadeRun {
 
 /// Loads and validates a trace file, sniffing JSON vs SIMMRBIN by magic.
 pub fn load_trace_file(path: &str) -> Result<WorkloadTrace, FacadeError> {
+    decode_trace_file(path, &read_trace_file(path)?)
+}
+
+/// Reads a trace file's bytes.
+fn read_trace_file(path: &str) -> Result<Vec<u8>, FacadeError> {
+    std::fs::read(path).map_err(|e| FacadeError::Trace(format!("cannot read `{path}`: {e}")))
+}
+
+/// Decodes and validates the bytes read from the trace file at `path`.
+fn decode_trace_file(path: &str, bytes: &[u8]) -> Result<WorkloadTrace, FacadeError> {
     let err = |msg: String| FacadeError::Trace(msg);
-    let bytes = std::fs::read(path).map_err(|e| err(format!("cannot read `{path}`: {e}")))?;
-    let trace: WorkloadTrace = if simmr_trace::is_binary_trace(&bytes) {
-        simmr_trace::decode_trace(&bytes)
-            .map_err(|e| err(format!("`{path}` is not a valid binary trace: {e}")))?
-    } else {
-        let text =
-            std::str::from_utf8(&bytes).map_err(|_| err(format!("`{path}` is not a trace")))?;
-        serde_json::from_str(text).map_err(|e| err(format!("`{path}` is not a trace: {e}")))?
-    };
+    let trace = TraceFormat::of(bytes)
+        .decode(bytes)
+        .map_err(|e| err(format!("`{path}` is not a trace: {e}")))?;
     trace.validate().map_err(|e| err(format!("`{path}` contains an invalid job: {e}")))?;
     Ok(trace)
 }
@@ -734,24 +740,62 @@ pub fn attach_deadlines(
     }
 }
 
+/// Most file-backed traces the facade keeps decoded at once.
+const MAX_TRACES: usize = 32;
+
+/// Most deadline-stamped trace variants the facade keeps at once.
+const MAX_STAMPED: usize = 32;
+
+/// A validated, arrival-sorted trace and its content digest.
+type Prepared = (Arc<WorkloadTrace>, TraceDigest);
+
 /// The request-scoped engine facade: resolves [`ScenarioSpec`]s and runs
-/// them. Holds no mutable state — an optional trace database handle is
-/// all there is — so one facade serves any number of threads.
+/// them, one facade for any number of threads.
+///
+/// Its only mutable state is a trace memo that lives as long as the
+/// facade, so a stored trace is read, decoded, sorted and digested once
+/// per content rather than once per request, and each set of stamped
+/// deadlines is drawn once. Every resolve of a `name` or `path` ref still
+/// re-reads the file and reuses the memoized trace only if the bytes are
+/// exactly those it was decoded from: a trace replaced through the
+/// database, or rewritten in place with content of the same length
+/// inside one timestamp tick, is decoded afresh (a `(path, len, mtime,
+/// inode)` identity would miss the latter). The check costs one
+/// page-cache read and a compare; decoding runs outside any lock.
 pub struct SimFacade {
     db: Option<TraceDatabase>,
+    /// `name:`/`path:` trace ref → the bytes last read from its file and
+    /// the trace they decode to.
+    traces: MemoCache<Arc<(Vec<u8>, Prepared)>>,
+    /// Trace digest → the stored name a digest ref last resolved to; a
+    /// hint, re-checked against the file like any name ref.
+    names: MemoCache<Arc<str>>,
+    /// `{digest}|{factor bits}|{map slots}|{reduce slots}|{seed}` → the
+    /// trace with deadlines stamped. The digest pins the trace's content,
+    /// as it does in the report cache's keys.
+    stamped: MemoCache<Arc<WorkloadTrace>>,
 }
 
 impl SimFacade {
     /// A facade without a trace database: only `path` and `inline` trace
     /// refs resolve.
     pub fn new() -> Self {
-        SimFacade { db: None }
+        SimFacade::over(None)
     }
 
     /// A facade over the trace database at `dir` (created if absent).
     pub fn with_db(dir: impl AsRef<std::path::Path>) -> Result<Self, FacadeError> {
         let db = TraceDatabase::open(dir).map_err(|e| FacadeError::Trace(e.to_string()))?;
-        Ok(SimFacade { db: Some(db) })
+        Ok(SimFacade::over(Some(db)))
+    }
+
+    fn over(db: Option<TraceDatabase>) -> Self {
+        SimFacade {
+            db,
+            traces: MemoCache::new(1, MAX_TRACES),
+            names: MemoCache::new(1, MAX_TRACES),
+            stamped: MemoCache::new(1, MAX_STAMPED),
+        }
     }
 
     /// The underlying trace database, when configured.
@@ -759,62 +803,46 @@ impl SimFacade {
         self.db.as_ref()
     }
 
-    /// Resolves one scenario: normalizes and validates the spec,
-    /// materializes the trace, stamps deadlines, computes digest and key.
-    pub fn resolve(&self, spec: &ScenarioSpec) -> Result<ResolvedScenario, FacadeError> {
-        self.resolve_many(std::slice::from_ref(spec)).pop().expect("one spec in, one result out")
+    /// The trace memo's counters: resident file-backed traces, and file
+    /// resolves answered from the memo (hits) or decoded (misses).
+    pub fn trace_stats(&self) -> CacheStats {
+        self.traces.stats()
     }
 
-    /// Resolves a batch, loading and deadline-stamping each distinct
-    /// trace exactly once however many scenarios share it. Per-scenario
-    /// results: one bad spec does not fail its neighbours.
+    /// Resolves one scenario: normalizes and validates the spec,
+    /// materializes the trace, stamps deadlines, computes digest and key.
+    /// The trace and each stamped variant come from the memo when the
+    /// stored content has not changed since they were made.
+    pub fn resolve(&self, spec: &ScenarioSpec) -> Result<ResolvedScenario, FacadeError> {
+        let mut spec = spec.clone();
+        spec.normalize();
+        spec.validate()?;
+        let (base, digest) = self.load(&spec.trace)?;
+        let trace = match spec.deadline_factor {
+            None => base,
+            Some(df) => {
+                let (m, r, seed) = (spec.cluster.map_slots, spec.cluster.reduce_slots, spec.seed);
+                let key = format!("{digest}|{}|{m}|{r}|{seed}", df.to_bits());
+                self.stamped.get(&key).unwrap_or_else(|| {
+                    let mut stamped = (*base).clone();
+                    attach_deadlines(&mut stamped, df, m, r, seed);
+                    let stamped = Arc::new(stamped);
+                    self.stamped.insert(key, Arc::clone(&stamped));
+                    stamped
+                })
+            }
+        };
+        let key = spec.canonical_key(digest);
+        Ok(ResolvedScenario { spec, trace, digest, key })
+    }
+
+    /// Resolves a batch. Per-scenario results: one bad spec does not fail
+    /// its neighbours.
     pub fn resolve_many(
         &self,
         specs: &[ScenarioSpec],
     ) -> Vec<Result<ResolvedScenario, FacadeError>> {
-        // materialized base traces by trace-ref identity, then
-        // deadline-stamped variants by (ref, factor, slots, seed)
-        let mut loaded: HashMap<String, Result<(Arc<WorkloadTrace>, TraceDigest), FacadeError>> =
-            HashMap::new();
-        let mut stamped: HashMap<String, Arc<WorkloadTrace>> = HashMap::new();
-        specs
-            .iter()
-            .map(|spec| {
-                let mut spec = spec.clone();
-                spec.normalize();
-                spec.validate()?;
-                let ident = self.ref_ident(&spec.trace)?;
-                let (base, digest) = loaded
-                    .entry(ident.clone())
-                    .or_insert_with(|| self.materialize(&spec.trace))
-                    .clone()?;
-                let trace = match spec.deadline_factor {
-                    None => base,
-                    Some(df) => {
-                        let stamp_key = format!(
-                            "{ident}|df={df}|m={}|r={}|s={}",
-                            spec.cluster.map_slots, spec.cluster.reduce_slots, spec.seed
-                        );
-                        stamped
-                            .entry(stamp_key)
-                            .or_insert_with(|| {
-                                let mut t = (*base).clone();
-                                attach_deadlines(
-                                    &mut t,
-                                    df,
-                                    spec.cluster.map_slots,
-                                    spec.cluster.reduce_slots,
-                                    spec.seed,
-                                );
-                                Arc::new(t)
-                            })
-                            .clone()
-                    }
-                };
-                let key = spec.canonical_key(digest);
-                Ok(ResolvedScenario { spec, trace, digest, key })
-            })
-            .collect()
+        specs.iter().map(|spec| self.resolve(spec)).collect()
     }
 
     /// Runs one scenario.
@@ -876,52 +904,74 @@ impl SimFacade {
             .collect()
     }
 
-    /// A stable identity for memoizing trace loads within one batch.
-    fn ref_ident(&self, r: &TraceRef) -> Result<String, FacadeError> {
-        Ok(match r {
-            TraceRef::Name(n) => format!("name:{n}"),
-            TraceRef::Digest(d) => format!("digest:{d}"),
-            TraceRef::Path(p) => format!("path:{p}"),
-            TraceRef::Inline(t) => format!(
-                "inline:{}",
-                digest_trace(t).map_err(|e| FacadeError::Trace(e.to_string()))?
-            ),
-        })
-    }
-
-    /// Materializes a trace reference into a validated trace + digest.
-    fn materialize(&self, r: &TraceRef) -> Result<(Arc<WorkloadTrace>, TraceDigest), FacadeError> {
-        let mut trace = match r {
-            TraceRef::Name(name) => {
-                self.require_db()?.load(name).map_err(|e| FacadeError::Trace(e.to_string()))?
+    /// Resolves a trace reference to its trace and digest, through the
+    /// memo for file-backed refs.
+    fn load(&self, r: &TraceRef) -> Result<Prepared, FacadeError> {
+        match r {
+            TraceRef::Name(name) => self.load_stored(name, |_| true),
+            TraceRef::Path(path) => {
+                let decode = |bytes: &[u8]| decode_trace_file(path, bytes);
+                self.load_file(format!("path:{path}"), read_trace_file(path)?, decode, |_| true)
             }
-            TraceRef::Digest(digest) => {
-                let db = self.require_db()?;
-                let name = db
-                    .find_by_digest(*digest)
-                    .map_err(|e| FacadeError::Trace(e.to_string()))?
-                    .ok_or_else(|| {
-                        FacadeError::Trace(format!("no stored trace has digest {digest}"))
-                    })?;
-                db.load(&name).map_err(|e| FacadeError::Trace(e.to_string()))?
-            }
-            TraceRef::Path(path) => load_trace_file(path)?,
             TraceRef::Inline(trace) => {
                 trace.validate().map_err(|e| {
                     FacadeError::Trace(format!("inline trace has an invalid job: {e}"))
                 })?;
-                trace.clone()
+                prepare(trace.clone())
             }
-        };
-        // The digest encodes jobs in stable arrival order, the order the
-        // engine numbers them in, but attach_deadlines draws deadlines in
-        // trace order: replay the digest's order, so equal digests mean
-        // equal runs and the cache key stays sound.
-        if !trace.jobs.is_sorted_by_key(|j| j.arrival) {
-            trace.jobs.sort_by_key(|j| j.arrival);
+            TraceRef::Digest(digest) => {
+                let db = self.require_db()?;
+                let is_match = |d: TraceDigest| d == *digest;
+                let hinted = self.names.get(&digest.to_string()).and_then(|name| {
+                    self.load_stored(&name, is_match).ok().filter(|(_, d)| is_match(*d))
+                });
+                if let Some(found) = hinted {
+                    return Ok(found);
+                }
+                // scan the store, memoizing only the trace that matches so
+                // a miss cannot push hot entries out
+                for name in db.names().map_err(db_err)?.into_keys() {
+                    let found = self.load_stored(&name, is_match);
+                    if let Some(found) = found.ok().filter(|(_, d)| is_match(*d)) {
+                        self.names.insert(digest.to_string(), Arc::from(name));
+                        return Ok(found);
+                    }
+                }
+                Err(FacadeError::Trace(format!("no stored trace has digest {digest}")))
+            }
         }
-        let digest = digest_trace(&trace).map_err(|e| FacadeError::Trace(e.to_string()))?;
-        Ok((Arc::new(trace), digest))
+    }
+
+    /// The trace stored under `name` (see [`Self::load_file`]).
+    fn load_stored(
+        &self,
+        name: &str,
+        keep: impl FnOnce(TraceDigest) -> bool,
+    ) -> Result<Prepared, FacadeError> {
+        let (format, bytes) = self.require_db()?.read(name).map_err(db_err)?;
+        let decode = |bytes: &[u8]| format.decode(bytes).map_err(db_err);
+        self.load_file(format!("name:{name}"), bytes, decode, keep)
+    }
+
+    /// The trace a file's `bytes` decode to: the memoized one when the
+    /// entry under `key` was decoded from exactly these bytes, else
+    /// `decode(bytes)` prepared, and memoized under `key` if `keep`
+    /// accepts its digest.
+    fn load_file(
+        &self,
+        key: String,
+        bytes: Vec<u8>,
+        decode: impl FnOnce(&[u8]) -> Result<WorkloadTrace, FacadeError>,
+        keep: impl FnOnce(TraceDigest) -> bool,
+    ) -> Result<Prepared, FacadeError> {
+        if let Some(entry) = self.traces.get_if(&key, |entry| entry.0 == bytes) {
+            return Ok(entry.1.clone());
+        }
+        let prepared = prepare(decode(&bytes)?)?;
+        if keep(prepared.1) {
+            self.traces.insert(key, Arc::new((bytes, prepared.clone())));
+        }
+        Ok(prepared)
     }
 
     fn require_db(&self) -> Result<&TraceDatabase, FacadeError> {
@@ -929,6 +979,24 @@ impl SimFacade {
             FacadeError::Trace("named trace refs need a trace database (serve --db DIR)".into())
         })
     }
+}
+
+fn db_err(e: simmr_trace::DbError) -> FacadeError {
+    FacadeError::Trace(e.to_string())
+}
+
+/// A decoded trace, ready to memoize: in arrival order, with its digest.
+///
+/// The digest encodes jobs in stable arrival order, the order the engine
+/// numbers them in, but attach_deadlines draws deadlines in trace order:
+/// replay the digest's order, so equal digests mean equal runs and the
+/// cache key stays sound.
+fn prepare(mut trace: WorkloadTrace) -> Result<Prepared, FacadeError> {
+    if !trace.jobs.is_sorted_by_key(|j| j.arrival) {
+        trace.jobs.sort_by_key(|j| j.arrival);
+    }
+    let digest = digest_trace(&trace).map_err(|e| FacadeError::Trace(e.to_string()))?;
+    Ok((Arc::new(trace), digest))
 }
 
 impl Default for SimFacade {
@@ -1131,6 +1199,103 @@ mod tests {
         assert_eq!(resolved.trace.jobs[1].deadline, manual.jobs[1].deadline);
         // the digest is of the stored trace, not the stamped one
         assert_eq!(resolved.digest, digest_trace(&tiny_trace()).unwrap());
+    }
+
+    /// More distinct trace files and stamped variants than the memo's
+    /// caps: the memo stays within both, and every resolve still returns
+    /// the deadlines a fresh stamping gives, evicted or not.
+    #[test]
+    fn trace_memo_stays_within_its_caps() {
+        let dir = std::env::temp_dir().join(format!("simmr-facade-caps-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let shifted = |i: u64| {
+            let mut t = tiny_trace();
+            t.jobs[1].arrival = SimTime::from_millis(1_000 + i);
+            t
+        };
+        let files: Vec<String> = (0..MAX_TRACES as u64 + 5)
+            .map(|i| {
+                let path = dir.join(format!("t{i}.json"));
+                std::fs::write(&path, serde_json::to_string(&shifted(i)).unwrap()).unwrap();
+                path.to_string_lossy().into_owned()
+            })
+            .collect();
+        let facade = SimFacade::new();
+        for round in 0..2 {
+            for (i, path) in files.iter().enumerate() {
+                for seed in 0..2 {
+                    let mut s = ScenarioSpec::new(TraceRef::Path(path.clone()), PolicySpec::Fifo);
+                    s.deadline_factor = Some(1.5);
+                    s.seed = seed;
+                    let resolved = facade.resolve(&s).unwrap();
+                    let mut fresh = shifted(i as u64);
+                    attach_deadlines(&mut fresh, 1.5, 64, 64, seed);
+                    assert_eq!(*resolved.trace, fresh, "round {round}, trace {i}, seed {seed}");
+                    assert!(facade.traces.len() <= MAX_TRACES);
+                    assert!(facade.stamped.len() <= MAX_STAMPED);
+                }
+            }
+        }
+        let stats = facade.trace_stats();
+        assert_eq!(stats.hits + stats.misses, 2 * 2 * files.len() as u64);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A digest ref and a name ref to one stored trace resolve to the
+    /// same memo entry, in either order; a digest that matches no stored
+    /// trace fails without evicting anything.
+    #[test]
+    fn digest_and_name_refs_share_one_memo_entry() {
+        let dir = std::env::temp_dir().join(format!("simmr-facade-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = TraceDatabase::open(&dir).unwrap();
+        let mut other = tiny_trace();
+        other.jobs.pop();
+        // sorts before `workload`, so a digest scan decodes it first
+        db.store("a-other", &other).unwrap();
+        db.store("workload", &tiny_trace()).unwrap();
+        let by_name = ScenarioSpec::new(TraceRef::Name("workload".into()), PolicySpec::Fifo);
+        let digest = digest_trace(&tiny_trace()).unwrap();
+        let by_digest = ScenarioSpec::new(TraceRef::Digest(digest), PolicySpec::Fifo);
+        let stats = |f: &SimFacade| {
+            let s = f.trace_stats();
+            (s.entries, s.hits, s.misses)
+        };
+
+        // name first: the digest scan decodes `a-other` without keeping
+        // it and finds `workload` in the memo; later digest refs go
+        // straight to it
+        let facade = SimFacade::with_db(&dir).unwrap();
+        let named = facade.resolve(&by_name).unwrap();
+        assert_eq!(stats(&facade), (1, 0, 1));
+        let digested = facade.resolve(&by_digest).unwrap();
+        assert_eq!(stats(&facade), (1, 1, 2), "the digest ref reuses the name's entry");
+        assert!(Arc::ptr_eq(&named.trace, &digested.trace));
+        assert_eq!(named.key, digested.key);
+        facade.resolve(&by_digest).unwrap();
+        assert_eq!(stats(&facade), (1, 2, 2));
+
+        // digest first: only the matching trace is memoized, and the
+        // name ref then hits it
+        let facade = SimFacade::with_db(&dir).unwrap();
+        let digested = facade.resolve(&by_digest).unwrap();
+        assert_eq!(stats(&facade), (1, 0, 2));
+        let named = facade.resolve(&by_name).unwrap();
+        assert_eq!(stats(&facade), (1, 1, 2));
+        assert!(Arc::ptr_eq(&named.trace, &digested.trace));
+        facade.resolve(&by_digest).unwrap();
+        assert_eq!(stats(&facade), (1, 2, 2));
+
+        // an unknown digest fails, and the hot entry stays resident
+        let unknown =
+            ScenarioSpec::new(TraceRef::Digest(TraceDigest(0xdead_beef)), PolicySpec::Fifo);
+        let err = facade.resolve(&unknown).expect_err("no such trace");
+        assert!(matches!(&err, FacadeError::Trace(m) if m.contains("no stored trace")), "{err}");
+        assert_eq!(stats(&facade), (1, 3, 3));
+        assert!(Arc::ptr_eq(&facade.resolve(&by_name).unwrap().trace, &named.trace));
+        assert_eq!(stats(&facade), (1, 4, 3));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn forked_spec(at: u64, divergences: Vec<DivergenceSpec>) -> ScenarioSpec {

@@ -17,8 +17,11 @@
 //! * [`SimFacade`] — resolves specs against a trace database and runs
 //!   them: [`SimFacade::run`] for one scenario (binary trace files still
 //!   stream through the engine), [`SimFacade::run_batch`] to fan a batch
-//!   of scenarios out over all cores with one [`simmr_stats::parallel_sweep`],
-//!   loading and deadline-stamping every distinct trace exactly once.
+//!   of scenarios out over all cores with one [`simmr_stats::parallel_sweep`].
+//!   A trace memo that lives as long as the facade decodes each stored
+//!   trace once per content and keeps its deadline-stamped variants:
+//!   every resolve re-reads the file and reuses the memo entry only if
+//!   the bytes are unchanged, so a replaced trace is never served stale.
 //! * [`ScenarioSpec::canonical_key`] — the normalized cache identity of
 //!   a scenario: equivalent specs (reordered capacity queues, clamped
 //!   knobs, any [`TraceRef`] spelling of the same content) map to the
@@ -28,7 +31,8 @@
 //!   serialized report, so repeated what-if queries are O(1).
 //! * [`Server`] — the `simmr serve` HTTP/JSON endpoint: `POST /v1/run`,
 //!   `POST /v1/sweep` (optionally streaming partial results as NDJSON
-//!   chunks), `GET /v1/traces`, `GET /healthz`, `POST /v1/shutdown`.
+//!   chunks), `GET /v1/traces`, `GET /healthz` (report cache, checkpoint
+//!   memo and trace memo counters), `POST /v1/shutdown`.
 //!   Plain `TcpListener` + worker threads; no global state, no runtime
 //!   dependencies.
 

@@ -91,7 +91,29 @@ impl TraceFormat {
         use std::io::Read;
         let mut magic = Vec::with_capacity(binfmt::MAGIC.len());
         std::fs::File::open(path)?.take(binfmt::MAGIC.len() as u64).read_to_end(&mut magic)?;
-        Ok(if binfmt::is_binary_trace(&magic) { TraceFormat::Bin } else { TraceFormat::Json })
+        Ok(TraceFormat::of(&magic))
+    }
+
+    /// The format of a trace file's bytes, by the same rule as
+    /// [`Self::sniff`].
+    pub fn of(bytes: &[u8]) -> TraceFormat {
+        if binfmt::is_binary_trace(bytes) {
+            TraceFormat::Bin
+        } else {
+            TraceFormat::Json
+        }
+    }
+
+    /// Decodes the bytes of a trace stored in this format.
+    pub fn decode(self, bytes: &[u8]) -> Result<WorkloadTrace, DbError> {
+        match self {
+            TraceFormat::Bin => Ok(binfmt::decode_trace(bytes)?),
+            TraceFormat::Json => {
+                let json = std::str::from_utf8(bytes)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+                Ok(serde_json::from_str(json)?)
+            }
+        }
     }
 }
 
@@ -230,15 +252,15 @@ impl TraceDatabase {
 
     /// Loads the trace stored under `name`, auto-detecting the format.
     pub fn load(&self, name: &str) -> Result<WorkloadTrace, DbError> {
+        let (format, bytes) = self.read(name)?;
+        format.decode(&bytes)
+    }
+
+    /// The raw bytes stored under `name`, undecoded, with the format
+    /// [`Self::load`] decodes them as.
+    pub fn read(&self, name: &str) -> Result<(TraceFormat, Vec<u8>), DbError> {
         match self.format_of(name)? {
-            Some(TraceFormat::Bin) => {
-                let bytes = std::fs::read(self.path_of(name, TraceFormat::Bin))?;
-                Ok(binfmt::decode_trace(&bytes)?)
-            }
-            Some(TraceFormat::Json) => {
-                let json = std::fs::read_to_string(self.path_of(name, TraceFormat::Json))?;
-                Ok(serde_json::from_str(&json)?)
-            }
+            Some(format) => Ok((format, std::fs::read(self.path_of(name, format))?)),
             None => Err(DbError::NotFound(name.into())),
         }
     }
@@ -265,6 +287,29 @@ impl TraceDatabase {
     /// parse. Leftover `.tmp` files from interrupted writes are skipped.
     pub fn list(&self) -> Result<BTreeMap<String, TraceStatus>, DbError> {
         let mut out = BTreeMap::new();
+        for (name, format) in self.names()? {
+            let status = match self.load(&name).and_then(|trace| {
+                let digest = digest_trace(&trace)?;
+                Ok((trace, digest))
+            }) {
+                Ok((trace, digest)) => TraceStatus::Ok {
+                    format,
+                    jobs: trace.len(),
+                    span: trace.first_arrival().zip(trace.last_arrival()),
+                    digest,
+                },
+                Err(e) => TraceStatus::Corrupt { format, error: e.to_string() },
+            };
+            out.insert(name, status);
+        }
+        Ok(out)
+    }
+
+    /// The names of the stored traces, sorted, each with the format
+    /// [`Self::load`] reads — [`Self::list`] without decoding anything.
+    /// Leftover `.tmp` files from interrupted writes are skipped.
+    pub fn names(&self) -> Result<BTreeMap<String, TraceFormat>, DbError> {
+        let mut out = BTreeMap::new();
         for entry in std::fs::read_dir(&self.root)? {
             let fname = entry?.file_name();
             let Some(fname) = fname.to_str() else {
@@ -282,19 +327,7 @@ impl TraceDatabase {
             if format == TraceFormat::Json && self.path_of(name, TraceFormat::Bin).exists() {
                 continue;
             }
-            let status = match self.load(name).and_then(|trace| {
-                let digest = digest_trace(&trace)?;
-                Ok((trace, digest))
-            }) {
-                Ok((trace, digest)) => TraceStatus::Ok {
-                    format,
-                    jobs: trace.len(),
-                    span: trace.first_arrival().zip(trace.last_arrival()),
-                    digest,
-                },
-                Err(e) => TraceStatus::Corrupt { format, error: e.to_string() },
-            };
-            out.insert(name.to_string(), status);
+            out.insert(name.to_string(), format);
         }
         Ok(out)
     }
@@ -302,18 +335,6 @@ impl TraceDatabase {
     /// Content digest of the trace stored under `name`.
     pub fn digest_of(&self, name: &str) -> Result<TraceDigest, DbError> {
         Ok(digest_trace(&self.load(name)?)?)
-    }
-
-    /// Finds a stored trace by content digest (the serve layer's
-    /// digest-addressed trace refs). Scans the store; corrupt entries
-    /// are skipped. Returns the first matching name in listing order.
-    pub fn find_by_digest(&self, digest: TraceDigest) -> Result<Option<String>, DbError> {
-        for (name, status) in self.list()? {
-            if matches!(status, TraceStatus::Ok { digest: d, .. } if d == digest) {
-                return Ok(Some(name));
-            }
-        }
-        Ok(None)
     }
 }
 
@@ -405,10 +426,8 @@ mod tests {
                 digest: digest_of(2)
             })
         );
-        // digests are queryable directly and addressable in reverse
+        // digests are queryable directly
         assert_eq!(db.digest_of("a").unwrap(), digest_of(1));
-        assert_eq!(db.find_by_digest(digest_of(2)).unwrap(), Some("b".into()));
-        assert_eq!(db.find_by_digest(TraceDigest(0xdead_beef)).unwrap(), None);
         assert!(db.remove("a").unwrap());
         assert!(!db.remove("a").unwrap());
         assert!(db.remove("b").unwrap());

@@ -345,7 +345,12 @@ fn serve_fork_requests_share_prefix_checkpoints() {
 
     // the checkpoint memo holds exactly one prefix, computed exactly once
     let health = http(addr, "GET", "/healthz", "");
-    let ckpt_stats = health.body.split("\"checkpoints\":").nth(1).expect("checkpoints stats");
+    let ckpt_stats = health
+        .body
+        .split("\"checkpoints\":")
+        .nth(1)
+        .and_then(|rest| rest.split('}').next())
+        .expect("checkpoints stats");
     assert!(ckpt_stats.starts_with("{\"entries\":1,"), "one shared prefix: {ckpt_stats}");
     assert!(ckpt_stats.contains("\"misses\":1"), "prefix computed once: {ckpt_stats}");
 
@@ -368,6 +373,108 @@ fn serve_fork_requests_share_prefix_checkpoints() {
 
     assert_eq!(http(addr, "POST", "/v1/shutdown", "").status, 200);
     handle.join().expect("server thread").expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `/healthz` counter, e.g. `health_count(addr, "traces", "misses")`.
+fn health_count(addr: SocketAddr, section: &str, key: &str) -> u64 {
+    let health = http(addr, "GET", "/healthz", "");
+    let v: serde_json::Value = serde_json::from_str(&health.body).expect("healthz is JSON");
+    match v.get(section).and_then(|s| s.get(key)) {
+        Some(serde_json::Value::U64(n)) => *n,
+        other => panic!("healthz {section}.{key} is {other:?}: {}", health.body),
+    }
+}
+
+/// The report body `/v1/run` answers for `run_body(policy, seed)` when
+/// the stored trace is `trace`, computed without the server.
+fn expected_body(trace: &WorkloadTrace, policy: &str, seed: u64) -> String {
+    let mut spec = ScenarioSpec::new(TraceRef::Inline(trace.clone()), policy.parse().unwrap());
+    spec.seed = seed;
+    spec.deadline_factor = Some(2.0);
+    serde_json::to_string(&SimFacade::new().run(&spec).expect("facade run").report).unwrap()
+}
+
+/// The server memoizes resolved traces, but a trace replaced through the
+/// database between two identical requests is resolved afresh: the repeat
+/// is a report-cache miss under the new digest with the new trace's
+/// report, and the trace memo counts the decode.
+#[test]
+fn serve_resolves_a_replaced_stored_trace_afresh() {
+    let dir = tmpdir("replace");
+    let db = TraceDatabase::open(&dir).unwrap();
+    db.store("workload", &sample_trace()).unwrap();
+    let (addr, handle) = start_server(&dir);
+
+    let first = http(addr, "POST", "/v1/run", &run_body("maxedf", 7));
+    assert_eq!(first.header("x-simmr-cache"), Some("miss"));
+    let second = http(addr, "POST", "/v1/run", &run_body("maxedf", 7));
+    assert_eq!(second.header("x-simmr-cache"), Some("hit"));
+    assert_eq!(health_count(addr, "traces", "entries"), 1);
+    assert!(health_count(addr, "traces", "hits") >= 1, "the repeat resolved from the memo");
+    let misses = health_count(addr, "traces", "misses");
+
+    // a new version of `workload`, stored through the database's temp
+    // file + rename
+    let mut replacement = sample_trace();
+    replacement.jobs[2].arrival = SimTime::from_millis(200);
+    db.store("workload", &replacement).unwrap();
+
+    let third = http(addr, "POST", "/v1/run", &run_body("maxedf", 7));
+    assert_eq!(third.status, 200, "body: {}", third.body);
+    assert_eq!(third.header("x-simmr-cache"), Some("miss"));
+    let new_digest = digest_trace(&replacement).unwrap().to_string();
+    assert_eq!(third.header("x-simmr-digest"), Some(new_digest.as_str()));
+    assert_ne!(third.header("x-simmr-digest"), first.header("x-simmr-digest"));
+    assert!(third.body == expected_body(&replacement, "maxedf", 7), "not the new trace's report");
+    assert!(third.body != first.body, "the replacement changes the schedule");
+    assert!(health_count(addr, "traces", "misses") > misses, "the new content was decoded");
+    assert_eq!(health_count(addr, "traces", "entries"), 1, "the stale entry was replaced");
+
+    assert_eq!(http(addr, "POST", "/v1/shutdown", "").status, 200);
+    handle.join().expect("server thread").expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A trace file rewritten in place with different content of the same
+/// length and the same modification time (what a `(path, len, mtime,
+/// inode)` identity would take for unchanged) is resolved afresh.
+#[test]
+fn path_refs_see_same_length_in_place_rewrites() {
+    let dir = tmpdir("rewrite");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("workload.json");
+    let old = sample_trace();
+    let mut new = sample_trace();
+    new.jobs[1].arrival = SimTime::from_millis(500); // was 400: same width
+    let (old_json, new_json) =
+        (serde_json::to_string(&old).unwrap(), serde_json::to_string(&new).unwrap());
+    assert_eq!(old_json.len(), new_json.len());
+    std::fs::write(&path, &old_json).unwrap();
+
+    let facade = SimFacade::new();
+    let spec = |trace: TraceRef| {
+        let mut s = ScenarioSpec::new(trace, "maxedf".parse().unwrap());
+        s.seed = 7;
+        s.deadline_factor = Some(2.0);
+        s
+    };
+    let by_path = spec(TraceRef::Path(path.to_string_lossy().into_owned()));
+    let before = facade.run(&by_path).unwrap();
+    assert_eq!(before.digest, Some(digest_trace(&old).unwrap()));
+
+    let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
+    let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.write_all(new_json.as_bytes()).unwrap();
+    file.set_modified(modified).unwrap();
+    drop(file);
+    assert_eq!(std::fs::metadata(&path).unwrap().modified().unwrap(), modified);
+
+    let after = facade.run(&by_path).unwrap();
+    assert_eq!(after.digest, Some(digest_trace(&new).unwrap()));
+    assert_eq!(after.report, SimFacade::new().run(&spec(TraceRef::Inline(new))).unwrap().report);
+    assert_ne!(after.report, before.report);
+    assert_eq!(facade.trace_stats().misses, 2, "each content decoded once");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
