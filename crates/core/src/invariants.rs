@@ -37,9 +37,12 @@
 //!   `preempt_map` bug class).
 //! * **Policy-internal state** — each settled batch also calls
 //!   [`crate::SchedulerPolicy::verify_invariants`], letting stateful
-//!   policies cross-check their own books against the queue (the
-//!   hierarchical policy re-derives per-pool share accounting: routing
-//!   stability, per-leaf job counts, and starvation-clock consistency).
+//!   policies cross-check their own books against the queue. Every
+//!   built-in policy verifies its ordered job views; the hierarchical
+//!   policy also re-derives per-pool share accounting (routing
+//!   stability, subtree counters, starvation clocks); and EDF and the
+//!   hierarchical policy re-derive each pick and preemption victim from
+//!   a naive queue scan (`[policy-pick]` / `[policy-victim]`).
 //! * **Report invariants (end of run)** — all slots returned, every
 //!   completion ≥ its arrival, `makespan = max completion`, and
 //!   `events_processed = popped events + counted launches`.

@@ -325,8 +325,10 @@ pub trait SchedulerPolicy {
     /// Policy-side self-check, called by the engine's opt-in invariant
     /// checker after every settled event batch. Implementations should
     /// re-derive their bookkeeping (queue routing tables, share
-    /// accounting, starvation clocks) from the queue view and panic in
-    /// the checker's `engine invariant violated [name]: ...` format on a
+    /// accounting, starvation clocks, ordered views) from the queue view,
+    /// and the decisions it answers (the next map and reduce pick, a
+    /// preemption victim) by a naive scan of the queue, and panic in the
+    /// checker's `engine invariant violated [name]: ...` format on a
     /// mismatch. The default checks nothing.
     fn verify_invariants(&self, _jobq: &JobQueue) {}
 

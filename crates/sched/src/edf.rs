@@ -24,73 +24,90 @@
 //! schedulable reduce, and jobs with a running map. A pick is the first
 //! key of its view; the preemption victim is the last running-map key,
 //! taken only if it sorts strictly after the urgent job. A job's key
-//! never changes, only whether it qualifies for a view. The full-scan
-//! paths are retained behind [`EdfPolicy::with_full_scan`] as a
-//! differential reference (the views are still maintained there, so
-//! `verify_invariants` cross-checks them in both modes), and the
-//! `edf_incremental_matches_full_scan_reference` proptest in `tests/`
-//! pins both modes to byte-identical schedules under faults,
-//! speculation and preemption.
+//! never changes, only whether it qualifies for a view. After every
+//! settled batch the invariant checker has `verify_invariants` verify
+//! each view against the queue and re-derive the map pick, the reduce
+//! pick and the victim from a scan of `jobq.entries()`.
 
-use crate::view::{update_views, verify_views, OrderedView};
+use crate::view::{update_views, verify_decision, verify_views, OrderedView};
 use simmr_core::codec::{put_u32, Reader};
 use simmr_core::{JobEntry, JobQueue, SchedulerPolicy};
 use simmr_model::{min_slots_for_deadline, JobProfileSummary, SlotAllocation};
-use simmr_types::{DurationMs, JobId, JobTemplate, SimTime};
-use std::collections::HashMap;
+use simmr_types::{DurationMs, JobId, JobTemplate, SimTime, TaskKind};
+use std::collections::{HashMap, VecDeque};
 
 /// [`JobEntry::edf_key`]: `(deadline, arrival, id)`, no deadline last.
 type EdfKey = (SimTime, SimTime, JobId);
 
-/// Per-job wanted slot counts, indexed by job id; `None` is uncapped.
-type Wanted = [Option<SlotAllocation>];
-
-fn wanted_of(wanted: &Wanted, id: JobId) -> Option<SlotAllocation> {
-    wanted.get(id.index()).copied().flatten()
+/// MinEDF's wanted caps of the active jobs, indexed by job id from the
+/// oldest capped job on: a read is one checked index, and storage spans
+/// the live ids rather than every id the trace ever admitted. Ids may
+/// come in any order (a resume replays the queue in arrival order).
+#[derive(Debug, Default)]
+struct Wanted {
+    /// Job id of `slots[0]`.
+    base: usize,
+    /// `None` marks a departed job inside the span; both ends are `Some`.
+    slots: VecDeque<Option<SlotAllocation>>,
 }
 
-/// A map launch for this job stays within its wanted cap.
-fn under_map_cap(wanted: &Wanted, e: &JobEntry) -> bool {
-    e.has_schedulable_map() && wanted_of(wanted, e.id).is_none_or(|w| e.running_maps < w.maps)
-}
+impl Wanted {
+    fn get(&self, id: JobId) -> Option<SlotAllocation> {
+        self.slots.get(id.index().wrapping_sub(self.base)).copied().flatten()
+    }
 
-/// A reduce launch for this job stays within its wanted cap.
-fn under_reduce_cap(wanted: &Wanted, e: &JobEntry) -> bool {
-    e.has_schedulable_reduce()
-        && wanted_of(wanted, e.id).is_none_or(|w| e.running_reduces < w.reduces)
+    fn insert(&mut self, id: JobId, cap: SlotAllocation) {
+        let i = id.index();
+        if self.slots.is_empty() {
+            self.base = i;
+        }
+        while i < self.base {
+            self.slots.push_front(None);
+            self.base -= 1;
+        }
+        if i - self.base >= self.slots.len() {
+            self.slots.resize(i - self.base + 1, None);
+        }
+        self.slots[i - self.base] = Some(cap);
+    }
+
+    fn remove(&mut self, id: JobId) {
+        if let Some(slot) = self.slots.get_mut(id.index().wrapping_sub(self.base)) {
+            *slot = None;
+        }
+        while self.slots.front() == Some(&None) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        while self.slots.back() == Some(&None) {
+            self.slots.pop_back();
+        }
+    }
+
+    /// The caps, sorted by job id.
+    fn live(&self) -> Vec<(u32, SlotAllocation)> {
+        let base = self.base;
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, w)| w.map(|w| ((base + i) as u32, w)))
+            .collect()
+    }
 }
 
 /// The entry's key in each view — under-cap schedulable map, under-cap
 /// schedulable reduce, running map — `None` where it does not qualify.
+/// Under cap means one more launch stays within the job's wanted cap.
 fn keys(wanted: &Wanted, e: &JobEntry) -> [Option<EdfKey>; 3] {
-    let key = e.edf_key();
+    let (key, cap) = (e.edf_key(), wanted.get(e.id));
+    let under_map_cap = e.has_schedulable_map() && cap.is_none_or(|w| e.running_maps < w.maps);
+    let under_reduce_cap =
+        e.has_schedulable_reduce() && cap.is_none_or(|w| e.running_reduces < w.reduces);
     [
-        under_map_cap(wanted, e).then_some(key),
-        under_reduce_cap(wanted, e).then_some(key),
+        under_map_cap.then_some(key),
+        under_reduce_cap.then_some(key),
         (e.running_maps > 0).then_some(key),
     ]
-}
-
-/// The most urgent job satisfying `ok`: the view's first key, or a full
-/// queue scan in the reference mode.
-fn pick(
-    view: &OrderedView<EdfKey>,
-    full_scan: bool,
-    jobq: &JobQueue,
-    ok: impl Fn(&JobEntry) -> bool,
-) -> Option<JobId> {
-    if full_scan {
-        return jobq.entries().iter().filter(|e| ok(e)).min_by_key(|e| e.edf_key()).map(|e| e.id);
-    }
-    view.first().map(|key| key.2)
-}
-
-/// The latest-deadline job with a running map, provided it sorts
-/// strictly after `urgent`. Keys are a total order, so if the last one
-/// *is* the urgent job (or sorts before it) no other running job sorts
-/// after the urgent one either.
-fn preemption_victim(running: &OrderedView<EdfKey>, urgent: EdfKey) -> Option<JobId> {
-    running.last().filter(|&victim| victim > urgent).map(|victim| victim.2)
 }
 
 /// EDF ordering; MinEDF additionally caps each job at its model-derived
@@ -100,18 +117,13 @@ pub struct EdfPolicy {
     /// Compute a wanted cap per arriving job (MinEDF); MaxEDF computes
     /// none, which leaves every job uncapped.
     caps: bool,
-    /// Per-job wanted slot counts, computed on arrival. Dense, indexed
-    /// by job id — the per-mutation view keys do O(1) slot reads
-    /// instead of hashing.
-    wanted: Vec<Option<SlotAllocation>>,
+    /// Per-job wanted slot counts, computed on arrival.
+    wanted: Wanted,
     /// Allocations supplied up front (e.g. from a shared ARIA profile
     /// database) that take precedence over the model computation.
     /// Consulted once per arrival, so a map is fine here.
     presets: HashMap<JobId, SlotAllocation>,
     preemptive: bool,
-    /// Use the full-scan selection paths (differential reference mode);
-    /// the views are still maintained.
-    full_scan: bool,
     /// The deadline views, in [`keys`] order.
     views: [OrderedView<EdfKey>; 3],
 }
@@ -148,24 +160,27 @@ impl EdfPolicy {
         self
     }
 
-    /// Switches to the retained full-scan reference mode: every pick and
-    /// preemption check scans `jobq.entries()` instead of reading the
-    /// deadline views. Schedules are identical by construction — the
-    /// differential proptest in `tests/` holds both modes to that.
-    pub fn with_full_scan(mut self) -> Self {
-        self.full_scan = true;
-        self
-    }
-
     /// The wanted allocation for a job (visible for tests/diagnostics);
     /// always `None` under MaxEDF.
     pub fn wanted(&self, id: JobId) -> Option<SlotAllocation> {
-        wanted_of(&self.wanted, id)
+        self.wanted.get(id)
     }
 
-    /// The live wanted allocations, sorted by job id.
-    fn live_wanted(&self) -> Vec<(u32, SlotAllocation)> {
-        self.wanted.iter().enumerate().filter_map(|(i, w)| w.map(|w| (i as u32, w))).collect()
+    /// The most urgent job that can take a task of `kind`: the first key
+    /// of its view.
+    fn pick(&self, kind: TaskKind) -> Option<EdfKey> {
+        match kind {
+            TaskKind::Map => self.views[0].first(),
+            TaskKind::Reduce => self.views[1].first(),
+        }
+    }
+
+    /// The latest-deadline job with a running map, provided it sorts
+    /// strictly after `urgent`. Keys are a total order, so if the last one
+    /// *is* the urgent job (or sorts before it) no other running job sorts
+    /// after the urgent one either.
+    fn victim(&self, urgent: EdfKey) -> Option<JobId> {
+        self.views[2].last().filter(|&victim| victim > urgent).map(|victim| victim.2)
     }
 }
 
@@ -204,16 +219,11 @@ impl SchedulerPolicy for EdfPolicy {
                 },
             }
         };
-        if id.index() >= self.wanted.len() {
-            self.wanted.resize(id.index() + 1, None);
-        }
-        self.wanted[id.index()] = Some(alloc);
+        self.wanted.insert(id, alloc);
     }
 
     fn on_job_departure(&mut self, id: JobId) {
-        if let Some(slot) = self.wanted.get_mut(id.index()) {
-            *slot = None;
-        }
+        self.wanted.remove(id);
     }
 
     fn on_job_queued(&mut self, entry: &JobEntry) {
@@ -231,14 +241,12 @@ impl SchedulerPolicy for EdfPolicy {
         update_views(&mut self.views, keys(&self.wanted, entry), [None; 3]);
     }
 
-    fn choose_next_map_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
-        let wanted = &self.wanted;
-        pick(&self.views[0], self.full_scan, jobq, |e| under_map_cap(wanted, e))
+    fn choose_next_map_task(&mut self, _jobq: &JobQueue) -> Option<JobId> {
+        self.pick(TaskKind::Map).map(|key| key.2)
     }
 
-    fn choose_next_reduce_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
-        let wanted = &self.wanted;
-        pick(&self.views[1], self.full_scan, jobq, |e| under_reduce_cap(wanted, e))
+    fn choose_next_reduce_task(&mut self, _jobq: &JobQueue) -> Option<JobId> {
+        self.pick(TaskKind::Reduce).map(|key| key.2)
     }
 
     /// Kills one map of the latest-deadline running job, provided it
@@ -248,55 +256,55 @@ impl SchedulerPolicy for EdfPolicy {
     /// cannot use the freed slot, so killing on its behalf would hand
     /// the slot to a job with a later deadline than the victim's; see
     /// `minedf_preemption_gate_respects_wanted_caps`.
-    fn map_preemptions(&mut self, jobq: &JobQueue, victims: &mut Vec<JobId>) {
+    fn map_preemptions(&mut self, _jobq: &JobQueue, victims: &mut Vec<JobId>) {
         if !self.preemptive {
             return;
         }
-        let Some(urgent) = self
-            .choose_next_map_task(jobq)
-            .map(|id| jobq.get(id).expect("urgent job is in the queue").edf_key())
-        else {
-            return;
-        };
-        let victim = if self.full_scan {
-            jobq.entries()
-                .iter()
-                .filter(|e| e.running_maps > 0 && e.edf_key() > urgent)
-                .max_by_key(|e| e.edf_key())
-                .map(|e| e.id)
-        } else {
-            preemption_victim(&self.views[2], urgent)
-        };
-        victims.extend(victim);
+        if let Some(urgent) = self.pick(TaskKind::Map) {
+            victims.extend(self.victim(urgent));
+        }
     }
 
+    /// Checks the caps cover exactly the active jobs (MinEDF), every view
+    /// against the queue, and each decision the views answer against a
+    /// scan of the queue's keys.
     fn verify_invariants(&self, jobq: &JobQueue) {
         if self.caps {
-            for e in jobq.entries() {
-                if self.wanted(e.id).is_none() {
-                    panic!(
-                        "engine invariant violated [minedf-wanted]: active job {} has no wanted \
-                         allocation",
-                        e.id
-                    );
-                }
+            let live = self.wanted.live().len();
+            if live != jobq.len() || jobq.entries().iter().any(|e| self.wanted(e.id).is_none()) {
+                panic!(
+                    "engine invariant violated [minedf-wanted]: {live} wanted allocations do not \
+                     cover exactly the {} active jobs",
+                    jobq.len()
+                );
             }
         }
         let keys: Vec<_> = jobq.entries().iter().map(|e| keys(&self.wanted, e)).collect();
         verify_views(&self.views, &keys, self.name(), ["map", "reduce", "running"]);
+        let scan = |view: usize| keys.iter().filter_map(move |k| k[view]);
+        let name = self.name();
+        let map = self.pick(TaskKind::Map);
+        verify_decision("policy-pick", &format_args!("{name} map pick"), map, scan(0).min());
+        let reduce = self.pick(TaskKind::Reduce);
+        verify_decision("policy-pick", &format_args!("{name} reduce pick"), reduce, scan(1).min());
+        if let Some(urgent) = map {
+            let latest = scan(2).filter(|&k| k > urgent).max().map(|k| k.2);
+            let victim = &format_args!("{name} preemption victim for {urgent:?}");
+            verify_decision("policy-victim", victim, self.victim(urgent), latest);
+        }
     }
 
     /// Variant flags, then for MinEDF the live wanted allocations sorted
-    /// by job id. The deadline views are rebuilt by the hook replay, and
-    /// so are the allocations (the arrival replay
-    /// recomputes them from the bounds model), so the blob is a
-    /// cross-check: a resume with different presets routes every job
-    /// through the same replay but lands on different caps, and this is
-    /// what catches it.
+    /// by job id. The second flag byte belonged to a retired variant and
+    /// is always 0. The deadline views are rebuilt by the hook replay,
+    /// and so are the allocations (the arrival replay recomputes them
+    /// from the bounds model), so the blob is a cross-check: a resume
+    /// with different presets routes every job through the same replay
+    /// but lands on different caps, and this is what catches it.
     fn snapshot(&self) -> Vec<u8> {
-        let mut out = vec![self.preemptive as u8, self.full_scan as u8];
+        let mut out = vec![self.preemptive as u8, 0];
         if self.caps {
-            let live = self.live_wanted();
+            let live = self.wanted.live();
             put_u32(&mut out, live.len() as u32);
             for (job, w) in live {
                 put_u32(&mut out, job);
@@ -309,14 +317,19 @@ impl SchedulerPolicy for EdfPolicy {
 
     fn restore(&mut self, blob: &[u8]) -> Result<(), String> {
         let mut r = Reader::new(blob);
-        let (preemptive, full_scan) = (r.bool()?, r.bool()?);
-        if preemptive != self.preemptive || full_scan != self.full_scan {
+        let (preemptive, retired) = (r.bool()?, r.u8()?);
+        if retired != 0 {
             return Err(format!(
-                "{} variant mismatch: checkpoint taken with preemptive={preemptive}, \
-                 full_scan={full_scan}; resuming policy has preemptive={}, full_scan={}",
+                "{} checkpoint sets the retired flag byte to {retired}; no policy writes it",
+                self.name()
+            ));
+        }
+        if preemptive != self.preemptive {
+            return Err(format!(
+                "{} variant mismatch: checkpoint taken with preemptive={preemptive}, resuming \
+                 policy has preemptive={}",
                 self.name(),
-                self.preemptive,
-                self.full_scan
+                self.preemptive
             ));
         }
         if self.caps {
@@ -328,7 +341,7 @@ impl SchedulerPolicy for EdfPolicy {
                 let reduces = r.u32()? as usize;
                 captured.push((job, SlotAllocation { maps, reduces }));
             }
-            let rebuilt = self.live_wanted();
+            let rebuilt = self.wanted.live();
             if rebuilt != captured {
                 return Err(format!(
                     "minedf wanted allocations diverged from the checkpoint (rebuilt {}, \
@@ -579,21 +592,56 @@ mod tests {
     #[test]
     fn preemption_victim_requires_strictly_later_deadline() {
         let key = |id, deadline| (SimTime::from_millis(deadline), SimTime::ZERO, JobId(id));
-        let mut running = OrderedView::default();
-        running.update(None, Some(key(1, 500)));
-        running.update(None, Some(key(2, 900)));
+        let mut p = EdfPolicy::maxedf();
+        p.views[2].update(None, Some(key(1, 500)));
+        p.views[2].update(None, Some(key(2, 900)));
         // urgent at 100: job 2 (latest deadline) is the victim
-        assert_eq!(preemption_victim(&running, key(0, 100)), Some(JobId(2)));
+        assert_eq!(p.victim(key(0, 100)), Some(JobId(2)));
         // the urgent job is itself the latest-deadline running job: no
         // other running job can sort strictly after it
-        assert_eq!(preemption_victim(&running, key(2, 900)), None);
+        assert_eq!(p.victim(key(2, 900)), None);
         // no running job has a strictly later deadline than the urgent
-        assert_eq!(preemption_victim(&running, key(0, 1_000)), None);
+        assert_eq!(p.victim(key(0, 1_000)), None);
         // equal deadline: the id tiebreak decides strictness both ways
-        assert_eq!(preemption_victim(&running, key(3, 900)), None);
-        assert_eq!(preemption_victim(&running, key(0, 900)), Some(JobId(2)));
+        assert_eq!(p.victim(key(3, 900)), None);
+        assert_eq!(p.victim(key(0, 900)), Some(JobId(2)));
         // a job whose last running map ends leaves the view at once
-        running.update(Some(key(2, 900)), None);
-        assert_eq!(preemption_victim(&running, key(0, 100)), Some(JobId(1)));
+        p.views[2].update(Some(key(2, 900)), None);
+        assert_eq!(p.victim(key(0, 100)), Some(JobId(1)));
+    }
+
+    /// MinEDF keeps caps for the active jobs only: 100k arrivals with at
+    /// most 10 jobs active at once leave storage the size of that window,
+    /// not of the trace, and departures in any order shrink it.
+    #[test]
+    fn minedf_caps_storage_follows_the_active_window() {
+        let mut p = EdfPolicy::minedf();
+        let t = JobTemplate::new("j", vec![1000; 4], vec![10], vec![10; 2], vec![10; 2]).unwrap();
+        let cluster = simmr_types::ClusterSpec::new(64, 64);
+        for i in 0..100_000u32 {
+            p.on_job_arrival(JobId(i), &t, Some(60_000), cluster);
+            if i >= 9 {
+                p.on_job_departure(JobId(i - 9));
+            }
+            assert!(p.wanted.slots.capacity() <= 32, "caps stored: {}", p.wanted.slots.capacity());
+        }
+        assert_eq!(
+            p.wanted.live().iter().map(|c| c.0).collect::<Vec<_>>(),
+            (99_991..100_000).collect::<Vec<_>>()
+        );
+        // ids may come and go out of order: a resume replays arrivals in
+        // arrival order, and departures follow the schedule
+        let mut p = EdfPolicy::minedf();
+        for id in [7, 3, 9, 5] {
+            p.on_job_arrival(JobId(id), &t, Some(60_000), cluster);
+        }
+        assert!([3, 5, 7, 9].iter().all(|&id| p.wanted(JobId(id)).is_some()));
+        assert!([2, 4, 8, 10].iter().all(|&id| p.wanted(JobId(id)).is_none()));
+        p.on_job_departure(JobId(3));
+        p.on_job_departure(JobId(9));
+        assert_eq!((p.wanted.base, p.wanted.slots.len()), (5, 3));
+        p.on_job_departure(JobId(7));
+        p.on_job_departure(JobId(5));
+        assert!(p.wanted.slots.is_empty());
     }
 }

@@ -46,11 +46,11 @@
 //! jobs with a schedulable map, with a schedulable reduce, and with a
 //! running map. The final-leaf pick is the first key of a schedulable
 //! view and the preemption victim job the last key of the running one.
-//! A retained full-reaggregation path
-//! ([`HierPolicy::with_full_reaggregation`]) reproduces the
-//! pre-incremental behaviour for differential testing, and
-//! `verify_invariants` cross-checks the maintained counters against that
-//! full re-aggregation oracle and every leaf view against the queue.
+//! After every settled batch the invariant checker has
+//! `verify_invariants` re-aggregate the counters from the queue and
+//! verify every leaf view against it, then re-derive each pick (the
+//! descent over the re-aggregated counts, then a scan of the leaf) and
+//! each leaf's victim job from a scan.
 //!
 //! [`on_entry_mutated`]: SchedulerPolicy::on_entry_mutated
 //! [`on_job_dequeued`]: SchedulerPolicy::on_job_dequeued
@@ -60,7 +60,7 @@
 //! the sanctioned `map_preemptions` / `next_wakeup` hooks.
 
 use crate::pool::{join_prefix, validate_pools, PoolSpec};
-use crate::view::{update_views, verify_views, OrderedView};
+use crate::view::{update_views, verify_decision, verify_views, OrderedView};
 use simmr_core::codec::{put_opt_u64, put_u32, Reader};
 use simmr_core::{JobEntry, JobQueue, SchedulerPolicy};
 use simmr_types::{DurationMs, JobId, JobTemplate, SimTime, TaskKind};
@@ -126,21 +126,14 @@ pub struct HierPolicy {
     /// Maintained per-node subtree sums, indexed `[ki(kind)][node]`:
     /// running tasks and *schedulable* pending tasks (reduce pending
     /// counts 0 until the job turns reduce-eligible). Updated O(depth)
-    /// per entry mutation by the engine hooks; never rebuilt from the
-    /// queue outside the reference mode and the invariant oracle.
+    /// per entry mutation by the engine hooks; only the invariant oracle
+    /// rebuilds them from the queue.
     run: [Vec<usize>; 2],
     pend: [Vec<usize>; 2],
     /// Per-node job views in [`leaf_keys`] order (empty on internal
     /// nodes): the final-leaf pick and the victim job read them instead
     /// of the queue.
     leaf_views: Vec<[OrderedView<LeafKey>; 3]>,
-    /// Use the pre-incremental full-reaggregation paths (reference mode
-    /// for differential tests); the maintained state is still updated.
-    reference: bool,
-    /// Scratch: per-node counts of the current kind rebuilt from the
-    /// queue — reference mode and the invariant oracle only.
-    scratch_run: Vec<usize>,
-    scratch_pend: Vec<usize>,
     /// Scratch: subtree has schedulable work and is under every max cap.
     eligible: Vec<bool>,
 }
@@ -174,9 +167,6 @@ impl HierPolicy {
             run: [Vec::new(), Vec::new()],
             pend: [Vec::new(), Vec::new()],
             leaf_views: Vec::new(),
-            reference: false,
-            scratch_run: Vec::new(),
-            scratch_pend: Vec::new(),
             eligible: Vec::new(),
         };
         for pool in &pools {
@@ -189,17 +179,6 @@ impl HierPolicy {
         policy.pend = [vec![0; n], vec![0; n]];
         policy.leaf_views = vec![Default::default(); n];
         policy
-    }
-
-    /// Switches to the retained full-reaggregation reference mode: every
-    /// `choose`/starvation pass rebuilds per-pool counts from the whole
-    /// queue and scans it for the leaf pick and the victim job, instead
-    /// of reading the maintained counters and leaf views. Schedules are
-    /// identical by construction — the differential proptest in `tests/`
-    /// holds both modes to that.
-    pub fn with_full_reaggregation(mut self) -> Self {
-        self.reference = true;
-        self
     }
 
     /// The default one-level tree of bare `hier` and bare `capacity`:
@@ -286,42 +265,29 @@ impl HierPolicy {
         }
     }
 
-    /// Per-node running/pending counts of `kind`, aggregated over
-    /// subtrees (a parent always precedes its children in the arena, so
-    /// one reverse sweep rolls leaves up to the root).
-    fn aggregate_into(
-        &self,
-        jobq: &JobQueue,
-        kind: TaskKind,
-        running: &mut Vec<usize>,
-        pending: &mut Vec<usize>,
-    ) {
+    /// The invariant oracle for the maintained sums: per-node running
+    /// and pending counts, indexed like `run` and `pend`, re-aggregated
+    /// from the whole queue (a parent always precedes its children in the
+    /// arena, so one reverse sweep rolls leaves up to the root).
+    fn reaggregate(&self, jobq: &JobQueue) -> ([Vec<usize>; 2], [Vec<usize>; 2]) {
         let n = self.nodes.len();
-        running.clear();
-        running.resize(n, 0);
-        pending.clear();
-        pending.resize(n, 0);
+        let (mut running, mut pending) = ([vec![0; n], vec![0; n]], [vec![0; n], vec![0; n]]);
         for e in jobq.entries() {
             let Some(&leaf) = self.assignment.get(&e.id) else { continue };
-            let (r, p) = Self::entry_counts(e, kind);
-            running[leaf] += r;
-            pending[leaf] += p;
+            for kind in [TaskKind::Map, TaskKind::Reduce] {
+                let (r, p) = Self::entry_counts(e, kind);
+                running[ki(kind)][leaf] += r;
+                pending[ki(kind)][leaf] += p;
+            }
         }
-        for i in (1..n).rev() {
-            let parent = self.nodes[i].parent;
-            running[parent] += running[i];
-            pending[parent] += pending[i];
+        for k in 0..2 {
+            for i in (1..n).rev() {
+                let parent = self.nodes[i].parent;
+                running[k][parent] += running[k][i];
+                pending[k][parent] += pending[k][i];
+            }
         }
-    }
-
-    /// Reference mode: rebuilds the scratch per-node counts of `kind`
-    /// from the whole queue.
-    fn aggregate(&mut self, jobq: &JobQueue, kind: TaskKind) {
-        let mut running = std::mem::take(&mut self.scratch_run);
-        let mut pending = std::mem::take(&mut self.scratch_pend);
-        self.aggregate_into(jobq, kind, &mut running, &mut pending);
-        self.scratch_run = running;
-        self.scratch_pend = pending;
+        (running, pending)
     }
 
     /// Applies one entry's counter delta for slot kind `k` along the
@@ -343,32 +309,28 @@ impl HierPolicy {
         }
     }
 
-    /// Per-node map running/pending shares for the preemption machinery:
-    /// maintained sums normally, the scratch rebuild in reference mode
-    /// (which `refresh_starvation` fills first, as before).
+    /// Per-node map running/pending shares for the preemption machinery.
     fn map_shares(&self, node: usize) -> (usize, usize) {
-        if self.reference {
-            (self.scratch_run[node], self.scratch_pend[node])
-        } else {
-            (self.run[0][node], self.pend[0][node])
-        }
+        (self.run[0][node], self.pend[0][node])
     }
 
-    /// Marks each node whose subtree can accept a launch: schedulable
-    /// work below it and `running < max` at every level. Children are
-    /// computed before parents (reverse arena order).
-    fn mark_eligible_into(
+    /// The leaf a launch of slot kind `k` goes to, over per-node counts
+    /// `running`/`pending`. First marks in `eligible` (scratch) each node
+    /// whose subtree can accept a launch: schedulable work below it and
+    /// `running < max` at every level, children before parents (reverse
+    /// arena order). Then descends from the root into the most
+    /// under-served eligible child at every level (min-share deficit
+    /// group first, then running/weight; ties on listed order).
+    fn descend(
         nodes: &[Node],
         k: usize,
         running: &[usize],
         pending: &[usize],
         eligible: &mut Vec<bool>,
-    ) {
-        let n = nodes.len();
+    ) -> Option<usize> {
         eligible.clear();
-        eligible.resize(n, false);
-        for i in (0..n).rev() {
-            let node = &nodes[i];
+        eligible.resize(nodes.len(), false);
+        for (i, node) in nodes.iter().enumerate().rev() {
             let has_work = if node.children.is_empty() {
                 pending[i] > 0
             } else {
@@ -376,12 +338,6 @@ impl HierPolicy {
             };
             eligible[i] = has_work && node.max[k].is_none_or(|m| running[i] < m);
         }
-    }
-
-    /// The root-to-leaf descent over precomputed eligibility: at every
-    /// level the most under-served eligible child (min-share deficit
-    /// group first, then running/weight; ties on listed order).
-    fn descend(nodes: &[Node], k: usize, running: &[usize], eligible: &[bool]) -> Option<usize> {
         if !eligible[0] {
             return None;
         }
@@ -416,48 +372,35 @@ impl HierPolicy {
         Some(node)
     }
 
-    /// The tree walk: from the root, descend into the most under-served
-    /// eligible child, and pick FIFO within the final leaf.
-    fn choose(&mut self, jobq: &JobQueue, kind: TaskKind) -> Option<JobId> {
+    /// The tree walk over the maintained sums: from the root, descend
+    /// into the most under-served eligible child, and pick FIFO within
+    /// the final leaf. `eligible` is scratch.
+    fn pick(&self, kind: TaskKind, eligible: &mut Vec<bool>) -> Option<JobId> {
         let k = ki(kind);
-        if self.reference {
-            self.aggregate(jobq, kind);
-        }
+        let leaf = Self::descend(&self.nodes, k, &self.run[k], &self.pend[k], eligible)?;
+        self.leaf_views[leaf][k].first().map(|key| key.1)
+    }
+
+    /// [`Self::pick`] with the policy's own scratch buffer.
+    fn choose(&mut self, kind: TaskKind) -> Option<JobId> {
         let mut eligible = std::mem::take(&mut self.eligible);
-        let picked = {
-            let running: &[usize] = if self.reference { &self.scratch_run } else { &self.run[k] };
-            let pending: &[usize] = if self.reference { &self.scratch_pend } else { &self.pend[k] };
-            Self::mark_eligible_into(&self.nodes, k, running, pending, &mut eligible);
-            Self::descend(&self.nodes, k, running, &eligible)
-        };
+        let picked = self.pick(kind, &mut eligible);
         self.eligible = eligible;
-        let leaf = picked?;
-        if self.reference {
-            jobq.entries()
-                .iter()
-                .filter(|e| {
-                    self.assignment.get(&e.id) == Some(&leaf)
-                        && match kind {
-                            TaskKind::Map => e.has_schedulable_map(),
-                            TaskKind::Reduce => e.has_schedulable_reduce(),
-                        }
-                })
-                .min_by_key(|e| (e.arrival, e.id))
-                .map(|e| e.id)
-        } else {
-            self.leaf_views[leaf][k].first().map(|key| key.1)
-        }
+        picked
+    }
+
+    /// The youngest job of `leaf` with a running map: its most recently
+    /// launched running map is what a preemption kills.
+    fn victim_job(&self, leaf: usize) -> Option<JobId> {
+        self.leaf_views[leaf][2].last().map(|key| key.1)
     }
 
     /// Updates the per-pool starvation clocks from the current share
     /// state: a pool is starved while `running < min_maps` with pending
     /// map work in its subtree. Reads `jobq.now`, so it only runs from
     /// the time-sanctioned hooks. The maintained sums make this O(nodes)
-    /// with no queue walk (reference mode re-aggregates, as before).
+    /// with no queue walk.
     fn refresh_starvation(&mut self, jobq: &JobQueue) {
-        if self.reference {
-            self.aggregate(jobq, TaskKind::Map);
-        }
         let now = jobq.now;
         for i in 0..self.nodes.len() {
             let min = self.nodes[i].min[0];
@@ -563,12 +506,12 @@ impl SchedulerPolicy for HierPolicy {
         update_views(&mut self.leaf_views[leaf], leaf_keys(entry), [None; 3]);
     }
 
-    fn choose_next_map_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
-        self.choose(jobq, TaskKind::Map)
+    fn choose_next_map_task(&mut self, _jobq: &JobQueue) -> Option<JobId> {
+        self.choose(TaskKind::Map)
     }
 
-    fn choose_next_reduce_task(&mut self, jobq: &JobQueue) -> Option<JobId> {
-        self.choose(jobq, TaskKind::Reduce)
+    fn choose_next_reduce_task(&mut self, _jobq: &JobQueue) -> Option<JobId> {
+        self.choose(TaskKind::Reduce)
     }
 
     /// One victim per round: the engine re-consults after every kill +
@@ -603,11 +546,7 @@ impl SchedulerPolicy for HierPolicy {
         // never clears. Preemption exists to feed the starved pool, so a
         // kill that cannot do that is not taken at all.
         let k = ki(TaskKind::Map);
-        let (mut sim_run, mut sim_pend) = if self.reference {
-            (self.scratch_run.clone(), self.scratch_pend.clone())
-        } else {
-            (self.run[k].clone(), self.pend[k].clone())
-        };
+        let (mut sim_run, mut sim_pend) = (self.run[k].clone(), self.pend[k].clone());
         let mut n = leaf;
         loop {
             sim_run[n] -= 1;
@@ -618,25 +557,11 @@ impl SchedulerPolicy for HierPolicy {
             n = self.nodes[n].parent;
         }
         let mut eligible = Vec::new();
-        Self::mark_eligible_into(&self.nodes, k, &sim_run, &sim_pend, &mut eligible);
-        let dest = Self::descend(&self.nodes, k, &sim_run, &eligible);
+        let dest = Self::descend(&self.nodes, k, &sim_run, &sim_pend, &mut eligible);
         if !dest.is_some_and(|d| self.in_subtree(d, starved_node)) {
             return;
         }
-        // youngest job of the victim pool: its most recently launched
-        // running map is what the engine will kill
-        let victim = if self.reference {
-            jobq.entries()
-                .iter()
-                .filter(|e| self.assignment.get(&e.id) == Some(&leaf) && e.running_maps > 0)
-                .max_by_key(|e| (e.arrival, e.id))
-                .map(|e| e.id)
-        } else {
-            self.leaf_views[leaf][2].last().map(|key| key.1)
-        };
-        if let Some(id) = victim {
-            victims.push(id);
-        }
+        victims.extend(self.victim_job(leaf));
     }
 
     /// Almost everything is derivable from the hook replay (routing,
@@ -716,8 +641,9 @@ impl SchedulerPolicy for HierPolicy {
         due
     }
 
-    /// Per-pool share accounting, cross-checked by the engine's invariant
-    /// checker after every settled event batch.
+    /// Per-pool share accounting and every pick and victim, cross-checked
+    /// against the queue by the engine's invariant checker after every
+    /// settled event batch.
     fn verify_invariants(&self, jobq: &JobQueue) {
         // (1) routing table covers exactly the active jobs
         if self.assignment.len() != jobq.len() {
@@ -752,30 +678,46 @@ impl SchedulerPolicy for HierPolicy {
         // (3) maintained subtree counters match the full re-aggregation
         // oracle for both slot kinds — any missed or double-counted
         // mutation hook shows up here
-        let (mut running, mut pending) = (Vec::new(), Vec::new());
+        let (running, pending) = self.reaggregate(jobq);
         for kind in [TaskKind::Map, TaskKind::Reduce] {
             let k = ki(kind);
-            self.aggregate_into(jobq, kind, &mut running, &mut pending);
-            if running != self.run[k] || pending != self.pend[k] {
+            if running[k] != self.run[k] || pending[k] != self.pend[k] {
                 panic!(
                     "engine invariant violated [pool-share-accounting]: maintained {kind:?} \
-                     counters run={:?} pend={:?} != oracle run={running:?} pend={pending:?}",
-                    self.run[k], self.pend[k]
+                     counters run={:?} pend={:?} != oracle run={:?} pend={:?}",
+                    self.run[k], self.pend[k], running[k], pending[k]
                 );
             }
         }
         // (4) starvation clocks agree with freshly derived share state
-        // (`running`/`pending` still hold the Reduce oracle; rebuild Map)
-        self.aggregate_into(jobq, TaskKind::Map, &mut running, &mut pending);
+        let (map_run, map_pend) = (&running[0], &pending[0]);
         for (i, node) in self.nodes.iter().enumerate() {
-            let starved = node.min[0] > 0 && running[i] < node.min[0] && pending[i] > 0;
+            let starved = node.min[0] > 0 && map_run[i] < node.min[0] && map_pend[i] > 0;
             if starved != self.starved_since[i].is_some() {
                 panic!(
                     "engine invariant violated [pool-starvation-clock]: pool {:?} derived \
                      starved={starved} (running {} / min {} / pending {}) but clock is {:?}",
-                    node.prefix, running[i], node.min[0], pending[i], self.starved_since[i]
+                    node.prefix, map_run[i], node.min[0], map_pend[i], self.starved_since[i]
                 );
             }
+        }
+        // (5) every decision the views answer equals a naive one: the
+        // descent over the re-aggregated counts, then a scan of that
+        // leaf's jobs for the earliest schedulable one; per leaf, the
+        // youngest job with a running map
+        let mut eligible = Vec::new();
+        for kind in [TaskKind::Map, TaskKind::Reduce] {
+            let k = ki(kind);
+            let scan = Self::descend(&self.nodes, k, &running[k], &pending[k], &mut eligible)
+                .and_then(|leaf| expected[leaf].iter().filter_map(|keys| keys[k]).min());
+            let pick = &format_args!("{} {kind:?} pick", self.name);
+            verify_decision("policy-pick", pick, self.pick(kind, &mut eligible), scan.map(|k| k.1));
+        }
+        for &leaf in &self.leaves {
+            let scan = expected[leaf].iter().filter_map(|keys| keys[2]).max();
+            let victim =
+                &format_args!("{} pool {:?} victim job", self.name, self.nodes[leaf].prefix);
+            verify_decision("policy-victim", victim, self.victim_job(leaf), scan.map(|k| k.1));
         }
     }
 }

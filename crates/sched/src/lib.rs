@@ -28,8 +28,10 @@
 //! hooks in O(log n) per mutation. FIFO and fair keep one view per slot
 //! kind, EDF three deadline views, and the hierarchical policy (and with
 //! it `capacity`) three views per leaf pool next to its incremental
-//! share aggregates. No decision scans the queue. EDF and hier retain
-//! their full-scan reference modes for differential testing.
+//! share aggregates. No decision scans the queue, and each policy has
+//! one mode: under the invariant checker, EDF and hier re-derive every
+//! pick and preemption victim from a queue scan after each settled
+//! batch and panic if the views gave a different answer.
 //!
 //! ## Policy specs
 //!

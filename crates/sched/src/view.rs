@@ -23,6 +23,9 @@
 //! [`OrderedView::verify`] re-derives a view from the queue under the
 //! invariant checker and panics in its format unless the sets are equal:
 //! a missed or wrong hook shows up as a missing or extra member.
+//! [`verify_decision`] then holds each decision a policy reads from its
+//! views to the same decision re-derived by a queue scan, so a pick from
+//! the wrong view or the wrong end of one shows up too.
 //!
 //! [`SchedulerPolicy::on_job_queued`]: simmr_core::SchedulerPolicy::on_job_queued
 
@@ -112,6 +115,22 @@ pub fn verify_views<K: Ord + Copy + Debug, const N: usize>(
     }
 }
 
+/// Checks one decision a policy read from its views against the same
+/// decision re-derived by a naive scan of the queue.
+///
+/// # Panics
+///
+/// Panics in the invariant checker's format, under the `check` name,
+/// unless the two agree.
+pub fn verify_decision<T: PartialEq + Debug>(check: &str, decision: &dyn Display, got: T, scan: T) {
+    if got != scan {
+        panic!(
+            "engine invariant violated [{check}]: {decision} is {got:?}, but a queue scan gives \
+             {scan:?}"
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,6 +178,17 @@ mod tests {
     #[should_panic(expected = "engine invariant violated [job-view]: test view is missing [5]")]
     fn verify_panics_on_a_missing_member() {
         view(&[3]).verify([3, 5], &"test");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "engine invariant violated [policy-pick]: test pick is Some(7), but a queue \
+                    scan gives Some(3)"
+    )]
+    fn verify_decision_panics_on_a_different_answer() {
+        let v = view(&[3, 7]);
+        verify_decision("policy-pick", &"test pick", v.first(), Some(3));
+        verify_decision("policy-pick", &"test pick", v.last(), Some(3));
     }
 
     #[test]

@@ -12,17 +12,16 @@
 //! * random traces under the full failure model (host failures,
 //!   speculation, per-slot slowdowns) sweep all eight policies with the
 //!   checker on, and every run must replay byte-identically;
-//! * random pool trees replay random multi-tenant workloads under both
-//!   the incremental `hier` share view and its retained
-//!   full-reaggregation reference mode — reports (event timelines
-//!   included) must match byte for byte while the checker cross-checks
-//!   the maintained per-pool counters against the re-aggregation oracle
-//!   after every batch;
+//! * random pool trees replay random multi-tenant workloads under `hier`
+//!   (and `capacity`) while the checker re-aggregates the per-pool
+//!   counters and re-derives every pick and victim from a queue scan
+//!   after every batch; a second run, checkpointed at half the makespan
+//!   and resumed through the SIMMRCKP codec, must match byte for byte;
 //! * random deadline-heavy traces (faults, speculation and preemption
-//!   included) replay under the EDF policies' ordered deadline views
-//!   and their retained full-scan reference modes — byte-identical
-//!   reports required, with the checker verifying the views against the
-//!   live queue after every batch;
+//!   included) replay under the four EDF variants while the checker
+//!   verifies the deadline views and re-derives every pick and victim
+//!   from a queue scan after every batch; a checkpointed and resumed
+//!   second run must match byte for byte;
 //! * random traces under the full failure model replay under `fifo` and
 //!   `fair`, scheduling from their ordered views, and under test-local
 //!   policies that scan the whole queue per decision — byte-identical
@@ -42,7 +41,9 @@ use simmr_model::{estimate_completion, JobProfileSummary};
 use simmr_sched::{parse_policy, EdfPolicy, HierPolicy, PolicySpec};
 use simmr_stats::Dist;
 use simmr_trace::{encode_trace, BinTraceSource, MultiTenantWorkload};
-use simmr_types::{HostId, JobId, JobSpec, JobTemplate, SimTime, TimelinePhase, WorkloadTrace};
+use simmr_types::{
+    HostId, JobId, JobSpec, JobTemplate, SimTime, SimulationReport, TimelinePhase, WorkloadTrace,
+};
 
 const POLICIES: [&str; 8] = [
     "fifo",
@@ -218,16 +219,17 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// (d) Differential oracle for the incremental share view: the same
-    /// random pool tree — a `hier:` tree, or `capacity:` queues with
-    /// nested names routed by longest prefix — replays the same random
-    /// multi-tenant workload (failures and speculation included) under
-    /// the incremental policy and under its retained full-reaggregation
-    /// reference mode.
-    /// Reports — event timelines included — must match byte for byte,
-    /// and the armed invariant checker cross-checks the maintained
-    /// per-pool share counters against the re-aggregation oracle after
-    /// every settled batch on both sides.
+    /// (d) Differential oracle for the incremental share view: a random
+    /// pool tree — a `hier:` tree, or `capacity:` queues with nested
+    /// names routed by longest prefix — replays a random multi-tenant
+    /// workload (failures and speculation included). After every settled
+    /// batch the armed invariant checker re-aggregates the per-pool
+    /// counters from the queue and holds each pick and victim to the
+    /// naive one: the descent over the re-aggregated counts, then a scan
+    /// of the leaf. A second run, checkpointed at half the makespan,
+    /// passed through the SIMMRCKP codec and resumed under a freshly
+    /// built policy (starvation clocks restored from its blob), must
+    /// report byte for byte the same, event timelines included.
     #[test]
     fn hier_incremental_matches_full_reaggregation_reference(
         shape in 0usize..7,
@@ -283,21 +285,22 @@ proptest! {
         if speculation_on {
             config = config.with_speculation(1.5);
         }
-        let incremental = SimulatorEngine::new(config, &trace, Box::new(build())).run();
-        let reference =
-            SimulatorEngine::new(config, &trace, Box::new(build().with_full_reaggregation())).run();
-        prop_assert_eq!(incremental, reference, "incremental policy diverged on {}", spec);
+        let report = SimulatorEngine::new(config, &trace, Box::new(build())).run();
+        let resumed = resumed_from_half(config, &trace, &report, || Box::new(build()));
+        prop_assert_eq!(report, resumed, "resumed run diverged on {}", spec);
     }
 
     /// (e) Differential oracle for the EDF deadline views: random
     /// deadline-heavy traces (a mix of tight, relaxed and absent
     /// deadlines) replay under every EDF variant — plain and preemptive,
-    /// MaxEDF and MinEDF — once scheduling from the ordered deadline
-    /// views and once in the retained `with_full_scan()` reference mode,
-    /// with host failures and speculation in play. Reports (event
-    /// timelines included) must match byte for byte, and the armed
-    /// invariant checker verifies each view against the live queue after
-    /// every settled batch on both sides.
+    /// MaxEDF and MinEDF — with host failures and speculation in play.
+    /// After every settled batch the armed invariant checker verifies
+    /// each view against the live queue and holds the map pick, the
+    /// reduce pick and the preemption victim to a scan of the queue. A
+    /// second run, checkpointed at half the makespan, passed through the
+    /// SIMMRCKP codec and resumed under a freshly built policy (MinEDF's
+    /// caps checked against its blob), must report byte for byte the
+    /// same, event timelines included.
     #[test]
     fn edf_incremental_matches_full_scan_reference(
         jobs in proptest::collection::vec(
@@ -332,22 +335,19 @@ proptest! {
         if speculation_on {
             config = config.with_speculation(1.5);
         }
-        let build = |variant: &str, full_scan: bool| -> Box<dyn SchedulerPolicy> {
-            let edf = match variant {
+        let build = |variant: &str| -> Box<dyn SchedulerPolicy> {
+            Box::new(match variant {
                 "maxedf" => EdfPolicy::maxedf(),
                 "maxedf-p" => EdfPolicy::maxedf().preemptive(),
                 "minedf" => EdfPolicy::minedf(),
                 "minedf-p" => EdfPolicy::minedf().preemptive(),
                 _ => unreachable!("unknown EDF variant {variant}"),
-            };
-            Box::new(if full_scan { edf.with_full_scan() } else { edf })
+            })
         };
         for variant in ["maxedf", "maxedf-p", "minedf", "minedf-p"] {
-            let incremental =
-                SimulatorEngine::new(config, &trace, build(variant, false)).run();
-            let reference =
-                SimulatorEngine::new(config, &trace, build(variant, true)).run();
-            prop_assert_eq!(incremental, reference, "incremental {} diverged", variant);
+            let report = SimulatorEngine::new(config, &trace, build(variant)).run();
+            let resumed = resumed_from_half(config, &trace, &report, || build(variant));
+            prop_assert_eq!(report, resumed, "resumed {} diverged", variant);
         }
     }
 
@@ -399,6 +399,21 @@ proptest! {
             prop_assert_eq!(views, naive, "{} diverged from its naive scan", spec);
         }
     }
+}
+
+/// Reruns `trace` to half of `report`'s makespan, passes the checkpoint
+/// through the SIMMRCKP codec and resumes it under a freshly built policy
+/// to the end.
+fn resumed_from_half(
+    config: EngineConfig,
+    trace: &WorkloadTrace,
+    report: &SimulationReport,
+    policy: impl Fn() -> Box<dyn SchedulerPolicy>,
+) -> SimulationReport {
+    let at = SimTime::from_millis(report.makespan.as_millis() / 2);
+    let ckpt = SimulatorEngine::new(config, trace, policy()).checkpoint_at(at).unwrap();
+    let decoded = EngineCheckpoint::decode(&ckpt.encode()).unwrap();
+    SimulatorEngine::resume_materialized(config, &decoded, policy()).unwrap().run()
 }
 
 /// Test-local FIFO reference: the minimal FIFO of the `simmr_core` crate

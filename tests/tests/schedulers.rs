@@ -523,6 +523,33 @@ fn crafted_minedf_blob_count_is_an_error() {
     assert!(restore_crafted_pair_count("minedf").is_err());
 }
 
+// EDF blobs open with two flag bytes: `preemptive`, then a retired flag
+// that is always 0. A blob restores only into the variant that wrote it.
+
+#[test]
+fn edf_blob_variant_mismatch_is_an_error() {
+    let blob = parse_policy("maxedf-p").unwrap().snapshot();
+    assert!(parse_policy("maxedf").unwrap().restore(&blob).is_err());
+}
+
+#[test]
+fn edf_blob_retired_flag_is_an_error() {
+    for spec in ["maxedf", "minedf"] {
+        let mut blob = parse_policy(spec).unwrap().snapshot();
+        assert_eq!(blob[1], 0, "{spec} writes the retired flag as 0");
+        blob[1] = 1;
+        assert!(parse_policy(spec).unwrap().restore(&blob).is_err(), "{spec}");
+    }
+}
+
+#[test]
+fn edf_blob_untouched_restores() {
+    for spec in ["maxedf", "minedf", "maxedf-p", "minedf-p"] {
+        let blob = parse_policy(spec).unwrap().snapshot();
+        assert_eq!(parse_policy(spec).unwrap().restore(&blob), Ok(()), "{spec}");
+    }
+}
+
 #[test]
 fn crafted_hier_blob_count_is_an_error() {
     assert!(restore_crafted_pair_count("hier").is_err());
