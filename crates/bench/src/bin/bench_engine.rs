@@ -33,6 +33,15 @@
 //! pick from ordered views, and the old full-queue scan put fair ~45x
 //! behind. The baseline is read before the file is overwritten.
 //!
+//! Two more sections cover load the size sweep does not. A deep-backlog
+//! row per policy (`<policy>-deep`: 4 000 jobs arriving every 2 s on
+//! average, so the queue holds hundreds of jobs) keeps every ordered view
+//! under a deep queue. A perturbed row for `fifo` and `hier`
+//! (`<policy>-perturbed`, 1 000 jobs with host failures and recovery,
+//! speculation and slot slowdown) drives the running-attempt index:
+//! kills, speculative duplicates and their losers, and stale departures.
+//! These rows are measured and recorded but not gated.
+//!
 //! A fork-sweep section measures the time-travel checkpoint claim: ten
 //! what-if variants diverging at 90% of the makespan, replayed from
 //! scratch (`fork-cold`) vs warm-started from one shared prefix
@@ -42,8 +51,9 @@
 //! warm report is asserted equal to its cold counterpart first.
 
 use simmr_bench::csvout::workspace_root;
-use simmr_core::{Divergence, EngineConfig, ForkSpec, SimulatorEngine};
+use simmr_core::{Divergence, EngineConfig, FaultSpec, ForkSpec, RecoverySpec, SimulatorEngine};
 use simmr_sched::parse_policy;
+use simmr_stats::Dist;
 use simmr_trace::{BinTraceSource, FacebookWorkload, SyntheticWorkload};
 use simmr_types::{SimTime, WorkloadTrace};
 use std::path::{Path, PathBuf};
@@ -61,6 +71,44 @@ const POLICIES: [(&str, &str, usize); 5] = [
     ("fair", "fair", 10_000),
     ("hier", "hier:prod[w=3,min=4]{etl,serving},adhoc[w=1]", 10_000),
 ];
+
+/// The deep-backlog section: job count and mean inter-arrival (ms).
+const DEEP_JOBS: usize = 4_000;
+const DEEP_IA_MS: f64 = 2_000.0;
+/// (JSON label, parse spec) of the deep-backlog rows: every policy of
+/// [`POLICIES`].
+const DEEP: [(&str, &str); 5] = [
+    ("fifo-deep", "fifo"),
+    ("maxedf-deep", "maxedf"),
+    ("minedf-deep", "minedf"),
+    ("fair-deep", "fair"),
+    ("hier-deep", "hier:prod[w=3,min=4]{etl,serving},adhoc[w=1]"),
+];
+
+/// The perturbed section's job count and (JSON label, parse spec) rows.
+const PERTURBED_JOBS: usize = 1_000;
+const PERTURBED: [(&str, &str); 2] = [
+    ("fifo-perturbed", "fifo"),
+    ("hier-perturbed", "hier:prod[w=3,min=4]{etl,serving},adhoc[w=1]"),
+];
+
+/// The measured cluster: 64 map and 64 reduce slots.
+fn base_config() -> EngineConfig {
+    EngineConfig::new(64, 64)
+}
+
+/// The perturbed rows' cluster: 16 hosts, 6 host failures (one every
+/// ~20 min) each recovered after ~10 min, speculation at 1.5x the
+/// median map, and log-normal slot slowdowns (sigma 0.4, mean 1).
+fn perturbed_config() -> EngineConfig {
+    let sigma: f64 = 0.4;
+    base_config()
+        .with_hosts(16)
+        .with_faults(FaultSpec { seed: 0xBE, count: 6, mean_interval_ms: 1_200_000 })
+        .with_recovery(RecoverySpec { seed: 0xBE, mean_ms: 600_000 })
+        .with_speculation(1.5)
+        .with_slowdown(Dist::LogNormal { mu: -sigma * sigma / 2.0, sigma }, 0xBE)
+}
 
 fn min_secs() -> f64 {
     std::env::var("SIMMR_BENCH_SECS").ok().and_then(|v| v.parse().ok()).unwrap_or(2.0)
@@ -96,6 +144,10 @@ fn baseline_rate(path: &std::path::Path, policy: &str, jobs: u64) -> Option<f64>
 
 fn trace_of(jobs: usize) -> WorkloadTrace {
     FacebookWorkload { mean_interarrival_ms: 10_000.0 }.generate(jobs, 0xBE)
+}
+
+fn deep_trace() -> WorkloadTrace {
+    FacebookWorkload { mean_interarrival_ms: DEEP_IA_MS }.generate(DEEP_JOBS, 0xBE)
 }
 
 /// Job counts for the streaming (binary-trace) section; override with a
@@ -220,7 +272,7 @@ fn fork_of(at: SimTime, i: usize) -> ForkSpec {
 /// the warm-start speedup. Asserts warm == cold byte-for-byte first.
 fn measure_fork_sweep(min_secs: f64) -> (Measurement, Measurement, f64) {
     let trace = trace_of(FORK_JOBS);
-    let config = EngineConfig::new(64, 64);
+    let config = base_config();
     let policy = || parse_policy("fifo").expect("policy exists");
     let base = SimulatorEngine::new(config, &trace, policy()).run();
     let at = SimTime::from_millis(base.makespan.as_millis() / 10 * 9);
@@ -266,7 +318,9 @@ fn measure_fork_sweep(min_secs: f64) -> (Measurement, Measurement, f64) {
     (cold, warm, speedup)
 }
 
-/// [`measure`] for an arbitrary runner returning its event count.
+/// Repeats `run` (which returns its event count) until `min_secs` of
+/// wall time accumulate, at least 3 reps after a warm-up, and returns the
+/// median per-run duration.
 fn measure_fn(
     jobs: usize,
     label: &'static str,
@@ -297,14 +351,10 @@ fn measure_fn(
     }
 }
 
-fn one_run(trace: &WorkloadTrace, policy: &str) -> u64 {
-    SimulatorEngine::new(
-        EngineConfig::new(64, 64),
-        trace,
-        parse_policy(policy).expect("policy exists"),
-    )
-    .run()
-    .events_processed
+fn one_run(trace: &WorkloadTrace, policy: &str, config: EngineConfig) -> u64 {
+    SimulatorEngine::new(config, trace, parse_policy(policy).expect("policy exists"))
+        .run()
+        .events_processed
 }
 
 struct Measurement {
@@ -319,36 +369,28 @@ struct Measurement {
     peak_rss_kb: Option<u64>,
 }
 
-/// Repeats the simulation until `min_secs` of wall time accumulate (at
-/// least 3 reps) and returns the median per-run duration.
+/// Repeats the simulation of `trace` under `config` until `min_secs` of
+/// wall time accumulate (at least 3 reps) and returns the median per-run
+/// duration.
 fn measure(
     trace: &WorkloadTrace,
-    jobs: usize,
     (label, spec): (&'static str, &'static str),
+    config: EngineConfig,
     min_secs: f64,
 ) -> Measurement {
-    let events = one_run(trace, spec); // warm-up + event count
-    let mut samples = Vec::new();
-    let mut total = 0.0;
-    while total < min_secs || samples.len() < 3 {
-        let start = Instant::now();
-        let n = one_run(trace, spec);
-        let secs = start.elapsed().as_secs_f64();
-        assert_eq!(n, events, "simulation is not deterministic");
-        samples.push(secs);
-        total += secs;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-    let median_secs = samples[samples.len() / 2];
-    Measurement {
-        jobs,
-        policy: label,
-        events,
-        reps: samples.len(),
-        median_secs,
-        events_per_sec: events as f64 / median_secs,
-        peak_rss_kb: None,
-    }
+    measure_fn(trace.jobs.len(), label, min_secs, || one_run(trace, spec, config))
+}
+
+fn print_row(m: &Measurement) {
+    println!(
+        "{:>8} {:>8} {:>12} {:>6} {:>12.3} {:>14.0}",
+        m.jobs,
+        m.policy,
+        m.events,
+        m.reps,
+        m.median_secs * 1e3,
+        m.events_per_sec
+    );
 }
 
 fn main() {
@@ -389,32 +431,28 @@ fn main() {
             if jobs > max_jobs {
                 continue;
             }
-            let m = measure(&trace, jobs, (label, spec), min_secs);
-            println!(
-                "{:>8} {:>8} {:>12} {:>6} {:>12.3} {:>14.0}",
-                m.jobs,
-                m.policy,
-                m.events,
-                m.reps,
-                m.median_secs * 1e3,
-                m.events_per_sec
-            );
+            let m = measure(&trace, (label, spec), base_config(), min_secs);
+            print_row(&m);
             rows.push(m);
         }
+    }
+    let trace = deep_trace();
+    for row in DEEP {
+        let m = measure(&trace, row, base_config(), min_secs);
+        print_row(&m);
+        rows.push(m);
+    }
+    let trace = trace_of(PERTURBED_JOBS);
+    for row in PERTURBED {
+        let m = measure(&trace, row, perturbed_config(), min_secs);
+        print_row(&m);
+        rows.push(m);
     }
 
     // Fork sweep: ten late-diverging what-if variants, cold vs warm.
     let (fork_cold, fork_warm, fork_speedup) = measure_fork_sweep(min_secs);
     for m in [&fork_cold, &fork_warm] {
-        println!(
-            "{:>8} {:>9} {:>12} {:>6} {:>12.3} {:>14.0}",
-            m.jobs,
-            m.policy,
-            m.events,
-            m.reps,
-            m.median_secs * 1e3,
-            m.events_per_sec
-        );
+        print_row(m);
     }
     println!(
         "fork warm-start speedup ({FORK_VARIANTS} variants at 90% of makespan): {fork_speedup:.2}x"

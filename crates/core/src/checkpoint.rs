@@ -42,6 +42,7 @@
 //! rebuilds it, and the policy blob carries only what replay cannot (see
 //! [`crate::SchedulerPolicy::restore`]).
 
+use crate::attempts::AttemptList;
 use crate::codec::{
     put_bool_vec, put_f64_vec, put_opt_u64, put_str, put_u16, put_u32, put_u32_vec, put_u64, Crc64,
     DecodeError, Reader, TemplateTable,
@@ -379,7 +380,7 @@ impl EngineCheckpoint {
         for _ in 0..n_jobs {
             match r.u8()? {
                 0 => jobs.push(None),
-                1 => jobs.push(Some(decode_job(&mut r, &templates)?)),
+                1 => jobs.push(Some(decode_job(&mut r, &templates, map_slots, reduce_slots)?)),
                 t => return Err(CkptError::Malformed(format!("unknown job slot tag {t}"))),
             }
         }
@@ -572,7 +573,7 @@ fn encode_job(out: &mut Vec<u8>, s: &JobState, template_id: u32) {
     put_u32(out, s.fresh_maps as u32);
     put_u32_vec(out, &s.requeued_maps);
     put_u32(out, s.running_map_list.len() as u32);
-    for r in &s.running_map_list {
+    for r in s.running_map_list.iter() {
         put_u32(out, r.idx);
         put_u32(out, r.attempt);
         put_u64(out, r.start.as_millis());
@@ -585,7 +586,7 @@ fn encode_job(out: &mut Vec<u8>, s: &JobState, template_id: u32) {
     put_u32(out, s.fresh_reduces as u32);
     put_u32_vec(out, &s.requeued_reduces);
     put_u32(out, s.running_reduce_list.len() as u32);
-    for r in &s.running_reduce_list {
+    for r in s.running_reduce_list.iter() {
         put_u32(out, r.idx);
         put_u32(out, r.attempt);
         put_u64(out, r.start.as_millis());
@@ -603,7 +604,29 @@ fn encode_job(out: &mut Vec<u8>, s: &JobState, template_id: u32) {
     put_u32_vec(out, &s.spec_pending);
 }
 
-fn decode_job(r: &mut Reader, templates: &[Arc<JobTemplate>]) -> Result<JobState, CkptError> {
+/// Fails unless every index in `indices` is below `bound`; `what` names
+/// the field for the error.
+fn check_below(
+    what: &str,
+    indices: impl IntoIterator<Item = u32>,
+    bound: usize,
+) -> Result<(), CkptError> {
+    match indices.into_iter().find(|&i| i as usize >= bound) {
+        Some(i) => Err(CkptError::Malformed(format!("{what} {i} is out of range (bound {bound})"))),
+        None => Ok(()),
+    }
+}
+
+/// Decodes one job. Every task index is checked against the job's task
+/// totals and every running slot against the cluster's slot counts: a
+/// resume indexes per-task vectors and the attempt index with them, so
+/// an out-of-range value is a malformed checkpoint, not a later panic.
+fn decode_job(
+    r: &mut Reader,
+    templates: &[Arc<JobTemplate>],
+    map_slots: usize,
+    reduce_slots: usize,
+) -> Result<JobState, CkptError> {
     let tid = r.u32()? as usize;
     let template = templates
         .get(tid)
@@ -621,13 +644,13 @@ fn decode_job(r: &mut Reader, templates: &[Arc<JobTemplate>]) -> Result<JobState
     let fresh_maps = r.u32()? as usize;
     let requeued_maps = r.u32_vec()?;
     let n_rm = r.count(20)?; // idx, attempt, start, slot
-    let mut running_map_list = Vec::with_capacity(n_rm);
+    let mut running_maps = Vec::with_capacity(n_rm);
     for _ in 0..n_rm {
         let idx = r.u32()?;
         let attempt = r.u32()?;
         let start = SimTime::from_millis(r.u64()?);
         let slot = r.u32()?;
-        running_map_list.push(RunningMap { idx, attempt, start, slot });
+        running_maps.push(RunningMap { idx, attempt, start, slot });
     }
     let map_gen = r.u32_vec()?;
     let map_done = r.bool_vec()?;
@@ -636,14 +659,14 @@ fn decode_job(r: &mut Reader, templates: &[Arc<JobTemplate>]) -> Result<JobState
     let fresh_reduces = r.u32()? as usize;
     let requeued_reduces = r.u32_vec()?;
     let n_rr = r.count(28)?; // idx, attempt, start, slot, shuffle end
-    let mut running_reduce_list = Vec::with_capacity(n_rr);
+    let mut running_reduces = Vec::with_capacity(n_rr);
     for _ in 0..n_rr {
         let idx = r.u32()?;
         let attempt = r.u32()?;
         let start = SimTime::from_millis(r.u64()?);
         let slot = r.u32()?;
         let shuffle_end = SimTime::from_millis(r.u64()?);
-        running_reduce_list.push(RunningReduce { idx, attempt, start, slot, shuffle_end });
+        running_reduces.push(RunningReduce { idx, attempt, start, slot, shuffle_end });
     }
     let reduce_gen = r.u32_vec()?;
     let reduces_completed = r.u32()? as usize;
@@ -665,6 +688,23 @@ fn decode_job(r: &mut Reader, templates: &[Arc<JobTemplate>]) -> Result<JobState
              {reduces_total} reduces)"
         )));
     }
+    if fresh_maps > maps_total || fresh_reduces > reduces_total {
+        return Err(CkptError::Malformed(format!(
+            "job launched {fresh_maps} fresh maps of {maps_total} and {fresh_reduces} fresh \
+             reduces of {reduces_total}"
+        )));
+    }
+    check_below("requeued map task", requeued_maps.iter().copied(), maps_total)?;
+    check_below("running map task", running_maps.iter().map(|a| a.idx), maps_total)?;
+    check_below("running map slot", running_maps.iter().map(|a| a.slot), map_slots)?;
+    check_below("pending duplicate of map task", spec_pending.iter().copied(), maps_total)?;
+    check_below("requeued reduce task", requeued_reduces.iter().copied(), reduces_total)?;
+    check_below("running reduce task", running_reduces.iter().map(|a| a.idx), reduces_total)?;
+    check_below("running reduce slot", running_reduces.iter().map(|a| a.slot), reduce_slots)?;
+    let mut running_map_list = AttemptList::default();
+    running_maps.into_iter().for_each(|a| running_map_list.push(a));
+    let mut running_reduce_list = AttemptList::default();
+    running_reduces.into_iter().for_each(|a| running_reduce_list.push(a));
     Ok(JobState {
         template,
         arrival,
@@ -858,6 +898,53 @@ mod tests {
         let flags = 8 + 2 + 8 + 8 + 3 * 4;
         let streaming = resigned(flags..flags + 1, &[bytes[flags] | 1]);
         assert!(matches!(decode_err(&streaming), CkptError::Malformed(_)));
+    }
+
+    /// A checkpoint whose CRC is valid but which names a task or slot the
+    /// job or cluster does not have is malformed at decode time. Such a
+    /// checkpoint used to decode `Ok` and panic on resume, indexing the
+    /// job's per-task vectors with the bad task.
+    #[test]
+    fn decode_rejects_out_of_range_task_and_slot_indices() {
+        let trace = busy_trace();
+        let ckpt = SimulatorEngine::new(busy_config(), &trace, Box::new(TestFifo))
+            .checkpoint_at(SimTime::from_millis(100))
+            .unwrap();
+        let live = ckpt.jobs.iter().position(Option::is_some).expect("a live job");
+        // one extra attempt naming task `idx` on slot `slot`
+        let map = |idx, slot| RunningMap { idx, attempt: 99, start: SimTime::ZERO, slot };
+        let reduce = |idx, slot| RunningReduce {
+            idx,
+            attempt: 99,
+            start: SimTime::ZERO,
+            slot,
+            shuffle_end: SimTime::INFINITY,
+        };
+        // the busy config has 3 map and 2 reduce slots, jobs 3-5 maps and
+        // 2 reduces
+        type Corrupt<'a> = &'a dyn Fn(&mut JobState);
+        let corruptions: [(&str, Corrupt); 8] = [
+            ("running map task", &|s| s.running_map_list.push(map(999, 0))),
+            ("running map slot", &|s| s.running_map_list.push(map(0, 3))),
+            ("requeued map task", &|s| s.requeued_maps.push(999)),
+            ("pending duplicate of map task", &|s| s.spec_pending.push(999)),
+            ("running reduce task", &|s| s.running_reduce_list.push(reduce(2, 0))),
+            ("running reduce slot", &|s| s.running_reduce_list.push(reduce(0, 2))),
+            ("requeued reduce task", &|s| s.requeued_reduces.push(2)),
+            ("fresh maps", &|s| s.fresh_maps = s.maps_total + 1),
+        ];
+        let bytes = ckpt.encode();
+        for (what, corrupt) in corruptions {
+            let mut bad = EngineCheckpoint::decode(&bytes).unwrap();
+            corrupt(bad.jobs[live].as_mut().unwrap());
+            // encode signs the body, so only the range checks can object
+            match EngineCheckpoint::decode(&bad.encode()) {
+                Err(CkptError::Malformed(msg)) => {
+                    assert!(msg.contains(what), "{what}: unexpected message {msg:?}")
+                }
+                other => panic!("{what}: decoded to {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

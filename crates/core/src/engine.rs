@@ -6,7 +6,7 @@
 //! entries are inserted on job arrival and removed on departure. Every
 //! other change — launch, completion, preemption, speculation, host
 //! failure — mutates the job's `JobState` and then calls `sync_entry`
-//! once, which re-derives the entry (`entry_of`), swaps it in place and
+//! once, which re-derives the entry's counters in place in the queue and
 //! hands both sides to [`SchedulerPolicy::on_entry_mutated`] — scheduling
 //! never rebuilds a snapshot of the active jobs. A dirty flag skips the
 //! scheduling pass entirely for event batches that did not change the
@@ -42,8 +42,12 @@
 //! Task identity is `(task index, attempt)`: every launch bumps the task's
 //! attempt counter, and a departure whose pair is no longer in the running
 //! list is stale (killed by preemption, a host failure, or a lost
-//! speculation race) and ignored.
+//! speculation race) and ignored. Each running list is an `AttemptList`,
+//! which keeps launch order and finds a pair, or every live attempt of a
+//! task, through an index in O(1): no departure, straggler timer or stale
+//! event scans a job's running attempts.
 
+use crate::attempts::{Attempt, AttemptList};
 use crate::config::EngineConfig;
 use crate::event::EventKind;
 use crate::invariants::InvariantState;
@@ -94,6 +98,24 @@ pub(crate) struct RunningReduce {
     pub(crate) shuffle_end: SimTime,
 }
 
+impl Attempt for RunningMap {
+    fn task(&self) -> u32 {
+        self.idx
+    }
+    fn attempt(&self) -> u32 {
+        self.attempt
+    }
+}
+
+impl Attempt for RunningReduce {
+    fn task(&self) -> u32 {
+        self.idx
+    }
+    fn attempt(&self) -> u32 {
+        self.attempt
+    }
+}
+
 /// Runtime state of one job inside the engine. Fields are crate-visible so
 /// the invariant checker (`crate::invariants`) can re-derive the policy
 /// view from first principles, and so checkpoints (`crate::checkpoint`)
@@ -114,7 +136,7 @@ pub(crate) struct JobState {
     /// Live map attempts in launch order; the last entry is the preemption
     /// victim of choice. A task has two entries while a speculative
     /// duplicate races its primary.
-    pub(crate) running_map_list: Vec<RunningMap>,
+    pub(crate) running_map_list: AttemptList<RunningMap>,
     /// Monotone per-task launch counter; stamps each attempt so stale
     /// departures of killed attempts can be recognized.
     pub(crate) map_gen: Vec<u32>,
@@ -130,7 +152,7 @@ pub(crate) struct JobState {
     pub(crate) requeued_reduces: Vec<u32>,
     /// Live reduce attempts (unresolved fillers carry an infinite
     /// `shuffle_end` until `AllMapsFinished`).
-    pub(crate) running_reduce_list: Vec<RunningReduce>,
+    pub(crate) running_reduce_list: AttemptList<RunningReduce>,
     /// Monotone per-task launch counter for reduces.
     pub(crate) reduce_gen: Vec<u32>,
     pub(crate) reduces_completed: usize,
@@ -162,10 +184,11 @@ impl JobState {
             Some(factor) if template.num_maps > 0 => {
                 let mut ds: Vec<DurationMs> =
                     (0..template.num_maps).map(|i| template.map_duration(i)).collect();
-                ds.sort_unstable();
-                // upper median; clamped ≥ 1ms so zero-duration maps never
-                // trigger a duplicate
-                ((ds[ds.len() / 2] as f64 * factor).round() as u64).max(1)
+                let mid = ds.len() / 2;
+                // upper median, selected in O(m); clamped ≥ 1ms so
+                // zero-duration maps never trigger a duplicate
+                let (_, &mut median, _) = ds.select_nth_unstable(mid);
+                ((median as f64 * factor).round() as u64).max(1)
             }
             _ => 0,
         };
@@ -177,14 +200,14 @@ impl JobState {
             reduces_total: num_reduces,
             fresh_maps: 0,
             requeued_maps: Vec::new(),
-            running_map_list: Vec::new(),
+            running_map_list: AttemptList::default(),
             map_gen: vec![0; num_maps],
             map_done: vec![false; num_maps],
             map_done_slot: vec![0; num_maps],
             maps_completed: 0,
             fresh_reduces: 0,
             requeued_reduces: Vec::new(),
-            running_reduce_list: Vec::new(),
+            running_reduce_list: AttemptList::default(),
             reduce_gen: vec![0; num_reduces],
             reduces_completed: 0,
             reduce_threshold: config.reduce_start_threshold(num_maps),
@@ -207,6 +230,33 @@ impl JobState {
     /// Reduce tasks not yet launched (fresh or requeued by a host failure).
     fn pending_reduces(&self) -> usize {
         (self.reduces_total - self.fresh_reduces) + self.requeued_reduces.len()
+    }
+
+    /// Writes the entry fields a mutation can change — the task counters
+    /// and reduce eligibility — into `e`. The others (id, arrival,
+    /// deadline, totals) are fixed for the job's life.
+    fn refresh_entry(&self, e: &mut JobEntry) {
+        e.pending_maps = self.pending_maps();
+        e.running_maps = self.running_map_list.len();
+        e.completed_maps = self.maps_completed;
+        e.pending_reduces = self.pending_reduces();
+        e.running_reduces = self.running_reduce_list.len();
+        e.completed_reduces = self.reduces_completed;
+        e.reduce_eligible = self.maps_completed >= self.reduce_threshold;
+    }
+
+    /// A killed map attempt was its task's last live one: the task goes
+    /// back to the queue, and a duplicate still waiting for a slot is
+    /// downgraded to that requeued primary.
+    fn requeue_killed_map(&mut self, idx: u32) {
+        // only a speculated task can have a pending duplicate
+        if self.speculated[idx as usize] {
+            if let Some(p) = self.spec_pending.iter().position(|&x| x == idx) {
+                self.spec_pending.remove(p);
+                self.speculated[idx as usize] = false;
+            }
+        }
+        self.requeued_maps.push(idx);
     }
 }
 
@@ -753,29 +803,37 @@ impl<'a> SimulatorEngine<'a> {
     /// The policy-visible entry equivalent to a job's current state.
     pub(crate) fn entry_of(&self, job: JobId) -> JobEntry {
         let s = self.jobs.get(job).expect("entry_of on a retired job");
-        JobEntry {
+        let mut e = JobEntry {
             id: job,
             arrival: s.arrival,
             deadline: s.deadline,
-            pending_maps: s.pending_maps(),
-            running_maps: s.running_map_list.len(),
-            completed_maps: s.maps_completed,
+            pending_maps: 0,
+            running_maps: 0,
+            completed_maps: 0,
             total_maps: s.maps_total,
-            pending_reduces: s.pending_reduces(),
-            running_reduces: s.running_reduce_list.len(),
-            completed_reduces: s.reduces_completed,
+            pending_reduces: 0,
+            running_reduces: 0,
+            completed_reduces: 0,
             total_reduces: s.reduces_total,
-            reduce_eligible: s.maps_completed >= s.reduce_threshold,
-        }
+            reduce_eligible: false,
+        };
+        s.refresh_entry(&mut e);
+        e
     }
 
     /// Re-derives an active job's queue entry from its state and reports
     /// the change to the policy: the one way a queued entry changes.
-    /// Every mutation site edits the `JobState`, then syncs once.
+    /// Every mutation site edits the `JobState`, then syncs once. The
+    /// counters are rewritten in place in the queue, field by field, and
+    /// the policy reads the new entry there.
     fn sync_entry(&mut self, job: JobId) {
-        let after = self.entry_of(job);
-        let before = self.jobq.replace(after);
-        self.policy.on_entry_mutated(&before, &after);
+        let state = self.jobs.get(job).expect("sync_entry on a retired job");
+        let Some(entry) = self.jobq.get_mut(job) else {
+            panic!("job {job} is not in the job queue");
+        };
+        let before = *entry;
+        state.refresh_entry(entry);
+        self.policy.on_entry_mutated(&before, entry);
     }
 
     fn on_job_arrival(&mut self, job: JobId, _now: SimTime) {
@@ -794,39 +852,27 @@ impl<'a> SimulatorEngine<'a> {
     }
 
     fn on_map_departure(&mut self, job: JobId, task_index: u32, attempt: u32, now: SimTime) {
-        let speculation = self.config.speculation_factor.is_some();
         let Some(state) = self.jobs.get_mut(job) else {
             // the job already departed and was retired; the attempt this
             // event named was accounted for then
             return;
         };
-        let Some(pos) =
-            state.running_map_list.iter().position(|r| r.idx == task_index && r.attempt == attempt)
-        else {
+        let Some(winner) = state.running_map_list.remove(task_index, attempt) else {
             // stale departure from a killed attempt (preemption, host
             // failure, or a lost speculation race): its slot was already
             // handled at kill time, and nothing observable changed
             return;
         };
-        let winner = state.running_map_list.remove(pos);
         let idx = task_index as usize;
         debug_assert!(!state.map_done[idx], "live attempt of an already-done map");
         state.map_done[idx] = true;
         state.map_done_slot[idx] = winner.slot;
         state.maps_completed += 1;
-        // First finisher wins: kill the losing duplicate attempts and
-        // cancel a not-yet-launched duplicate. Only speculation can create
-        // a second attempt, so the scan is gated off the hot path.
-        let mut losers: Vec<RunningMap> = Vec::new();
-        if speculation {
-            let mut i = 0;
-            while i < state.running_map_list.len() {
-                if state.running_map_list[i].idx == task_index {
-                    losers.push(state.running_map_list.remove(i));
-                } else {
-                    i += 1;
-                }
-            }
+        // First finisher wins: kill the losing duplicate attempts (only
+        // speculation creates them; the index finds none otherwise) and
+        // cancel a not-yet-launched duplicate of a speculated task.
+        let losers = state.running_map_list.remove_task(task_index);
+        if state.speculated[idx] {
             if let Some(p) = state.spec_pending.iter().position(|&x| x == task_index) {
                 state.spec_pending.remove(p);
             }
@@ -875,20 +921,13 @@ impl<'a> SimulatorEngine<'a> {
         let Some(state) = self.jobs.get_mut(job) else {
             return false;
         };
-        let Some(victim) = state.running_map_list.pop() else {
+        let Some(victim) = state.running_map_list.pop_newest() else {
             return false;
         };
         // The in-flight departure of (idx, attempt) is now stale: the pair
         // is no longer in the running list and attempts are never reused.
-        let idx = victim.idx;
-        let other_live = state.running_map_list.iter().any(|r| r.idx == idx);
-        if !other_live {
-            if let Some(p) = state.spec_pending.iter().position(|&x| x == idx) {
-                // downgrade the pending duplicate to the requeued primary
-                state.spec_pending.remove(p);
-                state.speculated[idx as usize] = false;
-            }
-            state.requeued_maps.push(idx);
+        if !state.running_map_list.has_task(victim.idx) {
+            state.requeue_killed_map(victim.idx);
         }
         self.free_map_slots.push(victim.slot);
         self.sync_entry(job);
@@ -926,32 +965,29 @@ impl<'a> SimulatorEngine<'a> {
             state.maps_finished = Some(now);
         }
         // Rewrite every in-flight first-wave filler's "infinite" duration to
-        // (non-overlapping first shuffle) + (reduce phase), per §III-B.
-        // Resolving fillers changes neither the job queue nor the free
-        // slots, so this handler leaves the dirty flag untouched.
-        let n = self.jobs.get(job).expect("state fetched above").running_reduce_list.len();
-        for i in 0..n {
-            let state = self.jobs.get(job).expect("state fetched above");
-            let r = state.running_reduce_list[i];
+        // (non-overlapping first shuffle) + (reduce phase), per §III-B, in
+        // launch order. Resolving fillers changes neither the job queue
+        // nor the free slots, so this handler leaves the dirty flag
+        // untouched.
+        let state = self.jobs.get_mut(job).expect("state fetched above");
+        let template = &state.template;
+        state.running_reduce_list.for_each_mut(|r| {
             if !r.shuffle_end.is_infinite() {
                 // later-wave reduce already fully scheduled at launch
-                continue;
+                return;
             }
-            let mut shuffle = state.template.first_shuffle_duration(r.idx as usize);
-            let mut reduce = state.template.reduce_duration(r.idx as usize);
+            let mut shuffle = template.first_shuffle_duration(r.idx as usize);
+            let mut reduce = template.reduce_duration(r.idx as usize);
             if let Some(&f) = self.reduce_slowdown.get(r.slot as usize) {
                 shuffle = scaled(shuffle, f);
                 reduce = scaled(reduce, f);
             }
-            let shuffle_end = now + shuffle;
-            let finish = shuffle_end + reduce;
-            self.jobs.get_mut(job).expect("state fetched above").running_reduce_list[i]
-                .shuffle_end = shuffle_end;
+            r.shuffle_end = now + shuffle;
+            let finish = r.shuffle_end + reduce;
             self.queue.push_attempt(finish, EventKind::ReduceTaskDeparture, job, r.idx, r.attempt);
             // No bars yet: reduce bars are recorded at departure (or kill)
             // so a host failure can truncate them at the true extent.
-        }
-        let state = self.jobs.get(job).expect("state fetched above");
+        });
         if state.reduces_total == 0 {
             self.queue.push(now, EventKind::JobDeparture, job, 0);
         }
@@ -962,15 +998,10 @@ impl<'a> SimulatorEngine<'a> {
             // the job already departed and was retired
             return;
         };
-        let Some(pos) = state
-            .running_reduce_list
-            .iter()
-            .position(|r| r.idx == task_index && r.attempt == attempt)
-        else {
+        let Some(done) = state.running_reduce_list.remove(task_index, attempt) else {
             // stale departure from an attempt killed by a host failure
             return;
         };
-        let done = state.running_reduce_list.remove(pos);
         state.reduces_completed += 1;
         let job_done = state.reduces_completed == state.reduces_total
             && state.maps_completed == state.maps_total;
@@ -1074,28 +1105,22 @@ impl<'a> SimulatorEngine<'a> {
             let mut map_bars: Vec<RunningMap> = Vec::new();
             let mut reduce_bars: Vec<RunningReduce> = Vec::new();
             let mut reruns = 0usize;
-            // kill running map attempts placed on the dead host
-            let mut i = 0;
-            while i < state.running_map_list.len() {
-                if !self.dead_map_slots[state.running_map_list[i].slot as usize] {
-                    i += 1;
-                    continue;
-                }
-                // ordered remove: later attempts stay "most recent" for
-                // the preemption victim choice
-                let victim = state.running_map_list.remove(i);
-                let idx = victim.idx;
-                let other_live = state.running_map_list.iter().any(|r| r.idx == idx);
-                if !other_live {
-                    if let Some(p) = state.spec_pending.iter().position(|&x| x == idx) {
-                        // the pending duplicate becomes the requeued primary
-                        state.spec_pending.remove(p);
-                        state.speculated[idx as usize] = false;
+            // kill running map attempts placed on the dead host, in launch
+            // order; the survivors keep theirs for the preemption victim
+            // choice. The list is taken out of `state` so the kill
+            // callback can requeue through it.
+            let dead_maps = &self.dead_map_slots;
+            let mut running = std::mem::take(&mut state.running_map_list);
+            running.remove_where(
+                |r| dead_maps[r.slot as usize],
+                |live, victim| {
+                    if !live.has_task(victim.idx) {
+                        state.requeue_killed_map(victim.idx);
                     }
-                    state.requeued_maps.push(idx);
-                }
-                map_bars.push(victim);
-            }
+                    map_bars.push(victim);
+                },
+            );
+            state.running_map_list = running;
             // Re-run completed maps whose output lived on the host — but
             // only while the map stage is still open. Once AllMapsFinished
             // has fired, every reduce has entered (or finished) its shuffle
@@ -1114,16 +1139,15 @@ impl<'a> SimulatorEngine<'a> {
                 }
             }
             // kill running reduce attempts placed on the dead host
-            let mut i = 0;
-            while i < state.running_reduce_list.len() {
-                if !self.dead_reduce_slots[state.running_reduce_list[i].slot as usize] {
-                    i += 1;
-                    continue;
-                }
-                let victim = state.running_reduce_list.remove(i);
-                state.requeued_reduces.push(victim.idx);
-                reduce_bars.push(victim);
-            }
+            let dead_reduces = &self.dead_reduce_slots;
+            let requeued = &mut state.requeued_reduces;
+            state.running_reduce_list.remove_where(
+                |r| dead_reduces[r.slot as usize],
+                |_, victim| {
+                    requeued.push(victim.idx);
+                    reduce_bars.push(victim);
+                },
+            );
             if map_bars.is_empty() && reduce_bars.is_empty() && reruns == 0 {
                 continue;
             }
@@ -1226,7 +1250,7 @@ impl<'a> SimulatorEngine<'a> {
         if state.map_done[idx] || state.speculated[idx] {
             return;
         }
-        if !state.running_map_list.iter().any(|r| r.idx == task_index && r.attempt == attempt) {
+        if !state.running_map_list.contains(task_index, attempt) {
             return;
         }
         state.speculated[idx] = true;

@@ -26,6 +26,11 @@
 //!   bookkeeping (`spec_pending` entries always shadow a live primary
 //!   attempt), and the queue itself must stay sorted by `(arrival, id)`
 //!   and contain exactly the active jobs.
+//! * **Attempt index** — each job's running map and reduce lists link
+//!   every node of their slab into exactly one of the launch-order and
+//!   free lists, find every live attempt by `(task, attempt)` at its own
+//!   node, and their per-task chains link exactly the live attempts
+//!   (`[attempt-index]`).
 //! * **Event-time monotonicity** — popped events never go back in time,
 //!   and settled batches are strictly increasing.
 //! * **Timeline disjointness (online)** — every recorded bar must start at
@@ -279,7 +284,7 @@ impl InvariantState {
         for (i, state) in engine.jobs.iter() {
             running_maps += state.running_map_list.len();
             running_reduces += state.running_reduce_list.len();
-            for r in &state.running_map_list {
+            for r in state.running_map_list.iter() {
                 let slot = r.slot as usize;
                 match map_seen.get_mut(slot) {
                     Some(seen @ false) => *seen = true,
@@ -302,7 +307,7 @@ impl InvariantState {
                     );
                 }
             }
-            for r in &state.running_reduce_list {
+            for r in state.running_reduce_list.iter() {
                 let slot = r.slot as usize;
                 match reduce_seen.get_mut(slot) {
                     Some(seen @ false) => *seen = true,
@@ -355,6 +360,17 @@ impl InvariantState {
         let mut active = 0usize;
         let speculation = engine.config.speculation_factor.is_some();
         for (id, state) in engine.jobs.iter() {
+            // the running lists' (task, attempt) index against a scan of
+            // the lists, before anything below trusts their contents
+            let indices = [
+                ("map", state.running_map_list.verify_index()),
+                ("reduce", state.running_reduce_list.verify_index()),
+            ];
+            for (kind, checked) in indices {
+                if let Err(e) = checked {
+                    violation!("attempt-index", "job {id} {kind} attempts at t={now}: {e}");
+                }
+            }
             // internal task accounting before the view comparison: a task
             // may have up to two live attempts under speculation, so the
             // conservation law counts *distinct* running task indices

@@ -79,7 +79,7 @@ impl JobEntry {
 /// (arrivals come in time order); `remove` of the oldest job — the common
 /// case under FIFO-like service — just advances `head` in O(1), while a
 /// mid-queue removal shifts the (shorter) front segment right into the
-/// hole. `get` / `replace` are O(1) through an id→position table. The
+/// hole. `get` / `get_mut` are O(1) through an id→position table. The
 /// dead prefix is compacted away once it outgrows the live region, so
 /// memory stays proportional to the active-job high-water mark.
 #[derive(Debug, Default)]
@@ -135,15 +135,15 @@ impl JobQueue {
         }
     }
 
-    /// Swaps an active job's entry for `entry` in place and returns the
-    /// old one — the engine re-derives the entry after every mutation, so
-    /// a scheduling loop sees its own placements.
-    pub(crate) fn replace(&mut self, entry: JobEntry) -> JobEntry {
-        let pos = match self.index.get(entry.id.index()) {
-            Some(&pos) if pos != ABSENT => pos as usize,
-            _ => panic!("job {} is not in the job queue", entry.id),
-        };
-        std::mem::replace(&mut self.entries[pos], entry)
+    /// An active job's entry, mutably: the engine re-derives the entry's
+    /// counters in place after every mutation, so a scheduling loop sees
+    /// its own placements. Only the counters may change; `id` and
+    /// `arrival` fix the queue order.
+    pub(crate) fn get_mut(&mut self, id: JobId) -> Option<&mut JobEntry> {
+        match self.index.get(id.index()) {
+            Some(&pos) if pos != ABSENT => Some(&mut self.entries[pos as usize]),
+            _ => None,
+        }
     }
 
     /// Adds a job's entry (on arrival). Arrivals are processed in time
@@ -485,11 +485,12 @@ mod tests {
         }
     }
 
-    /// Replaces job `id`'s entry with `f` applied to it.
+    /// Applies `f` to job `id`'s entry in place; returns the old entry.
     fn update(q: &mut JobQueue, id: u32, f: impl FnOnce(&mut JobEntry)) -> JobEntry {
-        let mut e = *q.get(JobId(id)).unwrap();
-        f(&mut e);
-        q.replace(e)
+        let e = q.get_mut(JobId(id)).unwrap();
+        let before = *e;
+        f(e);
+        before
     }
 
     #[test]

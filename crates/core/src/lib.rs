@@ -96,6 +96,7 @@
 //! assert!(report.jobs[0].completion > SimTime::ZERO);
 //! ```
 
+mod attempts;
 pub mod checkpoint;
 pub mod codec;
 pub mod config;

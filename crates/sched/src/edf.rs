@@ -24,90 +24,37 @@
 //! schedulable reduce, and jobs with a running map. A pick is the first
 //! key of its view; the preemption victim is the last running-map key,
 //! taken only if it sorts strictly after the urgent job. A job's key
-//! never changes, only whether it qualifies for a view. After every
+//! never changes, only whether it qualifies for a view, so a hook
+//! touches a view only when a membership bit flips. After every
 //! settled batch the invariant checker has `verify_invariants` verify
 //! each view against the queue and re-derive the map pick, the reduce
 //! pick and the victim from a scan of `jobq.entries()`.
 
-use crate::view::{update_views, verify_decision, verify_views, OrderedView};
+use crate::view::{keys_of, update_views, verify_decision, verify_views, Members, OrderedView};
+use crate::window::IdWindow;
 use simmr_core::codec::{put_u32, Reader};
 use simmr_core::{JobEntry, JobQueue, SchedulerPolicy};
 use simmr_model::{min_slots_for_deadline, JobProfileSummary, SlotAllocation};
 use simmr_types::{DurationMs, JobId, JobTemplate, SimTime, TaskKind};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// [`JobEntry::edf_key`]: `(deadline, arrival, id)`, no deadline last.
 type EdfKey = (SimTime, SimTime, JobId);
 
-/// MinEDF's wanted caps of the active jobs, indexed by job id from the
-/// oldest capped job on: a read is one checked index, and storage spans
-/// the live ids rather than every id the trace ever admitted. Ids may
-/// come in any order (a resume replays the queue in arrival order).
-#[derive(Debug, Default)]
-struct Wanted {
-    /// Job id of `slots[0]`.
-    base: usize,
-    /// `None` marks a departed job inside the span; both ends are `Some`.
-    slots: VecDeque<Option<SlotAllocation>>,
+/// Whether the entry qualifies for each view — under-cap schedulable
+/// map (bit 0), under-cap schedulable reduce (bit 1), running map (bit
+/// 2) — under its wanted `cap`. Under cap means one more launch stays
+/// within the cap.
+fn members(cap: Option<SlotAllocation>, e: &JobEntry) -> Members {
+    let map = e.has_schedulable_map() && cap.is_none_or(|w| e.running_maps < w.maps);
+    let reduce = e.has_schedulable_reduce() && cap.is_none_or(|w| e.running_reduces < w.reduces);
+    map as Members | (reduce as Members) << 1 | ((e.running_maps > 0) as Members) << 2
 }
 
-impl Wanted {
-    fn get(&self, id: JobId) -> Option<SlotAllocation> {
-        self.slots.get(id.index().wrapping_sub(self.base)).copied().flatten()
-    }
-
-    fn insert(&mut self, id: JobId, cap: SlotAllocation) {
-        let i = id.index();
-        if self.slots.is_empty() {
-            self.base = i;
-        }
-        while i < self.base {
-            self.slots.push_front(None);
-            self.base -= 1;
-        }
-        if i - self.base >= self.slots.len() {
-            self.slots.resize(i - self.base + 1, None);
-        }
-        self.slots[i - self.base] = Some(cap);
-    }
-
-    fn remove(&mut self, id: JobId) {
-        if let Some(slot) = self.slots.get_mut(id.index().wrapping_sub(self.base)) {
-            *slot = None;
-        }
-        while self.slots.front() == Some(&None) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        while self.slots.back() == Some(&None) {
-            self.slots.pop_back();
-        }
-    }
-
-    /// The caps, sorted by job id.
-    fn live(&self) -> Vec<(u32, SlotAllocation)> {
-        let base = self.base;
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, w)| w.map(|w| ((base + i) as u32, w)))
-            .collect()
-    }
-}
-
-/// The entry's key in each view — under-cap schedulable map, under-cap
-/// schedulable reduce, running map — `None` where it does not qualify.
-/// Under cap means one more launch stays within the job's wanted cap.
-fn keys(wanted: &Wanted, e: &JobEntry) -> [Option<EdfKey>; 3] {
-    let (key, cap) = (e.edf_key(), wanted.get(e.id));
-    let under_map_cap = e.has_schedulable_map() && cap.is_none_or(|w| e.running_maps < w.maps);
-    let under_reduce_cap =
-        e.has_schedulable_reduce() && cap.is_none_or(|w| e.running_reduces < w.reduces);
-    [
-        under_map_cap.then_some(key),
-        under_reduce_cap.then_some(key),
-        (e.running_maps > 0).then_some(key),
-    ]
+/// The entry's key in every view: its deadline order, which never
+/// changes.
+fn key(_view: usize, e: &JobEntry) -> EdfKey {
+    e.edf_key()
 }
 
 /// EDF ordering; MinEDF additionally caps each job at its model-derived
@@ -117,14 +64,15 @@ pub struct EdfPolicy {
     /// Compute a wanted cap per arriving job (MinEDF); MaxEDF computes
     /// none, which leaves every job uncapped.
     caps: bool,
-    /// Per-job wanted slot counts, computed on arrival.
-    wanted: Wanted,
+    /// Per-job wanted slot counts, computed on arrival, over the live job
+    /// ids.
+    wanted: IdWindow<SlotAllocation>,
     /// Allocations supplied up front (e.g. from a shared ARIA profile
     /// database) that take precedence over the model computation.
     /// Consulted once per arrival, so a map is fine here.
     presets: HashMap<JobId, SlotAllocation>,
     preemptive: bool,
-    /// The deadline views, in [`keys`] order.
+    /// The deadline views, in [`members`] order.
     views: [OrderedView<EdfKey>; 3],
 }
 
@@ -228,17 +176,22 @@ impl SchedulerPolicy for EdfPolicy {
 
     fn on_job_queued(&mut self, entry: &JobEntry) {
         // on_job_arrival has already run: the cap exists before the
-        // entry's first keys are computed
-        update_views(&mut self.views, [None; 3], keys(&self.wanted, entry));
+        // entry's first membership is computed
+        let is = members(self.wanted.get(entry.id), entry);
+        update_views(&mut self.views, (entry, 0), (entry, is), false, key);
     }
 
     fn on_entry_mutated(&mut self, before: &JobEntry, after: &JobEntry) {
-        update_views(&mut self.views, keys(&self.wanted, before), keys(&self.wanted, after));
+        let cap = self.wanted.get(after.id);
+        let (was, is) = (members(cap, before), members(cap, after));
+        update_views(&mut self.views, (before, was), (after, is), false, key);
     }
 
     fn on_job_dequeued(&mut self, entry: &JobEntry) {
-        // before on_job_departure drops the cap the keys were taken under
-        update_views(&mut self.views, keys(&self.wanted, entry), [None; 3]);
+        // before on_job_departure drops the cap the membership was taken
+        // under
+        let was = members(self.wanted.get(entry.id), entry);
+        update_views(&mut self.views, (entry, was), (entry, 0), false, key);
     }
 
     fn choose_next_map_task(&mut self, _jobq: &JobQueue) -> Option<JobId> {
@@ -279,7 +232,11 @@ impl SchedulerPolicy for EdfPolicy {
                 );
             }
         }
-        let keys: Vec<_> = jobq.entries().iter().map(|e| keys(&self.wanted, e)).collect();
+        let keys: Vec<_> = jobq
+            .entries()
+            .iter()
+            .map(|e| keys_of(e, members(self.wanted.get(e.id), e), key))
+            .collect();
         verify_views(&self.views, &keys, self.name(), ["map", "reduce", "running"]);
         let scan = |view: usize| keys.iter().filter_map(move |k| k[view]);
         let name = self.name();

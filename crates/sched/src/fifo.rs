@@ -16,9 +16,11 @@
 //! FIFO is fair share with the running count fixed at 0, so one policy
 //! implements both. It keeps one `OrderedView` per slot kind over the
 //! jobs with a schedulable task of that kind, maintained from the entry
-//! hooks in O(log n) per mutation; a pick reads the view's first key.
+//! hooks; a pick reads the view's first key. A FIFO key never changes, so
+//! only a flip of a job's schedulable bit touches a view (O(log n)); fair
+//! share also re-keys a job whose running count moved.
 
-use crate::view::{update_views, verify_views, OrderedView};
+use crate::view::{keys_of, update_views, verify_views, Members, OrderedView};
 use simmr_core::{JobEntry, JobQueue, SchedulerPolicy};
 use simmr_types::{JobId, SimTime};
 
@@ -46,14 +48,18 @@ impl FifoPolicy {
     }
 }
 
-/// The entry's key in each view, `None` where it has no schedulable task
-/// of that kind.
-fn keys(fair: bool, e: &JobEntry) -> [Option<Key>; 2] {
-    let running = |n| if fair { n } else { 0 };
-    [
-        e.has_schedulable_map().then_some((running(e.running_maps), e.arrival, e.id)),
-        e.has_schedulable_reduce().then_some((running(e.running_reduces), e.arrival, e.id)),
-    ]
+/// Whether the entry has a schedulable task of each kind: its membership
+/// in the map (bit 0) and reduce (bit 1) views.
+fn members(e: &JobEntry) -> Members {
+    e.has_schedulable_map() as Members | (e.has_schedulable_reduce() as Members) << 1
+}
+
+/// The entry's key in view `view` (0 map, 1 reduce).
+fn key(fair: bool) -> impl Fn(usize, &JobEntry) -> Key {
+    move |view, e| {
+        let running = if view == 0 { e.running_maps } else { e.running_reduces };
+        (if fair { running } else { 0 }, e.arrival, e.id)
+    }
 }
 
 impl SchedulerPolicy for FifoPolicy {
@@ -66,15 +72,18 @@ impl SchedulerPolicy for FifoPolicy {
     }
 
     fn on_job_queued(&mut self, entry: &JobEntry) {
-        update_views(&mut self.views, [None; 2], keys(self.fair, entry));
+        let (absent, is) = ((entry, 0), (entry, members(entry)));
+        update_views(&mut self.views, absent, is, self.fair, key(self.fair));
     }
 
     fn on_entry_mutated(&mut self, before: &JobEntry, after: &JobEntry) {
-        update_views(&mut self.views, keys(self.fair, before), keys(self.fair, after));
+        let (was, is) = ((before, members(before)), (after, members(after)));
+        update_views(&mut self.views, was, is, self.fair, key(self.fair));
     }
 
     fn on_job_dequeued(&mut self, entry: &JobEntry) {
-        update_views(&mut self.views, keys(self.fair, entry), [None; 2]);
+        let (was, absent) = ((entry, members(entry)), (entry, 0));
+        update_views(&mut self.views, was, absent, self.fair, key(self.fair));
     }
 
     fn choose_next_map_task(&mut self, _jobq: &JobQueue) -> Option<JobId> {
@@ -86,7 +95,8 @@ impl SchedulerPolicy for FifoPolicy {
     }
 
     fn verify_invariants(&self, jobq: &JobQueue) {
-        let keys: Vec<_> = jobq.entries().iter().map(|e| keys(self.fair, e)).collect();
+        let keys: Vec<_> =
+            jobq.entries().iter().map(|e| keys_of(e, members(e), key(self.fair))).collect();
         verify_views(&self.views, &keys, self.name(), ["map", "reduce"]);
     }
 }

@@ -60,25 +60,27 @@
 //! the sanctioned `map_preemptions` / `next_wakeup` hooks.
 
 use crate::pool::{join_prefix, validate_pools, PoolSpec};
-use crate::view::{update_views, verify_decision, verify_views, OrderedView};
+use crate::view::{keys_of, update_views, verify_decision, verify_views, Members, OrderedView};
+use crate::window::IdWindow;
 use simmr_core::codec::{put_opt_u64, put_u32, Reader};
 use simmr_core::{JobEntry, JobQueue, SchedulerPolicy};
 use simmr_types::{DurationMs, JobId, JobTemplate, SimTime, TaskKind};
 use std::cmp::Reverse;
-use std::collections::HashMap;
 
 /// `(arrival, id)`: FIFO order within a leaf.
 type LeafKey = (SimTime, JobId);
 
-/// The entry's key in each leaf view — schedulable map, schedulable
-/// reduce, running map — `None` where it does not qualify.
-fn leaf_keys(e: &JobEntry) -> [Option<LeafKey>; 3] {
-    let key = (e.arrival, e.id);
-    [
-        e.has_schedulable_map().then_some(key),
-        e.has_schedulable_reduce().then_some(key),
-        (e.running_maps > 0).then_some(key),
-    ]
+/// Whether the entry qualifies for each leaf view — schedulable map (bit
+/// 0), schedulable reduce (bit 1), running map (bit 2).
+fn leaf_members(e: &JobEntry) -> Members {
+    e.has_schedulable_map() as Members
+        | (e.has_schedulable_reduce() as Members) << 1
+        | ((e.running_maps > 0) as Members) << 2
+}
+
+/// The entry's key in every leaf view, which never changes.
+fn leaf_key(_view: usize, e: &JobEntry) -> LeafKey {
+    (e.arrival, e.id)
 }
 
 /// Map/reduce index into per-kind share arrays.
@@ -118,8 +120,8 @@ pub struct HierPolicy {
     /// The leaves in routing priority order: a job goes to the first
     /// whose prefix matches its name.
     routes: Vec<usize>,
-    /// Active job → leaf node index.
-    assignment: HashMap<JobId, usize>,
+    /// Active job → leaf node index, over the live job ids.
+    assignment: IdWindow<usize>,
     /// When each pool dropped below its map min share (with pending
     /// work), or `None` while satisfied.
     starved_since: Vec<Option<SimTime>>,
@@ -130,7 +132,7 @@ pub struct HierPolicy {
     /// rebuilds them from the queue.
     run: [Vec<usize>; 2],
     pend: [Vec<usize>; 2],
-    /// Per-node job views in [`leaf_keys`] order (empty on internal
+    /// Per-node job views in [`leaf_members`] order (empty on internal
     /// nodes): the final-leaf pick and the victim job read them instead
     /// of the queue.
     leaf_views: Vec<[OrderedView<LeafKey>; 3]>,
@@ -162,7 +164,7 @@ impl HierPolicy {
             }],
             leaves: Vec::new(),
             routes: Vec::new(),
-            assignment: HashMap::new(),
+            assignment: IdWindow::default(),
             starved_since: Vec::new(),
             run: [Vec::new(), Vec::new()],
             pend: [Vec::new(), Vec::new()],
@@ -246,7 +248,7 @@ impl HierPolicy {
 
     /// The pool prefix a job was assigned to (for tests/diagnostics).
     pub fn pool_of(&self, id: JobId) -> Option<&str> {
-        self.assignment.get(&id).map(|&l| self.nodes[l].prefix.as_str())
+        self.assignment.get(id).map(|l| self.nodes[l].prefix.as_str())
     }
 
     /// Leaf routing prefixes in routing (depth-first) order.
@@ -273,7 +275,7 @@ impl HierPolicy {
         let n = self.nodes.len();
         let (mut running, mut pending) = ([vec![0; n], vec![0; n]], [vec![0; n], vec![0; n]]);
         for e in jobq.entries() {
-            let Some(&leaf) = self.assignment.get(&e.id) else { continue };
+            let Some(leaf) = self.assignment.get(e.id) else { continue };
             for kind in [TaskKind::Map, TaskKind::Reduce] {
                 let (r, p) = Self::entry_counts(e, kind);
                 running[ki(kind)][leaf] += r;
@@ -474,36 +476,39 @@ impl SchedulerPolicy for HierPolicy {
     }
 
     fn on_job_departure(&mut self, id: JobId) {
-        self.assignment.remove(&id);
+        self.assignment.remove(id);
     }
 
     fn on_job_queued(&mut self, entry: &JobEntry) {
-        let leaf = *self.assignment.get(&entry.id).expect("job routed before it is queued");
+        let leaf = self.assignment.get(entry.id).expect("job routed before it is queued");
         for kind in [TaskKind::Map, TaskKind::Reduce] {
             let (r, p) = Self::entry_counts(entry, kind);
             self.apply_delta(leaf, ki(kind), r as isize, p as isize);
         }
-        update_views(&mut self.leaf_views[leaf], [None; 3], leaf_keys(entry));
+        let (absent, is) = ((entry, 0), (entry, leaf_members(entry)));
+        update_views(&mut self.leaf_views[leaf], absent, is, false, leaf_key);
     }
 
     fn on_entry_mutated(&mut self, before: &JobEntry, after: &JobEntry) {
-        let Some(&leaf) = self.assignment.get(&after.id) else { return };
+        let Some(leaf) = self.assignment.get(after.id) else { return };
         for kind in [TaskKind::Map, TaskKind::Reduce] {
             let k = ki(kind);
             let (r0, p0) = Self::entry_counts(before, kind);
             let (r1, p1) = Self::entry_counts(after, kind);
             self.apply_delta(leaf, k, r1 as isize - r0 as isize, p1 as isize - p0 as isize);
         }
-        update_views(&mut self.leaf_views[leaf], leaf_keys(before), leaf_keys(after));
+        let (was, is) = ((before, leaf_members(before)), (after, leaf_members(after)));
+        update_views(&mut self.leaf_views[leaf], was, is, false, leaf_key);
     }
 
     fn on_job_dequeued(&mut self, entry: &JobEntry) {
-        let Some(&leaf) = self.assignment.get(&entry.id) else { return };
+        let Some(leaf) = self.assignment.get(entry.id) else { return };
         for kind in [TaskKind::Map, TaskKind::Reduce] {
             let (r, p) = Self::entry_counts(entry, kind);
             self.apply_delta(leaf, ki(kind), -(r as isize), -(p as isize));
         }
-        update_views(&mut self.leaf_views[leaf], leaf_keys(entry), [None; 3]);
+        let (was, absent) = ((entry, leaf_members(entry)), (entry, 0));
+        update_views(&mut self.leaf_views[leaf], was, absent, false, leaf_key);
     }
 
     fn choose_next_map_task(&mut self, _jobq: &JobQueue) -> Option<JobId> {
@@ -575,12 +580,10 @@ impl SchedulerPolicy for HierPolicy {
         for since in &self.starved_since {
             put_opt_u64(&mut out, since.map(|t| t.as_millis()));
         }
-        let mut pairs: Vec<(JobId, usize)> =
-            self.assignment.iter().map(|(&j, &l)| (j, l)).collect();
-        pairs.sort_unstable();
+        let pairs = self.assignment.live();
         put_u32(&mut out, pairs.len() as u32);
         for (job, leaf) in pairs {
-            put_u32(&mut out, job.0);
+            put_u32(&mut out, job);
             put_u32(&mut out, leaf as u32);
         }
         out
@@ -604,14 +607,12 @@ impl SchedulerPolicy for HierPolicy {
         let n = r.count(8)?;
         let mut captured = Vec::with_capacity(n);
         for _ in 0..n {
-            let job = JobId(r.u32()?);
+            let job = r.u32()?;
             let leaf = r.u32()? as usize;
             captured.push((job, leaf));
         }
         r.finish()?;
-        let mut rebuilt: Vec<(JobId, usize)> =
-            self.assignment.iter().map(|(&j, &l)| (j, l)).collect();
-        rebuilt.sort_unstable();
+        let rebuilt = self.assignment.live();
         if rebuilt != captured {
             return Err(format!(
                 "{} pool assignments diverged from the checkpoint (rebuilt {} assignments, \
@@ -646,10 +647,11 @@ impl SchedulerPolicy for HierPolicy {
     /// settled event batch.
     fn verify_invariants(&self, jobq: &JobQueue) {
         // (1) routing table covers exactly the active jobs
-        if self.assignment.len() != jobq.len() {
+        let assigned = self.assignment.live().len();
+        if assigned != jobq.len() {
             panic!(
-                "engine invariant violated [pool-routing]: {} pool assignments for {} active jobs",
-                self.assignment.len(),
+                "engine invariant violated [pool-routing]: {assigned} pool assignments for {} \
+                 active jobs",
                 jobq.len()
             );
         }
@@ -657,8 +659,10 @@ impl SchedulerPolicy for HierPolicy {
         // active jobs
         let mut expected: Vec<Vec<[Option<LeafKey>; 3]>> = vec![Vec::new(); self.nodes.len()];
         for e in jobq.entries() {
-            match self.assignment.get(&e.id) {
-                Some(&leaf) if self.leaves.contains(&leaf) => expected[leaf].push(leaf_keys(e)),
+            match self.assignment.get(e.id) {
+                Some(leaf) if self.leaves.contains(&leaf) => {
+                    expected[leaf].push(keys_of(e, leaf_members(e), leaf_key))
+                }
                 got => panic!(
                     "engine invariant violated [pool-routing]: job {} assigned to {:?}, \
                      not a leaf pool",

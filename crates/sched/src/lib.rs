@@ -72,6 +72,7 @@ pub mod fifo;
 pub mod hier;
 pub mod pool;
 mod view;
+mod window;
 
 pub use edf::EdfPolicy;
 pub use fifo::FifoPolicy;

@@ -14,11 +14,14 @@
 //! ([`SchedulerPolicy::on_job_queued`] /
 //! [`on_entry_mutated`](SchedulerPolicy::on_entry_mutated) /
 //! [`on_job_dequeued`](SchedulerPolicy::on_job_dequeued)). A policy
-//! computes the entry's key for each of its views before and after the
-//! change — `None` where the view's predicate fails — and hands both to
-//! [`update_views`]. Equal keys are a no-op, so a mutation that moves
-//! nothing the view orders by costs one comparison. Keys may change
-//! while a job stays in a view (fair share orders by running tasks).
+//! computes the entry's membership bits — whether it qualifies for each
+//! of its views — before and after the change and hands both sides to
+//! [`update_views`], which is flip-only: a view is touched, and a key
+//! computed, only where a bit flips. Most mutations (a launch or a
+//! departure that leaves work pending) flip nothing and cost a few
+//! comparisons of bits. Only a policy whose key can change while a job
+//! stays in a view (fair share orders by running tasks) passes
+//! `keys_move`, which re-keys a member whose key changed.
 //!
 //! [`OrderedView::verify`] re-derives a view from the queue under the
 //! invariant checker and panics in its format unless the sets are equal:
@@ -29,6 +32,7 @@
 //!
 //! [`SchedulerPolicy::on_job_queued`]: simmr_core::SchedulerPolicy::on_job_queued
 
+use simmr_core::JobEntry;
 use std::collections::BTreeSet;
 use std::fmt::{Debug, Display};
 
@@ -89,21 +93,52 @@ impl<K: Ord + Copy + Debug> OrderedView<K> {
     }
 }
 
-/// Moves one job across a family of views: `before[i]` and `after[i]`
-/// are its keys in `views[i]` before and after a change.
+/// An entry's membership in a family of views: bit `i` is set where it
+/// qualifies for `views[i]`. Policies build it with shifts and ors, so it
+/// stays in a register.
+pub type Members = u32;
+
+/// Moves one job across a family of views, flip-only. Each side is the
+/// entry and its [`Members`] bits (0 for a job not in the queue, so
+/// queueing and dequeueing are changes too); `key(i, e)` is entry `e`'s
+/// key in `views[i]`. A view whose bit flips gains or loses the job;
+/// one whose bit stays set is left alone unless `keys_move`, where the
+/// job is re-keyed if its key changed. With no flip and no moving key,
+/// the call is one xor.
 pub fn update_views<K: Ord + Copy + Debug, const N: usize>(
     views: &mut [OrderedView<K>; N],
-    before: [Option<K>; N],
-    after: [Option<K>; N],
+    (before, was): (&JobEntry, Members),
+    (after, is): (&JobEntry, Members),
+    keys_move: bool,
+    key: impl Fn(usize, &JobEntry) -> K,
 ) {
-    for i in 0..N {
-        views[i].update(before[i], after[i]);
+    // a moving key may have changed in any view the job stays in
+    let touched = if keys_move { Members::MAX } else { was ^ is };
+    if touched == 0 {
+        return;
+    }
+    for (i, view) in views.iter_mut().enumerate() {
+        let bit = 1 << i;
+        if touched & bit != 0 {
+            let old = (was & bit != 0).then(|| key(i, before));
+            view.update(old, (is & bit != 0).then(|| key(i, after)));
+        }
     }
 }
 
+/// An entry's keys across a family of views: `key(i, e)` where its bit
+/// for view `i` is set, else `None` — the form [`verify_views`] takes.
+pub fn keys_of<K, const N: usize>(
+    e: &JobEntry,
+    is: Members,
+    key: impl Fn(usize, &JobEntry) -> K,
+) -> [Option<K>; N] {
+    std::array::from_fn(|i| (is >> i & 1 != 0).then(|| key(i, e)))
+}
+
 /// Verifies a family of views against the keys of every queued entry
-/// (`keys` as passed to [`update_views`]); the panic message names
-/// `views[i]` as `"{owner} {names[i]}"`.
+/// (built by [`keys_of`]); the panic message names `views[i]` as
+/// `"{owner} {names[i]}"`.
 pub fn verify_views<K: Ord + Copy + Debug, const N: usize>(
     views: &[OrderedView<K>; N],
     keys: &[[Option<K>; N]],
@@ -167,11 +202,38 @@ mod tests {
         v.verify([1], &"test");
     }
 
+    fn entry(id: u32, running_maps: usize) -> JobEntry {
+        JobEntry {
+            id: simmr_types::JobId(id),
+            arrival: simmr_types::SimTime::ZERO,
+            deadline: None,
+            pending_maps: 0,
+            running_maps,
+            completed_maps: 0,
+            total_maps: 0,
+            pending_reduces: 0,
+            running_reduces: 0,
+            completed_reduces: 0,
+            total_reduces: 0,
+            reduce_eligible: false,
+        }
+    }
+
     #[test]
     fn update_views_moves_each_view_independently() {
-        let mut views = [view(&[1]), view(&[1])];
-        update_views(&mut views, [Some(1), Some(1)], [Some(2), None]);
-        verify_views(&views, &[[Some(2), None]], "test", ["a", "b"]);
+        // key: the job id, plus the running maps in view 1
+        let key = |i: usize, e: &JobEntry| e.id.0 + if i == 1 { e.running_maps as u32 } else { 0 };
+        let (before, after) = (entry(1, 0), entry(1, 1));
+        let mut views = [view(&[]), view(&[1]), view(&[1])];
+        // view 0 gains the job, view 1 keeps it, view 2 loses it
+        let (was, is) = (0b110, 0b011);
+        update_views(&mut views, (&before, was), (&after, is), false, key);
+        verify_views(&views, &[[Some(1), Some(1), None]], "test", ["a", "b", "c"]);
+        // a set bit that stays set is re-keyed only when keys move
+        let mut views = [view(&[]), view(&[1]), view(&[1])];
+        update_views(&mut views, (&before, was), (&after, is), true, key);
+        verify_views(&views, &[keys_of(&after, is, key)], "test", ["a", "b", "c"]);
+        assert_eq!(views[1].first(), Some(2));
     }
 
     #[test]
