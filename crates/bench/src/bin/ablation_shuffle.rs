@@ -28,10 +28,11 @@ fn main() {
     // degraded trace: shuffle model off
     let mut no_shuffle = full_trace.clone();
     for job in no_shuffle.jobs.iter_mut() {
-        for d in job.template.first_shuffle_durations.iter_mut() {
+        let template = std::sync::Arc::make_mut(&mut job.template);
+        for d in template.first_shuffle_durations.iter_mut() {
             *d = 0;
         }
-        for d in job.template.typical_shuffle_durations.iter_mut() {
+        for d in template.typical_shuffle_durations.iter_mut() {
             *d = 0;
         }
     }

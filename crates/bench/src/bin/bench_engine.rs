@@ -42,6 +42,12 @@
 //! kills, speculative duplicates and their losers, and stale departures.
 //! These rows are measured and recorded but not gated.
 //!
+//! A `queue` row times the event queue alone: a fixed, seeded op stream
+//! shaped like the 64x64 FIFO replay (128 events pending, each pop
+//! answered by a push 2^10 to 2^20 ms ahead or, one time in eight, at the
+//! popped instant, with the engine's same-instant test after every pop).
+//! Its `events` are pops. It is recorded, not gated.
+//!
 //! A fork-sweep section measures the time-travel checkpoint claim: ten
 //! what-if variants diverging at 90% of the makespan, replayed from
 //! scratch (`fork-cold`) vs warm-started from one shared prefix
@@ -51,11 +57,14 @@
 //! warm report is asserted equal to its cold counterpart first.
 
 use simmr_bench::csvout::workspace_root;
-use simmr_core::{Divergence, EngineConfig, FaultSpec, ForkSpec, RecoverySpec, SimulatorEngine};
+use simmr_core::{
+    Divergence, EngineConfig, EventKind, EventQueue, FaultSpec, ForkSpec, RecoverySpec,
+    SimulatorEngine,
+};
 use simmr_sched::parse_policy;
-use simmr_stats::Dist;
+use simmr_stats::{Dist, SeededRng};
 use simmr_trace::{BinTraceSource, FacebookWorkload, SyntheticWorkload};
-use simmr_types::{SimTime, WorkloadTrace};
+use simmr_types::{JobId, SimTime, WorkloadTrace};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -91,6 +100,39 @@ const PERTURBED: [(&str, &str); 2] = [
     ("fifo-perturbed", "fifo"),
     ("hier-perturbed", "hier:prod[w=3,min=4]{etl,serving},adhoc[w=1]"),
 ];
+
+/// The queue row: events in flight (one per slot of the 64x64 cluster)
+/// and pops per run.
+const QUEUE_PENDING: usize = 128;
+const QUEUE_POPS: usize = 200_000;
+
+/// The queue row's op stream: how far ahead of the popped instant each
+/// pop's answering push lands, `0` (same instant) one time in eight, else
+/// log-uniform in 2^10 to 2^20 ms.
+fn queue_ops() -> Vec<u64> {
+    let mut rng = SeededRng::new(0xE0);
+    (0..QUEUE_PENDING + QUEUE_POPS)
+        .map(|_| if rng.index(8) == 0 { 0 } else { rng.uniform(10.0, 20.0).exp2() as u64 })
+        .collect()
+}
+
+/// One pass of [`queue_ops`] through an [`EventQueue`]; returns the pops.
+fn queue_run(ahead: &[u64]) -> u64 {
+    let (seed, ops) = ahead.split_at(QUEUE_PENDING);
+    let mut q = EventQueue::new();
+    for &d in seed {
+        q.push(SimTime::from_millis(d), EventKind::MapTaskDeparture, JobId(0), 0);
+    }
+    let mut same_instant = 0u64;
+    for &d in ops {
+        let e = q.pop().expect("a push answers every pop");
+        same_instant += q.next_is_at(e.time) as u64;
+        q.push(e.time + d, EventKind::MapTaskDeparture, e.job, e.task_index);
+    }
+    // keep the same-instant tests from being optimized away
+    std::hint::black_box(same_instant);
+    ops.len() as u64
+}
 
 /// The measured cluster: 64 map and 64 reduce slots.
 fn base_config() -> EngineConfig {
@@ -448,6 +490,11 @@ fn main() {
         print_row(&m);
         rows.push(m);
     }
+
+    let ahead = queue_ops();
+    let m = measure_fn(QUEUE_PENDING, "queue", min_secs, || queue_run(&ahead));
+    print_row(&m);
+    rows.push(m);
 
     // Fork sweep: ten late-diverging what-if variants, cold vs warm.
     let (fork_cold, fork_warm, fork_speedup) = measure_fork_sweep(min_secs);

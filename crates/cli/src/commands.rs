@@ -512,7 +512,7 @@ pub fn scale(args: &Args) -> Result<(), String> {
     let out = args.require("out")?;
     let mut trace = load_trace(path)?;
     for job in trace.jobs.iter_mut() {
-        job.template = simmr_trace::scale_template(&job.template, factor);
+        job.template = simmr_trace::scale_template(&job.template, factor).into();
     }
     trace.meta.description = format!("{} (scaled x{factor})", trace.meta.description);
     save_trace(out, &trace)?;

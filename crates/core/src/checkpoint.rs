@@ -5,7 +5,7 @@
 //! sweep whose variants only diverge late in the trace still replays the
 //! shared prefix once per variant. An [`EngineCheckpoint`] captures the
 //! full deterministic state of a run at a settled batch boundary — the
-//! event heap (with per-event insertion sequence numbers, so same-time
+//! event queue (with per-event insertion sequence numbers, so same-time
 //! ties keep breaking identically), the clock, the job table, slot and
 //! host state, the derived fault/slowdown plans, and the policy's own
 //! state through [`crate::SchedulerPolicy::snapshot`]. Resuming it
@@ -190,7 +190,7 @@ impl EngineCheckpoint {
         self.jobs_base + self.jobs.len()
     }
 
-    /// Events still pending in the snapshot's heap.
+    /// Events still pending in the snapshot's queue.
     pub fn pending_events(&self) -> usize {
         self.events.len()
     }
@@ -356,7 +356,23 @@ impl EngineCheckpoint {
             let job = JobId(r.u32()?);
             let task_index = r.u32()?;
             let attempt = r.u32()?;
-            events.push(Event { time, seq, kind, job, task_index, attempt });
+            let event = Event { time, seq, kind, job, task_index, attempt };
+            // the queue needs unique `(time, seq)` pairs in order, seqs
+            // below `next_seq` and nothing before the clock
+            if events.last().is_some_and(|prev| *prev >= event) {
+                return Err(CkptError::Malformed("event list out of (time, seq) order".into()));
+            }
+            if seq >= next_seq {
+                return Err(CkptError::Malformed(format!("event seq {seq} not below {next_seq}")));
+            }
+            if time < clock {
+                return Err(CkptError::Malformed(format!(
+                    "event at {} before the clock {}",
+                    time.as_millis(),
+                    clock.as_millis()
+                )));
+            }
+            events.push(event);
         }
         let free_map_slots = r.u32_vec()?;
         let free_reduce_slots = r.u32_vec()?;
@@ -938,6 +954,37 @@ mod tests {
             let mut bad = EngineCheckpoint::decode(&bytes).unwrap();
             corrupt(bad.jobs[live].as_mut().unwrap());
             // encode signs the body, so only the range checks can object
+            match EngineCheckpoint::decode(&bad.encode()) {
+                Err(CkptError::Malformed(msg)) => {
+                    assert!(msg.contains(what), "{what}: unexpected message {msg:?}")
+                }
+                other => panic!("{what}: decoded to {:?}", other.map(|_| ())),
+            }
+        }
+    }
+
+    #[test]
+    fn decode_rejects_unordered_or_impossible_events() {
+        let trace = busy_trace();
+        let ckpt = SimulatorEngine::new(busy_config(), &trace, Box::new(TestFifo))
+            .checkpoint_at(SimTime::from_millis(100))
+            .unwrap();
+        assert!(ckpt.events.len() >= 2, "the busy prefix leaves events pending");
+        assert!(ckpt.clock > SimTime::ZERO);
+        type Corrupt<'a> = &'a dyn Fn(&mut EngineCheckpoint);
+        let corruptions: [(&str, Corrupt); 4] = [
+            ("out of (time, seq) order", &|c| c.events.swap(0, 1)),
+            ("out of (time, seq) order", &|c| c.events[1] = c.events[0]),
+            ("not below", &|c| c.events.last_mut().unwrap().seq = c.next_seq),
+            ("before the clock", &|c| {
+                c.events[0].time = SimTime::from_millis(c.clock.as_millis() - 1)
+            }),
+        ];
+        let bytes = ckpt.encode();
+        for (what, corrupt) in corruptions {
+            let mut bad = EngineCheckpoint::decode(&bytes).unwrap();
+            corrupt(&mut bad);
+            // encode signs the body, so only the event checks can object
             match EngineCheckpoint::decode(&bad.encode()) {
                 Err(CkptError::Malformed(msg)) => {
                     assert!(msg.contains(what), "{what}: unexpected message {msg:?}")

@@ -122,8 +122,9 @@ impl Attempt for RunningReduce {
 /// can serialize jobs field by field.
 #[derive(Debug, Clone)]
 pub(crate) struct JobState {
-    /// The job's replayable profile. Shared (not cloned) with a streaming
-    /// source's interned template table.
+    /// The job's replayable profile. Shared, never copied: the same
+    /// allocation as the trace's `JobSpec` or the source's interned
+    /// template table.
     pub(crate) template: Arc<JobTemplate>,
     pub(crate) arrival: SimTime,
     pub(crate) deadline: Option<SimTime>,
@@ -405,7 +406,7 @@ pub struct SimulatorEngine<'a> {
     /// records as its boundary.
     clock: SimTime,
     /// Set once the initial events (arrivals, fault plan, recoveries) have
-    /// been seeded; a resumed engine starts seeded (its event heap came
+    /// been seeded; a resumed engine starts seeded (its event queue came
     /// from the checkpoint).
     seeded: bool,
     events_processed: u64,
@@ -486,19 +487,12 @@ impl<'a> SimulatorEngine<'a> {
             }
             _ => Vec::new(),
         };
-        // in-flight events: at most one departure per occupied slot, the
-        // fault plan and the arrival lookahead — nothing here is sized by
-        // the source's job count
-        let queue_capacity = cluster.map_slots
-            + cluster.reduce_slots
-            + config.faults.map_or(0, |f| f.count as usize)
-            + 16;
         SimulatorEngine {
             config,
             source: Some(source),
             last_pulled_arrival: SimTime::ZERO,
             policy,
-            queue: EventQueue::with_capacity(queue_capacity),
+            queue: EventQueue::new(),
             free_map_slots: (0..cluster.map_slots as u32).rev().collect(),
             free_reduce_slots: (0..cluster.reduce_slots as u32).rev().collect(),
             dead_hosts: vec![false; cluster.hosts],
@@ -641,7 +635,7 @@ impl<'a> SimulatorEngine<'a> {
     /// Seeds the initial events: the first arrival of the one-event
     /// lookahead (the next is pulled each time an arrival pops), the fault
     /// plan and its recoveries. A no-op on resumed engines, whose event
-    /// heap already carries everything still pending.
+    /// queue already carries everything still pending.
     fn seed(&mut self) -> Result<(), SourceError> {
         if self.seeded {
             return Ok(());
@@ -723,7 +717,7 @@ impl<'a> SimulatorEngine<'a> {
             // (simultaneous arrivals, departures, AllMapsFinished) has been
             // applied — the job master sees a consistent queue state, and
             // EDF-style policies observe all jobs submitted at that instant.
-            if self.queue.next_time() == Some(now) {
+            if self.queue.next_is_at(now) {
                 continue;
             }
             // Fixpoint at `now`: launches may complete instantly
@@ -735,13 +729,13 @@ impl<'a> SimulatorEngine<'a> {
                 if let Some(inv) = self.invariants.as_deref_mut() {
                     inv.note_launches(launched);
                 }
-                if launched == 0 || self.queue.next_time() == Some(now) {
+                if launched == 0 || self.queue.next_is_at(now) {
                     break;
                 }
             }
             // The instant is quiescent (no further same-time events):
             // every engine invariant must hold on the settled state.
-            if self.invariants.is_some() && self.queue.next_time() != Some(now) {
+            if self.invariants.is_some() && !self.queue.next_is_at(now) {
                 let mut inv = self.invariants.take().expect("checked is_some");
                 inv.check_batch(self, now);
                 self.invariants = Some(inv);
@@ -1697,11 +1691,7 @@ impl<'a> SimulatorEngine<'a> {
                         spec.template.validate().map_err(|e| {
                             CkptError::Mismatch(format!("surge job template invalid: {e}"))
                         })?;
-                        self.admit(
-                            Arc::new(spec.template),
-                            spec.arrival.max(horizon),
-                            spec.deadline,
-                        );
+                        self.admit(spec.template, spec.arrival.max(horizon), spec.deadline);
                     }
                 }
             }

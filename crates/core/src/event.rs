@@ -6,7 +6,9 @@
 //! map stage. Each event is a triplet (eventTime, eventType, jobId)."*
 //! Task *arrivals* (placements on a slot) are not queued here: the engine
 //! counts each launch directly in `events_processed` at launch time, so
-//! five of the paper's kinds remain.
+//! five of the paper's kinds remain. Q itself is [`crate::EventQueue`], a
+//! monotone radix queue on `eventTime` that breaks ties by the
+//! per-event `seq`, so pop order is the total order `(time, seq)`.
 //!
 //! The failure/speculation model (§VII future work) adds two more kinds:
 //! [`EventKind::HostFailure`] for the seeded fault plan and

@@ -77,8 +77,8 @@ pub trait JobSource {
 /// arrival-ordered [`JobSource`] contract.
 ///
 /// Jobs are yielded sorted by `(arrival, original position)` — the stable
-/// arrival rank that numbers them in the engine — and each pull clones
-/// the job's template into a fresh `Arc`.
+/// arrival rank that numbers them in the engine — and each pull hands
+/// out a clone of the trace's own `Arc`, so no replay copies a template.
 /// [`crate::SimulatorEngine::new`] is `from_source` over this adapter.
 #[derive(Debug)]
 pub struct TraceJobSource<'a> {
@@ -113,7 +113,7 @@ impl JobSource for TraceJobSource<'_> {
         self.next += 1;
         let spec = &self.trace.jobs[i as usize];
         Ok(Some(SourcedJob {
-            template: Arc::new(spec.template.clone()),
+            template: Arc::clone(&spec.template),
             arrival: spec.arrival,
             deadline: spec.deadline,
         }))

@@ -24,6 +24,7 @@ use simmr_stats::parallel_sweep;
 use simmr_stats::{Dist, SeededRng};
 use simmr_trace::{digest_trace, BinTraceSource, TraceDatabase, TraceDigest, TraceFormat};
 use simmr_types::{ClusterSpec, HostId, JobSpec, SimTime, SimulationReport, WorkloadTrace};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -809,15 +810,40 @@ impl SimFacade {
         self.traces.stats()
     }
 
-    /// Resolves one scenario: normalizes and validates the spec,
-    /// materializes the trace, stamps deadlines, computes digest and key.
-    /// The trace and each stamped variant come from the memo when the
-    /// stored content has not changed since they were made.
+    /// Resolves one scenario: [`Self::resolve_many`] of one spec.
     pub fn resolve(&self, spec: &ScenarioSpec) -> Result<ResolvedScenario, FacadeError> {
+        self.resolve_many(std::slice::from_ref(spec)).pop().expect("one result per spec")
+    }
+
+    /// Resolves a batch: normalizes and validates each spec, materializes
+    /// its trace, stamps deadlines, computes digest and key. Each distinct
+    /// `name`, `path` or `digest` ref is loaded once per call, so a sweep
+    /// over one stored trace reads and checks its file once. The trace and
+    /// each stamped variant come from the memo when the stored content has
+    /// not changed since they were made. Per-scenario results: one bad
+    /// spec does not fail its neighbours.
+    pub fn resolve_many(
+        &self,
+        specs: &[ScenarioSpec],
+    ) -> Vec<Result<ResolvedScenario, FacadeError>> {
+        let mut loaded = HashMap::new();
+        specs.iter().map(|spec| self.resolve_in(spec, &mut loaded)).collect()
+    }
+
+    /// One scenario of [`Self::resolve_many`]; `loaded` holds what the
+    /// call's earlier scenarios loaded, by [`ref_key`].
+    fn resolve_in(
+        &self,
+        spec: &ScenarioSpec,
+        loaded: &mut HashMap<String, Result<Prepared, FacadeError>>,
+    ) -> Result<ResolvedScenario, FacadeError> {
         let mut spec = spec.clone();
         spec.normalize();
         spec.validate()?;
-        let (base, digest) = self.load(&spec.trace)?;
+        let (base, digest) = match ref_key(&spec.trace) {
+            Some(key) => loaded.entry(key).or_insert_with(|| self.load(&spec.trace)).clone()?,
+            None => self.load(&spec.trace)?,
+        };
         let trace = match spec.deadline_factor {
             None => base,
             Some(df) => {
@@ -834,15 +860,6 @@ impl SimFacade {
         };
         let key = spec.canonical_key(digest);
         Ok(ResolvedScenario { spec, trace, digest, key })
-    }
-
-    /// Resolves a batch. Per-scenario results: one bad spec does not fail
-    /// its neighbours.
-    pub fn resolve_many(
-        &self,
-        specs: &[ScenarioSpec],
-    ) -> Vec<Result<ResolvedScenario, FacadeError>> {
-        specs.iter().map(|spec| self.resolve(spec)).collect()
     }
 
     /// Runs one scenario.
@@ -978,6 +995,17 @@ impl SimFacade {
         self.db.as_ref().ok_or_else(|| {
             FacadeError::Trace("named trace refs need a trace database (serve --db DIR)".into())
         })
+    }
+}
+
+/// Identifies a file-backed ref within one [`SimFacade::resolve_many`]
+/// call. Inline refs carry their own trace and have none.
+fn ref_key(r: &TraceRef) -> Option<String> {
+    match r {
+        TraceRef::Name(name) => Some(format!("name:{name}")),
+        TraceRef::Path(path) => Some(format!("path:{path}")),
+        TraceRef::Digest(digest) => Some(format!("digest:{digest}")),
+        TraceRef::Inline(_) => None,
     }
 }
 
@@ -1295,6 +1323,38 @@ mod tests {
         assert_eq!(stats(&facade), (1, 3, 3));
         assert!(Arc::ptr_eq(&facade.resolve(&by_name).unwrap().trace, &named.trace));
         assert_eq!(stats(&facade), (1, 4, 3));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A batch over one stored trace reads and checks its file once per
+    /// call, whatever the batch size; the next call reads it again.
+    #[test]
+    fn a_batch_loads_each_stored_trace_once() {
+        let dir = std::env::temp_dir().join(format!("simmr-facade-batch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TraceDatabase::open(&dir).unwrap().store("workload", &tiny_trace()).unwrap();
+        let facade = SimFacade::with_db(&dir).unwrap();
+        let batch: Vec<ScenarioSpec> = ["fifo", "fair", "maxedf", "minedf"]
+            .into_iter()
+            .map(|p| {
+                let mut s =
+                    ScenarioSpec::new(TraceRef::Name("workload".into()), p.parse().unwrap());
+                s.deadline_factor = Some(1.5);
+                s
+            })
+            .collect();
+        let lookups = |f: &SimFacade| {
+            let s = f.trace_stats();
+            s.hits + s.misses
+        };
+        for round in 1..=2 {
+            let resolved = facade.resolve_many(&batch);
+            assert_eq!(lookups(&facade), round, "one trace lookup per call");
+            let first = resolved[0].as_ref().unwrap();
+            for r in &resolved {
+                assert!(Arc::ptr_eq(&r.as_ref().unwrap().trace, &first.trace));
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -508,11 +508,11 @@ impl<'a> BinTraceReader<'a> {
         decode_record(&mut r, self.templates.len())
     }
 
-    /// Materializes job `i` (clones its template out of the table).
+    /// Materializes job `i`, sharing its template with the table.
     pub fn job(&self, i: usize) -> Result<JobSpec, BinError> {
         let rec = self.record(i)?;
         Ok(JobSpec {
-            template: (*self.templates[rec.template_index as usize]).clone(),
+            template: Arc::clone(&self.templates[rec.template_index as usize]),
             arrival: rec.arrival,
             deadline: rec.deadline,
         })

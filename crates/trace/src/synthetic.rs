@@ -14,6 +14,7 @@
 //!   approximation of their Table 3 job-size mix.
 
 use std::io;
+use std::sync::Arc;
 
 use simmr_stats::{Dist, Distribution, SeededRng};
 use simmr_types::{JobSpec, JobTemplate, SimTime, TraceMeta, WorkloadTrace};
@@ -190,13 +191,14 @@ impl SyntheticWorkload {
         variants_per_class: usize,
         seed: u64,
     ) -> WorkloadTrace {
-        let pool = self.template_pool(variants_per_class, seed);
+        let pool: Vec<Arc<JobTemplate>> =
+            self.template_pool(variants_per_class, seed).into_iter().map(Arc::new).collect();
         let mut trace = WorkloadTrace {
             meta: self.pooled_meta(variants_per_class, seed),
             jobs: Vec::with_capacity(num_jobs),
         };
         self.each_pooled_job(num_jobs, variants_per_class, seed, |idx, arrival| {
-            trace.push(JobSpec::new(pool[idx].clone(), arrival));
+            trace.push(JobSpec::new(Arc::clone(&pool[idx]), arrival));
         });
         trace
     }
@@ -384,7 +386,8 @@ impl MultiTenantWorkload {
         let weights: Vec<f64> = self.tenants.iter().map(|&(_, w)| w).collect();
         for job in trace.jobs.iter_mut() {
             let (tenant, _) = &self.tenants[rng.weighted_index(&weights)];
-            job.template.name = format!("{tenant}-{}", job.template.name).into();
+            let template = Arc::make_mut(&mut job.template);
+            template.name = format!("{tenant}-{}", template.name).into();
         }
         trace.meta.description = format!(
             "{} tenants ({}) over a {}",
@@ -549,6 +552,19 @@ mod tests {
         let cursor = w.write_bin(250, 4, 13, std::io::Cursor::new(Vec::new())).unwrap();
         let decoded = crate::binfmt::decode_trace(&cursor.into_inner()).unwrap();
         assert_eq!(decoded, w.generate_pooled(250, 4, 13));
+    }
+
+    #[test]
+    fn decoded_pooled_bin_shares_one_template_per_variant() {
+        let w = FacebookWorkload { mean_interarrival_ms: 400.0 };
+        let cursor = w.write_bin(400, 8, 17, std::io::Cursor::new(Vec::new())).unwrap();
+        let decoded = crate::binfmt::decode_trace(&cursor.into_inner()).unwrap();
+        let mut variants: std::collections::HashMap<&str, &Arc<JobTemplate>> = Default::default();
+        for job in &decoded.jobs {
+            let first = variants.entry(&job.template.name).or_insert(&job.template);
+            assert!(Arc::ptr_eq(first, &job.template), "{} copied", job.template.name);
+        }
+        assert!(variants.len() > FacebookWorkload::JOB_MIX.len(), "variants are used");
     }
 
     #[test]

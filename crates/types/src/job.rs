@@ -234,8 +234,10 @@ impl JobTemplate {
 /// One job of a workload trace: a template plus arrival time and deadline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    /// The replayable profile.
-    pub template: JobTemplate,
+    /// The replayable profile, shared: a trace's jobs, the engine's job
+    /// table and a decoded SIMMRBIN's interned templates all hold the same
+    /// allocation, and [`Arc::make_mut`] copies one only when it is edited.
+    pub template: Arc<JobTemplate>,
     /// Submission time.
     pub arrival: SimTime,
     /// Optional completion-time goal, as an *absolute* instant.
@@ -249,8 +251,8 @@ impl_serde_struct!(JobSpec { template, arrival, deadline });
 
 impl JobSpec {
     /// A job arriving at `arrival` with no deadline.
-    pub fn new(template: JobTemplate, arrival: SimTime) -> Self {
-        JobSpec { template, arrival, deadline: None }
+    pub fn new(template: impl Into<Arc<JobTemplate>>, arrival: SimTime) -> Self {
+        JobSpec { template: template.into(), arrival, deadline: None }
     }
 
     /// Attaches an absolute deadline.

@@ -65,7 +65,7 @@ fn main() {
     for job in trace.jobs.iter_mut() {
         // production datasets rarely double uniformly — jitter the factor
         let f = rng.uniform(1.8, 2.2);
-        job.template = simmr_trace::scale_template(&job.template, f);
+        job.template = simmr_trace::scale_template(&job.template, f).into();
     }
     let report = facade.run(&scenario(&trace, 64)).expect("scaled scenario runs").report;
     println!(

@@ -84,7 +84,7 @@ fn scaled_traces_replay_proportionally() {
 
     let mut doubled = trace.clone();
     for job in doubled.jobs.iter_mut() {
-        job.template = scale_template(&job.template, 2.0);
+        job.template = scale_template(&job.template, 2.0).into();
     }
     let big = replay(&doubled, 6);
     // twice the data: strictly more work, completion grows substantially
@@ -98,7 +98,7 @@ fn scaled_traces_replay_proportionally() {
     // scaling down to a quarter shrinks it
     let mut quartered = trace.clone();
     for job in quartered.jobs.iter_mut() {
-        job.template = scale_template(&job.template, 0.25);
+        job.template = scale_template(&job.template, 0.25).into();
     }
     let small = replay(&quartered, 6);
     assert!(small.makespan < base.makespan);
