@@ -717,7 +717,7 @@ impl<'a> SimulatorEngine<'a> {
             // (simultaneous arrivals, departures, AllMapsFinished) has been
             // applied — the job master sees a consistent queue state, and
             // EDF-style policies observe all jobs submitted at that instant.
-            if self.queue.next_is_at(now) {
+            if self.queue.next_time() == Some(now) {
                 continue;
             }
             // Fixpoint at `now`: launches may complete instantly
@@ -729,13 +729,13 @@ impl<'a> SimulatorEngine<'a> {
                 if let Some(inv) = self.invariants.as_deref_mut() {
                     inv.note_launches(launched);
                 }
-                if launched == 0 || self.queue.next_is_at(now) {
+                if launched == 0 || self.queue.next_time() == Some(now) {
                     break;
                 }
             }
             // The instant is quiescent (no further same-time events):
             // every engine invariant must hold on the settled state.
-            if self.invariants.is_some() && !self.queue.next_is_at(now) {
+            if self.invariants.is_some() && self.queue.next_time() != Some(now) {
                 let mut inv = self.invariants.take().expect("checked is_some");
                 inv.check_batch(self, now);
                 self.invariants = Some(inv);

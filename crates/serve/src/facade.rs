@@ -24,7 +24,6 @@ use simmr_stats::parallel_sweep;
 use simmr_stats::{Dist, SeededRng};
 use simmr_trace::{digest_trace, BinTraceSource, TraceDatabase, TraceDigest, TraceFormat};
 use simmr_types::{ClusterSpec, HostId, JobSpec, SimTime, SimulationReport, WorkloadTrace};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -826,23 +825,31 @@ impl SimFacade {
         &self,
         specs: &[ScenarioSpec],
     ) -> Vec<Result<ResolvedScenario, FacadeError>> {
-        let mut loaded = HashMap::new();
+        let mut loaded = Vec::new();
         specs.iter().map(|spec| self.resolve_in(spec, &mut loaded)).collect()
     }
 
-    /// One scenario of [`Self::resolve_many`]; `loaded` holds what the
-    /// call's earlier scenarios loaded, by [`ref_key`].
-    fn resolve_in(
+    /// One scenario of [`Self::resolve_many`]; `loaded` holds the
+    /// file-backed refs the call's earlier scenarios loaded. Inline refs
+    /// carry their own trace and are not kept.
+    fn resolve_in<'a>(
         &self,
-        spec: &ScenarioSpec,
-        loaded: &mut HashMap<String, Result<Prepared, FacadeError>>,
+        spec: &'a ScenarioSpec,
+        loaded: &mut Vec<(&'a TraceRef, Result<Prepared, FacadeError>)>,
     ) -> Result<ResolvedScenario, FacadeError> {
+        // normalizing leaves the trace ref as it is
+        let r = &spec.trace;
         let mut spec = spec.clone();
         spec.normalize();
         spec.validate()?;
-        let (base, digest) = match ref_key(&spec.trace) {
-            Some(key) => loaded.entry(key).or_insert_with(|| self.load(&spec.trace)).clone()?,
-            None => self.load(&spec.trace)?,
+        let (base, digest) = if matches!(r, TraceRef::Inline(_)) {
+            self.load(r)?
+        } else if let Some((_, prepared)) = loaded.iter().find(|(seen, _)| *seen == r) {
+            prepared.clone()?
+        } else {
+            let prepared = self.load(r);
+            loaded.push((r, prepared.clone()));
+            prepared?
         };
         let trace = match spec.deadline_factor {
             None => base,
@@ -995,17 +1002,6 @@ impl SimFacade {
         self.db.as_ref().ok_or_else(|| {
             FacadeError::Trace("named trace refs need a trace database (serve --db DIR)".into())
         })
-    }
-}
-
-/// Identifies a file-backed ref within one [`SimFacade::resolve_many`]
-/// call. Inline refs carry their own trace and have none.
-fn ref_key(r: &TraceRef) -> Option<String> {
-    match r {
-        TraceRef::Name(name) => Some(format!("name:{name}")),
-        TraceRef::Path(path) => Some(format!("path:{path}")),
-        TraceRef::Digest(digest) => Some(format!("digest:{digest}")),
-        TraceRef::Inline(_) => None,
     }
 }
 
