@@ -22,9 +22,12 @@
 //! (used by CI to verify the invariant checker costs nothing when
 //! disabled): it exits nonzero unless the paper's claim and the scaling
 //! bound hold *and* FIFO/`hier`/`minedf` 1k-job and `maxedf` 10k-job
-//! throughput stay within a noise band of the committed
-//! `BENCH_engine.json` baseline (default ≥ 50% of it, for noisy shared
-//! runners; tune with `SIMMR_BENCH_NOISE_FRAC`). The `hier` floor keeps
+//! throughput, each taken as a ratio to the `queue` row's rate measured
+//! in the same run, stay within a noise band of the same ratio in the
+//! committed `BENCH_engine.json` (default ≥ 50% of it, for noisy shared
+//! runners; tune with `SIMMR_BENCH_NOISE_FRAC`). Both sides of a ratio
+//! scale with the host's speed, so the gate holds on a slower or faster
+//! host than the one that wrote the baseline. The `hier` floor keeps
 //! the incremental share view's ~2-orders-of-magnitude speedup from
 //! silently regressing to the full-queue re-aggregation cost; the EDF
 //! floors do the same for the deadline views (the old full-scan
@@ -46,7 +49,8 @@
 //! drawn from a recorded 64x64 FIFO replay (128 events pending, each pop
 //! answered by one push, its distance ahead drawn from the replay's
 //! measured distribution, with the engine's same-instant test after every
-//! pop). Its `events` are pops. It is recorded, not gated.
+//! pop). Its `events` are pops. It is not gated itself: it is the
+//! yardstick the policy rows' noise gates divide by.
 //!
 //! A fork-sweep section measures the time-travel checkpoint claim: ten
 //! what-if variants diverging at 90% of the makespan, replayed from
@@ -462,6 +466,7 @@ fn main() {
     let baseline_hier_1k = baseline_rate(&out_path, "hier", 1_000);
     let baseline_maxedf_10k = baseline_rate(&out_path, "maxedf", 10_000);
     let baseline_minedf_1k = baseline_rate(&out_path, "minedf", 1_000);
+    let baseline_queue = baseline_rate(&out_path, "queue", QUEUE_PENDING as u64);
     eprintln!("[bench_engine] >= {min_secs} s per point; set SIMMR_BENCH_SECS to change");
     println!(
         "{:>8} {:>8} {:>12} {:>6} {:>12} {:>14}",
@@ -659,40 +664,43 @@ fn main() {
         } else {
             eprintln!("[bench_engine] fork warm-start speedup {fork_speedup:.2}x (floor 2x)");
         }
-        let mut noise_gate =
-            |policy: &str, at: &str, measured: f64, baseline: Option<f64>| match baseline {
-                Some(base) => {
+        // Each policy's rate as a multiple of the queue row's, against
+        // the same ratio in the baseline file: host speed cancels out.
+        let queue_rate = rate(QUEUE_PENDING, "queue");
+        let mut noise_gate = |policy: &str, jobs: usize, at: &str, baseline: Option<f64>| {
+            let measured = rate(jobs, policy) / queue_rate;
+            match (baseline, baseline_queue) {
+                (Some(base), Some(queue)) => {
+                    let base = base / queue;
                     let floor = base * noise_frac();
                     if measured < floor {
                         failures.push(format!(
-                            "{policy} {at} throughput {:.2} M/s fell below the noise floor \
-                             {:.2} M/s ({}% of the baseline {:.2} M/s)",
-                            measured / 1e6,
-                            floor / 1e6,
+                            "{policy} {at} throughput fell to {measured:.3}x the queue row's \
+                             rate, below the noise floor {floor:.3}x ({}% of the baseline \
+                             ratio {base:.3}x)",
                             (noise_frac() * 100.0) as u32,
-                            base / 1e6
                         ));
                     } else {
                         eprintln!(
-                            "[bench_engine] {policy} {at} {:.2} M/s within noise of baseline \
-                             {:.2} M/s",
-                            measured / 1e6,
-                            base / 1e6
+                            "[bench_engine] {policy} {at} at {measured:.3}x the queue row's \
+                             rate, within noise of the baseline ratio {base:.3}x"
                         );
                     }
                 }
-                None => eprintln!(
-                    "[bench_engine] no {policy} baseline in BENCH_engine.json; skipping noise gate"
+                _ => eprintln!(
+                    "[bench_engine] no {policy} {at} or queue baseline in BENCH_engine.json; \
+                     skipping noise gate"
                 ),
-            };
-        noise_gate("fifo", "1k", fifo_1k, baseline_fifo_1k);
+            }
+        };
+        noise_gate("fifo", 1_000, "1k", baseline_fifo_1k);
         // keeps the incremental share view's speedup: a regression to the
         // old full-reaggregation cost sits ~100x under this floor
-        noise_gate("hier", "1k", rate(1_000, "hier"), baseline_hier_1k);
+        noise_gate("hier", 1_000, "1k", baseline_hier_1k);
         // likewise for the deadline views: the old full-scan maxedf sat
         // ~85x under its 10k floor
-        noise_gate("maxedf", "10k", rate(10_000, "maxedf"), baseline_maxedf_10k);
-        noise_gate("minedf", "1k", rate(1_000, "minedf"), baseline_minedf_1k);
+        noise_gate("maxedf", 10_000, "10k", baseline_maxedf_10k);
+        noise_gate("minedf", 1_000, "1k", baseline_minedf_1k);
         if !failures.is_empty() {
             for f in &failures {
                 eprintln!("[bench_engine] ASSERT FAILED: {f}");

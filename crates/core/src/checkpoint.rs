@@ -42,13 +42,13 @@
 //! rebuilds it, and the policy blob carries only what replay cannot (see
 //! [`crate::SchedulerPolicy::restore`]).
 
-use crate::attempts::AttemptList;
 use crate::codec::{
     put_bool_vec, put_f64_vec, put_opt_u64, put_str, put_u16, put_u32, put_u32_vec, put_u64, Crc64,
     DecodeError, Reader, TemplateTable,
 };
-use crate::engine::{HostFailure, JobState, RunningMap, RunningReduce};
+use crate::engine::{HostFailure, JobState, MapTask, ReduceTask};
 use crate::event::{Event, EventKind};
+use crate::slots::{Attempt, SlotTable, TaskRecord, Tasks};
 use crate::SchedulerPolicy;
 use simmr_types::{
     HostId, JobId, JobResult, JobSpec, JobTemplate, SimTime, TimelineEntry, TimelinePhase,
@@ -152,6 +152,10 @@ pub struct EngineCheckpoint {
     pub(crate) jobs: Vec<Option<JobState>>,
     pub(crate) free_map_slots: Vec<u32>,
     pub(crate) free_reduce_slots: Vec<u32>,
+    /// The running attempts by slot; each job's launch order threads
+    /// through them.
+    pub(crate) map_attempts: SlotTable,
+    pub(crate) reduce_attempts: SlotTable,
     pub(crate) dead_hosts: Vec<bool>,
     pub(crate) dead_map_slots: Vec<bool>,
     pub(crate) dead_reduce_slots: Vec<bool>,
@@ -272,7 +276,7 @@ impl EngineCheckpoint {
                     out.push(1);
                     let tid = job_template[live];
                     live += 1;
-                    encode_job(&mut out, state, tid);
+                    encode_job(&mut out, state, tid, &self.map_attempts, &self.reduce_attempts);
                 }
             }
         }
@@ -393,13 +397,28 @@ impl EngineCheckpoint {
         let jobs_base = r.u64()? as usize;
         let n_jobs = r.count(1)?; // at least the slot tag
         let mut jobs: Vec<Option<JobState>> = Vec::with_capacity(n_jobs);
-        for _ in 0..n_jobs {
+        // each job's running attempts are launched into the tables in the
+        // order they were encoded, which rebuilds every link
+        let mut slots =
+            Slots { maps: SlotTable::new(map_slots), reduces: SlotTable::new(reduce_slots) };
+        for i in 0..n_jobs {
             match r.u8()? {
                 0 => jobs.push(None),
-                1 => jobs.push(Some(decode_job(&mut r, &templates, map_slots, reduce_slots)?)),
+                1 => {
+                    let id = JobId((jobs_base + i) as u32);
+                    jobs.push(Some(decode_job(&mut r, id, &templates, &mut slots)?))
+                }
                 t => return Err(CkptError::Malformed(format!("unknown job slot tag {t}"))),
             }
         }
+        if dead_hosts.len() != hosts {
+            return Err(CkptError::Malformed(format!(
+                "{} host flags for {hosts} hosts",
+                dead_hosts.len()
+            )));
+        }
+        check_slot_partition("map", &free_map_slots, &slots.maps, &dead_map_slots)?;
+        check_slot_partition("reduce", &free_reduce_slots, &slots.reduces, &dead_reduce_slots)?;
         let n_bars = r.count(25)?; // job, phase, slot, start, end
         let mut timeline = Vec::with_capacity(n_bars);
         for _ in 0..n_bars {
@@ -464,6 +483,8 @@ impl EngineCheckpoint {
             jobs,
             free_map_slots,
             free_reduce_slots,
+            map_attempts: slots.maps,
+            reduce_attempts: slots.reduces,
             dead_hosts,
             dead_map_slots,
             dead_reduce_slots,
@@ -580,7 +601,13 @@ fn read_opt_time(r: &mut Reader) -> Result<Option<SimTime>, DecodeError> {
     Ok(r.opt_u64()?.map(SimTime::from_millis))
 }
 
-fn encode_job(out: &mut Vec<u8>, s: &JobState, template_id: u32) {
+fn encode_job(
+    out: &mut Vec<u8>,
+    s: &JobState,
+    template_id: u32,
+    map_attempts: &SlotTable,
+    reduce_attempts: &SlotTable,
+) {
     put_u32(out, template_id);
     put_u64(out, s.arrival.as_millis());
     put_opt_time(out, s.deadline);
@@ -588,35 +615,43 @@ fn encode_job(out: &mut Vec<u8>, s: &JobState, template_id: u32) {
     put_u32(out, s.reduces_total as u32);
     put_u32(out, s.fresh_maps as u32);
     put_u32_vec(out, &s.requeued_maps);
-    put_u32(out, s.running_map_list.len() as u32);
-    for r in s.running_map_list.iter() {
-        put_u32(out, r.idx);
-        put_u32(out, r.attempt);
-        put_u64(out, r.start.as_millis());
-        put_u32(out, r.slot);
+    put_u32(out, s.maps.running() as u32);
+    for (slot, a) in map_attempts.launch_order(&s.maps) {
+        put_u32(out, a.task);
+        put_u32(out, a.attempt);
+        put_u64(out, a.start.as_millis());
+        put_u32(out, slot);
     }
-    put_u32_vec(out, &s.map_gen);
-    put_bool_vec(out, &s.map_done);
-    put_u32_vec(out, &s.map_done_slot);
+    // the map records, one field per vector: launch counters, done flags,
+    // output slots (and, at the end of the job, speculated flags)
+    let maps = &s.maps.recs;
+    put_u32(out, maps.len() as u32);
+    maps.iter().for_each(|t| put_u32(out, t.launches));
+    put_u32(out, maps.len() as u32);
+    out.extend(maps.iter().map(|t| t.done as u8));
+    put_u32(out, maps.len() as u32);
+    maps.iter().for_each(|t| put_u32(out, t.output_slot));
     put_u32(out, s.maps_completed as u32);
     put_u32(out, s.fresh_reduces as u32);
     put_u32_vec(out, &s.requeued_reduces);
-    put_u32(out, s.running_reduce_list.len() as u32);
-    for r in s.running_reduce_list.iter() {
-        put_u32(out, r.idx);
-        put_u32(out, r.attempt);
-        put_u64(out, r.start.as_millis());
-        put_u32(out, r.slot);
-        put_u64(out, r.shuffle_end.as_millis());
+    put_u32(out, s.reduces.running() as u32);
+    for (slot, a) in reduce_attempts.launch_order(&s.reduces) {
+        put_u32(out, a.task);
+        put_u32(out, a.attempt);
+        put_u64(out, a.start.as_millis());
+        put_u32(out, slot);
+        put_u64(out, a.shuffle_end.as_millis());
     }
-    put_u32_vec(out, &s.reduce_gen);
+    put_u32(out, s.reduces.recs.len() as u32);
+    s.reduces.recs.iter().for_each(|t| put_u32(out, t.launches));
     put_u32(out, s.reduces_completed as u32);
     put_u32(out, s.reduce_threshold as u32);
     out.push(s.active as u8);
     put_opt_time(out, s.first_map_start);
     put_opt_time(out, s.maps_finished);
     put_u64(out, s.spec_threshold);
-    put_bool_vec(out, &s.speculated);
+    put_u32(out, maps.len() as u32);
+    out.extend(maps.iter().map(|t| t.speculated as u8));
     put_u32_vec(out, &s.spec_pending);
 }
 
@@ -633,15 +668,98 @@ fn check_below(
     }
 }
 
-/// Decodes one job. Every task index is checked against the job's task
-/// totals and every running slot against the cluster's slot counts: a
-/// resume indexes per-task vectors and the attempt index with them, so
-/// an out-of-range value is a malformed checkpoint, not a later panic.
+/// The slot tables a decode launches each job's running attempts into.
+struct Slots {
+    maps: SlotTable,
+    reduces: SlotTable,
+}
+
+/// A running attempt as encoded: task, attempt, start, slot, shuffle end
+/// (reduces only).
+type Encoded = (u32, u32, SimTime, u32, SimTime);
+
+/// Launches a job's decoded running attempts into `table` in launch
+/// order, which rebuilds the job's launch order and task chains. A slot
+/// already running an attempt (of this or an earlier job) is malformed:
+/// resuming would book it twice.
+fn launch_decoded<T: TaskRecord>(
+    kind: &str,
+    table: &mut SlotTable,
+    tasks: &mut Tasks<T>,
+    job: JobId,
+    running: &[Encoded],
+) -> Result<(), CkptError> {
+    for &(task, attempt, start, slot, shuffle_end) in running {
+        if table.get(slot).is_some() {
+            return Err(CkptError::Malformed(format!("{kind} slot {slot} runs two attempts")));
+        }
+        table.launch(tasks, slot, Attempt::new(job, task, attempt, start, shuffle_end));
+    }
+    Ok(())
+}
+
+/// Reads a task-vector count, which must equal the job's task total.
+fn task_count(r: &mut Reader, total: usize, what: &str) -> Result<(), CkptError> {
+    let n = r.u32()? as usize;
+    if n != total {
+        return Err(CkptError::Malformed(format!(
+            "job {what} vector holds {n} entries for {total} tasks"
+        )));
+    }
+    Ok(())
+}
+
+/// Every slot of one kind is exactly one of free, running or lost to a
+/// failed host, as at every settled batch of a run: a resume that booked
+/// a slot twice, or handed out a dead one, would double-book it.
+fn check_slot_partition(
+    kind: &str,
+    free: &[u32],
+    running: &SlotTable,
+    dead: &[bool],
+) -> Result<(), CkptError> {
+    let malformed = |m: String| Err(CkptError::Malformed(m));
+    let n = running.len();
+    if dead.len() != n {
+        return malformed(format!("{} dead-slot flags for {n} {kind} slots", dead.len()));
+    }
+    let mut booked = vec![false; n];
+    for (slot, _) in running.occupied() {
+        if dead[slot as usize] {
+            return malformed(format!("{kind} slot {slot} of a failed host runs an attempt"));
+        }
+        booked[slot as usize] = true;
+    }
+    for &slot in free {
+        let Some(b) = booked.get_mut(slot as usize) else {
+            return malformed(format!("free {kind} slot {slot} is out of range (bound {n})"));
+        };
+        if *b {
+            let how =
+                if running.get(slot).is_some() { "both running and free" } else { "free twice" };
+            return malformed(format!("{kind} slot {slot} is {how}"));
+        }
+        if dead[slot as usize] {
+            return malformed(format!("free {kind} slot {slot} belongs to a failed host"));
+        }
+        *b = true;
+    }
+    match (0..n).find(|&s| !booked[s] && !dead[s]) {
+        Some(s) => malformed(format!("{kind} slot {s} is neither free, running nor dead")),
+        None => Ok(()),
+    }
+}
+
+/// Decodes one job and launches its running attempts into `slots`.
+/// Every task index is checked against the job's task totals and every
+/// running slot against the cluster's slot counts: a resume indexes the
+/// task records and the slot tables with them, so an out-of-range value
+/// is a malformed checkpoint, not a later panic.
 fn decode_job(
     r: &mut Reader,
+    id: JobId,
     templates: &[Arc<JobTemplate>],
-    map_slots: usize,
-    reduce_slots: usize,
+    slots: &mut Slots,
 ) -> Result<JobState, CkptError> {
     let tid = r.u32()? as usize;
     let template = templates
@@ -659,68 +777,75 @@ fn decode_job(
     let reduces_total = r.u32()? as usize;
     let fresh_maps = r.u32()? as usize;
     let requeued_maps = r.u32_vec()?;
-    let n_rm = r.count(20)?; // idx, attempt, start, slot
-    let mut running_maps = Vec::with_capacity(n_rm);
+    let n_rm = r.count(20)?; // task, attempt, start, slot
+    let mut running_maps: Vec<Encoded> = Vec::with_capacity(n_rm);
     for _ in 0..n_rm {
-        let idx = r.u32()?;
-        let attempt = r.u32()?;
+        let (task, attempt) = (r.u32()?, r.u32()?);
         let start = SimTime::from_millis(r.u64()?);
-        let slot = r.u32()?;
-        running_maps.push(RunningMap { idx, attempt, start, slot });
+        running_maps.push((task, attempt, start, r.u32()?, SimTime::INFINITY));
     }
-    let map_gen = r.u32_vec()?;
-    let map_done = r.bool_vec()?;
-    let map_done_slot = r.u32_vec()?;
+    // sized from the file: every map task takes at least 10 bytes below
+    // (launch counter, done flag, output slot, speculated flag)
+    r.fits(maps_total, 10)?;
+    let mut maps = vec![MapTask::default(); maps_total].into_boxed_slice();
+    task_count(r, maps_total, "map launch counter")?;
+    for t in maps.iter_mut() {
+        t.launches = r.u32()?;
+    }
+    task_count(r, maps_total, "map done flag")?;
+    for t in maps.iter_mut() {
+        t.done = r.bool()?;
+    }
+    task_count(r, maps_total, "map output slot")?;
+    for t in maps.iter_mut() {
+        t.output_slot = r.u32()?;
+    }
     let maps_completed = r.u32()? as usize;
     let fresh_reduces = r.u32()? as usize;
     let requeued_reduces = r.u32_vec()?;
-    let n_rr = r.count(28)?; // idx, attempt, start, slot, shuffle end
-    let mut running_reduces = Vec::with_capacity(n_rr);
+    let n_rr = r.count(28)?; // task, attempt, start, slot, shuffle end
+    let mut running_reduces: Vec<Encoded> = Vec::with_capacity(n_rr);
     for _ in 0..n_rr {
-        let idx = r.u32()?;
-        let attempt = r.u32()?;
+        let (task, attempt) = (r.u32()?, r.u32()?);
         let start = SimTime::from_millis(r.u64()?);
         let slot = r.u32()?;
-        let shuffle_end = SimTime::from_millis(r.u64()?);
-        running_reduces.push(RunningReduce { idx, attempt, start, slot, shuffle_end });
+        running_reduces.push((task, attempt, start, slot, SimTime::from_millis(r.u64()?)));
     }
-    let reduce_gen = r.u32_vec()?;
+    r.fits(reduces_total, 4)?; // a launch counter each
+    let mut reduces = vec![ReduceTask::default(); reduces_total].into_boxed_slice();
+    task_count(r, reduces_total, "reduce launch counter")?;
+    for t in reduces.iter_mut() {
+        t.launches = r.u32()?;
+    }
     let reduces_completed = r.u32()? as usize;
     let reduce_threshold = r.u32()? as usize;
     let active = r.bool()?;
     let first_map_start = read_opt_time(r)?;
     let maps_finished = read_opt_time(r)?;
     let spec_threshold = r.u64()?;
-    let speculated = r.bool_vec()?;
-    let spec_pending = r.u32_vec()?;
-    if map_gen.len() != maps_total
-        || map_done.len() != maps_total
-        || map_done_slot.len() != maps_total
-        || speculated.len() != maps_total
-        || reduce_gen.len() != reduces_total
-    {
-        return Err(CkptError::Malformed(format!(
-            "job task-vector lengths disagree with totals ({maps_total} maps, \
-             {reduces_total} reduces)"
-        )));
+    task_count(r, maps_total, "map speculated flag")?;
+    for t in maps.iter_mut() {
+        t.speculated = r.bool()?;
     }
+    let spec_pending = r.u32_vec()?;
     if fresh_maps > maps_total || fresh_reduces > reduces_total {
         return Err(CkptError::Malformed(format!(
             "job launched {fresh_maps} fresh maps of {maps_total} and {fresh_reduces} fresh \
              reduces of {reduces_total}"
         )));
     }
+    let (map_slots, reduce_slots) = (slots.maps.len(), slots.reduces.len());
     check_below("requeued map task", requeued_maps.iter().copied(), maps_total)?;
-    check_below("running map task", running_maps.iter().map(|a| a.idx), maps_total)?;
-    check_below("running map slot", running_maps.iter().map(|a| a.slot), map_slots)?;
+    check_below("running map task", running_maps.iter().map(|a| a.0), maps_total)?;
+    check_below("running map slot", running_maps.iter().map(|a| a.3), map_slots)?;
     check_below("pending duplicate of map task", spec_pending.iter().copied(), maps_total)?;
     check_below("requeued reduce task", requeued_reduces.iter().copied(), reduces_total)?;
-    check_below("running reduce task", running_reduces.iter().map(|a| a.idx), reduces_total)?;
-    check_below("running reduce slot", running_reduces.iter().map(|a| a.slot), reduce_slots)?;
-    let mut running_map_list = AttemptList::default();
-    running_maps.into_iter().for_each(|a| running_map_list.push(a));
-    let mut running_reduce_list = AttemptList::default();
-    running_reduces.into_iter().for_each(|a| running_reduce_list.push(a));
+    check_below("running reduce task", running_reduces.iter().map(|a| a.0), reduces_total)?;
+    check_below("running reduce slot", running_reduces.iter().map(|a| a.3), reduce_slots)?;
+    let mut maps = Tasks::new(maps);
+    let mut reduces = Tasks::new(reduces);
+    launch_decoded("map", &mut slots.maps, &mut maps, id, &running_maps)?;
+    launch_decoded("reduce", &mut slots.reduces, &mut reduces, id, &running_reduces)?;
     Ok(JobState {
         template,
         arrival,
@@ -729,22 +854,17 @@ fn decode_job(
         reduces_total,
         fresh_maps,
         requeued_maps,
-        running_map_list,
-        map_gen,
-        map_done,
-        map_done_slot,
+        maps,
         maps_completed,
         fresh_reduces,
         requeued_reduces,
-        running_reduce_list,
-        reduce_gen,
+        reduces,
         reduces_completed,
         reduce_threshold,
         active,
         first_map_start,
         maps_finished,
         spec_threshold,
-        speculated,
         spec_pending,
     })
 }
@@ -899,10 +1019,7 @@ mod tests {
         let resigned = |at: std::ops::Range<usize>, with: &[u8]| {
             let mut b = bytes.clone();
             b[at].copy_from_slice(with);
-            let body_len = b.len() - 8;
-            let crc = Crc64::checksum(&b[..body_len]);
-            b[body_len..].copy_from_slice(&crc.to_le_bytes());
-            b
+            resign(b)
         };
         // an unknown future version and the retired versions 1 to 3
         for version in [0x00FF, 1, 2, 3] {
@@ -916,10 +1033,52 @@ mod tests {
         assert!(matches!(decode_err(&streaming), CkptError::Malformed(_)));
     }
 
+    /// Re-signs `b` after an in-place edit, so only the checks behind
+    /// the checksum can object.
+    fn resign(mut b: Vec<u8>) -> Vec<u8> {
+        let body_len = b.len() - 8;
+        let crc = Crc64::checksum(&b[..body_len]);
+        b[body_len..].copy_from_slice(&crc.to_le_bytes());
+        b
+    }
+
+    /// Offset in `bytes` of the encoded running attempt on `slot` of
+    /// `table` (its task field; the slot field is 16 bytes on). Its task,
+    /// attempt, start and slot must appear exactly once.
+    fn encoded_at(bytes: &[u8], table: &SlotTable, slot: u32) -> usize {
+        let a = table.get(slot).expect("a running attempt");
+        let mut pattern = Vec::new();
+        put_u32(&mut pattern, a.task);
+        put_u32(&mut pattern, a.attempt);
+        put_u64(&mut pattern, a.start.as_millis());
+        put_u32(&mut pattern, slot);
+        let hits: Vec<usize> = (0..bytes.len() - pattern.len())
+            .filter(|&i| bytes[i..i + pattern.len()] == pattern[..])
+            .collect();
+        assert_eq!(hits.len(), 1, "the attempt on slot {slot} is not encoded exactly once");
+        hits[0]
+    }
+
+    /// `bytes` with the `u32` at `at` replaced by `v`, re-signed.
+    fn patched(bytes: &[u8], at: usize, v: u32) -> Vec<u8> {
+        let mut b = bytes.to_vec();
+        b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        resign(b)
+    }
+
+    fn assert_malformed(what: &str, bytes: &[u8]) {
+        match EngineCheckpoint::decode(bytes) {
+            Err(CkptError::Malformed(msg)) => {
+                assert!(msg.contains(what), "{what}: unexpected message {msg:?}")
+            }
+            other => panic!("{what}: decoded to {:?}", other.map(|_| ())),
+        }
+    }
+
     /// A checkpoint whose CRC is valid but which names a task or slot the
     /// job or cluster does not have is malformed at decode time. Such a
     /// checkpoint used to decode `Ok` and panic on resume, indexing the
-    /// job's per-task vectors with the bad task.
+    /// job's task records with the bad task.
     #[test]
     fn decode_rejects_out_of_range_task_and_slot_indices() {
         let trace = busy_trace();
@@ -927,40 +1086,82 @@ mod tests {
             .checkpoint_at(SimTime::from_millis(100))
             .unwrap();
         let live = ckpt.jobs.iter().position(Option::is_some).expect("a live job");
-        // one extra attempt naming task `idx` on slot `slot`
-        let map = |idx, slot| RunningMap { idx, attempt: 99, start: SimTime::ZERO, slot };
-        let reduce = |idx, slot| RunningReduce {
-            idx,
-            attempt: 99,
-            start: SimTime::ZERO,
-            slot,
-            shuffle_end: SimTime::INFINITY,
-        };
+        let bytes = ckpt.encode();
         // the busy config has 3 map and 2 reduce slots, jobs 3-5 maps and
-        // 2 reduces
+        // 2 reduces; one running attempt of each kind gets a bad task or
+        // slot in the bytes
+        let map_slot = ckpt.map_attempts.occupied().next().expect("a running map").0;
+        let reduce_slot = ckpt.reduce_attempts.occupied().next().expect("a running reduce").0;
+        let m = encoded_at(&bytes, &ckpt.map_attempts, map_slot);
+        let r = encoded_at(&bytes, &ckpt.reduce_attempts, reduce_slot);
+        assert_malformed("running map task", &patched(&bytes, m, 999));
+        assert_malformed("running map slot", &patched(&bytes, m + 16, 3));
+        assert_malformed("running reduce task", &patched(&bytes, r, 2));
+        assert_malformed("running reduce slot", &patched(&bytes, r + 16, 2));
         type Corrupt<'a> = &'a dyn Fn(&mut JobState);
-        let corruptions: [(&str, Corrupt); 8] = [
-            ("running map task", &|s| s.running_map_list.push(map(999, 0))),
-            ("running map slot", &|s| s.running_map_list.push(map(0, 3))),
+        let corruptions: [(&str, Corrupt); 4] = [
             ("requeued map task", &|s| s.requeued_maps.push(999)),
             ("pending duplicate of map task", &|s| s.spec_pending.push(999)),
-            ("running reduce task", &|s| s.running_reduce_list.push(reduce(2, 0))),
-            ("running reduce slot", &|s| s.running_reduce_list.push(reduce(0, 2))),
             ("requeued reduce task", &|s| s.requeued_reduces.push(2)),
             ("fresh maps", &|s| s.fresh_maps = s.maps_total + 1),
         ];
-        let bytes = ckpt.encode();
         for (what, corrupt) in corruptions {
             let mut bad = EngineCheckpoint::decode(&bytes).unwrap();
             corrupt(bad.jobs[live].as_mut().unwrap());
             // encode signs the body, so only the range checks can object
-            match EngineCheckpoint::decode(&bad.encode()) {
-                Err(CkptError::Malformed(msg)) => {
-                    assert!(msg.contains(what), "{what}: unexpected message {msg:?}")
-                }
-                other => panic!("{what}: decoded to {:?}", other.map(|_| ())),
-            }
+            assert_malformed(what, &bad.encode());
         }
+    }
+
+    /// Every slot is exactly one of free, running or lost to a failed
+    /// host. A CRC-valid checkpoint that books a slot twice (two running
+    /// attempts, running and free, free twice), hands out a dead slot or
+    /// loses track of one used to decode and double-book the slot on
+    /// resume; the slot tables would have overwritten a run silently.
+    #[test]
+    fn decode_rejects_a_slot_booked_twice_or_dead() {
+        // two maps run on slots 0 and 1 (free pops from the back of
+        // [3, 2, 1, 0]); slots 3 and 2 stay free
+        let mut trace = WorkloadTrace::new("ckpt", "test");
+        trace.push(job(2, 0, 100, 10));
+        let config = EngineConfig::new(4, 2).with_hosts(2);
+        let ckpt = SimulatorEngine::new(config, &trace, Box::new(TestFifo))
+            .checkpoint_at(SimTime::from_millis(50))
+            .unwrap();
+        let running: Vec<u32> = ckpt.map_attempts.occupied().map(|(s, _)| s).collect();
+        assert_eq!(
+            (running.as_slice(), ckpt.free_map_slots.as_slice()),
+            (&[0, 1][..], &[3, 2][..])
+        );
+        let bytes = ckpt.encode();
+        let first = encoded_at(&bytes, &ckpt.map_attempts, 0);
+        assert_malformed("map slot 1 runs two attempts", &patched(&bytes, first + 16, 1));
+        type Corrupt<'a> = &'a dyn Fn(&mut EngineCheckpoint);
+        let corruptions: [(&str, Corrupt); 8] = [
+            ("map slot 0 is both running and free", &|c| c.free_map_slots.push(0)),
+            ("map slot 2 is free twice", &|c| c.free_map_slots.push(2)),
+            ("map slot 1 of a failed host runs an attempt", &|c| c.dead_map_slots[1] = true),
+            ("free map slot 3 belongs to a failed host", &|c| c.dead_map_slots[3] = true),
+            ("map slot 2 is neither free, running nor dead", &|c| {
+                c.free_map_slots.pop();
+            }),
+            ("free map slot 9 is out of range", &|c| c.free_map_slots.push(9)),
+            ("3 dead-slot flags for 4 map slots", &|c| {
+                c.dead_map_slots.pop();
+            }),
+            ("1 host flags for 2 hosts", &|c| {
+                c.dead_hosts.pop();
+            }),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut bad = EngineCheckpoint::decode(&bytes).unwrap();
+            corrupt(&mut bad);
+            assert_malformed(what, &bad.encode());
+        }
+        // the untouched bytes still decode and resume
+        let ckpt = EngineCheckpoint::decode(&bytes).unwrap();
+        let resumed = SimulatorEngine::resume_materialized(config, &ckpt, Box::new(TestFifo));
+        assert_eq!(resumed.unwrap().try_run().unwrap().jobs[0].completion.as_millis(), 110);
     }
 
     #[test]

@@ -390,7 +390,7 @@ impl<'a> Reader<'a> {
     /// Checks that `n` items of at least `item_bytes` bytes each could fit
     /// in the remaining input, and returns `n`. Call it before sizing
     /// anything from a decoded count.
-    fn fits(&self, n: usize, item_bytes: usize) -> Result<usize, DecodeError> {
+    pub(crate) fn fits(&self, n: usize, item_bytes: usize) -> Result<usize, DecodeError> {
         match n.checked_mul(item_bytes) {
             Some(bytes) if bytes <= self.remaining() => Ok(n),
             _ => Err(DecodeError::Truncated),

@@ -40,19 +40,22 @@
 //!   duration it executes — the straggler source speculation exists for.
 //!
 //! Task identity is `(task index, attempt)`: every launch bumps the task's
-//! attempt counter, and a departure whose pair is no longer in the running
-//! list is stale (killed by preemption, a host failure, or a lost
-//! speculation race) and ignored. Each running list is an `AttemptList`,
-//! which keeps launch order and finds a pair, or every live attempt of a
-//! task, through an index in O(1): no departure, straggler timer or stale
-//! event scans a job's running attempts.
+//! attempt counter, and a departure whose pair no longer runs is stale
+//! (killed by preemption, a host failure, or a lost speculation race)
+//! and ignored. Each job keeps one record per task, sized at admission,
+//! and the running attempts of every job live in two cluster-wide
+//! [`SlotTable`]s indexed by the slot each occupies (`crate::slots`): a
+//! launch writes the slot it popped, and a departure, straggler timer or
+//! stale event reads the task's record for its newest live slot and
+//! checks that slot. Each job's attempts stay in launch order through
+//! links in the table entries.
 
-use crate::attempts::{Attempt, AttemptList};
 use crate::config::EngineConfig;
 use crate::event::EventKind;
 use crate::invariants::InvariantState;
 use crate::jobq::{JobEntry, JobQueue, SchedulerPolicy};
 use crate::queue::EventQueue;
+use crate::slots::{Attempt, SlotTable, TaskRecord, Tasks, NONE};
 use crate::source::{JobSource, SourceError, TraceJobSource};
 use simmr_stats::{Dist, Distribution, SeededRng};
 use simmr_types::{
@@ -77,42 +80,60 @@ pub struct HostFailure {
     pub at: SimTime,
 }
 
-/// A live map attempt occupying a slot.
+/// One map task of a job.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RunningMap {
-    pub(crate) idx: u32,
-    pub(crate) attempt: u32,
-    pub(crate) start: SimTime,
-    pub(crate) slot: u32,
+pub(crate) struct MapTask {
+    /// Monotone launch counter; stamps each attempt so stale departures
+    /// of killed attempts can be recognized.
+    pub(crate) launches: u32,
+    /// Map slot of the newest live attempt, [`NONE`] if none runs.
+    pub(crate) newest: u32,
+    /// Slot whose host stores the completed map's output (the winning
+    /// attempt's slot); a host failure re-runs maps whose output it
+    /// held. Kept when a rerun clears `done`.
+    pub(crate) output_slot: u32,
+    pub(crate) done: bool,
+    /// A speculative duplicate was already requested (reset when a
+    /// failure forces the task to re-run from scratch).
+    pub(crate) speculated: bool,
 }
 
-/// A live reduce attempt occupying a slot.
+impl Default for MapTask {
+    fn default() -> Self {
+        MapTask { launches: 0, newest: NONE, output_slot: 0, done: false, speculated: false }
+    }
+}
+
+/// One reduce task of a job.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RunningReduce {
-    pub(crate) idx: u32,
-    pub(crate) attempt: u32,
-    pub(crate) start: SimTime,
-    pub(crate) slot: u32,
-    /// End of the shuffle phase; [`SimTime::INFINITY`] while the task is an
-    /// unresolved first-wave filler.
-    pub(crate) shuffle_end: SimTime,
+pub(crate) struct ReduceTask {
+    /// Monotone launch counter.
+    pub(crate) launches: u32,
+    /// Reduce slot of the live attempt, [`NONE`] if none runs.
+    pub(crate) newest: u32,
 }
 
-impl Attempt for RunningMap {
-    fn task(&self) -> u32 {
-        self.idx
-    }
-    fn attempt(&self) -> u32 {
-        self.attempt
+impl Default for ReduceTask {
+    fn default() -> Self {
+        ReduceTask { launches: 0, newest: NONE }
     }
 }
 
-impl Attempt for RunningReduce {
-    fn task(&self) -> u32 {
-        self.idx
+impl TaskRecord for MapTask {
+    fn newest(&self) -> u32 {
+        self.newest
     }
-    fn attempt(&self) -> u32 {
-        self.attempt
+    fn newest_mut(&mut self) -> &mut u32 {
+        &mut self.newest
+    }
+}
+
+impl TaskRecord for ReduceTask {
+    fn newest(&self) -> u32 {
+        self.newest
+    }
+    fn newest_mut(&mut self) -> &mut u32 {
+        &mut self.newest
     }
 }
 
@@ -134,28 +155,19 @@ pub(crate) struct JobState {
     pub(crate) fresh_maps: usize,
     /// Map tasks returned to the queue by a kill (LIFO relaunch).
     pub(crate) requeued_maps: Vec<u32>,
-    /// Live map attempts in launch order; the last entry is the preemption
-    /// victim of choice. A task has two entries while a speculative
-    /// duplicate races its primary.
-    pub(crate) running_map_list: AttemptList<RunningMap>,
-    /// Monotone per-task launch counter; stamps each attempt so stale
-    /// departures of killed attempts can be recognized.
-    pub(crate) map_gen: Vec<u32>,
-    /// Completion flags per map task.
-    pub(crate) map_done: Vec<bool>,
-    /// Slot whose host stores each completed map's output (the winning
-    /// attempt's slot); a host failure re-runs maps whose output it held.
-    pub(crate) map_done_slot: Vec<u32>,
+    /// One record per map task, and the live map attempts in launch
+    /// order (the newest is the preemption victim of choice). A task has
+    /// two live attempts while a speculative duplicate races its primary.
+    pub(crate) maps: Tasks<MapTask>,
     pub(crate) maps_completed: usize,
     /// Next never-launched reduce task index.
     pub(crate) fresh_reduces: usize,
     /// Reduce tasks returned to the queue by a host failure.
     pub(crate) requeued_reduces: Vec<u32>,
-    /// Live reduce attempts (unresolved fillers carry an infinite
-    /// `shuffle_end` until `AllMapsFinished`).
-    pub(crate) running_reduce_list: AttemptList<RunningReduce>,
-    /// Monotone per-task launch counter for reduces.
-    pub(crate) reduce_gen: Vec<u32>,
+    /// One record per reduce task, and the live reduce attempts in launch
+    /// order (unresolved fillers carry an infinite `shuffle_end` until
+    /// `AllMapsFinished`).
+    pub(crate) reduces: Tasks<ReduceTask>,
     pub(crate) reduces_completed: usize,
     /// Map tasks completed before reduces become schedulable.
     pub(crate) reduce_threshold: usize,
@@ -165,11 +177,8 @@ pub(crate) struct JobState {
     /// Straggler threshold in ms (`speculation_factor ×` the job's median
     /// map duration, ≥ 1); 0 when speculation is disabled.
     pub(crate) spec_threshold: DurationMs,
-    /// Per-task flag: a speculative duplicate was already requested (reset
-    /// when a failure forces the task to re-run from scratch).
-    pub(crate) speculated: Vec<bool>,
     /// Tasks whose speculative duplicate is awaiting a slot. Every entry
-    /// still has a live primary attempt in `running_map_list`.
+    /// is flagged `speculated` and still has a live primary attempt.
     pub(crate) spec_pending: Vec<u32>,
 }
 
@@ -201,22 +210,17 @@ impl JobState {
             reduces_total: num_reduces,
             fresh_maps: 0,
             requeued_maps: Vec::new(),
-            running_map_list: AttemptList::default(),
-            map_gen: vec![0; num_maps],
-            map_done: vec![false; num_maps],
-            map_done_slot: vec![0; num_maps],
+            maps: Tasks::new(vec![MapTask::default(); num_maps].into_boxed_slice()),
             maps_completed: 0,
             fresh_reduces: 0,
             requeued_reduces: Vec::new(),
-            running_reduce_list: AttemptList::default(),
-            reduce_gen: vec![0; num_reduces],
+            reduces: Tasks::new(vec![ReduceTask::default(); num_reduces].into_boxed_slice()),
             reduces_completed: 0,
             reduce_threshold: config.reduce_start_threshold(num_maps),
             active: false,
             first_map_start: None,
             maps_finished: None,
             spec_threshold,
-            speculated: vec![false; num_maps],
             spec_pending: Vec::new(),
             template,
         }
@@ -238,10 +242,10 @@ impl JobState {
     /// deadline, totals) are fixed for the job's life.
     fn refresh_entry(&self, e: &mut JobEntry) {
         e.pending_maps = self.pending_maps();
-        e.running_maps = self.running_map_list.len();
+        e.running_maps = self.maps.running();
         e.completed_maps = self.maps_completed;
         e.pending_reduces = self.pending_reduces();
-        e.running_reduces = self.running_reduce_list.len();
+        e.running_reduces = self.reduces.running();
         e.completed_reduces = self.reduces_completed;
         e.reduce_eligible = self.maps_completed >= self.reduce_threshold;
     }
@@ -251,10 +255,11 @@ impl JobState {
     /// downgraded to that requeued primary.
     fn requeue_killed_map(&mut self, idx: u32) {
         // only a speculated task can have a pending duplicate
-        if self.speculated[idx as usize] {
+        let task = &mut self.maps.recs[idx as usize];
+        if task.speculated {
             if let Some(p) = self.spec_pending.iter().position(|&x| x == idx) {
                 self.spec_pending.remove(p);
-                self.speculated[idx as usize] = false;
+                task.speculated = false;
             }
         }
         self.requeued_maps.push(idx);
@@ -370,9 +375,17 @@ pub struct SimulatorEngine<'a> {
     /// Visible to the invariant checker, which runs the policy's own
     /// `verify_invariants` hook against the settled queue view.
     pub(crate) policy: Box<dyn SchedulerPolicy + 'a>,
+    /// The policy's [`SchedulerPolicy::reads_task_counts`], read whenever
+    /// a policy is adopted: when false, `sync_entry` reports a mutation
+    /// only if it flipped one of the flags the policy reads.
+    policy_reads_counts: bool,
     queue: EventQueue,
     pub(crate) free_map_slots: Vec<u32>,
     pub(crate) free_reduce_slots: Vec<u32>,
+    /// Running attempts of every job, by the map slot and by the reduce
+    /// slot each occupies.
+    pub(crate) map_attempts: SlotTable,
+    pub(crate) reduce_attempts: SlotTable,
     /// Hosts that have failed so far.
     pub(crate) dead_hosts: Vec<bool>,
     /// Map slots currently lost to a host failure (never free, never
@@ -491,10 +504,13 @@ impl<'a> SimulatorEngine<'a> {
             config,
             source: Some(source),
             last_pulled_arrival: SimTime::ZERO,
+            policy_reads_counts: policy.reads_task_counts(),
             policy,
             queue: EventQueue::new(),
             free_map_slots: (0..cluster.map_slots as u32).rev().collect(),
             free_reduce_slots: (0..cluster.reduce_slots as u32).rev().collect(),
+            map_attempts: SlotTable::new(cluster.map_slots),
+            reduce_attempts: SlotTable::new(cluster.reduce_slots),
             dead_hosts: vec![false; cluster.hosts],
             dead_map_slots: vec![false; cluster.map_slots],
             dead_reduce_slots: vec![false; cluster.reduce_slots],
@@ -819,7 +835,8 @@ impl<'a> SimulatorEngine<'a> {
     /// the change to the policy: the one way a queued entry changes.
     /// Every mutation site edits the `JobState`, then syncs once. The
     /// counters are rewritten in place in the queue, field by field, and
-    /// the policy reads the new entry there.
+    /// the policy reads the new entry there. A policy that does not read
+    /// task counts hears only of mutations that flip one of its flags.
     fn sync_entry(&mut self, job: JobId) {
         let state = self.jobs.get(job).expect("sync_entry on a retired job");
         let Some(entry) = self.jobq.get_mut(job) else {
@@ -827,7 +844,9 @@ impl<'a> SimulatorEngine<'a> {
         };
         let before = *entry;
         state.refresh_entry(entry);
-        self.policy.on_entry_mutated(&before, entry);
+        if self.policy_reads_counts || before.flags() != entry.flags() {
+            self.policy.on_entry_mutated(&before, entry);
+        }
     }
 
     fn on_job_arrival(&mut self, job: JobId, _now: SimTime) {
@@ -851,52 +870,45 @@ impl<'a> SimulatorEngine<'a> {
             // event named was accounted for then
             return;
         };
-        let Some(winner) = state.running_map_list.remove(task_index, attempt) else {
+        let Some(slot) = self.map_attempts.find(&state.maps, task_index, attempt) else {
             // stale departure from a killed attempt (preemption, host
             // failure, or a lost speculation race): its slot was already
             // handled at kill time, and nothing observable changed
             return;
         };
-        let idx = task_index as usize;
-        debug_assert!(!state.map_done[idx], "live attempt of an already-done map");
-        state.map_done[idx] = true;
-        state.map_done_slot[idx] = winner.slot;
+        let winner = self.map_attempts.vacate(&mut state.maps, slot);
+        let task = &mut state.maps.recs[task_index as usize];
+        debug_assert!(!task.done, "live attempt of an already-done map");
+        task.done = true;
+        task.output_slot = slot;
         state.maps_completed += 1;
-        // First finisher wins: kill the losing duplicate attempts (only
-        // speculation creates them; the index finds none otherwise) and
-        // cancel a not-yet-launched duplicate of a speculated task.
-        let losers = state.running_map_list.remove_task(task_index);
-        if state.speculated[idx] {
+        self.free_map_slots.push(slot);
+        // First finisher wins: kill the losing duplicate attempts and
+        // cancel a not-yet-launched duplicate. Only a speculated task can
+        // have either.
+        let mut losers: Vec<(u32, Attempt)> = Vec::new();
+        if task.speculated {
             if let Some(p) = state.spec_pending.iter().position(|&x| x == task_index) {
                 state.spec_pending.remove(p);
             }
+            let free = &mut self.free_map_slots;
+            self.map_attempts.vacate_task(&mut state.maps, task_index, |s, a| {
+                free.push(s);
+                losers.push((s, a));
+            });
         }
         let all_done = state.maps_completed == state.maps_total;
-        self.free_map_slots.push(winner.slot);
-        for l in &losers {
-            self.free_map_slots.push(l.slot);
-        }
         self.sync_entry(job);
         self.jobq_dirty = true;
         // Map bars are recorded at *departure* (not launch): a killed
         // attempt must not leave a full-duration phantom bar overlapping
         // the slot's next occupant.
         if self.config.record_timeline {
-            self.record_bar(TimelineEntry {
-                job,
-                phase: TimelinePhase::Map,
-                slot: winner.slot,
-                start: winner.start,
-                end: now,
-            });
-            for l in &losers {
-                self.record_bar(TimelineEntry {
-                    job,
-                    phase: TimelinePhase::Map,
-                    slot: l.slot,
-                    start: l.start,
-                    end: now,
-                });
+            let (start, end) = (winner.start, now);
+            self.record_bar(TimelineEntry { job, phase: TimelinePhase::Map, slot, start, end });
+            for (slot, l) in losers {
+                let start = l.start;
+                self.record_bar(TimelineEntry { job, phase: TimelinePhase::Map, slot, start, end });
             }
         }
         if all_done {
@@ -915,15 +927,16 @@ impl<'a> SimulatorEngine<'a> {
         let Some(state) = self.jobs.get_mut(job) else {
             return false;
         };
-        let Some(victim) = state.running_map_list.pop_newest() else {
+        let Some(slot) = state.maps.newest_slot() else {
             return false;
         };
-        // The in-flight departure of (idx, attempt) is now stale: the pair
-        // is no longer in the running list and attempts are never reused.
-        if !state.running_map_list.has_task(victim.idx) {
-            state.requeue_killed_map(victim.idx);
+        // The in-flight departure of (task, attempt) is now stale: the
+        // pair no longer runs and attempts are never reused.
+        let victim = self.map_attempts.vacate(&mut state.maps, slot);
+        if state.maps.recs[victim.task as usize].newest == NONE {
+            state.requeue_killed_map(victim.task);
         }
-        self.free_map_slots.push(victim.slot);
+        self.free_map_slots.push(slot);
         self.sync_entry(job);
         // The kill changed the policy-visible queue and freed a slot: the
         // next scheduling pass must not no-op behind a clean flag (a pass
@@ -935,7 +948,7 @@ impl<'a> SimulatorEngine<'a> {
             self.record_bar(TimelineEntry {
                 job,
                 phase: TimelinePhase::Map,
-                slot: victim.slot,
+                slot,
                 start: victim.start,
                 end: now,
             });
@@ -965,20 +978,20 @@ impl<'a> SimulatorEngine<'a> {
         // untouched.
         let state = self.jobs.get_mut(job).expect("state fetched above");
         let template = &state.template;
-        state.running_reduce_list.for_each_mut(|r| {
+        self.reduce_attempts.for_each_mut(&state.reduces, |slot, r| {
             if !r.shuffle_end.is_infinite() {
                 // later-wave reduce already fully scheduled at launch
                 return;
             }
-            let mut shuffle = template.first_shuffle_duration(r.idx as usize);
-            let mut reduce = template.reduce_duration(r.idx as usize);
-            if let Some(&f) = self.reduce_slowdown.get(r.slot as usize) {
+            let mut shuffle = template.first_shuffle_duration(r.task as usize);
+            let mut reduce = template.reduce_duration(r.task as usize);
+            if let Some(&f) = self.reduce_slowdown.get(slot as usize) {
                 shuffle = scaled(shuffle, f);
                 reduce = scaled(reduce, f);
             }
             r.shuffle_end = now + shuffle;
             let finish = r.shuffle_end + reduce;
-            self.queue.push_attempt(finish, EventKind::ReduceTaskDeparture, job, r.idx, r.attempt);
+            self.queue.push_attempt(finish, EventKind::ReduceTaskDeparture, job, r.task, r.attempt);
             // No bars yet: reduce bars are recorded at departure (or kill)
             // so a host failure can truncate them at the true extent.
         });
@@ -992,28 +1005,29 @@ impl<'a> SimulatorEngine<'a> {
             // the job already departed and was retired
             return;
         };
-        let Some(done) = state.running_reduce_list.remove(task_index, attempt) else {
+        let Some(slot) = self.reduce_attempts.find(&state.reduces, task_index, attempt) else {
             // stale departure from an attempt killed by a host failure
             return;
         };
+        let done = self.reduce_attempts.vacate(&mut state.reduces, slot);
         state.reduces_completed += 1;
         let job_done = state.reduces_completed == state.reduces_total
             && state.maps_completed == state.maps_total;
-        self.free_reduce_slots.push(done.slot);
+        self.free_reduce_slots.push(slot);
         self.sync_entry(job);
         self.jobq_dirty = true;
         if self.config.record_timeline {
             self.record_bar(TimelineEntry {
                 job,
                 phase: TimelinePhase::Shuffle,
-                slot: done.slot,
+                slot,
                 start: done.start,
                 end: done.shuffle_end,
             });
             self.record_bar(TimelineEntry {
                 job,
                 phase: TimelinePhase::Reduce,
-                slot: done.slot,
+                slot,
                 start: done.shuffle_end,
                 end: now,
             });
@@ -1096,37 +1110,39 @@ impl<'a> SimulatorEngine<'a> {
             if !state.active {
                 continue;
             }
-            let mut map_bars: Vec<RunningMap> = Vec::new();
-            let mut reduce_bars: Vec<RunningReduce> = Vec::new();
+            let mut map_bars: Vec<(u32, Attempt)> = Vec::new();
+            let mut reduce_bars: Vec<(u32, Attempt)> = Vec::new();
             let mut reruns = 0usize;
             // kill running map attempts placed on the dead host, in launch
             // order; the survivors keep theirs for the preemption victim
-            // choice. The list is taken out of `state` so the kill
-            // callback can requeue through it.
+            // choice. A task whose last live attempt died is requeued in
+            // kill order once the walk is done.
             let dead_maps = &self.dead_map_slots;
-            let mut running = std::mem::take(&mut state.running_map_list);
-            running.remove_where(
-                |r| dead_maps[r.slot as usize],
-                |live, victim| {
-                    if !live.has_task(victim.idx) {
-                        state.requeue_killed_map(victim.idx);
+            let mut orphaned: Vec<u32> = Vec::new();
+            self.map_attempts.vacate_where(
+                &mut state.maps,
+                |slot| dead_maps[slot as usize],
+                |slot, victim, survivor| {
+                    if !survivor {
+                        orphaned.push(victim.task);
                     }
-                    map_bars.push(victim);
+                    map_bars.push((slot, victim));
                 },
             );
-            state.running_map_list = running;
+            for task in orphaned {
+                state.requeue_killed_map(task);
+            }
             // Re-run completed maps whose output lived on the host — but
             // only while the map stage is still open. Once AllMapsFinished
             // has fired, every reduce has entered (or finished) its shuffle
             // and the model treats the map outputs as consumed; the stage
             // never re-opens.
             if state.maps_finished.is_none() {
-                for idx in 0..state.maps_total {
-                    if state.map_done[idx] && self.dead_map_slots[state.map_done_slot[idx] as usize]
-                    {
-                        state.map_done[idx] = false;
+                for (idx, task) in state.maps.recs.iter_mut().enumerate() {
+                    if task.done && dead_maps[task.output_slot as usize] {
+                        task.done = false;
+                        task.speculated = false;
                         state.maps_completed -= 1;
-                        state.speculated[idx] = false;
                         state.requeued_maps.push(idx as u32);
                         reruns += 1;
                     }
@@ -1135,11 +1151,12 @@ impl<'a> SimulatorEngine<'a> {
             // kill running reduce attempts placed on the dead host
             let dead_reduces = &self.dead_reduce_slots;
             let requeued = &mut state.requeued_reduces;
-            state.running_reduce_list.remove_where(
-                |r| dead_reduces[r.slot as usize],
-                |_, victim| {
-                    requeued.push(victim.idx);
-                    reduce_bars.push(victim);
+            self.reduce_attempts.vacate_where(
+                &mut state.reduces,
+                |slot| dead_reduces[slot as usize],
+                |slot, victim, _| {
+                    requeued.push(victim.task);
+                    reduce_bars.push((slot, victim));
                 },
             );
             if map_bars.is_empty() && reduce_bars.is_empty() && reruns == 0 {
@@ -1147,22 +1164,22 @@ impl<'a> SimulatorEngine<'a> {
             }
             self.sync_entry(job);
             if self.config.record_timeline {
-                for m in &map_bars {
+                for (slot, m) in map_bars {
                     self.record_bar(TimelineEntry {
                         job,
                         phase: TimelinePhase::Map,
-                        slot: m.slot,
+                        slot,
                         start: m.start,
                         end: now,
                     });
                 }
-                for r in &reduce_bars {
+                for (slot, r) in reduce_bars {
                     if r.shuffle_end >= now {
                         // killed mid-shuffle (fillers have infinite ends)
                         self.record_bar(TimelineEntry {
                             job,
                             phase: TimelinePhase::Shuffle,
-                            slot: r.slot,
+                            slot,
                             start: r.start,
                             end: now,
                         });
@@ -1170,14 +1187,14 @@ impl<'a> SimulatorEngine<'a> {
                         self.record_bar(TimelineEntry {
                             job,
                             phase: TimelinePhase::Shuffle,
-                            slot: r.slot,
+                            slot,
                             start: r.start,
                             end: r.shuffle_end,
                         });
                         self.record_bar(TimelineEntry {
                             job,
                             phase: TimelinePhase::Reduce,
-                            slot: r.slot,
+                            slot,
                             start: r.shuffle_end,
                             end: now,
                         });
@@ -1240,14 +1257,14 @@ impl<'a> SimulatorEngine<'a> {
             // the job departed (and was retired) before its timer fired
             return;
         };
-        let idx = task_index as usize;
-        if state.map_done[idx] || state.speculated[idx] {
+        let task = &state.maps.recs[task_index as usize];
+        if task.done || task.speculated {
             return;
         }
-        if !state.running_map_list.contains(task_index, attempt) {
+        if self.map_attempts.find(&state.maps, task_index, attempt).is_none() {
             return;
         }
-        state.speculated[idx] = true;
+        state.maps.recs[task_index as usize].speculated = true;
         state.spec_pending.push(task_index);
         self.sync_entry(job);
         self.jobq_dirty = true;
@@ -1400,12 +1417,13 @@ impl<'a> SimulatorEngine<'a> {
                 .expect("launch_map called on a job with no pending map work");
             (idx, false)
         };
-        state.map_gen[idx as usize] += 1;
-        let attempt = state.map_gen[idx as usize];
-        state.running_map_list.push(RunningMap { idx, attempt, start: now, slot });
+        let task = &mut state.maps.recs[idx as usize];
+        task.launches += 1;
+        let (attempt, already_speculated) = (task.launches, task.speculated);
+        let a = Attempt::new(job, idx, attempt, now, SimTime::INFINITY);
+        self.map_attempts.launch(&mut state.maps, slot, a);
         state.first_map_start.get_or_insert(now);
         let spec_threshold = state.spec_threshold;
-        let already_speculated = state.speculated[idx as usize];
         let base = state.template.map_duration(idx as usize);
         self.sync_entry(job);
         let duration = match self.map_slowdown.get(slot as usize) {
@@ -1440,8 +1458,9 @@ impl<'a> SimulatorEngine<'a> {
             state.fresh_reduces += 1;
             fresh
         });
-        state.reduce_gen[idx as usize] += 1;
-        let attempt = state.reduce_gen[idx as usize];
+        let task = &mut state.reduces.recs[idx as usize];
+        task.launches += 1;
+        let attempt = task.launches;
         let shuffle_end = if maps_done {
             // later-wave reduce: typical shuffle + reduce phase
             let mut shuffle = state.template.typical_shuffle_duration(idx as usize);
@@ -1464,14 +1483,9 @@ impl<'a> SimulatorEngine<'a> {
             // AllMapsFinished
             SimTime::INFINITY
         };
-        state.running_reduce_list.push(RunningReduce {
-            idx,
-            attempt,
-            start: now,
-            slot,
-            shuffle_end,
-        });
-        // after the push: the entry's running count is the list length
+        let a = Attempt::new(job, idx, attempt, now, shuffle_end);
+        self.reduce_attempts.launch(&mut state.reduces, slot, a);
+        // after the launch: the entry's running count is the job's
         self.sync_entry(job);
         // No timeline bars yet: reduce bars are recorded at departure (or
         // kill) so a host failure can truncate them at the true extent.
@@ -1498,6 +1512,8 @@ impl<'a> SimulatorEngine<'a> {
             jobs: self.jobs.raw_slots().map(|s| s.cloned()).collect(),
             free_map_slots: self.free_map_slots.clone(),
             free_reduce_slots: self.free_reduce_slots.clone(),
+            map_attempts: self.map_attempts.clone(),
+            reduce_attempts: self.reduce_attempts.clone(),
             dead_hosts: self.dead_hosts.clone(),
             dead_map_slots: self.dead_map_slots.clone(),
             dead_reduce_slots: self.dead_reduce_slots.clone(),
@@ -1562,10 +1578,14 @@ impl<'a> SimulatorEngine<'a> {
             config,
             source: None,
             last_pulled_arrival: SimTime::ZERO,
+            // set by `adopt_policy` below
+            policy_reads_counts: true,
             policy,
             queue: EventQueue::from_snapshot(ckpt.events.clone(), ckpt.next_seq, ckpt.pushed),
             free_map_slots: ckpt.free_map_slots.clone(),
             free_reduce_slots: ckpt.free_reduce_slots.clone(),
+            map_attempts: ckpt.map_attempts.clone(),
+            reduce_attempts: ckpt.reduce_attempts.clone(),
             dead_hosts: ckpt.dead_hosts.clone(),
             dead_map_slots: ckpt.dead_map_slots.clone(),
             dead_reduce_slots: ckpt.dead_reduce_slots.clone(),
@@ -1610,6 +1630,7 @@ impl<'a> SimulatorEngine<'a> {
     /// replay; only non-derivable state (starvation clocks) needs the
     /// snapshot blob on top.
     fn adopt_policy(&mut self) {
+        self.policy_reads_counts = self.policy.reads_task_counts();
         let entries: Vec<JobEntry> = self.jobq.entries().to_vec();
         for e in &entries {
             let state = self.jobs.get(e.id).expect("queued job must be live");
@@ -1660,6 +1681,8 @@ impl<'a> SimulatorEngine<'a> {
                     }
                     self.dead_map_slots.resize(new_m, false);
                     self.dead_reduce_slots.resize(new_r, false);
+                    self.map_attempts.grow(new_m);
+                    self.reduce_attempts.grow(new_r);
                     if !self.map_slowdown.is_empty() {
                         self.map_slowdown.resize(new_m, 1.0);
                     }

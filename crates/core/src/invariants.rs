@@ -26,11 +26,15 @@
 //!   bookkeeping (`spec_pending` entries always shadow a live primary
 //!   attempt), and the queue itself must stay sorted by `(arrival, id)`
 //!   and contain exactly the active jobs.
-//! * **Attempt index** — each job's running map and reduce lists link
-//!   every node of their slab into exactly one of the launch-order and
-//!   free lists, find every live attempt by `(task, attempt)` at its own
-//!   node, and their per-task chains link exactly the live attempts
-//!   (`[attempt-index]`).
+//! * **Slot tables** — each job's launch order of map and reduce
+//!   attempts links exactly its running count of occupied slots of that
+//!   job both ways, every task record's chain links only live attempts
+//!   of its task, the chains together cover the launch order, a lookup
+//!   by `(task, attempt)` finds every live attempt on its own slot, and
+//!   no occupied slot is left outside every job's launch order
+//!   (`[attempt-index]`). A task with two live attempts must be flagged
+//!   speculated, which is what lets a departure skip the loser lookup
+//!   for every other task.
 //! * **Event-time monotonicity** — popped events never go back in time,
 //!   and settled batches are strictly increasing.
 //! * **Timeline disjointness (online)** — every recorded bar must start at
@@ -280,55 +284,59 @@ impl InvariantState {
             }
         }
         let mut running_maps = 0usize;
-        let mut running_reduces = 0usize;
-        for (i, state) in engine.jobs.iter() {
-            running_maps += state.running_map_list.len();
-            running_reduces += state.running_reduce_list.len();
-            for r in state.running_map_list.iter() {
-                let slot = r.slot as usize;
-                match map_seen.get_mut(slot) {
-                    Some(seen @ false) => *seen = true,
-                    Some(true) => violation!(
-                        "slot-conservation",
-                        "map slot {slot} double-booked (job {i} task {} at t={now})",
-                        r.idx
-                    ),
-                    None => violation!(
-                        "slot-conservation",
-                        "job {i} task {} runs on out-of-range map slot {slot} at t={now}",
-                        r.idx
-                    ),
-                }
-                if engine.dead_map_slots[slot] {
-                    violation!(
-                        "slot-conservation",
-                        "job {i} task {} still runs on dead map slot {slot} at t={now}",
-                        r.idx
-                    );
-                }
+        for (slot, a) in engine.map_attempts.occupied() {
+            running_maps += 1;
+            let slot = slot as usize;
+            match map_seen.get_mut(slot) {
+                Some(seen @ false) => *seen = true,
+                Some(true) => violation!(
+                    "slot-conservation",
+                    "map slot {slot} double-booked (free, and job {} task {} at t={now})",
+                    a.job,
+                    a.task
+                ),
+                None => violation!(
+                    "slot-conservation",
+                    "job {} task {} runs on out-of-range map slot {slot} at t={now}",
+                    a.job,
+                    a.task
+                ),
             }
-            for r in state.running_reduce_list.iter() {
-                let slot = r.slot as usize;
-                match reduce_seen.get_mut(slot) {
-                    Some(seen @ false) => *seen = true,
-                    Some(true) => violation!(
-                        "slot-conservation",
-                        "reduce slot {slot} double-booked (job {i} task {} at t={now})",
-                        r.idx
-                    ),
-                    None => violation!(
-                        "slot-conservation",
-                        "job {i} task {} runs on out-of-range reduce slot {slot} at t={now}",
-                        r.idx
-                    ),
-                }
-                if engine.dead_reduce_slots[slot] {
-                    violation!(
-                        "slot-conservation",
-                        "job {i} task {} still runs on dead reduce slot {slot} at t={now}",
-                        r.idx
-                    );
-                }
+            if engine.dead_map_slots[slot] {
+                violation!(
+                    "slot-conservation",
+                    "job {} task {} still runs on dead map slot {slot} at t={now}",
+                    a.job,
+                    a.task
+                );
+            }
+        }
+        let mut running_reduces = 0usize;
+        for (slot, a) in engine.reduce_attempts.occupied() {
+            running_reduces += 1;
+            let slot = slot as usize;
+            match reduce_seen.get_mut(slot) {
+                Some(seen @ false) => *seen = true,
+                Some(true) => violation!(
+                    "slot-conservation",
+                    "reduce slot {slot} double-booked (free, and job {} task {} at t={now})",
+                    a.job,
+                    a.task
+                ),
+                None => violation!(
+                    "slot-conservation",
+                    "job {} task {} runs on out-of-range reduce slot {slot} at t={now}",
+                    a.job,
+                    a.task
+                ),
+            }
+            if engine.dead_reduce_slots[slot] {
+                violation!(
+                    "slot-conservation",
+                    "job {} task {} still runs on dead reduce slot {slot} at t={now}",
+                    a.job,
+                    a.task
+                );
             }
         }
         let lost_maps = engine.dead_map_slots.iter().filter(|&&d| d).count();
@@ -359,22 +367,27 @@ impl InvariantState {
     fn check_entries(&self, engine: &SimulatorEngine<'_>, now: SimTime) {
         let mut active = 0usize;
         let speculation = engine.config.speculation_factor.is_some();
+        let (mut listed_maps, mut listed_reduces) = (0usize, 0usize);
         for (id, state) in engine.jobs.iter() {
-            // the running lists' (task, attempt) index against a scan of
-            // the lists, before anything below trusts their contents
-            let indices = [
-                ("map", state.running_map_list.verify_index()),
-                ("reduce", state.running_reduce_list.verify_index()),
+            // the job's launch orders and task chains against the slot
+            // tables, before anything below trusts them
+            let checked = [
+                ("map", engine.map_attempts.verify(id, &state.maps, state.fresh_maps)),
+                ("reduce", engine.reduce_attempts.verify(id, &state.reduces, state.fresh_reduces)),
             ];
-            for (kind, checked) in indices {
+            for (kind, checked) in checked {
                 if let Err(e) = checked {
                     violation!("attempt-index", "job {id} {kind} attempts at t={now}: {e}");
                 }
             }
+            listed_maps += state.maps.running();
+            listed_reduces += state.reduces.running();
+            let tasks = &state.maps.recs;
             // internal task accounting before the view comparison: a task
             // may have up to two live attempts under speculation, so the
             // conservation law counts *distinct* running task indices
-            let mut running_idx: Vec<u32> = state.running_map_list.iter().map(|r| r.idx).collect();
+            let mut running_idx: Vec<u32> =
+                engine.map_attempts.launch_order(&state.maps).map(|(_, a)| a.task).collect();
             running_idx.sort_unstable();
             let mut distinct = 0usize;
             for (k, &idx) in running_idx.iter().enumerate() {
@@ -386,10 +399,17 @@ impl InvariantState {
                              with speculation disabled"
                         );
                     }
+                    if !tasks[idx as usize].speculated {
+                        violation!(
+                            "speculation-bookkeeping",
+                            "job {id} at t={now}: map task {idx} has two live attempts but is \
+                             not flagged speculated"
+                        );
+                    }
                     continue;
                 }
                 distinct += 1;
-                if state.map_done[idx as usize] {
+                if tasks[idx as usize].done {
                     violation!(
                         "task-accounting",
                         "job {id} at t={now}: completed map task {idx} still has a live attempt"
@@ -409,7 +429,7 @@ impl InvariantState {
                 );
             }
             for &idx in &state.requeued_maps {
-                if state.map_done[idx as usize] {
+                if tasks[idx as usize].done {
                     violation!(
                         "task-accounting",
                         "job {id} at t={now}: requeued map task {idx} is marked done"
@@ -424,20 +444,18 @@ impl InvariantState {
             }
             // every not-yet-launched duplicate must shadow a live primary
             for &idx in &state.spec_pending {
-                if !state.speculated[idx as usize]
-                    || state.map_done[idx as usize]
-                    || running_idx.binary_search(&idx).is_err()
-                {
+                let task = &tasks[idx as usize];
+                if !task.speculated || task.done || running_idx.binary_search(&idx).is_err() {
                     violation!(
                         "speculation-bookkeeping",
                         "job {id} at t={now}: spec_pending map task {idx} has no live primary \
                          attempt (speculated={}, done={})",
-                        state.speculated[idx as usize],
-                        state.map_done[idx as usize]
+                        task.speculated,
+                        task.done
                     );
                 }
             }
-            let done_flags = state.map_done.iter().filter(|&&d| d).count();
+            let done_flags = tasks.iter().filter(|t| t.done).count();
             if done_flags != state.maps_completed {
                 violation!(
                     "task-accounting",
@@ -448,7 +466,7 @@ impl InvariantState {
             let fresh_left_r = state.reduces_total - state.fresh_reduces;
             let placed_r = fresh_left_r
                 + state.requeued_reduces.len()
-                + state.running_reduce_list.len()
+                + state.reduces.running()
                 + state.reduces_completed;
             if placed_r != state.reduces_total {
                 violation!(
@@ -456,7 +474,7 @@ impl InvariantState {
                     "job {id} at t={now}: {fresh_left_r} fresh + {} requeued + {} running + {} \
                      done != {} total reduces",
                     state.requeued_reduces.len(),
-                    state.running_reduce_list.len(),
+                    state.reduces.running(),
                     state.reduces_completed,
                     state.reduces_total
                 );
@@ -479,6 +497,20 @@ impl InvariantState {
                 violation!(
                     "counter-consistency",
                     "job {id} at t={now}: incremental entry diverged from re-derived state: {diff}"
+                );
+            }
+        }
+        // every occupied slot belongs to some job's launch order
+        let occupied = [
+            ("map", engine.map_attempts.occupied().count(), listed_maps),
+            ("reduce", engine.reduce_attempts.occupied().count(), listed_reduces),
+        ];
+        for (kind, occupied, listed) in occupied {
+            if occupied != listed {
+                violation!(
+                    "attempt-index",
+                    "{occupied} {kind} slots run attempts at t={now} but the jobs' launch orders \
+                     list {listed}"
                 );
             }
         }

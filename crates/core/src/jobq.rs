@@ -66,6 +66,13 @@ impl JobEntry {
         self.reduce_eligible && self.pending_reduces > 0
     }
 
+    /// The three facts a policy that does not read task counts bases its
+    /// state on (see [`SchedulerPolicy::reads_task_counts`]): a
+    /// schedulable map, a schedulable reduce, a running map.
+    pub(crate) fn flags(&self) -> (bool, bool, bool) {
+        (self.has_schedulable_map(), self.has_schedulable_reduce(), self.running_maps > 0)
+    }
+
     /// Deadline key for EDF ordering: jobs without a deadline sort last.
     pub fn edf_key(&self) -> (SimTime, SimTime, JobId) {
         (self.deadline.unwrap_or(SimTime::INFINITY), self.arrival, self.id)
@@ -282,8 +289,33 @@ pub trait SchedulerPolicy {
     /// place the engine replaces an entry, including launches made
     /// mid-pass by the engine's own scheduling loop, so incremental
     /// aggregates stay exact between two `choose_next_*` calls of the
-    /// same pass. The default ignores it.
+    /// same pass. A policy that declares [`Self::reads_task_counts`]
+    /// false hears only of the mutations that flip a flag it reads. The
+    /// default ignores it.
     fn on_entry_mutated(&mut self, _before: &JobEntry, _after: &JobEntry) {}
+
+    /// Whether the policy's state reads an entry's task counts, or only
+    /// three flags of it: [`JobEntry::has_schedulable_map`],
+    /// [`JobEntry::has_schedulable_reduce`] and `running_maps > 0`.
+    ///
+    /// A policy that returns `false` promises that no mutation leaving
+    /// all three flags as they were can change its state or its
+    /// answers. The engine then calls [`Self::on_entry_mutated`] only for
+    /// a mutation that flips at least one flag (flip-only), with
+    /// `before` the entry just before that mutation: its flags are those
+    /// of the last reported `after`, its counts may have moved since.
+    /// [`Self::on_job_queued`] and [`Self::on_job_dequeued`] still fire
+    /// for every job. FIFO (without fair share) and MaxEDF order jobs by
+    /// fixed keys and file them by these flags, so they return `false`;
+    /// a policy keyed or capped by running counts (fair share, MinEDF,
+    /// the pool tree) must keep the default, `true`, under which every
+    /// mutation is reported. The engine reads the declaration whenever
+    /// it adopts a policy: at construction, on resume from a checkpoint
+    /// and on a policy-swap fork. The invariant checker's view, pick and
+    /// victim re-derivations verify it after every settled batch.
+    fn reads_task_counts(&self) -> bool {
+        true
+    }
 
     /// Called right after a job's entry leaves the queue view (on
     /// departure, before [`Self::on_job_departure`]), with its final

@@ -96,7 +96,6 @@
 //! assert!(report.jobs[0].completion > SimTime::ZERO);
 //! ```
 
-mod attempts;
 pub mod checkpoint;
 pub mod codec;
 pub mod config;
@@ -105,6 +104,7 @@ pub mod event;
 mod invariants;
 pub mod jobq;
 pub mod queue;
+mod slots;
 pub mod source;
 
 pub use checkpoint::{CkptError, Divergence, EngineCheckpoint, ForkSpec, CKPT_MAGIC, CKPT_VERSION};

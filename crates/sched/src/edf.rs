@@ -174,6 +174,13 @@ impl SchedulerPolicy for EdfPolicy {
         self.wanted.remove(id);
     }
 
+    /// MaxEDF's views file a job by its schedulable bits and whether it
+    /// runs a map, under a fixed key; MinEDF's caps compare running
+    /// counts.
+    fn reads_task_counts(&self) -> bool {
+        self.caps
+    }
+
     fn on_job_queued(&mut self, entry: &JobEntry) {
         // on_job_arrival has already run: the cap exists before the
         // entry's first membership is computed

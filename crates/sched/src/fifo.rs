@@ -71,6 +71,12 @@ impl SchedulerPolicy for FifoPolicy {
         }
     }
 
+    /// FIFO files a job by its schedulable bits under a fixed key; fair
+    /// share keys it by its running counts.
+    fn reads_task_counts(&self) -> bool {
+        self.fair
+    }
+
     fn on_job_queued(&mut self, entry: &JobEntry) {
         let (absent, is) = ((entry, 0), (entry, members(entry)));
         update_views(&mut self.views, absent, is, self.fair, key(self.fair));

@@ -125,6 +125,10 @@ pub struct HierPolicy {
     /// When each pool dropped below its map min share (with pending
     /// work), or `None` while satisfied.
     starved_since: Vec<Option<SimTime>>,
+    /// A map count moved since `starved_since` was last refreshed. The
+    /// clocks' predicate reads only the map counts, so a refresh with the
+    /// flag clear would change nothing and is skipped.
+    map_counts_moved: bool,
     /// Maintained per-node subtree sums, indexed `[ki(kind)][node]`:
     /// running tasks and *schedulable* pending tasks (reduce pending
     /// counts 0 until the job turns reduce-eligible). Updated O(depth)
@@ -166,6 +170,7 @@ impl HierPolicy {
             routes: Vec::new(),
             assignment: IdWindow::default(),
             starved_since: Vec::new(),
+            map_counts_moved: true,
             run: [Vec::new(), Vec::new()],
             pend: [Vec::new(), Vec::new()],
             leaf_views: Vec::new(),
@@ -298,6 +303,9 @@ impl HierPolicy {
         if d_run == 0 && d_pend == 0 {
             return;
         }
+        if k == ki(TaskKind::Map) {
+            self.map_counts_moved = true;
+        }
         let mut node = leaf;
         loop {
             debug_assert!(self.run[k][node] as isize + d_run >= 0, "running underflow");
@@ -401,8 +409,14 @@ impl HierPolicy {
     /// state: a pool is starved while `running < min_maps` with pending
     /// map work in its subtree. Reads `jobq.now`, so it only runs from
     /// the time-sanctioned hooks. The maintained sums make this O(nodes)
-    /// with no queue walk.
+    /// with no queue walk, and it is skipped outright unless a map count
+    /// moved since the last refresh (`get_or_insert` keeps a running
+    /// clock, so the skipped refresh would have changed nothing).
     fn refresh_starvation(&mut self, jobq: &JobQueue) {
+        if !self.map_counts_moved {
+            return;
+        }
+        self.map_counts_moved = false;
         let now = jobq.now;
         for i in 0..self.nodes.len() {
             let min = self.nodes[i].min[0];
@@ -622,6 +636,7 @@ impl SchedulerPolicy for HierPolicy {
             ));
         }
         self.starved_since = starved;
+        self.map_counts_moved = true;
         Ok(())
     }
 

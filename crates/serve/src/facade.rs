@@ -395,21 +395,18 @@ impl ScenarioSpec {
     /// spec with the trace reference replaced by the resolved content
     /// `digest`. Two specs with equal keys produce byte-identical
     /// reports (the engine is deterministic in everything the key pins).
+    /// The spec is serialized with its reference already
+    /// `{"digest": ...}`, so an inline trace is neither cloned nor
+    /// serialized.
     pub fn canonical_key(&self, digest: TraceDigest) -> String {
-        let mut spec = self.clone();
+        let mut spec = ScenarioSpec {
+            trace: TraceRef::Digest(digest),
+            policy: self.policy.clone(),
+            divergences: self.divergences.clone(),
+            ..*self
+        };
         spec.normalize();
-        let mut v = serde::Serialize::to_value(&spec);
-        if let serde::Value::Object(pairs) = &mut v {
-            for (k, val) in pairs.iter_mut() {
-                if k == "trace" {
-                    *val = serde::Value::Object(vec![(
-                        "digest".to_owned(),
-                        serde::Value::Str(digest.to_string()),
-                    )]);
-                }
-            }
-        }
-        serde_json::to_string(&v).expect("value serialization is infallible")
+        serde_json::to_string(&spec).expect("spec serialization is infallible")
     }
 
     /// The engine configuration this spec describes (trace-independent).
@@ -1079,6 +1076,35 @@ mod tests {
         // ...but a real difference separates keys
         b.seed = 2;
         assert_ne!(a.canonical_key(digest), b.canonical_key(digest));
+    }
+
+    /// An inline spec's key names the trace by digest only, byte for
+    /// byte as it did when the key was built by serializing the whole
+    /// spec, inline trace included, and overwriting the reference.
+    #[test]
+    fn inline_spec_key_is_pinned() {
+        let digest = digest_trace(&tiny_trace()).unwrap();
+        let mut s = spec();
+        s.policy = "capacity:prod=3,adhoc=1".parse().unwrap();
+        s.speculation = Some(0.5);
+        s.failure_mtbf_s = 10.0;
+        s.fork_at = Some(700);
+        s.divergences = vec![
+            DivergenceSpec::Policy("fair".parse().unwrap()),
+            DivergenceSpec::AddSlots { map_slots: 2, reduce_slots: 1 },
+        ];
+        assert_eq!(
+            s.canonical_key(digest),
+            concat!(
+                r#"{"trace":{"digest":"ddc138e06254423a"},"policy":"capacity:adhoc=1,prod=3","#,
+                r#""cluster":{"map_slots":64,"reduce_slots":64,"hosts":1},"seed":1,"#,
+                r#""deadline_factor":null,"failures":null,"failure_mtbf_s":3600,"#,
+                r#""failure_recovery_s":null,"speculation":1,"slowdown_sigma":null,"#,
+                r#""slowstart":null,"aggregate":false,"timeline":false,"check_invariants":false,"#,
+                r#""fork_at":700,"divergences":[{"policy":"fair"},"#,
+                r#"{"add_slots":{"maps":2,"reduces":1}}]}"#
+            )
+        );
     }
 
     #[test]

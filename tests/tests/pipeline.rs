@@ -96,22 +96,38 @@ fn simmr_simulation_loop_is_faster_than_mumaks() {
     let rumen = RumenTrace::from_history(&run.history).unwrap();
     let mumak =
         simmr_mumak::MumakSim::new(MumakConfig { num_trackers: 8, ..MumakConfig::default() });
+    let config = EngineConfig::new(8, 8);
     let reps = 20;
     let t0 = std::time::Instant::now();
+    let mut simmr_events = 0;
     for _ in 0..reps {
-        let _ = SimulatorEngine::new(EngineConfig::new(8, 8), &trace, Box::new(FifoPolicy::new()))
-            .run();
+        simmr_events = SimulatorEngine::new(config, &trace, Box::new(FifoPolicy::new()))
+            .run()
+            .events_processed;
     }
     let simmr_t = t0.elapsed();
     let t0 = std::time::Instant::now();
+    let mut mumak_events = 0;
     for _ in 0..reps {
-        let _ = mumak.run(&rumen);
+        mumak_events = mumak.run(&rumen).events_processed;
     }
     let mumak_t = t0.elapsed();
-    assert!(
-        simmr_t < mumak_t,
-        "SimMR ({simmr_t:?}) should simulate faster than Mumak ({mumak_t:?})"
-    );
+    if config.invariants_enabled() {
+        // The `check-invariants` feature arms the checker in every SimMR
+        // engine (Mumak has none), so the clocks would race an audited
+        // loop against a bare one. The claim behind the race holds
+        // deterministically: SimMR simulates fewer events.
+        assert!(
+            simmr_events < mumak_events,
+            "with the invariant checker forced on, SimMR's event count ({simmr_events}) should \
+             stay below Mumak's ({mumak_events}); wall clocks are not compared"
+        );
+    } else {
+        assert!(
+            simmr_t < mumak_t,
+            "SimMR ({simmr_t:?}) should simulate faster than Mumak ({mumak_t:?})"
+        );
+    }
 }
 
 #[test]
