@@ -46,7 +46,7 @@ use crate::codec::{
     put_bool_vec, put_f64_vec, put_opt_u64, put_str, put_u16, put_u32, put_u32_vec, put_u64, Crc64,
     DecodeError, Reader, TemplateTable,
 };
-use crate::engine::{HostFailure, JobState, MapTask, ReduceTask};
+use crate::engine::{HostFailure, JobState, MapTask, ReduceTask, MAX_MAP_SLOTS};
 use crate::event::{Event, EventKind};
 use crate::slots::{Attempt, SlotTable, TaskRecord, Tasks};
 use crate::SchedulerPolicy;
@@ -338,6 +338,11 @@ impl EngineCheckpoint {
         let at = SimTime::from_millis(r.u64()?);
         let clock = SimTime::from_millis(r.u64()?);
         let map_slots = r.u32()? as usize;
+        if map_slots > MAX_MAP_SLOTS {
+            return Err(CkptError::Malformed(format!(
+                "{map_slots} map slots exceed the engine's {MAX_MAP_SLOTS}"
+            )));
+        }
         let reduce_slots = r.u32()? as usize;
         let hosts = r.u32()? as usize;
         let flags = r.u8()?;
@@ -628,9 +633,9 @@ fn encode_job(
     put_u32(out, maps.len() as u32);
     maps.iter().for_each(|t| put_u32(out, t.launches));
     put_u32(out, maps.len() as u32);
-    out.extend(maps.iter().map(|t| t.done as u8));
+    out.extend(maps.iter().map(|t| t.done() as u8));
     put_u32(out, maps.len() as u32);
-    maps.iter().for_each(|t| put_u32(out, t.output_slot));
+    maps.iter().for_each(|t| put_u32(out, t.output_slot()));
     put_u32(out, s.maps_completed as u32);
     put_u32(out, s.fresh_reduces as u32);
     put_u32_vec(out, &s.requeued_reduces);
@@ -651,7 +656,7 @@ fn encode_job(
     put_opt_time(out, s.maps_finished);
     put_u64(out, s.spec_threshold);
     put_u32(out, maps.len() as u32);
-    out.extend(maps.iter().map(|t| t.speculated as u8));
+    out.extend(maps.iter().map(|t| t.speculated() as u8));
     put_u32_vec(out, &s.spec_pending);
 }
 
@@ -794,11 +799,14 @@ fn decode_job(
     }
     task_count(r, maps_total, "map done flag")?;
     for t in maps.iter_mut() {
-        t.done = r.bool()?;
+        t.set_done(r.bool()?);
     }
     task_count(r, maps_total, "map output slot")?;
+    let output_bound = slots.maps.len().max(1);
     for t in maps.iter_mut() {
-        t.output_slot = r.u32()?;
+        let slot = r.u32()?;
+        check_below("map output slot", [slot], output_bound)?;
+        t.set_output_slot(slot);
     }
     let maps_completed = r.u32()? as usize;
     let fresh_reduces = r.u32()? as usize;
@@ -825,7 +833,7 @@ fn decode_job(
     let spec_threshold = r.u64()?;
     task_count(r, maps_total, "map speculated flag")?;
     for t in maps.iter_mut() {
-        t.speculated = r.bool()?;
+        t.set_speculated(r.bool()?);
     }
     let spec_pending = r.u32_vec()?;
     if fresh_maps > maps_total || fresh_reduces > reduces_total {
@@ -1111,6 +1119,28 @@ mod tests {
             // encode signs the body, so only the range checks can object
             assert_malformed(what, &bad.encode());
         }
+    }
+
+    /// A map record keeps its output slot in 30 bits next to its flags, so
+    /// a CRC-valid checkpoint naming an output slot the cluster does not
+    /// have, or more map slots than that field can name, is malformed.
+    #[test]
+    fn decode_rejects_an_out_of_range_output_slot_or_map_slot_count() {
+        let trace = busy_trace();
+        let ckpt = SimulatorEngine::new(busy_config(), &trace, Box::new(TestFifo))
+            .checkpoint_at(SimTime::from_millis(100))
+            .unwrap();
+        let live = ckpt.jobs.iter().position(Option::is_some).expect("a live job");
+        let bytes = ckpt.encode();
+        let mut bad = EngineCheckpoint::decode(&bytes).unwrap();
+        // the busy config has 3 map slots
+        bad.jobs[live].as_mut().unwrap().maps.recs[0].set_output_slot(3);
+        assert_malformed("map output slot 3 is out of range (bound 3)", &bad.encode());
+        // the map slot count follows the magic, version and two instants
+        let at = CKPT_MAGIC.len() + 2 + 8 + 8;
+        assert_eq!(bytes[at..at + 4], 3u32.to_le_bytes());
+        let too_many = (MAX_MAP_SLOTS + 1) as u32;
+        assert_malformed("map slots exceed", &patched(&bytes, at, too_many));
     }
 
     /// Every slot is exactly one of free, running or lost to a failed

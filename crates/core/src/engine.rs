@@ -80,7 +80,16 @@ pub struct HostFailure {
     pub at: SimTime,
 }
 
-/// One map task of a job.
+/// Most map slots an engine accepts: a map record keeps its output slot
+/// in the low 30 bits of one word, next to its two flags.
+pub(crate) const MAX_MAP_SLOTS: usize = 1 << 30;
+
+/// [`MapTask::packed`] bit: the map completed.
+const MAP_DONE: u32 = 1 << 31;
+/// [`MapTask::packed`] bit: a speculative duplicate was requested.
+const MAP_SPECULATED: u32 = 1 << 30;
+
+/// One map task of a job (12 bytes).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MapTask {
     /// Monotone launch counter; stamps each attempt so stale departures
@@ -88,19 +97,56 @@ pub(crate) struct MapTask {
     pub(crate) launches: u32,
     /// Map slot of the newest live attempt, [`NONE`] if none runs.
     pub(crate) newest: u32,
-    /// Slot whose host stores the completed map's output (the winning
-    /// attempt's slot); a host failure re-runs maps whose output it
-    /// held. Kept when a rerun clears `done`.
-    pub(crate) output_slot: u32,
-    pub(crate) done: bool,
-    /// A speculative duplicate was already requested (reset when a
-    /// failure forces the task to re-run from scratch).
-    pub(crate) speculated: bool,
+    /// The output slot in the low 30 bits, then [`MAP_SPECULATED`] and
+    /// [`MAP_DONE`]; read through the accessors.
+    packed: u32,
 }
 
 impl Default for MapTask {
     fn default() -> Self {
-        MapTask { launches: 0, newest: NONE, output_slot: 0, done: false, speculated: false }
+        MapTask { launches: 0, newest: NONE, packed: 0 }
+    }
+}
+
+impl MapTask {
+    /// Whether the map completed.
+    pub(crate) fn done(&self) -> bool {
+        self.packed & MAP_DONE != 0
+    }
+
+    pub(crate) fn set_done(&mut self, done: bool) {
+        self.set_flag(MAP_DONE, done);
+    }
+
+    /// A speculative duplicate was already requested (reset when a
+    /// failure forces the task to re-run from scratch).
+    pub(crate) fn speculated(&self) -> bool {
+        self.packed & MAP_SPECULATED != 0
+    }
+
+    pub(crate) fn set_speculated(&mut self, speculated: bool) {
+        self.set_flag(MAP_SPECULATED, speculated);
+    }
+
+    /// Slot whose host stores the completed map's output (the winning
+    /// attempt's slot); a host failure re-runs maps whose output it
+    /// held. Kept when a rerun clears `done`.
+    pub(crate) fn output_slot(&self) -> u32 {
+        self.packed & (MAP_SPECULATED - 1)
+    }
+
+    /// Sets the output slot, which is below [`MAX_MAP_SLOTS`].
+    pub(crate) fn set_output_slot(&mut self, slot: u32) {
+        debug_assert!((slot as usize) < MAX_MAP_SLOTS, "map slot {slot} past the 30-bit field");
+        self.packed = (self.packed & (MAP_DONE | MAP_SPECULATED)) | slot;
+    }
+
+    fn set_flag(&mut self, bit: u32, on: bool) {
+        if on {
+            self.packed |= bit;
+        } else {
+            self.packed &= !bit;
+        }
     }
 }
 
@@ -256,10 +302,10 @@ impl JobState {
     fn requeue_killed_map(&mut self, idx: u32) {
         // only a speculated task can have a pending duplicate
         let task = &mut self.maps.recs[idx as usize];
-        if task.speculated {
+        if task.speculated() {
             if let Some(p) = self.spec_pending.iter().position(|&x| x == idx) {
                 self.spec_pending.remove(p);
-                task.speculated = false;
+                task.set_speculated(false);
             }
         }
         self.requeued_maps.push(idx);
@@ -473,6 +519,11 @@ impl<'a> SimulatorEngine<'a> {
         policy: Box<dyn SchedulerPolicy + 'a>,
     ) -> Self {
         let cluster = config.cluster;
+        assert!(
+            cluster.map_slots <= MAX_MAP_SLOTS,
+            "{} map slots exceed the engine's {MAX_MAP_SLOTS}",
+            cluster.map_slots
+        );
         let (map_slowdown, reduce_slowdown) = match config.slowdown {
             Some(sd) => {
                 let mut rng = SeededRng::new(sd.seed).fork(SLOWDOWN_STREAM);
@@ -878,16 +929,16 @@ impl<'a> SimulatorEngine<'a> {
         };
         let winner = self.map_attempts.vacate(&mut state.maps, slot);
         let task = &mut state.maps.recs[task_index as usize];
-        debug_assert!(!task.done, "live attempt of an already-done map");
-        task.done = true;
-        task.output_slot = slot;
+        debug_assert!(!task.done(), "live attempt of an already-done map");
+        task.set_done(true);
+        task.set_output_slot(slot);
         state.maps_completed += 1;
         self.free_map_slots.push(slot);
         // First finisher wins: kill the losing duplicate attempts and
         // cancel a not-yet-launched duplicate. Only a speculated task can
         // have either.
         let mut losers: Vec<(u32, Attempt)> = Vec::new();
-        if task.speculated {
+        if task.speculated() {
             if let Some(p) = state.spec_pending.iter().position(|&x| x == task_index) {
                 state.spec_pending.remove(p);
             }
@@ -1139,9 +1190,9 @@ impl<'a> SimulatorEngine<'a> {
             // never re-opens.
             if state.maps_finished.is_none() {
                 for (idx, task) in state.maps.recs.iter_mut().enumerate() {
-                    if task.done && dead_maps[task.output_slot as usize] {
-                        task.done = false;
-                        task.speculated = false;
+                    if task.done() && dead_maps[task.output_slot() as usize] {
+                        task.set_done(false);
+                        task.set_speculated(false);
                         state.maps_completed -= 1;
                         state.requeued_maps.push(idx as u32);
                         reruns += 1;
@@ -1258,13 +1309,13 @@ impl<'a> SimulatorEngine<'a> {
             return;
         };
         let task = &state.maps.recs[task_index as usize];
-        if task.done || task.speculated {
+        if task.done() || task.speculated() {
             return;
         }
         if self.map_attempts.find(&state.maps, task_index, attempt).is_none() {
             return;
         }
-        state.maps.recs[task_index as usize].speculated = true;
+        state.maps.recs[task_index as usize].set_speculated(true);
         state.spec_pending.push(task_index);
         self.sync_entry(job);
         self.jobq_dirty = true;
@@ -1419,7 +1470,7 @@ impl<'a> SimulatorEngine<'a> {
         };
         let task = &mut state.maps.recs[idx as usize];
         task.launches += 1;
-        let (attempt, already_speculated) = (task.launches, task.speculated);
+        let (attempt, already_speculated) = (task.launches, task.speculated());
         let a = Attempt::new(job, idx, attempt, now, SimTime::INFINITY);
         self.map_attempts.launch(&mut state.maps, slot, a);
         state.first_map_start.get_or_insert(now);
@@ -1669,6 +1720,12 @@ impl<'a> SimulatorEngine<'a> {
                     // that is what InjectFault models).
                     let (old_m, old_r) =
                         (self.config.cluster.map_slots, self.config.cluster.reduce_slots);
+                    if map_slots > MAX_MAP_SLOTS - old_m {
+                        return Err(CkptError::Mismatch(format!(
+                            "adding {map_slots} map slots to {old_m} exceeds the engine's \
+                             {MAX_MAP_SLOTS}"
+                        )));
+                    }
                     self.config.cluster.map_slots += map_slots;
                     self.config.cluster.reduce_slots += reduce_slots;
                     let (new_m, new_r) =
@@ -2444,5 +2501,35 @@ mod tests {
         let policy = GatedRelease { release: SimTime::ZERO, open: false };
         let report = SimulatorEngine::new(EngineConfig::new(2, 1), &trace, Box::new(policy)).run();
         assert_eq!(report.jobs[0].completion, SimTime::from_millis(101));
+    }
+
+    #[test]
+    fn map_record_packs_its_flags_into_the_output_slot() {
+        assert_eq!(std::mem::size_of::<MapTask>(), 12);
+        let mut t = MapTask::default();
+        t.set_output_slot(MAX_MAP_SLOTS as u32 - 1);
+        t.set_done(true);
+        t.set_speculated(true);
+        assert_eq!(
+            (t.output_slot(), t.done(), t.speculated()),
+            (MAX_MAP_SLOTS as u32 - 1, true, true)
+        );
+        t.set_done(false);
+        t.set_output_slot(3);
+        assert_eq!((t.output_slot(), t.done(), t.speculated()), (3, false, true));
+        t.set_speculated(false);
+        assert_eq!((t.output_slot(), t.done(), t.speculated()), (3, false, false));
+    }
+
+    #[test]
+    #[should_panic(expected = "map slots exceed")]
+    fn more_map_slots_than_the_record_can_name_are_refused() {
+        // the check fires before any per-slot allocation
+        let trace = WorkloadTrace::new("t", "test");
+        let _ = SimulatorEngine::new(
+            EngineConfig::new(MAX_MAP_SLOTS + 1, 1),
+            &trace,
+            Box::new(TestFifo),
+        );
     }
 }

@@ -399,7 +399,7 @@ impl InvariantState {
                              with speculation disabled"
                         );
                     }
-                    if !tasks[idx as usize].speculated {
+                    if !tasks[idx as usize].speculated() {
                         violation!(
                             "speculation-bookkeeping",
                             "job {id} at t={now}: map task {idx} has two live attempts but is \
@@ -409,7 +409,7 @@ impl InvariantState {
                     continue;
                 }
                 distinct += 1;
-                if tasks[idx as usize].done {
+                if tasks[idx as usize].done() {
                     violation!(
                         "task-accounting",
                         "job {id} at t={now}: completed map task {idx} still has a live attempt"
@@ -429,7 +429,7 @@ impl InvariantState {
                 );
             }
             for &idx in &state.requeued_maps {
-                if tasks[idx as usize].done {
+                if tasks[idx as usize].done() {
                     violation!(
                         "task-accounting",
                         "job {id} at t={now}: requeued map task {idx} is marked done"
@@ -445,17 +445,17 @@ impl InvariantState {
             // every not-yet-launched duplicate must shadow a live primary
             for &idx in &state.spec_pending {
                 let task = &tasks[idx as usize];
-                if !task.speculated || task.done || running_idx.binary_search(&idx).is_err() {
+                if !task.speculated() || task.done() || running_idx.binary_search(&idx).is_err() {
                     violation!(
                         "speculation-bookkeeping",
                         "job {id} at t={now}: spec_pending map task {idx} has no live primary \
                          attempt (speculated={}, done={})",
-                        task.speculated,
-                        task.done
+                        task.speculated(),
+                        task.done()
                     );
                 }
             }
-            let done_flags = tasks.iter().filter(|t| t.done).count();
+            let done_flags = tasks.iter().filter(|t| t.done()).count();
             if done_flags != state.maps_completed {
                 violation!(
                     "task-accounting",

@@ -33,7 +33,8 @@
 //!   `POST /v1/sweep` (optionally streaming partial results as NDJSON
 //!   chunks), `GET /v1/traces`, `GET /healthz` (report cache, checkpoint
 //!   memo and trace memo counters), `POST /v1/shutdown`.
-//!   Plain `TcpListener` + worker threads; no global state, no runtime
+//!   Plain `TcpListener` + worker threads, which also run each sweep's
+//!   fan-out (no thread per request); no global state, no runtime
 //!   dependencies.
 
 pub mod cache;

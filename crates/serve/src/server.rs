@@ -11,25 +11,38 @@
 //!   leaks into it.
 //! * `POST /v1/sweep` — a base scenario crossed with `policies` ×
 //!   `seeds` (or an explicit `scenarios` list). Uncached scenarios are
-//!   batched into one [`simmr_stats::parallel_sweep`] fan-out; with
+//!   fanned out over the server's own workers (see [`fan_out`]); with
 //!   `?stream=1` each result is flushed as an NDJSON chunk the moment
 //!   it completes.
 //! * `POST /v1/shutdown` — responds, then stops the accept loop and
 //!   drains the workers.
 //!
-//! Every piece of state lives in one [`ServerState`] value shared by
-//! `Arc` — no globals, so tests run servers side by side in one process.
+//! Threads: the accept loop runs on the caller of [`Server::run`], and
+//! `--workers` threads serve everything else. A worker pops either a
+//! connection or a help token for another request's fan-out, so a sweep
+//! borrows idle workers instead of spawning threads; `--workers` bounds
+//! every thread that serves requests.
+//!
+//! A handler that panics answers `500` with a JSON error body if no
+//! response byte went out yet; a streamed sweep that already sent its
+//! `200` head ends without the final chunk, so the client sees a short
+//! stream, never one that looks complete.
+//!
+//! Every piece of state lives in one [`ServerState`] value borrowed by
+//! the workers — no globals, so tests run servers side by side in one
+//! process.
 
 use crate::cache::{CkptCache, ReportCache};
 use crate::facade::{FacadeError, ResolvedScenario, ScenarioSpec, SimFacade};
 use crate::http::{ChunkedWriter, HttpError, Request, Response};
 use simmr_sched::PolicySpec;
-use simmr_stats::parallel_sweep;
 use simmr_trace::{TraceDigest, TraceStatus};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::thread;
 use std::time::Duration;
 
 /// Most scenarios one sweep request may expand to.
@@ -40,7 +53,9 @@ const MAX_SWEEP: usize = 1024;
 pub struct ServeConfig {
     /// Listen address, e.g. `127.0.0.1:4601` (port 0 picks one).
     pub addr: String,
-    /// Connection worker threads; 0 means one per core (capped at 8).
+    /// Worker threads. They serve connections and help with every
+    /// request's fan-out, so they are all the threads that serve
+    /// requests; 0 means one per core (at least 2, at most 8).
     pub workers: usize,
     /// Trace database directory; named/digest trace refs need it.
     pub db_dir: Option<String>,
@@ -69,9 +84,46 @@ struct ServerState {
     ckpts: CkptCache,
     stop: AtomicBool,
     addr: SocketAddr,
+    /// The worker queue's sender; emptied at shutdown so the workers,
+    /// once the queue drains, see it close and exit.
+    pool: Mutex<Option<mpsc::Sender<Work>>>,
+    /// Worker threads popping that queue.
+    workers: usize,
 }
 
 impl ServerState {
+    /// The state and the receiving end of its worker queue.
+    fn new(
+        facade: SimFacade,
+        config: &ServeConfig,
+        addr: SocketAddr,
+        workers: usize,
+    ) -> (ServerState, mpsc::Receiver<Work>) {
+        let (tx, rx) = mpsc::channel();
+        let state = ServerState {
+            facade,
+            cache: ReportCache::new(config.cache_shards, config.cache_shard_cap),
+            ckpts: CkptCache::new(config.cache_shards, config.cache_shard_cap),
+            stop: AtomicBool::new(false),
+            addr,
+            pool: Mutex::new(Some(tx)),
+            workers,
+        };
+        (state, rx)
+    }
+
+    /// Queues work for the pool; a no-op once shutdown closed it.
+    fn post(&self, work: Work) {
+        if let Some(tx) = self.pool.lock().expect("worker queue poisoned").as_ref() {
+            let _ = tx.send(work);
+        }
+    }
+
+    /// Closes the worker queue: workers finish what is queued and exit.
+    fn close_pool(&self) {
+        self.pool.lock().expect("worker queue poisoned").take();
+    }
+
     /// Flags the accept loop down and wakes it with a throwaway
     /// connection (accept() has no timeout; the nudge is the wake-up).
     fn begin_shutdown(&self) {
@@ -80,11 +132,99 @@ impl ServerState {
     }
 }
 
+/// What a worker pops off the queue.
+enum Work {
+    /// A connection to serve.
+    Conn(TcpStream),
+    /// An offer to help with another request's [`fan_out`].
+    Help(Arc<dyn Help>),
+}
+
+/// A fanned-out batch that a worker can help with.
+trait Help: Send + Sync {
+    /// Claims and runs items until none remain: a no-op once the batch
+    /// is done.
+    fn help(&self, state: &ServerState);
+}
+
+/// One [`fan_out`]'s items: `len` of them, claimed through `next`; the
+/// items themselves live in whatever `run` captured (an `Arc<[_]>`).
+struct Batch<R, F> {
+    len: usize,
+    next: AtomicUsize,
+    run: F,
+    /// Where helpers send `(index, result or panic payload)`.
+    results: mpsc::Sender<(usize, thread::Result<R>)>,
+}
+
+impl<R, F> Batch<R, F> {
+    /// The next unclaimed item, if any; each index is handed out once.
+    fn claim(&self) -> Option<usize> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.len).then_some(i)
+    }
+}
+
+impl<R, F> Help for Batch<R, F>
+where
+    R: Send,
+    F: Fn(&ServerState, usize) -> R + Send + Sync,
+{
+    fn help(&self, state: &ServerState) {
+        while let Some(i) = self.claim() {
+            // a panicking item goes back to the requesting handler; this
+            // worker keeps serving
+            let result = panic::catch_unwind(AssertUnwindSafe(|| (self.run)(state, i)));
+            let _ = self.results.send((i, result));
+        }
+    }
+}
+
+/// Runs `run(state, i)` for every `i in 0..len` on this worker and on
+/// idle pool workers, handing each result to `each` on this thread in
+/// completion order.
+///
+/// It posts up to `workers - 1` help tokens, then claims and runs items
+/// itself. Once no item is left to claim, it waits only for items a
+/// helper already claimed, and those are running. A token queued behind
+/// a busy worker therefore never stalls the request, even when every
+/// worker is handling one, and a token popped after the batch is done
+/// does nothing. A panic in a helper's item is re-raised here. Spawns no
+/// thread.
+fn fan_out<R, F>(state: &ServerState, len: usize, run: F, mut each: impl FnMut(usize, R))
+where
+    R: Send + 'static,
+    F: Fn(&ServerState, usize) -> R + Send + Sync + 'static,
+{
+    let (results, received) = mpsc::channel();
+    let batch = Arc::new(Batch { len, next: AtomicUsize::new(0), run, results });
+    for _ in 1..len.min(state.workers) {
+        state.post(Work::Help(Arc::clone(&batch) as Arc<dyn Help>));
+    }
+    let mut deliver = |(i, result): (usize, thread::Result<R>)| match result {
+        Ok(r) => each(i, r),
+        Err(payload) => panic::resume_unwind(payload),
+    };
+    let mut outstanding = len;
+    while let Some(i) = batch.claim() {
+        deliver((i, Ok((batch.run)(state, i))));
+        outstanding -= 1;
+        // pass on what helpers finished meanwhile
+        while let Ok(done) = received.try_recv() {
+            deliver(done);
+            outstanding -= 1;
+        }
+    }
+    for _ in 0..outstanding {
+        deliver(received.recv().expect("the batch holds a sender"));
+    }
+}
+
 /// A bound, not-yet-running `simmr serve` instance.
 pub struct Server {
     listener: TcpListener,
-    workers: usize,
-    state: Arc<ServerState>,
+    queue: mpsc::Receiver<Work>,
+    state: ServerState,
 }
 
 impl Server {
@@ -98,20 +238,11 @@ impl Server {
             .map_err(|e| format!("cannot listen on `{}`: {e}", config.addr))?;
         let addr = listener.local_addr().map_err(|e| e.to_string())?;
         let workers = match config.workers {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).clamp(2, 8),
+            0 => thread::available_parallelism().map(|n| n.get()).unwrap_or(4).clamp(2, 8),
             n => n,
         };
-        Ok(Server {
-            listener,
-            workers,
-            state: Arc::new(ServerState {
-                facade,
-                cache: ReportCache::new(config.cache_shards, config.cache_shard_cap),
-                ckpts: CkptCache::new(config.cache_shards, config.cache_shard_cap),
-                stop: AtomicBool::new(false),
-                addr,
-            }),
-        })
+        let (state, queue) = ServerState::new(facade, &config, addr, workers);
+        Ok(Server { listener, queue, state })
     }
 
     /// The bound address (useful after binding port 0).
@@ -122,42 +253,75 @@ impl Server {
     /// Serves until `POST /v1/shutdown`: accepts connections on this
     /// thread and hands them to the worker pool.
     pub fn run(self) -> Result<(), String> {
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers {
-                let rx = Arc::clone(&rx);
-                let state = Arc::clone(&self.state);
-                scope.spawn(move || loop {
-                    let next = rx.lock().expect("worker queue poisoned").recv();
-                    match next {
-                        Ok(stream) => {
-                            // a panicking handler (e.g. the invariant
-                            // checker firing) must not take the pool down
-                            let caught =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    handle(&state, stream)
-                                }));
-                            if caught.is_err() {
-                                eprintln!("[simmr serve] request handler panicked");
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                });
+        let Server { listener, queue, state } = self;
+        let queue = Mutex::new(queue);
+        thread::scope(|scope| {
+            for _ in 0..state.workers {
+                scope.spawn(|| work(&state, &queue));
             }
-            for stream in self.listener.incoming() {
-                if self.state.stop.load(Ordering::SeqCst) {
+            for stream in listener.incoming() {
+                if state.stop.load(Ordering::SeqCst) {
                     break;
                 }
                 if let Ok(stream) = stream {
                     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-                    let _ = tx.send(stream);
+                    state.post(Work::Conn(stream));
                 }
             }
-            drop(tx);
+            state.close_pool();
         });
         Ok(())
+    }
+}
+
+/// One worker: serves connections and helps fan-outs until the queue
+/// closes.
+fn work(state: &ServerState, queue: &Mutex<mpsc::Receiver<Work>>) {
+    loop {
+        let next = queue.lock().expect("worker queue poisoned").recv();
+        match next {
+            Ok(Work::Conn(stream)) => handle(state, stream),
+            Ok(Work::Help(batch)) => batch.help(state),
+            Err(_) => break,
+        }
+    }
+}
+
+/// A response writer that notes whether any byte was handed to it, so
+/// a caught panic can tell whether a `500` may still be sent.
+struct Tracked<W> {
+    inner: W,
+    started: bool,
+}
+
+impl<W: Write> Write for Tracked<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.started |= !buf.is_empty();
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// Runs `respond` and returns its value; if it panics (e.g. the
+/// invariant checker firing), answers `500` when no response byte went
+/// out yet and returns `None`. A response already under way is left as
+/// it stands: a streamed sweep stops short of its final chunk.
+fn answer<W: Write, T>(
+    writer: &mut Tracked<W>,
+    respond: impl FnOnce(&mut Tracked<W>) -> T,
+) -> Option<T> {
+    match panic::catch_unwind(AssertUnwindSafe(|| respond(&mut *writer))) {
+        Ok(value) => Some(value),
+        Err(_) => {
+            eprintln!("[simmr serve] request handler panicked");
+            if !writer.started {
+                let _ = error_response(500, "request handler panicked").write_to(writer);
+            }
+            None
+        }
     }
 }
 
@@ -165,14 +329,21 @@ impl Server {
 fn handle(state: &ServerState, stream: TcpStream) {
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    let request = match Request::read_from(&mut reader) {
+    let mut writer = Tracked { inner: BufWriter::new(stream), started: false };
+    if answer(&mut writer, |w| route(state, &mut reader, w)) == Some(true) {
+        state.begin_shutdown();
+    }
+}
+
+/// Reads one request and writes its response; `true` for a shutdown.
+fn route<W: Write>(state: &ServerState, reader: &mut impl BufRead, writer: &mut W) -> bool {
+    let request = match Request::read_from(reader) {
         Ok(Some(r)) => r,
         // clean EOF: e.g. the shutdown wake-up connection
-        Ok(None) | Err(HttpError::Io(_)) => return,
+        Ok(None) | Err(HttpError::Io(_)) => return false,
         Err(e) => {
-            let _ = error_response(400, &e.to_string()).write_to(&mut writer);
-            return;
+            let _ = error_response(400, &e.to_string()).write_to(writer);
+            return false;
         }
     };
     let is_shutdown = request.method == "POST" && request.path == "/v1/shutdown";
@@ -181,8 +352,8 @@ fn handle(state: &ServerState, stream: TcpStream) {
         ("GET", "/v1/traces") => traces(state),
         ("POST", "/v1/run") => run_one(state, &request),
         ("POST", "/v1/sweep") if request.query("stream") == Some("1") => {
-            match sweep_streamed(state, &request, &mut writer) {
-                Ok(()) => return,
+            match sweep_streamed(state, &request, writer) {
+                Ok(()) => return false,
                 Err(resp) => resp,
             }
         }
@@ -193,10 +364,8 @@ fn handle(state: &ServerState, stream: TcpStream) {
         }
         _ => error_response(404, "no such endpoint"),
     };
-    let _ = response.write_to(&mut writer);
-    if is_shutdown {
-        state.begin_shutdown();
-    }
+    let _ = response.write_to(writer);
+    is_shutdown
 }
 
 /// `{"error": MSG}` with proper JSON escaping.
@@ -387,14 +556,17 @@ fn entry_json(index: usize, entry: &SweepEntry) -> String {
     }
 }
 
+/// The resolved report-cache misses of one sweep, with their request
+/// indices; shared with the workers that help run them.
+type Misses = Arc<[(usize, ResolvedScenario)]>;
+
 /// Parses and resolves a sweep request body into per-index outcomes:
 /// already-failed entries, cache hits, and the resolved misses still to
 /// run.
-#[allow(clippy::type_complexity)]
 fn prepare_sweep(
     state: &ServerState,
     request: &Request,
-) -> Result<(Vec<Option<SweepEntry>>, Vec<(usize, ResolvedScenario)>), Response> {
+) -> Result<(Vec<Option<SweepEntry>>, Misses), Response> {
     let parsed: SweepRequest = match request.body_str().map(serde_json::from_str) {
         Ok(Ok(p)) => p,
         Ok(Err(e)) => return Err(error_response(400, &e.to_string())),
@@ -429,24 +601,28 @@ fn prepare_sweep(
             },
         }
     }
+    let misses = Misses::from(misses);
     warm_checkpoints(state, &misses);
     Ok((entries, misses))
 }
 
 /// Materializes each *distinct* prefix checkpoint the fork scenarios
-/// among `misses` share, fanning the prefix runs out over all cores —
+/// among `misses` share, fanning the prefix runs out over the workers —
 /// so a sweep of N divergent suffixes over one prefix runs that prefix
 /// exactly once, and every subsequent [`ResolvedScenario::run_warm`]
 /// warm-starts from the memo.
-fn warm_checkpoints(state: &ServerState, misses: &[(usize, ResolvedScenario)]) {
+fn warm_checkpoints(state: &ServerState, misses: &Misses) {
     let mut seen = std::collections::HashSet::new();
-    let distinct: Vec<&ResolvedScenario> = misses
-        .iter()
-        .filter_map(|(_, r)| r.ckpt_key().filter(|k| seen.insert(k.clone())).map(|_| r))
+    let distinct: Vec<usize> = (0..misses.len())
+        .filter(|&i| misses[i].1.ckpt_key().is_some_and(|k| seen.insert(k)))
         .collect();
-    if !distinct.is_empty() {
-        parallel_sweep(distinct.len(), |i| distinct[i].ensure_ckpt(&state.ckpts));
-    }
+    let misses = Arc::clone(misses);
+    fan_out(
+        state,
+        distinct.len(),
+        move |state, i| misses[distinct[i]].1.ensure_ckpt(&state.ckpts),
+        |_, _| {},
+    );
 }
 
 /// Runs one report-cache miss (warm-starting forks from the checkpoint
@@ -461,23 +637,31 @@ fn run_miss(state: &ServerState, resolved: &ResolvedScenario) -> (Option<bool>, 
     (run.ckpt, body)
 }
 
-/// [`run_miss`] as a sweep entry.
-fn miss_entry(state: &ServerState, resolved: &ResolvedScenario) -> SweepEntry {
-    let (_, body) = run_miss(state, resolved);
-    SweepEntry::Report { cached: false, key: resolved.key.clone(), digest: resolved.digest, body }
+/// Runs every miss through [`fan_out`], handing `each` the request index
+/// and the entry of each scenario as it completes.
+fn run_misses(state: &ServerState, misses: &Misses, mut each: impl FnMut(usize, SweepEntry)) {
+    let items = Arc::clone(misses);
+    let run = move |state: &ServerState, i: usize| {
+        let resolved = &items[i].1;
+        let (_, body) = run_miss(state, resolved);
+        SweepEntry::Report {
+            cached: false,
+            key: resolved.key.clone(),
+            digest: resolved.digest,
+            body,
+        }
+    };
+    fan_out(state, misses.len(), run, |i, entry| each(misses[i].0, entry));
 }
 
 /// `POST /v1/sweep` (buffered): one JSON array, entries in request
-/// order, uncached scenarios fanned out in one [`parallel_sweep`].
+/// order, uncached scenarios fanned out over the workers.
 fn sweep(state: &ServerState, request: &Request) -> Response {
     let (mut entries, misses) = match prepare_sweep(state, request) {
         Ok(p) => p,
         Err(resp) => return resp,
     };
-    let computed = parallel_sweep(misses.len(), |i| miss_entry(state, &misses[i].1));
-    for ((index, _), entry) in misses.iter().zip(computed) {
-        entries[*index] = Some(entry);
-    }
+    run_misses(state, &misses, |index, entry| entries[index] = Some(entry));
     let rendered: Vec<String> = entries
         .iter()
         .enumerate()
@@ -488,8 +672,9 @@ fn sweep(state: &ServerState, request: &Request) -> Response {
 }
 
 /// `POST /v1/sweep?stream=1`: NDJSON chunks. Failures and cache hits
-/// flush immediately; each computed scenario flushes the moment its
-/// engine run completes (completion order, tagged with `index`).
+/// flush immediately; each computed scenario flushes from this worker
+/// the moment its engine run completes (completion order, tagged with
+/// `index`).
 fn sweep_streamed<W: Write>(
     state: &ServerState,
     request: &Request,
@@ -504,21 +689,142 @@ fn sweep_streamed<W: Write>(
             let _ = chunks.line(&entry_json(index, entry));
         }
     }
-    let (tx, rx) = mpsc::channel::<(usize, SweepEntry)>();
-    std::thread::scope(|scope| {
-        let state = &*state;
-        let misses = &misses;
-        scope.spawn(move || {
-            let _ = parallel_sweep(misses.len(), |i| {
-                let (index, resolved) = &misses[i];
-                let _ = tx.send((*index, miss_entry(state, resolved)));
-            });
-            // tx drops here; the drain loop below sees the channel close
-        });
-        for (index, entry) in rx.iter() {
-            let _ = chunks.line(&entry_json(index, &entry));
-        }
+    run_misses(state, &misses, |index, entry| {
+        let _ = chunks.line(&entry_json(index, &entry));
     });
     let _ = chunks.finish();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    /// A server state with a `workers`-wide queue and no listener.
+    fn test_state(workers: usize) -> (ServerState, Mutex<mpsc::Receiver<Work>>) {
+        let addr = "127.0.0.1:0".parse().expect("socket address");
+        let (state, queue) =
+            ServerState::new(SimFacade::new(), &ServeConfig::default(), addr, workers);
+        (state, Mutex::new(queue))
+    }
+
+    /// Waits until `flag` is set; a helper that never comes fails the
+    /// test instead of hanging it.
+    fn wait_for(flag: &AtomicBool) {
+        let start = Instant::now();
+        while !flag.load(Ordering::SeqCst) {
+            assert!(start.elapsed() < Duration::from_secs(20), "no helper joined the batch");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A two-item batch whose helper-run item calls `on_helper` after
+    /// raising the flag; the caller's item waits for the flag, so the
+    /// other item is always the helper's.
+    fn helped_batch<R: Send + 'static>(
+        caller: thread::ThreadId,
+        on_helper: fn(usize) -> R,
+        on_caller: fn(usize) -> R,
+    ) -> impl Fn(&ServerState, usize) -> R + Send + Sync + 'static {
+        let helped = Arc::new(AtomicBool::new(false));
+        move |_, i| {
+            if thread::current().id() == caller {
+                wait_for(&helped);
+                on_caller(i)
+            } else {
+                helped.store(true, Ordering::SeqCst);
+                on_helper(i)
+            }
+        }
+    }
+
+    #[test]
+    fn fanout_reraises_a_helper_panic_and_the_helper_keeps_serving() {
+        let (state, queue) = test_state(2);
+        thread::scope(|scope| {
+            scope.spawn(|| work(&state, &queue));
+            let caller = thread::current().id();
+            let batch = helped_batch(caller, |_| panic!("injected helper panic"), |_| ());
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                fan_out(&state, 2, batch, |_, ()| {});
+            }));
+            let payload = caught.expect_err("the helper's panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"injected helper panic"));
+
+            // the worker that caught the panic helps the next batch
+            let batch = helped_batch(caller, |i| (i, false), |i| (i, true));
+            let mut got = Vec::new();
+            fan_out(&state, 2, batch, |i, r| got.push((i, r)));
+            got.sort();
+            assert_eq!(got.len(), 2);
+            assert_eq!(
+                got.iter().map(|(i, (j, _))| (*i, *j)).collect::<Vec<_>>(),
+                [(0, 0), (1, 1)]
+            );
+            assert_eq!(got.iter().filter(|(_, (_, on_caller))| !on_caller).count(), 1);
+            state.close_pool();
+        });
+    }
+
+    #[test]
+    fn fanout_without_helpers_runs_every_item_on_the_caller() {
+        // one worker: the caller is the whole pool, and posts no token
+        let (state, queue) = test_state(1);
+        let caller = thread::current().id();
+        let mut got = Vec::new();
+        fan_out(
+            &state,
+            5,
+            move |_, i| (i, thread::current().id() == caller),
+            |i, r| got.push((i, r)),
+        );
+        assert_eq!(got, (0..5).map(|i| (i, (i, true))).collect::<Vec<_>>());
+        assert!(queue.lock().unwrap().try_recv().is_err(), "no help token was posted");
+    }
+
+    #[test]
+    fn fanout_tokens_popped_after_the_batch_are_no_ops() {
+        // nobody serves the queue while the batch runs, so the caller runs
+        // it all and its token is left queued
+        let (state, queue) = test_state(3);
+        let mut got = Vec::new();
+        fan_out(&state, 3, |_, i| i * 10, |i, r| got.push((i, r)));
+        assert_eq!(got, [(0, 0), (1, 10), (2, 20)]);
+        let mut stale = 0;
+        while let Ok(work) = queue.lock().unwrap().try_recv() {
+            let Work::Help(batch) = work else { panic!("only help tokens were posted") };
+            batch.help(&state);
+            stale += 1;
+        }
+        assert_eq!(stale, 2, "min(items, workers) - 1 tokens");
+    }
+
+    #[test]
+    fn panic_before_any_response_byte_is_a_json_500() {
+        let mut w = Tracked { inner: Vec::new(), started: false };
+        let answered = answer(&mut w, |_| -> bool { panic!("injected handler panic") });
+        assert!(answered.is_none());
+        let text = String::from_utf8(w.inner).expect("utf8 response");
+        assert!(text.starts_with("HTTP/1.1 500 Internal Server Error\r\n"), "{text}");
+        let body = text.split_once("\r\n\r\n").expect("head and body").1;
+        let v: serde_json::Value = serde_json::from_str(body).expect("JSON error body");
+        assert!(matches!(v.get("error"), Some(serde_json::Value::Str(_))), "{body}");
+    }
+
+    #[test]
+    fn panic_mid_stream_leaves_the_stream_without_its_final_chunk() {
+        let mut w = Tracked { inner: Vec::new(), started: false };
+        let answered = answer::<_, ()>(&mut w, |w| {
+            let mut chunks = ChunkedWriter::start(w, 200, &[]).expect("head");
+            chunks.line(r#"{"index":0}"#).expect("line");
+            panic!("injected mid-stream panic")
+        });
+        assert!(answered.is_none());
+        let text = String::from_utf8(w.inner).expect("utf8 response");
+        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
+        assert!(text.contains("{\"index\":0}\n"), "{text}");
+        assert!(!text.contains(" 500 "), "no second status line: {text}");
+        assert!(!text.ends_with("0\r\n\r\n"), "the stream must not look complete: {text}");
+    }
 }

@@ -4,15 +4,16 @@
 //! different seeds, and the serve layer fans batched scenario queries out
 //! over all cores. [`parallel_sweep`] is the one shared implementation of
 //! that pattern (it used to be hand-rolled per binary): repetitions are
-//! split into contiguous chunks, one per available core, and executed on
-//! scoped threads. It lives here, below both `simmr-bench` and
-//! `simmr-serve`, so either side can use it without depending on the
-//! other.
+//! split into contiguous chunks, one per available core; the calling
+//! thread runs the first chunk and scoped threads run the rest. It lives
+//! here, below both `simmr-bench` and `simmr-serve`, so either side can
+//! use it without depending on the other.
 
 use std::thread;
 
 /// Runs `f(rep)` for every `rep in 0..reps` across all available cores and
-/// returns the results in repetition order.
+/// returns the results in repetition order. The calling thread runs the
+/// first chunk itself, so a sweep that fits one chunk spawns no thread.
 ///
 /// `f` must be deterministic per `rep` (seed derived from the index) for
 /// sweeps to be reproducible regardless of thread count.
@@ -27,21 +28,16 @@ where
     let threads = thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(reps);
     let chunk = reps.div_ceil(threads);
     let f = &f;
-    let mut chunks: Vec<Vec<R>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(reps);
-                scope.spawn(move || (lo..hi).map(f).collect::<Vec<R>>())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("sweep worker panicked")).collect()
-    });
-    let mut out = Vec::with_capacity(reps);
-    for c in &mut chunks {
-        out.append(c);
-    }
-    out
+    let run = move |t: usize| (t * chunk..((t + 1) * chunk).min(reps)).map(f).collect::<Vec<R>>();
+    thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads).map(|t| scope.spawn(move || run(t))).collect();
+        let mut out = run(0);
+        out.reserve_exact(reps - out.len());
+        for h in handles {
+            out.extend(h.join().expect("sweep worker panicked"));
+        }
+        out
+    })
 }
 
 /// Mean of `f(rep)` over `reps` repetitions, fanned out with
@@ -76,6 +72,14 @@ mod tests {
     fn mean_matches_serial() {
         let mean = parallel_mean(37, |r| r as f64);
         assert!((mean - 18.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_single_rep_runs_on_the_calling_thread() {
+        let caller = thread::current().id();
+        assert_eq!(parallel_sweep(1, |_| thread::current().id()), vec![caller]);
+        // the first chunk of a wider sweep runs there too
+        assert_eq!(parallel_sweep(8, |_| thread::current().id())[0], caller);
     }
 
     #[test]

@@ -105,9 +105,17 @@ fn dechunk(mut raw: &[u8]) -> String {
 fn start_server(
     db_dir: &std::path::Path,
 ) -> (SocketAddr, std::thread::JoinHandle<Result<(), String>>) {
+    start_server_with(db_dir, 4)
+}
+
+/// [`start_server`] with `workers` worker threads.
+fn start_server_with(
+    db_dir: &std::path::Path,
+    workers: usize,
+) -> (SocketAddr, std::thread::JoinHandle<Result<(), String>>) {
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 4,
+        workers,
         db_dir: Some(db_dir.to_string_lossy().into_owned()),
         ..ServeConfig::default()
     })
@@ -527,6 +535,172 @@ fn serve_survives_concurrent_clients() {
     assert_ne!(fifo[0], maxedf[0]);
 
     assert_eq!(http(addr, "POST", "/v1/shutdown", "").status, 200);
+    handle.join().expect("server thread").expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Worker-assisted fan-out: a sweep runs on the server's own workers
+// ---------------------------------------------------------------------------
+
+/// A fork scenario on a contended cluster; divergences change the
+/// schedule, and every variant shares the prefix up to t=900.
+fn fork_spec_json(divergence: &str) -> String {
+    format!(
+        r#"{{"trace": "workload", "policy": "fifo",
+             "cluster": {{"map_slots": 2, "reduce_slots": 1, "hosts": 2}},
+             "fork_at": 900, "divergences": [{divergence}]}}"#
+    )
+}
+
+/// Four fork variants over one prefix, as a `scenarios` sweep body.
+fn fork_sweep_body() -> (String, Vec<String>) {
+    let specs: Vec<String> = [
+        r#"{"policy": "maxedf"}"#,
+        r#"{"add_slots": {"maps": 1}}"#,
+        r#"{"fault": {"host": 1, "at": 1200}}"#,
+        r#"{"policy": "fair"}"#,
+    ]
+    .iter()
+    .map(|d| fork_spec_json(d))
+    .collect();
+    (format!(r#"{{"scenarios": [{}]}}"#, specs.join(",")), specs)
+}
+
+/// The report of `spec_json` run cold by a fresh facade (the fork's
+/// prefix replayed from scratch) over the inline sample trace.
+fn cold_report(spec_json: &str) -> String {
+    let mut spec: ScenarioSpec = serde_json::from_str(spec_json).expect("spec parses");
+    spec.trace = TraceRef::Inline(sample_trace());
+    serde_json::to_string(&SimFacade::new().run(&spec).expect("facade run").report).unwrap()
+}
+
+/// A sweep entry's index and embedded report.
+fn entry_index_and_report(entry: &str) -> (usize, &str) {
+    let index = entry
+        .strip_prefix("{\"index\":")
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("entry without a leading index: {entry:.80}"));
+    let report = entry
+        .split_once("\"report\":")
+        .map(|(_, r)| r.strip_suffix('}').expect("entry closes after its report"))
+        .unwrap_or_else(|| panic!("entry without a report: {entry:.80}"));
+    (index, report)
+}
+
+/// Asserts a streamed sweep answered each of `n` indices exactly once.
+fn assert_every_index_once(reply: &Reply, n: usize) {
+    assert_eq!(reply.status, 200, "body: {}", reply.body);
+    let mut seen: Vec<usize> =
+        reply.body.lines().map(|line| entry_index_and_report(line).0).collect();
+    seen.sort_unstable();
+    assert_eq!(seen, (0..n).collect::<Vec<_>>(), "body: {}", reply.body);
+}
+
+#[test]
+fn fanout_concurrent_streamed_sweeps_each_return_every_index_once() {
+    let dir = tmpdir("fanout-concurrent");
+    TraceDatabase::open(&dir).unwrap().store("workload", &sample_trace()).unwrap();
+    let (addr, handle) = start_server_with(&dir, 2);
+
+    // both workers handle a sweep at once: each posts a help token that
+    // the other, busy worker pops only after its own request is done
+    let bodies: Vec<String> = (0..2)
+        .map(|s| {
+            format!(
+                r#"{{"base": {{"trace": "workload", "policy": "fifo", "deadline_factor": 1.5}},
+                     "policies": ["fifo", "maxedf", "minedf", "fair"], "seeds": [{}, {}]}}"#,
+                10 + 2 * s,
+                11 + 2 * s
+            )
+        })
+        .collect();
+    let replies: Vec<Reply> = std::thread::scope(|scope| {
+        let clients: Vec<_> = bodies
+            .iter()
+            .map(|body| scope.spawn(move || http(addr, "POST", "/v1/sweep?stream=1", body)))
+            .collect();
+        clients.into_iter().map(|c| c.join().expect("client thread")).collect()
+    });
+    for reply in &replies {
+        assert_every_index_once(reply, 8);
+        assert_eq!(reply.body.matches("\"cached\":false").count(), 8);
+    }
+
+    assert_eq!(http(addr, "POST", "/v1/shutdown", "").status, 200);
+    handle.join().expect("server thread").expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fanout_single_worker_sweep_completes_without_helpers() {
+    let dir = tmpdir("fanout-single");
+    TraceDatabase::open(&dir).unwrap().store("workload", &sample_trace()).unwrap();
+    let (addr, handle) = start_server_with(&dir, 1);
+
+    let (body, _) = fork_sweep_body();
+    assert_every_index_once(&http(addr, "POST", "/v1/sweep?stream=1", &body), 4);
+    let buffered = http(addr, "POST", "/v1/sweep", &body);
+    assert_eq!(buffered.status, 200, "body: {}", buffered.body);
+    assert_eq!(buffered.body.matches("\"cached\":true").count(), 4);
+
+    assert_eq!(http(addr, "POST", "/v1/shutdown", "").status, 200);
+    handle.join().expect("server thread").expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fanout_buffered_sweep_keeps_request_order_and_cold_bytes() {
+    let dir = tmpdir("fanout-order");
+    TraceDatabase::open(&dir).unwrap().store("workload", &sample_trace()).unwrap();
+    let (addr, handle) = start_server_with(&dir, 2);
+
+    // every entry warm-starts from the one shared prefix checkpoint; each
+    // must carry, in request order, the bytes a cold facade run gives
+    let (body, specs) = fork_sweep_body();
+    let swept = http(addr, "POST", "/v1/sweep", &body);
+    assert_eq!(swept.status, 200, "body: {}", swept.body);
+    let entries: Vec<&str> = swept
+        .body
+        .strip_prefix("[{")
+        .and_then(|b| b.strip_suffix("}]"))
+        .expect("a JSON array of entries")
+        .split("},{\"index\":")
+        .collect();
+    assert_eq!(entries.len(), specs.len());
+    for (position, (entry, spec)) in entries.iter().zip(&specs).enumerate() {
+        let entry =
+            if position == 0 { format!("{{{entry}}}") } else { format!("{{\"index\":{entry}}}") };
+        let (index, report) = entry_index_and_report(&entry);
+        assert_eq!(index, position, "entries in request order");
+        assert!(entry.contains("\"cached\":false"), "{entry:.80}");
+        assert!(report == cold_report(spec), "entry {index} differs from the cold run");
+    }
+    assert_eq!(health_count(addr, "checkpoints", "misses"), 1, "one prefix, run once");
+
+    assert_eq!(http(addr, "POST", "/v1/shutdown", "").status, 200);
+    handle.join().expect("server thread").expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fanout_shutdown_returns_with_help_tokens_still_queued() {
+    let dir = tmpdir("fanout-shutdown");
+    TraceDatabase::open(&dir).unwrap().store("workload", &sample_trace()).unwrap();
+    let (addr, handle) = start_server_with(&dir, 2);
+
+    // an idle connection holds one worker in its request read, so the help
+    // tokens the other worker's sweeps post stay queued
+    let idle = TcpStream::connect(addr).expect("idle connection");
+    let (body, _) = fork_sweep_body();
+    assert_every_index_once(&http(addr, "POST", "/v1/sweep?stream=1", &body), 4);
+    let fresh = r#"{"base": {"trace": "workload", "policy": "fifo"},
+                    "policies": ["fifo", "maxedf"], "seeds": [3, 4]}"#;
+    assert_every_index_once(&http(addr, "POST", "/v1/sweep?stream=1", fresh), 4);
+
+    assert_eq!(http(addr, "POST", "/v1/shutdown", "").status, 200);
+    drop(idle);
     handle.join().expect("server thread").expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
