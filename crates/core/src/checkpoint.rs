@@ -48,7 +48,7 @@ use crate::codec::{
 };
 use crate::engine::{HostFailure, JobState, MapTask, ReduceTask, MAX_MAP_SLOTS};
 use crate::event::{Event, EventKind};
-use crate::slots::{Attempt, SlotTable, TaskRecord, Tasks};
+use crate::slots::{Attempt, SlotPool, SlotTable, TaskRecord, Tasks};
 use crate::SchedulerPolicy;
 use simmr_types::{
     HostId, JobId, JobResult, JobSpec, JobTemplate, SimTime, TimelineEntry, TimelinePhase,
@@ -138,8 +138,6 @@ pub struct EngineCheckpoint {
     pub(crate) at: SimTime,
     /// The actual boundary: time of the last settled batch ≤ `at`.
     pub(crate) clock: SimTime,
-    pub(crate) map_slots: usize,
-    pub(crate) reduce_slots: usize,
     pub(crate) hosts: usize,
     /// The run collects per-job results.
     pub(crate) collected: bool,
@@ -150,18 +148,12 @@ pub struct EngineCheckpoint {
     pub(crate) pushed: u64,
     pub(crate) jobs_base: usize,
     pub(crate) jobs: Vec<Option<JobState>>,
-    pub(crate) free_map_slots: Vec<u32>,
-    pub(crate) free_reduce_slots: Vec<u32>,
-    /// The running attempts by slot; each job's launch order threads
-    /// through them.
-    pub(crate) map_attempts: SlotTable,
-    pub(crate) reduce_attempts: SlotTable,
+    /// The map and reduce slot pools; each job's launch order threads
+    /// through their running attempts.
+    pub(crate) maps: SlotPool,
+    pub(crate) reduces: SlotPool,
     pub(crate) dead_hosts: Vec<bool>,
-    pub(crate) dead_map_slots: Vec<bool>,
-    pub(crate) dead_reduce_slots: Vec<bool>,
     pub(crate) fault_plan: Vec<HostFailure>,
-    pub(crate) map_slowdown: Vec<f64>,
-    pub(crate) reduce_slowdown: Vec<f64>,
     pub(crate) policy_wakeup_at: Option<SimTime>,
     pub(crate) events_processed: u64,
     pub(crate) makespan: SimTime,
@@ -227,8 +219,8 @@ impl EngineCheckpoint {
         put_u16(&mut out, CKPT_VERSION);
         put_u64(&mut out, self.at.as_millis());
         put_u64(&mut out, self.clock.as_millis());
-        put_u32(&mut out, self.map_slots as u32);
-        put_u32(&mut out, self.reduce_slots as u32);
+        put_u32(&mut out, self.maps.len() as u32);
+        put_u32(&mut out, self.reduces.len() as u32);
         put_u32(&mut out, self.hosts as u32);
         // bit 0 held the streaming flag until version 4
         out.push((self.collected as u8) << 1 | (self.jobq_dirty as u8) << 2);
@@ -246,18 +238,18 @@ impl EngineCheckpoint {
             put_u32(&mut out, e.task_index);
             put_u32(&mut out, e.attempt);
         }
-        put_u32_vec(&mut out, &self.free_map_slots);
-        put_u32_vec(&mut out, &self.free_reduce_slots);
+        put_u32_vec(&mut out, &self.maps.free);
+        put_u32_vec(&mut out, &self.reduces.free);
         put_bool_vec(&mut out, &self.dead_hosts);
-        put_bool_vec(&mut out, &self.dead_map_slots);
-        put_bool_vec(&mut out, &self.dead_reduce_slots);
+        put_bool_vec(&mut out, &self.maps.dead);
+        put_bool_vec(&mut out, &self.reduces.dead);
         put_u32(&mut out, self.fault_plan.len() as u32);
         for f in &self.fault_plan {
             put_u32(&mut out, f.host.0);
             put_u64(&mut out, f.at.as_millis());
         }
-        put_f64_vec(&mut out, &self.map_slowdown);
-        put_f64_vec(&mut out, &self.reduce_slowdown);
+        put_f64_vec(&mut out, &self.maps.slowdown);
+        put_f64_vec(&mut out, &self.reduces.slowdown);
         // Templates are content-interned in first-appearance order over
         // the job table, so re-encoding a decoded checkpoint reproduces
         // the table byte for byte.
@@ -276,7 +268,7 @@ impl EngineCheckpoint {
                     out.push(1);
                     let tid = job_template[live];
                     live += 1;
-                    encode_job(&mut out, state, tid, &self.map_attempts, &self.reduce_attempts);
+                    encode_job(&mut out, state, tid, &self.maps.running, &self.reduces.running);
                 }
             }
         }
@@ -383,11 +375,9 @@ impl EngineCheckpoint {
             }
             events.push(event);
         }
-        let free_map_slots = r.u32_vec()?;
-        let free_reduce_slots = r.u32_vec()?;
+        let (free_maps, free_reduces) = (r.u32_vec()?, r.u32_vec()?);
         let dead_hosts = r.bool_vec()?;
-        let dead_map_slots = r.bool_vec()?;
-        let dead_reduce_slots = r.bool_vec()?;
+        let (dead_maps, dead_reduces) = (r.bool_vec()?, r.bool_vec()?);
         let n_faults = r.count(12)?; // host, instant
         let mut fault_plan = Vec::with_capacity(n_faults);
         for _ in 0..n_faults {
@@ -395,23 +385,30 @@ impl EngineCheckpoint {
             let fat = SimTime::from_millis(r.u64()?);
             fault_plan.push(HostFailure { host, at: fat });
         }
-        let map_slowdown = r.f64_vec()?;
-        let reduce_slowdown = r.f64_vec()?;
+        // each job's running attempts are launched into the pools in the
+        // order they were encoded, which rebuilds every link. A table is
+        // sized by the dead flags, whose bytes the file holds, and not by
+        // the header's slot count, which the partition check below holds
+        // it to: a corrupt count then allocates nothing.
+        let pool = |free, dead: Vec<bool>, slowdown| SlotPool {
+            free,
+            running: SlotTable::new(dead.len()),
+            dead,
+            slowdown,
+        };
+        let mut maps = pool(free_maps, dead_maps, r.f64_vec()?);
+        let mut reduces = pool(free_reduces, dead_reduces, r.f64_vec()?);
         let n_templates = r.u32()? as usize;
         let templates = r.templates(n_templates)?;
         let jobs_base = r.u64()? as usize;
         let n_jobs = r.count(1)?; // at least the slot tag
         let mut jobs: Vec<Option<JobState>> = Vec::with_capacity(n_jobs);
-        // each job's running attempts are launched into the tables in the
-        // order they were encoded, which rebuilds every link
-        let mut slots =
-            Slots { maps: SlotTable::new(map_slots), reduces: SlotTable::new(reduce_slots) };
         for i in 0..n_jobs {
             match r.u8()? {
                 0 => jobs.push(None),
                 1 => {
                     let id = JobId((jobs_base + i) as u32);
-                    jobs.push(Some(decode_job(&mut r, id, &templates, &mut slots)?))
+                    jobs.push(Some(decode_job(&mut r, id, &templates, &mut maps, &mut reduces)?))
                 }
                 t => return Err(CkptError::Malformed(format!("unknown job slot tag {t}"))),
             }
@@ -422,8 +419,9 @@ impl EngineCheckpoint {
                 dead_hosts.len()
             )));
         }
-        check_slot_partition("map", &free_map_slots, &slots.maps, &dead_map_slots)?;
-        check_slot_partition("reduce", &free_reduce_slots, &slots.reduces, &dead_reduce_slots)?;
+        for (kind, pool, n) in [("map", &maps, map_slots), ("reduce", &reduces, reduce_slots)] {
+            pool.check_partition(kind, n).map_err(CkptError::Malformed)?;
+        }
         let n_bars = r.count(25)?; // job, phase, slot, start, end
         let mut timeline = Vec::with_capacity(n_bars);
         for _ in 0..n_bars {
@@ -476,8 +474,6 @@ impl EngineCheckpoint {
         Ok(EngineCheckpoint {
             at,
             clock,
-            map_slots,
-            reduce_slots,
             hosts,
             collected,
             jobq_dirty,
@@ -486,16 +482,10 @@ impl EngineCheckpoint {
             pushed,
             jobs_base,
             jobs,
-            free_map_slots,
-            free_reduce_slots,
-            map_attempts: slots.maps,
-            reduce_attempts: slots.reduces,
+            maps,
+            reduces,
             dead_hosts,
-            dead_map_slots,
-            dead_reduce_slots,
             fault_plan,
-            map_slowdown,
-            reduce_slowdown,
             policy_wakeup_at,
             events_processed,
             makespan,
@@ -673,12 +663,6 @@ fn check_below(
     }
 }
 
-/// The slot tables a decode launches each job's running attempts into.
-struct Slots {
-    maps: SlotTable,
-    reduces: SlotTable,
-}
-
 /// A running attempt as encoded: task, attempt, start, slot, shuffle end
 /// (reduces only).
 type Encoded = (u32, u32, SimTime, u32, SimTime);
@@ -714,48 +698,7 @@ fn task_count(r: &mut Reader, total: usize, what: &str) -> Result<(), CkptError>
     Ok(())
 }
 
-/// Every slot of one kind is exactly one of free, running or lost to a
-/// failed host, as at every settled batch of a run: a resume that booked
-/// a slot twice, or handed out a dead one, would double-book it.
-fn check_slot_partition(
-    kind: &str,
-    free: &[u32],
-    running: &SlotTable,
-    dead: &[bool],
-) -> Result<(), CkptError> {
-    let malformed = |m: String| Err(CkptError::Malformed(m));
-    let n = running.len();
-    if dead.len() != n {
-        return malformed(format!("{} dead-slot flags for {n} {kind} slots", dead.len()));
-    }
-    let mut booked = vec![false; n];
-    for (slot, _) in running.occupied() {
-        if dead[slot as usize] {
-            return malformed(format!("{kind} slot {slot} of a failed host runs an attempt"));
-        }
-        booked[slot as usize] = true;
-    }
-    for &slot in free {
-        let Some(b) = booked.get_mut(slot as usize) else {
-            return malformed(format!("free {kind} slot {slot} is out of range (bound {n})"));
-        };
-        if *b {
-            let how =
-                if running.get(slot).is_some() { "both running and free" } else { "free twice" };
-            return malformed(format!("{kind} slot {slot} is {how}"));
-        }
-        if dead[slot as usize] {
-            return malformed(format!("free {kind} slot {slot} belongs to a failed host"));
-        }
-        *b = true;
-    }
-    match (0..n).find(|&s| !booked[s] && !dead[s]) {
-        Some(s) => malformed(format!("{kind} slot {s} is neither free, running nor dead")),
-        None => Ok(()),
-    }
-}
-
-/// Decodes one job and launches its running attempts into `slots`.
+/// Decodes one job and launches its running attempts into the pools.
 /// Every task index is checked against the job's task totals and every
 /// running slot against the cluster's slot counts: a resume indexes the
 /// task records and the slot tables with them, so an out-of-range value
@@ -764,7 +707,8 @@ fn decode_job(
     r: &mut Reader,
     id: JobId,
     templates: &[Arc<JobTemplate>],
-    slots: &mut Slots,
+    map_pool: &mut SlotPool,
+    reduce_pool: &mut SlotPool,
 ) -> Result<JobState, CkptError> {
     let tid = r.u32()? as usize;
     let template = templates
@@ -802,7 +746,7 @@ fn decode_job(
         t.set_done(r.bool()?);
     }
     task_count(r, maps_total, "map output slot")?;
-    let output_bound = slots.maps.len().max(1);
+    let output_bound = map_pool.len().max(1);
     for t in maps.iter_mut() {
         let slot = r.u32()?;
         check_below("map output slot", [slot], output_bound)?;
@@ -842,7 +786,7 @@ fn decode_job(
              reduces of {reduces_total}"
         )));
     }
-    let (map_slots, reduce_slots) = (slots.maps.len(), slots.reduces.len());
+    let (map_slots, reduce_slots) = (map_pool.len(), reduce_pool.len());
     check_below("requeued map task", requeued_maps.iter().copied(), maps_total)?;
     check_below("running map task", running_maps.iter().map(|a| a.0), maps_total)?;
     check_below("running map slot", running_maps.iter().map(|a| a.3), map_slots)?;
@@ -852,8 +796,8 @@ fn decode_job(
     check_below("running reduce slot", running_reduces.iter().map(|a| a.3), reduce_slots)?;
     let mut maps = Tasks::new(maps);
     let mut reduces = Tasks::new(reduces);
-    launch_decoded("map", &mut slots.maps, &mut maps, id, &running_maps)?;
-    launch_decoded("reduce", &mut slots.reduces, &mut reduces, id, &running_reduces)?;
+    launch_decoded("map", &mut map_pool.running, &mut maps, id, &running_maps)?;
+    launch_decoded("reduce", &mut reduce_pool.running, &mut reduces, id, &running_reduces)?;
     Ok(JobState {
         template,
         arrival,
@@ -1098,10 +1042,10 @@ mod tests {
         // the busy config has 3 map and 2 reduce slots, jobs 3-5 maps and
         // 2 reduces; one running attempt of each kind gets a bad task or
         // slot in the bytes
-        let map_slot = ckpt.map_attempts.occupied().next().expect("a running map").0;
-        let reduce_slot = ckpt.reduce_attempts.occupied().next().expect("a running reduce").0;
-        let m = encoded_at(&bytes, &ckpt.map_attempts, map_slot);
-        let r = encoded_at(&bytes, &ckpt.reduce_attempts, reduce_slot);
+        let map_slot = ckpt.maps.running.occupied().next().expect("a running map").0;
+        let reduce_slot = ckpt.reduces.running.occupied().next().expect("a running reduce").0;
+        let m = encoded_at(&bytes, &ckpt.maps.running, map_slot);
+        let r = encoded_at(&bytes, &ckpt.reduces.running, reduce_slot);
         assert_malformed("running map task", &patched(&bytes, m, 999));
         assert_malformed("running map slot", &patched(&bytes, m + 16, 3));
         assert_malformed("running reduce task", &patched(&bytes, r, 2));
@@ -1141,6 +1085,9 @@ mod tests {
         assert_eq!(bytes[at..at + 4], 3u32.to_le_bytes());
         let too_many = (MAX_MAP_SLOTS + 1) as u32;
         assert_malformed("map slots exceed", &patched(&bytes, at, too_many));
+        // a count the slot flags do not match, the reduce count after it
+        assert_malformed("3 dead-slot flags for 4096 map slots", &patched(&bytes, at, 4096));
+        assert_malformed("2 dead-slot flags for 4096 reduce slots", &patched(&bytes, at + 4, 4096));
     }
 
     /// Every slot is exactly one of free, running or lost to a failed
@@ -1158,27 +1105,30 @@ mod tests {
         let ckpt = SimulatorEngine::new(config, &trace, Box::new(TestFifo))
             .checkpoint_at(SimTime::from_millis(50))
             .unwrap();
-        let running: Vec<u32> = ckpt.map_attempts.occupied().map(|(s, _)| s).collect();
-        assert_eq!(
-            (running.as_slice(), ckpt.free_map_slots.as_slice()),
-            (&[0, 1][..], &[3, 2][..])
-        );
+        let running: Vec<u32> = ckpt.maps.running.occupied().map(|(s, _)| s).collect();
+        assert_eq!((running.as_slice(), ckpt.maps.free.as_slice()), (&[0, 1][..], &[3, 2][..]));
+        // no reduce runs: both reduce slots are free
+        assert_eq!(ckpt.reduces.free, [1, 0]);
         let bytes = ckpt.encode();
-        let first = encoded_at(&bytes, &ckpt.map_attempts, 0);
+        let first = encoded_at(&bytes, &ckpt.maps.running, 0);
         assert_malformed("map slot 1 runs two attempts", &patched(&bytes, first + 16, 1));
         type Corrupt<'a> = &'a dyn Fn(&mut EngineCheckpoint);
-        let corruptions: [(&str, Corrupt); 8] = [
-            ("map slot 0 is both running and free", &|c| c.free_map_slots.push(0)),
-            ("map slot 2 is free twice", &|c| c.free_map_slots.push(2)),
-            ("map slot 1 of a failed host runs an attempt", &|c| c.dead_map_slots[1] = true),
-            ("free map slot 3 belongs to a failed host", &|c| c.dead_map_slots[3] = true),
+        let corruptions: [(&str, Corrupt); 11] = [
+            ("map slot 0 is both running and free", &|c| c.maps.free.push(0)),
+            ("map slot 2 is free twice", &|c| c.maps.free.push(2)),
+            ("map slot 1 of a failed host runs an attempt", &|c| c.maps.dead[1] = true),
+            ("free map slot 3 belongs to a failed host", &|c| c.maps.dead[3] = true),
             ("map slot 2 is neither free, running nor dead", &|c| {
-                c.free_map_slots.pop();
+                c.maps.free.pop();
             }),
-            ("free map slot 9 is out of range", &|c| c.free_map_slots.push(9)),
+            ("free map slot 9 is out of range", &|c| c.maps.free.push(9)),
             ("3 dead-slot flags for 4 map slots", &|c| {
-                c.dead_map_slots.pop();
+                c.maps.dead.pop();
             }),
+            // the reduce pool is checked as reduces, against its own count
+            ("reduce slot 0 is free twice", &|c| c.reduces.free.push(0)),
+            ("free reduce slot 1 belongs to a failed host", &|c| c.reduces.dead[1] = true),
+            ("free reduce slot 2 is out of range (bound 2)", &|c| c.reduces.free.push(2)),
             ("1 host flags for 2 hosts", &|c| {
                 c.dead_hosts.pop();
             }),

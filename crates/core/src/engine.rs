@@ -43,11 +43,11 @@
 //! attempt counter, and a departure whose pair no longer runs is stale
 //! (killed by preemption, a host failure, or a lost speculation race)
 //! and ignored. Each job keeps one record per task, sized at admission,
-//! and the running attempts of every job live in two cluster-wide
-//! [`SlotTable`]s indexed by the slot each occupies (`crate::slots`): a
-//! launch writes the slot it popped, and a departure, straggler timer or
-//! stale event reads the task's record for its newest live slot and
-//! checks that slot. Each job's attempts stay in launch order through
+//! and the running attempts of every job live in the two cluster-wide
+//! `SlotPool`s (map and reduce), in a table indexed by the slot each
+//! occupies (`crate::slots`): a launch writes the slot it popped, and a
+//! departure, straggler timer or stale event reads the task's record for
+//! its newest live slot and checks that slot. Each job's attempts stay in launch order through
 //! links in the table entries.
 
 use crate::config::EngineConfig;
@@ -55,7 +55,7 @@ use crate::event::EventKind;
 use crate::invariants::InvariantState;
 use crate::jobq::{JobEntry, JobQueue, SchedulerPolicy};
 use crate::queue::EventQueue;
-use crate::slots::{Attempt, SlotTable, TaskRecord, Tasks, NONE};
+use crate::slots::{self, Attempt, SlotPool, TaskRecord, Tasks, NONE};
 use crate::source::{JobSource, SourceError, TraceJobSource};
 use simmr_stats::{Dist, Distribution, SeededRng};
 use simmr_types::{
@@ -387,12 +387,6 @@ impl JobTable {
     }
 }
 
-/// Applies a per-slot slowdown factor to a base duration.
-#[inline]
-fn scaled(base: DurationMs, factor: f64) -> DurationMs {
-    (base as f64 * factor).round() as u64
-}
-
 /// Slot slowdown factors below this are clamped: a factor near zero would
 /// make a slot's tasks effectively free.
 const MIN_SLOWDOWN: f64 = 0.05;
@@ -426,27 +420,15 @@ pub struct SimulatorEngine<'a> {
     /// only if it flipped one of the flags the policy reads.
     policy_reads_counts: bool,
     queue: EventQueue,
-    pub(crate) free_map_slots: Vec<u32>,
-    pub(crate) free_reduce_slots: Vec<u32>,
-    /// Running attempts of every job, by the map slot and by the reduce
-    /// slot each occupies.
-    pub(crate) map_attempts: SlotTable,
-    pub(crate) reduce_attempts: SlotTable,
-    /// Hosts that have failed so far.
+    /// The map slots and the reduce slots: free, running every job's
+    /// attempts, or lost to a failed host, each at its own speed.
+    pub(crate) maps: SlotPool,
+    pub(crate) reduces: SlotPool,
+    /// Hosts that are down.
     pub(crate) dead_hosts: Vec<bool>,
-    /// Map slots currently lost to a host failure (never free, never
-    /// occupied while dead; restored only by a `HostRecovery`).
-    pub(crate) dead_map_slots: Vec<bool>,
-    /// Reduce slots currently lost to a host failure.
-    pub(crate) dead_reduce_slots: Vec<bool>,
     /// Planned host failures, derived from `config.faults` or installed
     /// explicitly via [`Self::with_fault_plan`].
     fault_plan: Vec<HostFailure>,
-    /// Per-map-slot duration multipliers; empty when slowdown is disabled
-    /// (tasks then run at their exact template durations, integer-only).
-    map_slowdown: Vec<f64>,
-    /// Per-reduce-slot duration multipliers (shuffle and reduce phases).
-    reduce_slowdown: Vec<f64>,
     pub(crate) jobs: JobTable,
     /// Persistent active-job view handed to the policy; kept in sync
     /// incrementally by every state transition.
@@ -558,16 +540,10 @@ impl<'a> SimulatorEngine<'a> {
             policy_reads_counts: policy.reads_task_counts(),
             policy,
             queue: EventQueue::new(),
-            free_map_slots: (0..cluster.map_slots as u32).rev().collect(),
-            free_reduce_slots: (0..cluster.reduce_slots as u32).rev().collect(),
-            map_attempts: SlotTable::new(cluster.map_slots),
-            reduce_attempts: SlotTable::new(cluster.reduce_slots),
+            maps: SlotPool::new(cluster.map_slots, map_slowdown),
+            reduces: SlotPool::new(cluster.reduce_slots, reduce_slowdown),
             dead_hosts: vec![false; cluster.hosts],
-            dead_map_slots: vec![false; cluster.map_slots],
-            dead_reduce_slots: vec![false; cluster.reduce_slots],
             fault_plan,
-            map_slowdown,
-            reduce_slowdown,
             jobq: JobQueue::default(),
             jobq_dirty: false,
             victims: Vec::new(),
@@ -815,9 +791,6 @@ impl<'a> SimulatorEngine<'a> {
     /// end-of-run invariant checks.
     fn finish(mut self) -> SimulationReport {
         let invariants = self.invariants.take();
-        let (free_maps, free_reduces) = (self.free_map_slots.len(), self.free_reduce_slots.len());
-        let lost_maps = self.dead_map_slots.iter().filter(|&&d| d).count();
-        let lost_reduces = self.dead_reduce_slots.iter().filter(|&&d| d).count();
         let jobs = if self.config.collect_job_results {
             self.results
                 .into_iter()
@@ -834,7 +807,7 @@ impl<'a> SimulatorEngine<'a> {
             timeline: self.timeline,
         };
         if let Some(inv) = invariants {
-            inv.check_report(&report, free_maps, free_reduces, lost_maps, lost_reduces);
+            inv.check_report(&report, &self.maps, &self.reduces);
         }
         report
     }
@@ -921,19 +894,19 @@ impl<'a> SimulatorEngine<'a> {
             // event named was accounted for then
             return;
         };
-        let Some(slot) = self.map_attempts.find(&state.maps, task_index, attempt) else {
+        let Some(slot) = self.maps.running.find(&state.maps, task_index, attempt) else {
             // stale departure from a killed attempt (preemption, host
             // failure, or a lost speculation race): its slot was already
             // handled at kill time, and nothing observable changed
             return;
         };
-        let winner = self.map_attempts.vacate(&mut state.maps, slot);
+        let winner = self.maps.running.vacate(&mut state.maps, slot);
         let task = &mut state.maps.recs[task_index as usize];
         debug_assert!(!task.done(), "live attempt of an already-done map");
         task.set_done(true);
         task.set_output_slot(slot);
         state.maps_completed += 1;
-        self.free_map_slots.push(slot);
+        self.maps.free.push(slot);
         // First finisher wins: kill the losing duplicate attempts and
         // cancel a not-yet-launched duplicate. Only a speculated task can
         // have either.
@@ -942,8 +915,8 @@ impl<'a> SimulatorEngine<'a> {
             if let Some(p) = state.spec_pending.iter().position(|&x| x == task_index) {
                 state.spec_pending.remove(p);
             }
-            let free = &mut self.free_map_slots;
-            self.map_attempts.vacate_task(&mut state.maps, task_index, |s, a| {
+            let free = &mut self.maps.free;
+            self.maps.running.vacate_task(&mut state.maps, task_index, |s, a| {
                 free.push(s);
                 losers.push((s, a));
             });
@@ -983,11 +956,11 @@ impl<'a> SimulatorEngine<'a> {
         };
         // The in-flight departure of (task, attempt) is now stale: the
         // pair no longer runs and attempts are never reused.
-        let victim = self.map_attempts.vacate(&mut state.maps, slot);
+        let victim = self.maps.running.vacate(&mut state.maps, slot);
         if state.maps.recs[victim.task as usize].newest == NONE {
             state.requeue_killed_map(victim.task);
         }
-        self.free_map_slots.push(slot);
+        self.maps.free.push(slot);
         self.sync_entry(job);
         // The kill changed the policy-visible queue and freed a slot: the
         // next scheduling pass must not no-op behind a clean flag (a pass
@@ -1029,18 +1002,15 @@ impl<'a> SimulatorEngine<'a> {
         // untouched.
         let state = self.jobs.get_mut(job).expect("state fetched above");
         let template = &state.template;
-        self.reduce_attempts.for_each_mut(&state.reduces, |slot, r| {
+        let slowdown = &self.reduces.slowdown;
+        self.reduces.running.for_each_mut(&state.reduces, |slot, r| {
             if !r.shuffle_end.is_infinite() {
                 // later-wave reduce already fully scheduled at launch
                 return;
             }
-            let mut shuffle = template.first_shuffle_duration(r.task as usize);
-            let mut reduce = template.reduce_duration(r.task as usize);
-            if let Some(&f) = self.reduce_slowdown.get(slot as usize) {
-                shuffle = scaled(shuffle, f);
-                reduce = scaled(reduce, f);
-            }
-            r.shuffle_end = now + shuffle;
+            let shuffle = template.first_shuffle_duration(r.task as usize);
+            let reduce = slots::scaled(slowdown, slot, template.reduce_duration(r.task as usize));
+            r.shuffle_end = now + slots::scaled(slowdown, slot, shuffle);
             let finish = r.shuffle_end + reduce;
             self.queue.push_attempt(finish, EventKind::ReduceTaskDeparture, job, r.task, r.attempt);
             // No bars yet: reduce bars are recorded at departure (or kill)
@@ -1056,15 +1026,15 @@ impl<'a> SimulatorEngine<'a> {
             // the job already departed and was retired
             return;
         };
-        let Some(slot) = self.reduce_attempts.find(&state.reduces, task_index, attempt) else {
+        let Some(slot) = self.reduces.running.find(&state.reduces, task_index, attempt) else {
             // stale departure from an attempt killed by a host failure
             return;
         };
-        let done = self.reduce_attempts.vacate(&mut state.reduces, slot);
+        let done = self.reduces.running.vacate(&mut state.reduces, slot);
         state.reduces_completed += 1;
         let job_done = state.reduces_completed == state.reduces_total
             && state.maps_completed == state.maps_total;
-        self.free_reduce_slots.push(slot);
+        self.reduces.free.push(slot);
         self.sync_entry(job);
         self.jobq_dirty = true;
         if self.config.record_timeline {
@@ -1141,16 +1111,8 @@ impl<'a> SimulatorEngine<'a> {
             return;
         }
         self.dead_hosts[host as usize] = true;
-        for slot in (host as usize..self.config.cluster.map_slots).step_by(hosts) {
-            self.dead_map_slots[slot] = true;
-        }
-        for slot in (host as usize..self.config.cluster.reduce_slots).step_by(hosts) {
-            self.dead_reduce_slots[slot] = true;
-        }
-        let dead_maps = &self.dead_map_slots;
-        self.free_map_slots.retain(|&s| !dead_maps[s as usize]);
-        let dead_reduces = &self.dead_reduce_slots;
-        self.free_reduce_slots.retain(|&s| !dead_reduces[s as usize]);
+        self.maps.fail_host(host as usize, hosts);
+        self.reduces.fail_host(host as usize, hosts);
 
         let (lo, hi) = self.jobs.id_range();
         for j in lo..hi {
@@ -1168,9 +1130,9 @@ impl<'a> SimulatorEngine<'a> {
             // order; the survivors keep theirs for the preemption victim
             // choice. A task whose last live attempt died is requeued in
             // kill order once the walk is done.
-            let dead_maps = &self.dead_map_slots;
+            let dead_maps = &self.maps.dead;
             let mut orphaned: Vec<u32> = Vec::new();
-            self.map_attempts.vacate_where(
+            self.maps.running.vacate_where(
                 &mut state.maps,
                 |slot| dead_maps[slot as usize],
                 |slot, victim, survivor| {
@@ -1200,9 +1162,9 @@ impl<'a> SimulatorEngine<'a> {
                 }
             }
             // kill running reduce attempts placed on the dead host
-            let dead_reduces = &self.dead_reduce_slots;
+            let dead_reduces = &self.reduces.dead;
             let requeued = &mut state.requeued_reduces;
-            self.reduce_attempts.vacate_where(
+            self.reduces.running.vacate_where(
                 &mut state.reduces,
                 |slot| dead_reduces[slot as usize],
                 |slot, victim, _| {
@@ -1269,18 +1231,8 @@ impl<'a> SimulatorEngine<'a> {
             return;
         }
         self.dead_hosts[host as usize] = false;
-        for slot in (host as usize..self.config.cluster.map_slots).step_by(hosts) {
-            if self.dead_map_slots[slot] {
-                self.dead_map_slots[slot] = false;
-                self.free_map_slots.push(slot as u32);
-            }
-        }
-        for slot in (host as usize..self.config.cluster.reduce_slots).step_by(hosts) {
-            if self.dead_reduce_slots[slot] {
-                self.dead_reduce_slots[slot] = false;
-                self.free_reduce_slots.push(slot as u32);
-            }
-        }
+        self.maps.recover_host(host as usize, hosts);
+        self.reduces.recover_host(host as usize, hosts);
         self.jobq_dirty = true;
         self.note_mutation("on_host_recovery");
     }
@@ -1312,7 +1264,7 @@ impl<'a> SimulatorEngine<'a> {
         if task.done() || task.speculated() {
             return;
         }
-        if self.map_attempts.find(&state.maps, task_index, attempt).is_none() {
+        if self.maps.running.find(&state.maps, task_index, attempt).is_none() {
             return;
         }
         state.maps.recs[task_index as usize].set_speculated(true);
@@ -1364,7 +1316,7 @@ impl<'a> SimulatorEngine<'a> {
         }
         let mut launched = 0u64;
 
-        while !self.free_map_slots.is_empty() {
+        while !self.maps.free.is_empty() {
             let Some(id) = self.policy.choose_next_map_task(&self.jobq) else {
                 break;
             };
@@ -1385,7 +1337,7 @@ impl<'a> SimulatorEngine<'a> {
         // requeued, freeing slots for more urgent work. Bounded by the
         // cluster size so a misbehaving policy cannot loop forever.
         let mut rounds = self.config.cluster.map_slots;
-        while self.free_map_slots.is_empty() && rounds > 0 {
+        while self.maps.free.is_empty() && rounds > 0 {
             rounds -= 1;
             self.victims.clear();
             self.policy.map_preemptions(&self.jobq, &mut self.victims);
@@ -1402,7 +1354,7 @@ impl<'a> SimulatorEngine<'a> {
             if !any {
                 break;
             }
-            while !self.free_map_slots.is_empty() {
+            while !self.maps.free.is_empty() {
                 let Some(id) = self.policy.choose_next_map_task(&self.jobq) else {
                     break;
                 };
@@ -1417,7 +1369,7 @@ impl<'a> SimulatorEngine<'a> {
             }
         }
 
-        while !self.free_reduce_slots.is_empty() {
+        while !self.reduces.free.is_empty() {
             let Some(id) = self.policy.choose_next_reduce_task(&self.jobq) else {
                 break;
             };
@@ -1451,7 +1403,7 @@ impl<'a> SimulatorEngine<'a> {
     }
 
     fn launch_map(&mut self, job: JobId, now: SimTime) {
-        let slot = self.free_map_slots.pop().expect("launch_map called with no free map slot");
+        let slot = self.maps.free.pop().expect("launch_map called with no free map slot");
         let state = self.jobs.get_mut(job).expect("launch_map on a retired job");
         // Requeued tasks (kills, failure reruns) go first, then fresh tasks,
         // then speculative duplicates of running stragglers.
@@ -1472,15 +1424,12 @@ impl<'a> SimulatorEngine<'a> {
         task.launches += 1;
         let (attempt, already_speculated) = (task.launches, task.speculated());
         let a = Attempt::new(job, idx, attempt, now, SimTime::INFINITY);
-        self.map_attempts.launch(&mut state.maps, slot, a);
+        self.maps.running.launch(&mut state.maps, slot, a);
         state.first_map_start.get_or_insert(now);
         let spec_threshold = state.spec_threshold;
         let base = state.template.map_duration(idx as usize);
         self.sync_entry(job);
-        let duration = match self.map_slowdown.get(slot as usize) {
-            Some(&f) => scaled(base, f),
-            None => base,
-        };
+        let duration = self.maps.scaled(slot, base);
         self.queue.push_attempt(now + duration, EventKind::MapTaskDeparture, job, idx, attempt);
         // Arm the straggler timer only for primary attempts that will
         // actually outlive the threshold (the common fast case never
@@ -1500,8 +1449,7 @@ impl<'a> SimulatorEngine<'a> {
     }
 
     fn launch_reduce(&mut self, job: JobId, now: SimTime) {
-        let slot =
-            self.free_reduce_slots.pop().expect("launch_reduce called with no free reduce slot");
+        let slot = self.reduces.free.pop().expect("launch_reduce called with no free reduce slot");
         let state = self.jobs.get_mut(job).expect("launch_reduce on a retired job");
         let maps_done = state.maps_finished.is_some();
         let idx = state.requeued_reduces.pop().unwrap_or_else(|| {
@@ -1514,13 +1462,9 @@ impl<'a> SimulatorEngine<'a> {
         let attempt = task.launches;
         let shuffle_end = if maps_done {
             // later-wave reduce: typical shuffle + reduce phase
-            let mut shuffle = state.template.typical_shuffle_duration(idx as usize);
-            let mut reduce = state.template.reduce_duration(idx as usize);
-            if let Some(&f) = self.reduce_slowdown.get(slot as usize) {
-                shuffle = scaled(shuffle, f);
-                reduce = scaled(reduce, f);
-            }
-            let shuffle_end = now + shuffle;
+            let shuffle = state.template.typical_shuffle_duration(idx as usize);
+            let reduce = self.reduces.scaled(slot, state.template.reduce_duration(idx as usize));
+            let shuffle_end = now + self.reduces.scaled(slot, shuffle);
             self.queue.push_attempt(
                 shuffle_end + reduce,
                 EventKind::ReduceTaskDeparture,
@@ -1535,7 +1479,7 @@ impl<'a> SimulatorEngine<'a> {
             SimTime::INFINITY
         };
         let a = Attempt::new(job, idx, attempt, now, shuffle_end);
-        self.reduce_attempts.launch(&mut state.reduces, slot, a);
+        self.reduces.running.launch(&mut state.reduces, slot, a);
         // after the launch: the entry's running count is the job's
         self.sync_entry(job);
         // No timeline bars yet: reduce bars are recorded at departure (or
@@ -1551,8 +1495,6 @@ impl<'a> SimulatorEngine<'a> {
         crate::EngineCheckpoint {
             at,
             clock: self.clock,
-            map_slots: self.config.cluster.map_slots,
-            reduce_slots: self.config.cluster.reduce_slots,
             hosts: self.config.cluster.hosts,
             collected: self.config.collect_job_results,
             jobq_dirty: self.jobq_dirty,
@@ -1561,16 +1503,10 @@ impl<'a> SimulatorEngine<'a> {
             pushed,
             jobs_base: self.jobs.id_range().0,
             jobs: self.jobs.raw_slots().map(|s| s.cloned()).collect(),
-            free_map_slots: self.free_map_slots.clone(),
-            free_reduce_slots: self.free_reduce_slots.clone(),
-            map_attempts: self.map_attempts.clone(),
-            reduce_attempts: self.reduce_attempts.clone(),
+            maps: self.maps.clone(),
+            reduces: self.reduces.clone(),
             dead_hosts: self.dead_hosts.clone(),
-            dead_map_slots: self.dead_map_slots.clone(),
-            dead_reduce_slots: self.dead_reduce_slots.clone(),
             fault_plan: self.fault_plan.clone(),
-            map_slowdown: self.map_slowdown.clone(),
-            reduce_slowdown: self.reduce_slowdown.clone(),
             policy_wakeup_at: self.policy_wakeup_at,
             events_processed: self.events_processed,
             makespan: self.makespan,
@@ -1599,11 +1535,11 @@ impl<'a> SimulatorEngine<'a> {
     ) -> Result<Self, crate::CkptError> {
         use crate::CkptError;
         let c = config.cluster;
-        if (c.map_slots, c.reduce_slots, c.hosts) != (ckpt.map_slots, ckpt.reduce_slots, ckpt.hosts)
-        {
+        let shape = (ckpt.maps.len(), ckpt.reduces.len(), ckpt.hosts);
+        if (c.map_slots, c.reduce_slots, c.hosts) != shape {
             return Err(CkptError::Mismatch(format!(
                 "checkpoint cluster is {}m/{}r slots on {} hosts, resume config says {}m/{}r on {}",
-                ckpt.map_slots, ckpt.reduce_slots, ckpt.hosts, c.map_slots, c.reduce_slots, c.hosts
+                shape.0, shape.1, shape.2, c.map_slots, c.reduce_slots, c.hosts
             )));
         }
         if policy.name() != ckpt.policy_name {
@@ -1633,16 +1569,10 @@ impl<'a> SimulatorEngine<'a> {
             policy_reads_counts: true,
             policy,
             queue: EventQueue::from_snapshot(ckpt.events.clone(), ckpt.next_seq, ckpt.pushed),
-            free_map_slots: ckpt.free_map_slots.clone(),
-            free_reduce_slots: ckpt.free_reduce_slots.clone(),
-            map_attempts: ckpt.map_attempts.clone(),
-            reduce_attempts: ckpt.reduce_attempts.clone(),
+            maps: ckpt.maps.clone(),
+            reduces: ckpt.reduces.clone(),
             dead_hosts: ckpt.dead_hosts.clone(),
-            dead_map_slots: ckpt.dead_map_slots.clone(),
-            dead_reduce_slots: ckpt.dead_reduce_slots.clone(),
             fault_plan: ckpt.fault_plan.clone(),
-            map_slowdown: ckpt.map_slowdown.clone(),
-            reduce_slowdown: ckpt.reduce_slowdown.clone(),
             jobq: JobQueue::with_capacity(jobs.total().min(1024)),
             jobq_dirty: ckpt.jobq_dirty,
             victims: Vec::new(),
@@ -1718,8 +1648,7 @@ impl<'a> SimulatorEngine<'a> {
                     // at nominal speed; the cluster never shrinks
                     // mid-run (occupied slots cannot be revoked here —
                     // that is what InjectFault models).
-                    let (old_m, old_r) =
-                        (self.config.cluster.map_slots, self.config.cluster.reduce_slots);
+                    let old_m = self.config.cluster.map_slots;
                     if map_slots > MAX_MAP_SLOTS - old_m {
                         return Err(CkptError::Mismatch(format!(
                             "adding {map_slots} map slots to {old_m} exceeds the engine's \
@@ -1730,22 +1659,8 @@ impl<'a> SimulatorEngine<'a> {
                     self.config.cluster.reduce_slots += reduce_slots;
                     let (new_m, new_r) =
                         (self.config.cluster.map_slots, self.config.cluster.reduce_slots);
-                    for s in old_m..new_m {
-                        self.free_map_slots.push(s as u32);
-                    }
-                    for s in old_r..new_r {
-                        self.free_reduce_slots.push(s as u32);
-                    }
-                    self.dead_map_slots.resize(new_m, false);
-                    self.dead_reduce_slots.resize(new_r, false);
-                    self.map_attempts.grow(new_m);
-                    self.reduce_attempts.grow(new_r);
-                    if !self.map_slowdown.is_empty() {
-                        self.map_slowdown.resize(new_m, 1.0);
-                    }
-                    if !self.reduce_slowdown.is_empty() {
-                        self.reduce_slowdown.resize(new_r, 1.0);
-                    }
+                    self.maps.grow(new_m);
+                    self.reduces.grow(new_r);
                     if let Some(inv) = self.invariants.as_deref_mut() {
                         inv.grow_cluster(new_m, new_r);
                     }

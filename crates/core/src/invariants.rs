@@ -13,9 +13,9 @@
 //!
 //! Checked invariants:
 //!
-//! * **Slot conservation** — per slot kind, `free + occupied + lost =
-//!   configured`; free and occupied map/reduce slot ids are unique, in
-//!   range, never double-booked, and never on a failed host.
+//! * **Slot conservation** — per slot kind, every configured slot is
+//!   exactly one of free, running or lost to a failed host
+//!   ([`SlotPool::check_partition`], the check checkpoint decode runs).
 //! * **Counter consistency** — every [`crate::JobEntry`] field of every
 //!   active job is re-derivable from the engine's [`JobState`]; a mismatch
 //!   reports the differing fields one by one (a strict generalization of
@@ -64,6 +64,7 @@
 
 use crate::engine::SimulatorEngine;
 use crate::jobq::JobEntry;
+use crate::slots::SlotPool;
 use crate::EngineConfig;
 use simmr_types::{SimTime, SimulationReport, TimelineEntry, TimelinePhase};
 
@@ -228,136 +229,22 @@ impl InvariantState {
         }
         self.last_batch = Some(now);
         self.batches_checked += 1;
-        self.check_slots(engine, now);
+        self.check_slots(&engine.maps, &engine.reduces, now);
         self.check_entries(engine, now);
         // Stateful policies (notably the hierarchical pool tree) re-derive
         // their own share accounting against the queue they scheduled from.
         engine.policy.verify_invariants(&engine.jobq);
     }
 
-    /// Slot conservation: `free + occupied + lost = configured` per kind;
-    /// every slot id is unique (no double-booking between or within the
-    /// free list and the running lists) and never on a failed host.
-    fn check_slots(&self, engine: &SimulatorEngine<'_>, now: SimTime) {
-        // seen[slot] marks a slot claimed by the free list or a running
-        // attempt; a second claim of any flavor is a violation.
-        let mut map_seen = vec![false; self.map_slots];
-        for &slot in &engine.free_map_slots {
-            match map_seen.get_mut(slot as usize) {
-                Some(seen @ false) => *seen = true,
-                Some(true) => violation!(
-                    "slot-conservation",
-                    "map slot {slot} appears twice in the free list at t={now}"
-                ),
-                None => violation!(
-                    "slot-conservation",
-                    "free map slot {slot} out of range (cluster has {})",
-                    self.map_slots
-                ),
+    /// Slot conservation: per kind, every configured slot is exactly
+    /// one of free, running or lost to a failed host.
+    fn check_slots(&self, maps: &SlotPool, reduces: &SlotPool, now: SimTime) {
+        for (kind, pool, n) in
+            [("map", maps, self.map_slots), ("reduce", reduces, self.reduce_slots)]
+        {
+            if let Err(e) = pool.check_partition(kind, n) {
+                violation!("slot-conservation", "at t={now}: {e}");
             }
-            if engine.dead_map_slots[slot as usize] {
-                violation!(
-                    "slot-conservation",
-                    "map slot {slot} of a failed host is in the free list at t={now}"
-                );
-            }
-        }
-        let mut reduce_seen = vec![false; self.reduce_slots];
-        for &slot in &engine.free_reduce_slots {
-            match reduce_seen.get_mut(slot as usize) {
-                Some(seen @ false) => *seen = true,
-                Some(true) => violation!(
-                    "slot-conservation",
-                    "reduce slot {slot} appears twice in the free list at t={now}"
-                ),
-                None => violation!(
-                    "slot-conservation",
-                    "free reduce slot {slot} out of range (cluster has {})",
-                    self.reduce_slots
-                ),
-            }
-            if engine.dead_reduce_slots[slot as usize] {
-                violation!(
-                    "slot-conservation",
-                    "reduce slot {slot} of a failed host is in the free list at t={now}"
-                );
-            }
-        }
-        let mut running_maps = 0usize;
-        for (slot, a) in engine.map_attempts.occupied() {
-            running_maps += 1;
-            let slot = slot as usize;
-            match map_seen.get_mut(slot) {
-                Some(seen @ false) => *seen = true,
-                Some(true) => violation!(
-                    "slot-conservation",
-                    "map slot {slot} double-booked (free, and job {} task {} at t={now})",
-                    a.job,
-                    a.task
-                ),
-                None => violation!(
-                    "slot-conservation",
-                    "job {} task {} runs on out-of-range map slot {slot} at t={now}",
-                    a.job,
-                    a.task
-                ),
-            }
-            if engine.dead_map_slots[slot] {
-                violation!(
-                    "slot-conservation",
-                    "job {} task {} still runs on dead map slot {slot} at t={now}",
-                    a.job,
-                    a.task
-                );
-            }
-        }
-        let mut running_reduces = 0usize;
-        for (slot, a) in engine.reduce_attempts.occupied() {
-            running_reduces += 1;
-            let slot = slot as usize;
-            match reduce_seen.get_mut(slot) {
-                Some(seen @ false) => *seen = true,
-                Some(true) => violation!(
-                    "slot-conservation",
-                    "reduce slot {slot} double-booked (free, and job {} task {} at t={now})",
-                    a.job,
-                    a.task
-                ),
-                None => violation!(
-                    "slot-conservation",
-                    "job {} task {} runs on out-of-range reduce slot {slot} at t={now}",
-                    a.job,
-                    a.task
-                ),
-            }
-            if engine.dead_reduce_slots[slot] {
-                violation!(
-                    "slot-conservation",
-                    "job {} task {} still runs on dead reduce slot {slot} at t={now}",
-                    a.job,
-                    a.task
-                );
-            }
-        }
-        let lost_maps = engine.dead_map_slots.iter().filter(|&&d| d).count();
-        let lost_reduces = engine.dead_reduce_slots.iter().filter(|&&d| d).count();
-        if engine.free_map_slots.len() + running_maps + lost_maps != self.map_slots {
-            violation!(
-                "slot-conservation",
-                "map slots at t={now}: {} free + {running_maps} running + {lost_maps} lost \
-                 != {} configured",
-                engine.free_map_slots.len(),
-                self.map_slots
-            );
-        }
-        if engine.free_reduce_slots.len() + running_reduces + lost_reduces != self.reduce_slots {
-            violation!(
-                "slot-conservation",
-                "reduce slots at t={now}: {} free + {running_reduces} running + {lost_reduces} \
-                 lost != {} configured",
-                engine.free_reduce_slots.len(),
-                self.reduce_slots
-            );
         }
     }
 
@@ -372,8 +259,8 @@ impl InvariantState {
             // the job's launch orders and task chains against the slot
             // tables, before anything below trusts them
             let checked = [
-                ("map", engine.map_attempts.verify(id, &state.maps, state.fresh_maps)),
-                ("reduce", engine.reduce_attempts.verify(id, &state.reduces, state.fresh_reduces)),
+                ("map", engine.maps.running.verify(id, &state.maps, state.fresh_maps)),
+                ("reduce", engine.reduces.running.verify(id, &state.reduces, state.fresh_reduces)),
             ];
             for (kind, checked) in checked {
                 if let Err(e) = checked {
@@ -387,7 +274,7 @@ impl InvariantState {
             // may have up to two live attempts under speculation, so the
             // conservation law counts *distinct* running task indices
             let mut running_idx: Vec<u32> =
-                engine.map_attempts.launch_order(&state.maps).map(|(_, a)| a.task).collect();
+                engine.maps.running.launch_order(&state.maps).map(|(_, a)| a.task).collect();
             running_idx.sort_unstable();
             let mut distinct = 0usize;
             for (k, &idx) in running_idx.iter().enumerate() {
@@ -502,8 +389,8 @@ impl InvariantState {
         }
         // every occupied slot belongs to some job's launch order
         let occupied = [
-            ("map", engine.map_attempts.occupied().count(), listed_maps),
-            ("reduce", engine.reduce_attempts.occupied().count(), listed_reduces),
+            ("map", engine.maps.running.occupied().count(), listed_maps),
+            ("reduce", engine.reduces.running.occupied().count(), listed_reduces),
         ];
         for (kind, occupied, listed) in occupied {
             if occupied != listed {
@@ -538,21 +425,19 @@ impl InvariantState {
     pub(crate) fn check_report(
         &self,
         report: &SimulationReport,
-        free_maps: usize,
-        free_reduces: usize,
-        lost_maps: usize,
-        lost_reduces: usize,
+        maps: &SlotPool,
+        reduces: &SlotPool,
     ) {
-        if free_maps + lost_maps != self.map_slots
-            || free_reduces + lost_reduces != self.reduce_slots
+        for (kind, pool, n) in
+            [("map", maps, self.map_slots), ("reduce", reduces, self.reduce_slots)]
         {
-            violation!(
-                "slot-conservation",
-                "end of run: {free_maps}+{lost_maps}/{} map and {free_reduces}+{lost_reduces}/{} \
-                 reduce slots returned or lost",
-                self.map_slots,
-                self.reduce_slots
-            );
+            let (free, lost) = (pool.free.len(), pool.lost());
+            if free + lost != n {
+                violation!(
+                    "slot-conservation",
+                    "end of run: {free}+{lost}/{n} {kind} slots returned or lost"
+                );
+            }
         }
         let mut max_completion = SimTime::ZERO;
         for job in &report.jobs {
@@ -630,6 +515,8 @@ fn diff_entries(expected: &JobEntry, actual: &JobEntry) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MapTask;
+    use crate::slots::{Attempt, Tasks};
     use simmr_types::JobId;
 
     fn checker(maps: usize, reduces: usize) -> InvariantState {
@@ -719,6 +606,45 @@ mod tests {
         checker(1, 1).check_bar(&bar(TimelinePhase::Map, 0, 10, 5));
     }
 
+    /// A 3-slot map pool and a 2-slot reduce pool; reduce slot 0 runs an
+    /// attempt and reduce slot 1 is lost to a failed host.
+    fn pools() -> (SlotPool, SlotPool) {
+        let (maps, mut reduces) = (SlotPool::new(3, vec![]), SlotPool::new(2, vec![]));
+        let mut tasks = Tasks::new(vec![MapTask::default()].into_boxed_slice());
+        let slot = reduces.free.pop().expect("a free reduce slot");
+        let a = Attempt::new(JobId(0), 0, 1, SimTime::ZERO, SimTime::ZERO);
+        reduces.running.launch(&mut tasks, slot, a);
+        reduces.fail_host(1, 2);
+        checker(3, 2).check_slots(&maps, &reduces, SimTime::ZERO);
+        (maps, reduces)
+    }
+
+    #[test]
+    #[should_panic(expected = "[slot-conservation]: at t=0.000s: map slot 1 is free twice")]
+    fn duplicated_free_slot_panics() {
+        let (mut maps, reduces) = pools();
+        maps.free.push(1);
+        checker(3, 2).check_slots(&maps, &reduces, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "[slot-conservation]: at t=0.000s: reduce slot 0 of a failed host \
+                               runs an attempt")]
+    fn attempt_on_a_dead_slot_panics() {
+        let (maps, mut reduces) = pools();
+        reduces.dead[0] = true;
+        checker(3, 2).check_slots(&maps, &reduces, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "[slot-conservation]: at t=0.000s: map slot 2 is neither free, \
+                               running nor dead")]
+    fn lost_slot_panics() {
+        let (mut maps, reduces) = pools();
+        maps.free.retain(|&s| s != 2);
+        checker(3, 2).check_slots(&maps, &reduces, SimTime::ZERO);
+    }
+
     #[test]
     fn entry_diff_reports_each_field() {
         let a = entry();
@@ -752,7 +678,7 @@ mod tests {
             events_processed: 0,
             timeline: vec![],
         };
-        inv.check_report(&report, 1, 1, 0, 0);
+        inv.check_report(&report, &SlotPool::new(1, vec![]), &SlotPool::new(1, vec![]));
     }
 
     #[test]
@@ -767,6 +693,6 @@ mod tests {
             events_processed: 7,
             timeline: vec![],
         };
-        inv.check_report(&report, 1, 1, 0, 0);
+        inv.check_report(&report, &SlotPool::new(1, vec![]), &SlotPool::new(1, vec![]));
     }
 }

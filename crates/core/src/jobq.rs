@@ -86,16 +86,24 @@ impl JobEntry {
 /// (arrivals come in time order); `remove` of the oldest job — the common
 /// case under FIFO-like service — just advances `head` in O(1), while a
 /// mid-queue removal shifts the (shorter) front segment right into the
-/// hole. `get` / `get_mut` are O(1) through an id→position table. The
-/// dead prefix is compacted away once it outgrows the live region, so
-/// memory stays proportional to the active-job high-water mark.
+/// hole. `get` / `get_mut` are O(1) through an id→position table that
+/// spans the live job ids. The dead prefixes of `entries` and of the
+/// table are dropped once they outgrow the rest, so memory stays
+/// proportional to the active jobs and their id span, not to every job
+/// ever admitted.
 #[derive(Debug, Default)]
 pub struct JobQueue {
     entries: Vec<JobEntry>,
     /// Start of the live region in `entries`.
     head: usize,
-    /// Absolute position of each job in `entries`, indexed by job id.
+    /// Absolute position of each job in `entries`, indexed by `id - base`.
+    /// The last entry is a queued job, and so is the first after
+    /// `index_head` departed ones (or the table is empty).
     index: Vec<u32>,
+    /// Job id of `index[0]`.
+    base: usize,
+    /// Departed jobs at the front of `index`.
+    index_head: usize,
     /// Current simulated time at the moment of the scheduling decision.
     pub now: SimTime,
 }
@@ -112,10 +120,14 @@ impl JobQueue {
         q
     }
 
-    /// An empty queue with room for `jobs` entries (ids `0..jobs`) without
-    /// reallocating.
+    /// An empty queue with room for `jobs` entries, spanning as many ids,
+    /// without reallocating.
     pub fn with_capacity(jobs: usize) -> Self {
-        JobQueue { entries: Vec::with_capacity(jobs), index: vec![ABSENT; jobs], ..Self::default() }
+        JobQueue {
+            entries: Vec::with_capacity(jobs),
+            index: Vec::with_capacity(jobs),
+            ..Self::default()
+        }
     }
 
     /// The active jobs, sorted by `(arrival, id)`. The order is an API
@@ -136,10 +148,7 @@ impl JobQueue {
 
     /// Looks up a job by id.
     pub fn get(&self, id: JobId) -> Option<&JobEntry> {
-        match self.index.get(id.index()) {
-            Some(&pos) if pos != ABSENT => Some(&self.entries[pos as usize]),
-            _ => None,
-        }
+        Some(&self.entries[self.position(id)?])
     }
 
     /// An active job's entry, mutably: the engine re-derives the entry's
@@ -147,19 +156,34 @@ impl JobQueue {
     /// its own placements. Only the counters may change; `id` and
     /// `arrival` fix the queue order.
     pub(crate) fn get_mut(&mut self, id: JobId) -> Option<&mut JobEntry> {
-        match self.index.get(id.index()) {
-            Some(&pos) if pos != ABSENT => Some(&mut self.entries[pos as usize]),
-            _ => None,
-        }
+        let pos = self.position(id)?;
+        Some(&mut self.entries[pos])
+    }
+
+    /// Position of a queued job in `entries`.
+    fn position(&self, id: JobId) -> Option<usize> {
+        let pos = *self.index.get(id.index().wrapping_sub(self.base))?;
+        (pos != ABSENT).then_some(pos as usize)
     }
 
     /// Adds a job's entry (on arrival). Arrivals are processed in time
     /// order, so appending keeps the entries sorted by `(arrival, id)`.
     pub(crate) fn insert(&mut self, entry: JobEntry) {
-        let i = entry.id.index();
+        let id = entry.id.index();
+        if self.index.is_empty() {
+            self.base = id;
+        }
+        if id < self.base {
+            // a job older than every queued one (a fork's surge admits
+            // jobs with higher ids that can arrive before the trace's own)
+            self.index.splice(..0, std::iter::repeat_n(ABSENT, self.base - id));
+            self.base = id;
+        }
+        let i = id - self.base;
         if i >= self.index.len() {
             self.index.resize(i + 1, ABSENT);
         }
+        self.index_head = self.index_head.min(i);
         debug_assert_eq!(self.index[i], ABSENT, "job {} inserted twice", entry.id);
         debug_assert!(
             self.entries[self.head..]
@@ -177,18 +201,14 @@ impl JobQueue {
     /// the oldest active job — the common case under FIFO-like service —
     /// is O(1): the head pointer just advances.
     pub(crate) fn remove(&mut self, id: JobId) -> Option<JobEntry> {
-        let i = id.index();
-        let pos = match self.index.get(i) {
-            Some(&pos) if pos != ABSENT => pos as usize,
-            _ => return None,
-        };
-        self.index[i] = ABSENT;
+        let pos = self.position(id)?;
+        self.index[id.index() - self.base] = ABSENT;
         let entry = self.entries[pos];
         if pos - self.head <= self.entries.len() - 1 - pos {
             // shift the front segment right into the hole
             self.entries.copy_within(self.head..pos, self.head + 1);
             for e in &self.entries[self.head + 1..=pos] {
-                self.index[e.id.index()] += 1;
+                self.index[e.id.index() - self.base] += 1;
             }
             self.head += 1;
             if self.head > self.entries.len() - self.head {
@@ -199,8 +219,23 @@ impl JobQueue {
             self.entries.copy_within(pos + 1.., pos);
             self.entries.truncate(self.entries.len() - 1);
             for e in &self.entries[pos..] {
-                self.index[e.id.index()] -= 1;
+                self.index[e.id.index() - self.base] -= 1;
             }
+        }
+        // keep the table to the live ids, amortized O(1) per job: departed
+        // jobs at the back are popped, and those at the front dropped once
+        // they outnumber the rest
+        while self.index.last() == Some(&ABSENT) {
+            self.index.pop();
+        }
+        self.index_head = self.index_head.min(self.index.len());
+        while self.index.get(self.index_head) == Some(&ABSENT) {
+            self.index_head += 1;
+        }
+        if self.index_head > self.index.len() - self.index_head {
+            self.index.drain(..self.index_head);
+            self.base += self.index_head;
+            self.index_head = 0;
         }
         Some(entry)
     }
@@ -211,7 +246,7 @@ impl JobQueue {
         self.entries.drain(..self.head);
         self.head = 0;
         for (pos, e) in self.entries.iter().enumerate() {
-            self.index[e.id.index()] = pos as u32;
+            self.index[e.id.index() - self.base] = pos as u32;
         }
     }
 
@@ -221,7 +256,8 @@ impl JobQueue {
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.head = 0;
-        self.index.fill(ABSENT);
+        self.index.clear();
+        self.index_head = 0;
     }
 }
 
@@ -499,6 +535,52 @@ mod tests {
         q.insert(entry(8, None));
         assert_eq!(q.len(), 3);
         assert_eq!(q.get(JobId(8)).unwrap().id, JobId(8));
+    }
+
+    /// The id→position table spans the live ids only. Before, it was
+    /// indexed by absolute id and held an entry for every job ever
+    /// admitted: 50 000 jobs passing one at a time left 50 000 entries.
+    #[test]
+    fn index_stays_within_the_live_id_span() {
+        let mut q = JobQueue::default();
+        for id in 0..50_000 {
+            q.insert(entry(id, None));
+            assert_eq!(q.index.len(), 1);
+            assert_eq!(q.remove(JobId(id)).map(|e| e.id), Some(JobId(id)));
+        }
+        assert!(q.index.is_empty());
+        // oldest first, as under FIFO: the departed front is dropped once
+        // it outgrows the live span
+        for id in 0..100 {
+            q.insert(entry(id, None));
+        }
+        for id in 0..99 {
+            q.remove(JobId(id));
+            assert!(q.index.len() <= 2 * (99 - id) as usize, "{} entries", q.index.len());
+        }
+        q.remove(JobId(99));
+        assert!(q.index.is_empty());
+        // a long-lived job while a thousand later ones come and go: the
+        // table reaches from it to the newest
+        q.insert(entry(50_000, None));
+        for id in 50_001..51_000 {
+            q.insert(entry(id, None));
+            assert_eq!(q.index.len(), (id - 50_000 + 1) as usize);
+            q.remove(JobId(id));
+            assert_eq!(q.index.len(), 1);
+        }
+        // a job older than every queued one, arriving later (a fork's
+        // surge does this): the table widens at the front
+        let mut old = entry(7, None);
+        old.arrival = SimTime::from_millis(60_000);
+        q.insert(old);
+        assert_eq!(q.index.len(), 50_000 - 7 + 1);
+        assert_eq!(q.get(JobId(7)).map(|e| e.id), Some(JobId(7)));
+        assert_eq!(q.get(JobId(50_000)).map(|e| e.id), Some(JobId(50_000)));
+        assert!(q.get(JobId(6)).is_none() && q.get(JobId(8)).is_none());
+        q.remove(JobId(50_000));
+        assert_eq!(q.index.len(), 1);
+        assert_eq!(q.entries().iter().map(|e| e.id).collect::<Vec<_>>(), [JobId(7)]);
     }
 
     #[test]

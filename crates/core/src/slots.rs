@@ -21,8 +21,143 @@
 //! Nothing here allocates after the tables are sized to the cluster: a
 //! job's task records are sized once at admission, and the lists live
 //! in the table entries.
+//!
+//! A [`SlotPool`] holds one kind's slots whole: the free list, the slots
+//! lost to failed hosts, the table of running attempts and the per-slot
+//! speed. Every slot of a pool is exactly one of free, running or lost;
+//! [`SlotPool::check_partition`] is that rule, shared by the checkpoint
+//! decoder and the runtime invariant checker.
 
-use simmr_types::{JobId, SimTime};
+use simmr_types::{DurationMs, JobId, SimTime};
+
+/// One slot kind's slots (§III-B's job master has a pool of map slots
+/// and a pool of reduce slots). Slots are striped over the cluster's
+/// hosts: slot `s` lives on host `s % hosts`.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotPool {
+    /// Free slots; a launch pops from the back.
+    pub(crate) free: Vec<u32>,
+    /// Slots lost to a failed host: never free, never running, until the
+    /// host recovers.
+    pub(crate) dead: Vec<bool>,
+    /// The running attempts, by the slot each occupies.
+    pub(crate) running: SlotTable,
+    /// Per-slot duration multipliers; empty when every slot runs at
+    /// nominal speed (tasks then take their exact template durations).
+    pub(crate) slowdown: Vec<f64>,
+}
+
+impl SlotPool {
+    /// `n` free slots, live and idle, running at `slowdown` (empty, or
+    /// one factor per slot).
+    pub(crate) fn new(n: usize, slowdown: Vec<f64>) -> Self {
+        SlotPool {
+            free: (0..n as u32).rev().collect(),
+            dead: vec![false; n],
+            running: SlotTable::new(n),
+            slowdown,
+        }
+    }
+
+    /// Slots in the pool.
+    pub(crate) fn len(&self) -> usize {
+        self.running.len()
+    }
+
+    /// Marks every slot of `host` (of `hosts`) lost and takes them out of
+    /// the free list. Attempts still running there are the caller's to
+    /// kill.
+    pub(crate) fn fail_host(&mut self, host: usize, hosts: usize) {
+        for slot in (host..self.dead.len()).step_by(hosts) {
+            self.dead[slot] = true;
+        }
+        let dead = &self.dead;
+        self.free.retain(|&s| !dead[s as usize]);
+    }
+
+    /// Returns the lost slots of `host` (of `hosts`) to the free list,
+    /// empty.
+    pub(crate) fn recover_host(&mut self, host: usize, hosts: usize) {
+        for slot in (host..self.dead.len()).step_by(hosts) {
+            if self.dead[slot] {
+                self.dead[slot] = false;
+                self.free.push(slot as u32);
+            }
+        }
+    }
+
+    /// Widens the pool to `n` slots; the new ones join the free list
+    /// alive and at nominal speed.
+    pub(crate) fn grow(&mut self, n: usize) {
+        self.free.extend(self.len() as u32..n as u32);
+        self.dead.resize(n, false);
+        self.running.grow(n);
+        if !self.slowdown.is_empty() {
+            self.slowdown.resize(n, 1.0);
+        }
+    }
+
+    /// `base` as it runs on `slot`.
+    #[inline]
+    pub(crate) fn scaled(&self, slot: u32, base: DurationMs) -> DurationMs {
+        scaled(&self.slowdown, slot, base)
+    }
+
+    /// Slots lost to failed hosts.
+    pub(crate) fn lost(&self) -> usize {
+        self.dead.iter().filter(|&&d| d).count()
+    }
+
+    /// Checks that the pool holds `n` slots (one dead flag per table
+    /// entry, as `new`, `grow` and the decoder keep it) and that each is
+    /// exactly one of free, running or lost: no slot is free twice, free
+    /// and running, or free or running while lost, and none is missing.
+    /// Returns the first breach, naming the slots `kind`.
+    pub(crate) fn check_partition(&self, kind: &str, n: usize) -> Result<(), String> {
+        if self.dead.len() != n {
+            return Err(format!("{} dead-slot flags for {n} {kind} slots", self.dead.len()));
+        }
+        let mut booked = vec![false; n];
+        for (slot, _) in self.running.occupied() {
+            if self.dead[slot as usize] {
+                return Err(format!("{kind} slot {slot} of a failed host runs an attempt"));
+            }
+            booked[slot as usize] = true;
+        }
+        for &slot in &self.free {
+            let Some(b) = booked.get_mut(slot as usize) else {
+                return Err(format!("free {kind} slot {slot} is out of range (bound {n})"));
+            };
+            if *b {
+                let how = if self.running.get(slot).is_some() {
+                    "both running and free"
+                } else {
+                    "free twice"
+                };
+                return Err(format!("{kind} slot {slot} is {how}"));
+            }
+            if self.dead[slot as usize] {
+                return Err(format!("free {kind} slot {slot} belongs to a failed host"));
+            }
+            *b = true;
+        }
+        match (0..n).find(|&s| !booked[s] && !self.dead[s]) {
+            Some(s) => Err(format!("{kind} slot {s} is neither free, running nor dead")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// `base` as it runs on `slot` of a pool with these slowdown factors:
+/// [`SlotPool::scaled`] for a caller that holds the pool's slot table
+/// mutably.
+#[inline]
+pub(crate) fn scaled(slowdown: &[f64], slot: u32, base: DurationMs) -> DurationMs {
+    match slowdown.get(slot as usize) {
+        Some(&f) => (base as f64 * f).round() as u64,
+        None => base,
+    }
+}
 
 /// No slot: a list or chain end, or a task with no live attempt.
 pub(crate) const NONE: u32 = u32::MAX;

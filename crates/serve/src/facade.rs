@@ -834,11 +834,14 @@ impl SimFacade {
         spec: &'a ScenarioSpec,
         loaded: &mut Vec<(&'a TraceRef, Result<Prepared, FacadeError>)>,
     ) -> Result<ResolvedScenario, FacadeError> {
+        // validation sees the spec as written: normalizing resets knobs
+        // the run ignores, which would hide one set without the knob it
+        // needs
+        spec.validate()?;
         // normalizing leaves the trace ref as it is
         let r = &spec.trace;
         let mut spec = spec.clone();
         spec.normalize();
-        spec.validate()?;
         let (base, digest) = if matches!(r, TraceRef::Inline(_)) {
             self.load(r)?
         } else if let Some((_, prepared)) = loaded.iter().find(|(seen, _)| *seen == r) {
@@ -882,9 +885,9 @@ impl SimFacade {
                 && spec.divergences.is_empty()
                 && TraceFormat::sniff(path).is_ok_and(|f| f == TraceFormat::Bin)
             {
+                spec.validate()?;
                 let mut spec = spec.clone();
                 spec.normalize();
-                spec.validate()?;
                 let source = BinTraceSource::open(path)
                     .map_err(|e| FacadeError::Trace(format!("`{path}`: {e}")))?;
                 let jobs = source.job_count();
@@ -1127,6 +1130,30 @@ mod tests {
         let mut s = spec();
         s.failure_recovery_s = Some(30.0);
         assert!(s.validate().is_err(), "recovery without failures");
+    }
+
+    /// Resolving and running validate the spec as written: normalizing
+    /// first reset `failure_recovery_s` when `failures` is unset, so a
+    /// spec with a negative recovery time and no failures ran.
+    #[test]
+    fn resolve_and_run_validate_before_normalizing() {
+        let path = std::env::temp_dir()
+            .join(format!("simmr-facade-validate-{}.trace.bin", std::process::id()));
+        std::fs::write(&path, simmr_trace::encode_trace(&tiny_trace()).unwrap()).unwrap();
+        let streamed = TraceRef::Path(path.to_string_lossy().into_owned());
+        let facade = SimFacade::new();
+        for trace in [TraceRef::Inline(tiny_trace()), streamed] {
+            let mut s = ScenarioSpec::new(trace, PolicySpec::Fifo);
+            assert!(facade.run(&s).is_ok());
+            s.failure_recovery_s = Some(-5.0);
+            let bad_spec = |r: Result<(), FacadeError>| match r {
+                Err(FacadeError::BadSpec(m)) => m.contains("failure_recovery_s needs failures"),
+                _ => false,
+            };
+            assert!(bad_spec(facade.resolve(&s).map(|_| ())), "resolve");
+            assert!(bad_spec(facade.run(&s).map(|_| ())), "run");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

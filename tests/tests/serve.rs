@@ -256,6 +256,12 @@ fn serve_rejects_unrunnable_cluster_shapes() {
         assert!(reply.body.contains("cluster"), "body: {}", reply.body);
         assert_eq!(http(addr, "GET", "/healthz", "").status, 200);
     }
+    // a knob that needs another is checked as sent, before normalizing
+    // resets the inert one
+    let body = r#"{"trace": "workload", "policy": "fifo", "failure_recovery_s": -5.0}"#;
+    let reply = http(addr, "POST", "/v1/run", body);
+    assert_eq!(reply.status, 400, "body: {}", reply.body);
+    assert!(reply.body.contains("failure_recovery_s needs failures"), "body: {}", reply.body);
     assert_eq!(http(addr, "POST", "/v1/shutdown", "").status, 200);
     handle.join().expect("server thread").expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&dir);
