@@ -709,33 +709,48 @@ mod tests {
         (state, Mutex::new(queue))
     }
 
-    /// Waits until `flag` is set; a helper that never comes fails the
-    /// test instead of hanging it.
+    /// Waits until `flag` is set; a side of the batch that never comes
+    /// fails the test instead of hanging it.
     fn wait_for(flag: &AtomicBool) {
         let start = Instant::now();
         while !flag.load(Ordering::SeqCst) {
-            assert!(start.elapsed() < Duration::from_secs(20), "no helper joined the batch");
+            assert!(start.elapsed() < Duration::from_secs(20), "one side never joined the batch");
             thread::sleep(Duration::from_millis(1));
         }
     }
 
-    /// A two-item batch whose helper-run item calls `on_helper` after
-    /// raising the flag; the caller's item waits for the flag, so the
-    /// other item is always the helper's.
+    /// A two-item batch that runs one item on the caller and the other
+    /// on a helper. Each side raises its flag and then waits for the
+    /// other's, so whoever claims first cannot also take the second
+    /// item. The helper's item then calls `on_helper`, the caller's
+    /// `on_caller`.
     fn helped_batch<R: Send + 'static>(
         caller: thread::ThreadId,
         on_helper: fn(usize) -> R,
         on_caller: fn(usize) -> R,
     ) -> impl Fn(&ServerState, usize) -> R + Send + Sync + 'static {
         let helped = Arc::new(AtomicBool::new(false));
+        let called = Arc::new(AtomicBool::new(false));
         move |_, i| {
             if thread::current().id() == caller {
+                called.store(true, Ordering::SeqCst);
                 wait_for(&helped);
                 on_caller(i)
             } else {
                 helped.store(true, Ordering::SeqCst);
+                wait_for(&called);
                 on_helper(i)
             }
+        }
+    }
+
+    /// Closes the pool when dropped, on a failed assertion too, so a
+    /// scoped worker exits and the test fails instead of hanging.
+    struct ClosePool<'a>(&'a ServerState);
+
+    impl Drop for ClosePool<'_> {
+        fn drop(&mut self) {
+            self.0.close_pool();
         }
     }
 
@@ -744,6 +759,7 @@ mod tests {
         let (state, queue) = test_state(2);
         thread::scope(|scope| {
             scope.spawn(|| work(&state, &queue));
+            let _close = ClosePool(&state);
             let caller = thread::current().id();
             let batch = helped_batch(caller, |_| panic!("injected helper panic"), |_| ());
             let caught = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -763,7 +779,6 @@ mod tests {
                 [(0, 0), (1, 1)]
             );
             assert_eq!(got.iter().filter(|(_, (_, on_caller))| !on_caller).count(), 1);
-            state.close_pool();
         });
     }
 

@@ -8,6 +8,7 @@ use simmr_types::{ClusterSpec, JobSpec, JobTemplate, SimTime, WorkloadTrace};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn sample_trace() -> WorkloadTrace {
     let mut t = WorkloadTrace::new("serve test", "integration");
@@ -49,6 +50,8 @@ impl Reply {
 
 fn http(addr: SocketAddr, method: &str, target: &str, body: &str) -> Reply {
     let stream = TcpStream::connect(addr).expect("connect to test server");
+    // a server that stops answering fails the test instead of hanging it
+    stream.set_read_timeout(Some(Duration::from_secs(300))).expect("read timeout");
     let mut writer = stream.try_clone().expect("clone socket");
     write!(
         writer,
