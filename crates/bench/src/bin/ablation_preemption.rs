@@ -45,7 +45,7 @@ fn one_run(templates: &[JobTemplate], mean_ia_ms: f64, policy: &str, seed: u64) 
 }
 
 fn average(templates: &[JobTemplate], mean_ia_ms: f64, policy: &str, reps: usize) -> f64 {
-    simmr_bench::parallel_mean(reps, |r| {
+    simmr_stats::parallel_mean(reps, |r| {
         one_run(templates, mean_ia_ms, policy, 0xAB7_0000 + r as u64 * 31)
     })
 }

@@ -58,7 +58,7 @@ fn one_run(templates: &[JobTemplate], mean_ia_ms: f64, df: f64, policy: &str, se
 
 /// Averages `reps` runs, fanned out across threads.
 fn average(templates: &[JobTemplate], mean_ia_ms: f64, df: f64, policy: &str, reps: usize) -> f64 {
-    simmr_bench::parallel_mean(reps, |r| {
+    simmr_stats::parallel_mean(reps, |r| {
         one_run(templates, mean_ia_ms, df, policy, 0xF17_0000 + r as u64 * 7919)
     })
 }

@@ -37,7 +37,7 @@ fn one_run(mean_ia_ms: f64, df: f64, policy: &str, seed: u64) -> f64 {
 }
 
 fn average(mean_ia_ms: f64, df: f64, policy: &str, reps: usize) -> f64 {
-    simmr_bench::parallel_mean(reps, |r| {
+    simmr_stats::parallel_mean(reps, |r| {
         one_run(mean_ia_ms, df, policy, 0xF8_0000 + r as u64 * 6271)
     })
 }

@@ -19,9 +19,4 @@ pub mod plot;
 pub mod workloads;
 
 pub use pipeline::{mean_abs_error, replay_in_mumak, replay_in_simmr, run_testbed, AccuracyRow};
-// The sweep fan-out moved down into `simmr-stats` so the serve layer can
-// batch scenarios without depending on the harness; re-exported here to
-// keep the historical `simmr_bench::parallel_sweep` path working.
-pub use simmr_stats::par;
-pub use simmr_stats::{parallel_mean, parallel_sweep};
 pub use workloads::{assign_deadlines, standalone_runtime_ms, suite_models};

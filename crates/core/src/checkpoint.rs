@@ -46,8 +46,11 @@ use crate::codec::{
     put_bool_vec, put_f64_vec, put_opt_u64, put_str, put_u16, put_u32, put_u32_vec, put_u64, Crc64,
     DecodeError, Reader, TemplateTable,
 };
-use crate::engine::{HostFailure, JobState, MapTask, ReduceTask, MAX_MAP_SLOTS};
+use crate::engine::{
+    HostFailure, JobState, JobTable, MapTask, ReduceTask, RunState, MAX_MAP_SLOTS,
+};
 use crate::event::{Event, EventKind};
+use crate::queue::EventQueue;
 use crate::slots::{Attempt, SlotPool, SlotTable, TaskRecord, Tasks};
 use crate::SchedulerPolicy;
 use simmr_types::{
@@ -136,29 +139,11 @@ impl From<DecodeError> for CkptError {
 pub struct EngineCheckpoint {
     /// The requested checkpoint instant.
     pub(crate) at: SimTime,
-    /// The actual boundary: time of the last settled batch ≤ `at`.
-    pub(crate) clock: SimTime,
-    pub(crate) hosts: usize,
     /// The run collects per-job results.
     pub(crate) collected: bool,
-    pub(crate) jobq_dirty: bool,
-    /// Pending events in `(time, seq)` order, original seqs preserved.
-    pub(crate) events: Vec<Event>,
-    pub(crate) next_seq: u64,
-    pub(crate) pushed: u64,
-    pub(crate) jobs_base: usize,
-    pub(crate) jobs: Vec<Option<JobState>>,
-    /// The map and reduce slot pools; each job's launch order threads
-    /// through their running attempts.
-    pub(crate) maps: SlotPool,
-    pub(crate) reduces: SlotPool,
-    pub(crate) dead_hosts: Vec<bool>,
-    pub(crate) fault_plan: Vec<HostFailure>,
-    pub(crate) policy_wakeup_at: Option<SimTime>,
-    pub(crate) events_processed: u64,
-    pub(crate) makespan: SimTime,
-    pub(crate) timeline: Vec<TimelineEntry>,
-    pub(crate) results: Vec<Option<JobResult>>,
+    /// The engine's run state at the boundary; its clock is the time of
+    /// the last settled batch at or before `at`.
+    pub(crate) run: RunState,
     pub(crate) policy_name: String,
     pub(crate) policy_blob: Vec<u8>,
 }
@@ -172,7 +157,7 @@ impl EngineCheckpoint {
     /// The actual boundary: the last settled batch at or before
     /// [`Self::at`] (every pending event is strictly later).
     pub fn boundary(&self) -> SimTime {
-        self.clock
+        self.run.clock
     }
 
     /// Name of the policy that was scheduling when the snapshot was taken.
@@ -183,17 +168,17 @@ impl EngineCheckpoint {
     /// Jobs in the run: departed, live, and not yet arrived (a
     /// checkpoint admits every job its source had left).
     pub fn jobs_admitted(&self) -> usize {
-        self.jobs_base + self.jobs.len()
+        self.run.jobs.total()
     }
 
     /// Events still pending in the snapshot's queue.
     pub fn pending_events(&self) -> usize {
-        self.events.len()
+        self.run.queue.len()
     }
 
     /// Events the run had processed up to the boundary.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.run.events_processed
     }
 
     /// CRC-64/XZ content digest: the checksum that ends the canonical
@@ -214,74 +199,72 @@ impl EngineCheckpoint {
     }
 
     fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256 + self.events.len() * 29 + self.jobs.len() * 64);
+        let run = &self.run;
+        let (events, next_seq, pushed) = run.queue.snapshot();
+        let (jobs_base, jobs_end) = run.jobs.id_range();
+        let mut out = Vec::with_capacity(256 + events.len() * 29 + (jobs_end - jobs_base) * 64);
         out.extend_from_slice(CKPT_MAGIC);
         put_u16(&mut out, CKPT_VERSION);
         put_u64(&mut out, self.at.as_millis());
-        put_u64(&mut out, self.clock.as_millis());
-        put_u32(&mut out, self.maps.len() as u32);
-        put_u32(&mut out, self.reduces.len() as u32);
-        put_u32(&mut out, self.hosts as u32);
+        put_u64(&mut out, run.clock.as_millis());
+        put_u32(&mut out, run.maps.len() as u32);
+        put_u32(&mut out, run.reduces.len() as u32);
+        put_u32(&mut out, run.dead_hosts.len() as u32);
         // bit 0 held the streaming flag until version 4
-        out.push((self.collected as u8) << 1 | (self.jobq_dirty as u8) << 2);
-        put_opt_time(&mut out, self.policy_wakeup_at);
-        put_u64(&mut out, self.events_processed);
-        put_u64(&mut out, self.makespan.as_millis());
-        put_u64(&mut out, self.next_seq);
-        put_u64(&mut out, self.pushed);
-        put_u32(&mut out, self.events.len() as u32);
-        for e in &self.events {
-            put_u64(&mut out, e.time.as_millis());
-            put_u64(&mut out, e.seq);
-            out.push(event_kind_tag(e.kind));
-            put_u32(&mut out, e.job.0);
-            put_u32(&mut out, e.task_index);
-            put_u32(&mut out, e.attempt);
+        out.push((self.collected as u8) << 1 | (run.jobq_dirty as u8) << 2);
+        put_opt_time(&mut out, run.policy_wakeup_at);
+        put_u64(&mut out, run.events_processed);
+        put_u64(&mut out, run.makespan.as_millis());
+        put_u64(&mut out, next_seq);
+        put_u64(&mut out, pushed);
+        put_u32(&mut out, events.len() as u32);
+        for e in &events {
+            put_event(&mut out, e);
         }
-        put_u32_vec(&mut out, &self.maps.free);
-        put_u32_vec(&mut out, &self.reduces.free);
-        put_bool_vec(&mut out, &self.dead_hosts);
-        put_bool_vec(&mut out, &self.maps.dead);
-        put_bool_vec(&mut out, &self.reduces.dead);
-        put_u32(&mut out, self.fault_plan.len() as u32);
-        for f in &self.fault_plan {
+        put_u32_vec(&mut out, &run.maps.free);
+        put_u32_vec(&mut out, &run.reduces.free);
+        put_bool_vec(&mut out, &run.dead_hosts);
+        put_bool_vec(&mut out, &run.maps.dead);
+        put_bool_vec(&mut out, &run.reduces.dead);
+        put_u32(&mut out, run.fault_plan.len() as u32);
+        for f in &run.fault_plan {
             put_u32(&mut out, f.host.0);
             put_u64(&mut out, f.at.as_millis());
         }
-        put_f64_vec(&mut out, &self.maps.slowdown);
-        put_f64_vec(&mut out, &self.reduces.slowdown);
+        put_f64_vec(&mut out, &run.maps.slowdown);
+        put_f64_vec(&mut out, &run.reduces.slowdown);
         // Templates are content-interned in first-appearance order over
         // the job table, so re-encoding a decoded checkpoint reproduces
         // the table byte for byte.
         let mut templates = TemplateTable::default();
         let job_template: Vec<u32> =
-            self.jobs.iter().flatten().map(|job| templates.intern(&job.template)).collect();
+            run.jobs.iter().map(|(_, job)| templates.intern(&job.template)).collect();
         put_u32(&mut out, templates.count());
         out.extend_from_slice(templates.bytes());
-        put_u64(&mut out, self.jobs_base as u64);
-        put_u32(&mut out, self.jobs.len() as u32);
+        put_u64(&mut out, jobs_base as u64);
+        put_u32(&mut out, (jobs_end - jobs_base) as u32);
         let mut live = 0usize;
-        for job in &self.jobs {
+        for job in run.jobs.raw_slots() {
             match job {
                 None => out.push(0),
                 Some(state) => {
                     out.push(1);
                     let tid = job_template[live];
                     live += 1;
-                    encode_job(&mut out, state, tid, &self.maps.running, &self.reduces.running);
+                    encode_job(&mut out, state, tid, &run.maps.running, &run.reduces.running);
                 }
             }
         }
-        put_u32(&mut out, self.timeline.len() as u32);
-        for bar in &self.timeline {
+        put_u32(&mut out, run.timeline.len() as u32);
+        for bar in &run.timeline {
             put_u32(&mut out, bar.job.0);
             out.push(bar.phase as u8);
             put_u32(&mut out, bar.slot);
             put_u64(&mut out, bar.start.as_millis());
             put_u64(&mut out, bar.end.as_millis());
         }
-        put_u32(&mut out, self.results.len() as u32);
-        for r in &self.results {
+        put_u32(&mut out, run.results.len() as u32);
+        for r in &run.results {
             match r {
                 None => out.push(0),
                 Some(res) => {
@@ -400,19 +383,28 @@ impl EngineCheckpoint {
         let mut reduces = pool(free_reduces, dead_reduces, r.f64_vec()?);
         let n_templates = r.u32()? as usize;
         let templates = r.templates(n_templates)?;
-        let jobs_base = r.u64()? as usize;
+        let jobs_base = r.u64()?;
         let n_jobs = r.count(1)?; // at least the slot tag
-        let mut jobs: Vec<Option<JobState>> = Vec::with_capacity(n_jobs);
+        if jobs_base.checked_add(n_jobs as u64).is_none_or(|end| end > 1 << 32) {
+            return Err(CkptError::Malformed(format!(
+                "{n_jobs} jobs from id {jobs_base} run past the u32 job ids"
+            )));
+        }
+        let jobs_base = jobs_base as usize;
+        let mut jobs: Vec<Option<Box<JobState>>> = Vec::with_capacity(n_jobs);
         for i in 0..n_jobs {
             match r.u8()? {
                 0 => jobs.push(None),
                 1 => {
                     let id = JobId((jobs_base + i) as u32);
-                    jobs.push(Some(decode_job(&mut r, id, &templates, &mut maps, &mut reduces)?))
+                    let job = decode_job(&mut r, id, &templates, &mut maps, &mut reduces)?;
+                    jobs.push(Some(Box::new(job)))
                 }
                 t => return Err(CkptError::Malformed(format!("unknown job slot tag {t}"))),
             }
         }
+        let jobs = JobTable::from_parts(jobs_base, jobs);
+        check_event_jobs(&events, &jobs)?;
         if dead_hosts.len() != hosts {
             return Err(CkptError::Malformed(format!(
                 "{} host flags for {hosts} hosts",
@@ -467,33 +459,33 @@ impl EngineCheckpoint {
                 t => return Err(CkptError::Malformed(format!("unknown result tag {t}"))),
             }
         }
+        let admitted = if collected { jobs.total() } else { 0 };
+        if results.len() != admitted {
+            return Err(CkptError::Malformed(format!(
+                "{} job results for {admitted} expected",
+                results.len()
+            )));
+        }
         let policy_name = r.str()?.to_owned();
         let blob_len = r.count(1)?;
         let policy_blob = r.take(blob_len)?.to_vec();
         r.finish()?;
-        Ok(EngineCheckpoint {
-            at,
+        let run = RunState {
             clock,
-            hosts,
-            collected,
             jobq_dirty,
-            events,
-            next_seq,
-            pushed,
-            jobs_base,
+            policy_wakeup_at,
+            events_processed,
+            makespan,
+            queue: EventQueue::from_snapshot(events, next_seq, pushed),
             jobs,
             maps,
             reduces,
             dead_hosts,
             fault_plan,
-            policy_wakeup_at,
-            events_processed,
-            makespan,
             timeline,
             results,
-            policy_name,
-            policy_blob,
-        })
+        };
+        Ok(EngineCheckpoint { at, collected, run, policy_name, policy_blob })
     }
 }
 
@@ -586,6 +578,45 @@ fn event_kind_from_tag(tag: u8) -> Result<EventKind, CkptError> {
         8 => EventKind::PolicyWakeup,
         t => return Err(CkptError::Malformed(format!("unknown event kind tag {t}"))),
     })
+}
+
+/// Writes one event: time, seq, kind, job, task, attempt (29 bytes).
+fn put_event(out: &mut Vec<u8>, e: &Event) {
+    put_u64(out, e.time.as_millis());
+    put_u64(out, e.seq);
+    out.push(event_kind_tag(e.kind));
+    put_u32(out, e.job.0);
+    put_u32(out, e.task_index);
+    put_u32(out, e.attempt);
+}
+
+/// Checks that a resume can handle every event naming a job: the job was
+/// admitted, an arrival names a live job that has not arrived yet, and a
+/// task event naming a live job names one of its tasks. An event naming
+/// a retired job is stale, and a resume ignores it.
+fn check_event_jobs(events: &[Event], jobs: &JobTable) -> Result<(), CkptError> {
+    use EventKind as K;
+    for e in events {
+        let (job, admitted) = (e.job.0, jobs.total());
+        let tasks = match (e.kind, jobs.get(e.job)) {
+            (K::HostFailure | K::HostRecovery | K::PolicyWakeup, _) => continue, // no job
+            _ if e.job.index() >= admitted => {
+                let kind = e.kind;
+                let msg = format!("{kind:?} event names job {job} of {admitted} admitted");
+                return Err(CkptError::Malformed(msg));
+            }
+            (K::JobArrival, Some(s)) if !s.active => continue,
+            (K::JobArrival, _) => {
+                let msg = format!("arrival of job {job}, which is retired or already arrived");
+                return Err(CkptError::Malformed(msg));
+            }
+            (K::MapTaskDeparture | K::SpeculationDue, Some(s)) => s.maps_total,
+            (K::ReduceTaskDeparture, Some(s)) => s.reduces_total,
+            _ => continue,
+        };
+        check_below(&format!("{:?} task", e.kind), [e.task_index], tasks)?;
+    }
+    Ok(())
 }
 
 fn put_opt_time(out: &mut Vec<u8>, t: Option<SimTime>) {
@@ -1037,15 +1068,15 @@ mod tests {
         let ckpt = SimulatorEngine::new(busy_config(), &trace, Box::new(TestFifo))
             .checkpoint_at(SimTime::from_millis(100))
             .unwrap();
-        let live = ckpt.jobs.iter().position(Option::is_some).expect("a live job");
+        let live = ckpt.run.jobs.iter().next().expect("a live job").0;
         let bytes = ckpt.encode();
         // the busy config has 3 map and 2 reduce slots, jobs 3-5 maps and
         // 2 reduces; one running attempt of each kind gets a bad task or
         // slot in the bytes
-        let map_slot = ckpt.maps.running.occupied().next().expect("a running map").0;
-        let reduce_slot = ckpt.reduces.running.occupied().next().expect("a running reduce").0;
-        let m = encoded_at(&bytes, &ckpt.maps.running, map_slot);
-        let r = encoded_at(&bytes, &ckpt.reduces.running, reduce_slot);
+        let map_slot = ckpt.run.maps.running.occupied().next().expect("a running map").0;
+        let reduce_slot = ckpt.run.reduces.running.occupied().next().expect("a running reduce").0;
+        let m = encoded_at(&bytes, &ckpt.run.maps.running, map_slot);
+        let r = encoded_at(&bytes, &ckpt.run.reduces.running, reduce_slot);
         assert_malformed("running map task", &patched(&bytes, m, 999));
         assert_malformed("running map slot", &patched(&bytes, m + 16, 3));
         assert_malformed("running reduce task", &patched(&bytes, r, 2));
@@ -1059,10 +1090,22 @@ mod tests {
         ];
         for (what, corrupt) in corruptions {
             let mut bad = EngineCheckpoint::decode(&bytes).unwrap();
-            corrupt(bad.jobs[live].as_mut().unwrap());
+            corrupt(bad.run.jobs.get_mut(live).unwrap());
             // encode signs the body, so only the range checks can object
             assert_malformed(what, &bad.encode());
         }
+        // one result per admitted job when collecting, none otherwise
+        let mut bad = EngineCheckpoint::decode(&bytes).unwrap();
+        bad.run.results.pop();
+        assert_malformed("5 job results for 6 expected", &bad.encode());
+        let mut bad = EngineCheckpoint::decode(&bytes).unwrap();
+        bad.collected = false;
+        assert_malformed("6 job results for 0 expected", &bad.encode());
+        // job ids are `u32`s
+        let mut bad = EngineCheckpoint::decode(&bytes).unwrap();
+        let slots = bad.run.jobs.raw_slots().map(|s| s.cloned().map(Box::new)).collect();
+        bad.run.jobs = JobTable::from_parts(u32::MAX as usize, slots);
+        assert_malformed("6 jobs from id 4294967295 run past the u32 job ids", &bad.encode());
     }
 
     /// A map record keeps its output slot in 30 bits next to its flags, so
@@ -1074,11 +1117,11 @@ mod tests {
         let ckpt = SimulatorEngine::new(busy_config(), &trace, Box::new(TestFifo))
             .checkpoint_at(SimTime::from_millis(100))
             .unwrap();
-        let live = ckpt.jobs.iter().position(Option::is_some).expect("a live job");
+        let live = ckpt.run.jobs.iter().next().expect("a live job").0;
         let bytes = ckpt.encode();
         let mut bad = EngineCheckpoint::decode(&bytes).unwrap();
         // the busy config has 3 map slots
-        bad.jobs[live].as_mut().unwrap().maps.recs[0].set_output_slot(3);
+        bad.run.jobs.get_mut(live).unwrap().maps.recs[0].set_output_slot(3);
         assert_malformed("map output slot 3 is out of range (bound 3)", &bad.encode());
         // the map slot count follows the magic, version and two instants
         let at = CKPT_MAGIC.len() + 2 + 8 + 8;
@@ -1105,39 +1148,40 @@ mod tests {
         let ckpt = SimulatorEngine::new(config, &trace, Box::new(TestFifo))
             .checkpoint_at(SimTime::from_millis(50))
             .unwrap();
-        let running: Vec<u32> = ckpt.maps.running.occupied().map(|(s, _)| s).collect();
-        assert_eq!((running.as_slice(), ckpt.maps.free.as_slice()), (&[0, 1][..], &[3, 2][..]));
+        let running: Vec<u32> = ckpt.run.maps.running.occupied().map(|(s, _)| s).collect();
+        assert_eq!((running.as_slice(), ckpt.run.maps.free.as_slice()), (&[0, 1][..], &[3, 2][..]));
         // no reduce runs: both reduce slots are free
-        assert_eq!(ckpt.reduces.free, [1, 0]);
+        assert_eq!(ckpt.run.reduces.free, [1, 0]);
         let bytes = ckpt.encode();
-        let first = encoded_at(&bytes, &ckpt.maps.running, 0);
+        let first = encoded_at(&bytes, &ckpt.run.maps.running, 0);
         assert_malformed("map slot 1 runs two attempts", &patched(&bytes, first + 16, 1));
         type Corrupt<'a> = &'a dyn Fn(&mut EngineCheckpoint);
-        let corruptions: [(&str, Corrupt); 11] = [
-            ("map slot 0 is both running and free", &|c| c.maps.free.push(0)),
-            ("map slot 2 is free twice", &|c| c.maps.free.push(2)),
-            ("map slot 1 of a failed host runs an attempt", &|c| c.maps.dead[1] = true),
-            ("free map slot 3 belongs to a failed host", &|c| c.maps.dead[3] = true),
+        let corruptions: [(&str, Corrupt); 10] = [
+            ("map slot 0 is both running and free", &|c| c.run.maps.free.push(0)),
+            ("map slot 2 is free twice", &|c| c.run.maps.free.push(2)),
+            ("map slot 1 of a failed host runs an attempt", &|c| c.run.maps.dead[1] = true),
+            ("free map slot 3 belongs to a failed host", &|c| c.run.maps.dead[3] = true),
             ("map slot 2 is neither free, running nor dead", &|c| {
-                c.maps.free.pop();
+                c.run.maps.free.pop();
             }),
-            ("free map slot 9 is out of range", &|c| c.maps.free.push(9)),
+            ("free map slot 9 is out of range", &|c| c.run.maps.free.push(9)),
             ("3 dead-slot flags for 4 map slots", &|c| {
-                c.maps.dead.pop();
+                c.run.maps.dead.pop();
             }),
             // the reduce pool is checked as reduces, against its own count
-            ("reduce slot 0 is free twice", &|c| c.reduces.free.push(0)),
-            ("free reduce slot 1 belongs to a failed host", &|c| c.reduces.dead[1] = true),
-            ("free reduce slot 2 is out of range (bound 2)", &|c| c.reduces.free.push(2)),
-            ("1 host flags for 2 hosts", &|c| {
-                c.dead_hosts.pop();
-            }),
+            ("reduce slot 0 is free twice", &|c| c.run.reduces.free.push(0)),
+            ("free reduce slot 1 belongs to a failed host", &|c| c.run.reduces.dead[1] = true),
+            ("free reduce slot 2 is out of range (bound 2)", &|c| c.run.reduces.free.push(2)),
         ];
         for (what, corrupt) in corruptions {
             let mut bad = EngineCheckpoint::decode(&bytes).unwrap();
             corrupt(&mut bad);
             assert_malformed(what, &bad.encode());
         }
+        // the host count follows the magic, version, two instants and the
+        // two slot counts
+        let hosts = CKPT_MAGIC.len() + 2 + 8 + 8 + 4 + 4;
+        assert_malformed("2 host flags for 3 hosts", &patched(&bytes, hosts, 3));
         // the untouched bytes still decode and resume
         let ckpt = EngineCheckpoint::decode(&bytes).unwrap();
         let resumed = SimulatorEngine::resume_materialized(config, &ckpt, Box::new(TestFifo));
@@ -1148,31 +1192,72 @@ mod tests {
     fn decode_rejects_unordered_or_impossible_events() {
         let trace = busy_trace();
         let ckpt = SimulatorEngine::new(busy_config(), &trace, Box::new(TestFifo))
-            .checkpoint_at(SimTime::from_millis(100))
+            .checkpoint_at(SimTime::from_millis(300))
             .unwrap();
-        assert!(ckpt.events.len() >= 2, "the busy prefix leaves events pending");
-        assert!(ckpt.clock > SimTime::ZERO);
-        type Corrupt<'a> = &'a dyn Fn(&mut EngineCheckpoint);
-        let corruptions: [(&str, Corrupt); 4] = [
-            ("out of (time, seq) order", &|c| c.events.swap(0, 1)),
-            ("out of (time, seq) order", &|c| c.events[1] = c.events[0]),
-            ("not below", &|c| c.events.last_mut().unwrap().seq = c.next_seq),
-            ("before the clock", &|c| {
-                c.events[0].time = SimTime::from_millis(c.clock.as_millis() - 1)
+        let (events, next_seq, _) = ckpt.run.queue.snapshot();
+        let clock = ckpt.run.clock;
+        assert!(events.len() >= 2, "the busy prefix leaves events pending");
+        assert!(clock > SimTime::ZERO);
+        // job 0 runs, job 1 departed, and 6 jobs were admitted
+        let jobs = &ckpt.run.jobs;
+        assert!(jobs.get(JobId(0)).is_some_and(|s| s.active) && jobs.get(JobId(1)).is_none());
+        assert_eq!(ckpt.jobs_admitted(), 6);
+        let arrival = |e: &mut Vec<Event>, job: u32| {
+            e[0].kind = EventKind::JobArrival;
+            e[0].job = JobId(job);
+        };
+        let task = |e: &mut Vec<Event>, kind: EventKind, task: u32| {
+            let at = e.iter().position(|x| x.kind == kind).expect("an event of the kind");
+            e[at].task_index = task;
+        };
+        type Edit<'a> = &'a dyn Fn(&mut Vec<Event>);
+        let corruptions: [(&str, Edit); 10] = [
+            ("out of (time, seq) order", &|e| e.swap(0, 1)),
+            ("out of (time, seq) order", &|e| e[1] = e[0]),
+            ("not below", &|e| e.last_mut().unwrap().seq = next_seq),
+            ("before the clock", &|e| e[0].time = SimTime::from_millis(clock.as_millis() - 1)),
+            ("JobArrival event names job 9999 of 6 admitted", &|e| arrival(e, 9999)),
+            ("arrival of job 1, which is retired", &|e| arrival(e, 1)),
+            ("arrival of job 0, which is retired or already arrived", &|e| arrival(e, 0)),
+            ("MapTaskDeparture task 9999 is out of range", &|e| {
+                task(e, EventKind::MapTaskDeparture, 9999)
+            }),
+            ("ReduceTaskDeparture task 2 is out of range (bound 2)", &|e| {
+                task(e, EventKind::ReduceTaskDeparture, 2)
+            }),
+            ("SpeculationDue task 9999 is out of range", &|e| {
+                task(e, EventKind::SpeculationDue, 9999)
             }),
         ];
-        let bytes = ckpt.encode();
-        for (what, corrupt) in corruptions {
-            let mut bad = EngineCheckpoint::decode(&bytes).unwrap();
-            corrupt(&mut bad);
-            // encode signs the body, so only the event checks can object
-            match EngineCheckpoint::decode(&bad.encode()) {
-                Err(CkptError::Malformed(msg)) => {
-                    assert!(msg.contains(what), "{what}: unexpected message {msg:?}")
-                }
-                other => panic!("{what}: decoded to {:?}", other.map(|_| ())),
-            }
+        for (what, edit) in corruptions {
+            assert_malformed(what, &with_events(&ckpt, edit));
         }
+        // an event naming a retired job is stale, which a resume ignores
+        let stale = with_events(&ckpt, &|e| {
+            e[0].job = JobId(1);
+            e[0].task_index = 9999;
+        });
+        assert!(EngineCheckpoint::decode(&stale).is_ok());
+    }
+
+    /// The encoding of `ckpt` with its `(time, seq)`-ordered event list
+    /// rewritten in place by `edit`, re-signed, so only the checks behind
+    /// the checksum can object.
+    fn with_events(ckpt: &EngineCheckpoint, edit: &dyn Fn(&mut Vec<Event>)) -> Vec<u8> {
+        let encode = |events: &[Event]| {
+            let mut out = Vec::new();
+            events.iter().for_each(|e| put_event(&mut out, e));
+            out
+        };
+        let (mut events, _, _) = ckpt.run.queue.snapshot();
+        let old = encode(&events);
+        let mut bytes = ckpt.encode();
+        let at = (0..bytes.len() - old.len())
+            .find(|&i| bytes[i..i + old.len()] == old[..])
+            .expect("the event list is encoded");
+        edit(&mut events);
+        bytes[at..at + old.len()].copy_from_slice(&encode(&events));
+        resign(bytes)
     }
 
     #[test]

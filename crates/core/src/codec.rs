@@ -398,7 +398,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a `u32` count of items that are each at least `item_bytes`
-    /// long, checked with [`Self::fits`].
+    /// long, checked with `Reader::fits`.
     pub fn count(&mut self, item_bytes: usize) -> Result<usize, DecodeError> {
         let n = self.u32()? as usize;
         self.fits(n, item_bytes)

@@ -321,7 +321,7 @@ impl JobState {
 /// resolves to `None`, which is what makes stale in-flight events of
 /// departed jobs (duplicate departures, straggler timers, killed-attempt
 /// departures) cheap no-ops. Ids are never reused.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct JobTable {
     /// Live window; index `i` holds the state of `JobId(base + i)`.
     slots: VecDeque<Option<Box<JobState>>>,
@@ -351,7 +351,7 @@ impl JobTable {
         self.slots.get(job.index().checked_sub(self.base)?)?.as_deref()
     }
 
-    fn get_mut(&mut self, job: JobId) -> Option<&mut JobState> {
+    pub(crate) fn get_mut(&mut self, job: JobId) -> Option<&mut JobState> {
         self.slots.get_mut(job.index().checked_sub(self.base)?)?.as_deref_mut()
     }
 
@@ -398,6 +398,44 @@ const FAULT_STREAM: u64 = 1;
 const SLOWDOWN_STREAM: u64 = 2;
 const RECOVERY_STREAM: u64 = 3;
 
+/// The state of a run at a settled batch boundary: everything the event
+/// loop carries from one batch to the next, apart from the policy. A
+/// checkpoint is a copy of it plus the policy's snapshot blob, so a field
+/// added here is captured, resumed and checked with no other change; only
+/// the SIMMRCKP codec (`crate::checkpoint`) lists the fields again.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RunState {
+    /// Time of the most recently popped event — the engine clock. After a
+    /// settled batch this is the batch instant, which is what a checkpoint
+    /// records as its boundary.
+    pub(crate) clock: SimTime,
+    /// Set when an event changed the job queue (or policy state) since the
+    /// last completed scheduling pass; a clean queue makes `schedule` a
+    /// no-op.
+    pub(crate) jobq_dirty: bool,
+    /// Earliest outstanding `PolicyWakeup` timer, if any: arming is
+    /// deduplicated against it, and a popped timer that does not match is
+    /// stale (superseded by an earlier one) and ignored.
+    pub(crate) policy_wakeup_at: Option<SimTime>,
+    pub(crate) events_processed: u64,
+    pub(crate) makespan: SimTime,
+    pub(crate) queue: EventQueue,
+    pub(crate) jobs: JobTable,
+    /// The map slots and the reduce slots: free, running every job's
+    /// attempts, or lost to a failed host, each at its own speed.
+    pub(crate) maps: SlotPool,
+    pub(crate) reduces: SlotPool,
+    /// Hosts that are down; one flag per host of the cluster.
+    pub(crate) dead_hosts: Vec<bool>,
+    /// Planned host failures, derived from `config.faults` or installed
+    /// explicitly via [`SimulatorEngine::with_fault_plan`].
+    pub(crate) fault_plan: Vec<HostFailure>,
+    pub(crate) timeline: Vec<TimelineEntry>,
+    /// One entry per admitted job when the run collects results, filled
+    /// at departure; empty otherwise.
+    pub(crate) results: Vec<Option<JobResult>>,
+}
+
 /// The SimMR Simulator Engine.
 ///
 /// Replays a [`WorkloadTrace`] against a slot-based job-master model under a
@@ -419,41 +457,17 @@ pub struct SimulatorEngine<'a> {
     /// a policy is adopted: when false, `sync_entry` reports a mutation
     /// only if it flipped one of the flags the policy reads.
     policy_reads_counts: bool,
-    queue: EventQueue,
-    /// The map slots and the reduce slots: free, running every job's
-    /// attempts, or lost to a failed host, each at its own speed.
-    pub(crate) maps: SlotPool,
-    pub(crate) reduces: SlotPool,
-    /// Hosts that are down.
-    pub(crate) dead_hosts: Vec<bool>,
-    /// Planned host failures, derived from `config.faults` or installed
-    /// explicitly via [`Self::with_fault_plan`].
-    fault_plan: Vec<HostFailure>,
-    pub(crate) jobs: JobTable,
+    pub(crate) run: RunState,
     /// Persistent active-job view handed to the policy; kept in sync
-    /// incrementally by every state transition.
+    /// incrementally by every state transition, and rebuilt from the job
+    /// table on resume.
     pub(crate) jobq: JobQueue,
-    /// Set when an event changed `jobq` (or policy state) since the last
-    /// completed scheduling pass; a clean queue makes `schedule` a no-op.
-    pub(crate) jobq_dirty: bool,
     /// Scratch buffer for preemption victim lists, reused across rounds.
     victims: Vec<JobId>,
-    /// Earliest outstanding `PolicyWakeup` timer, if any: arming is
-    /// deduplicated against it, and a popped timer that does not match is
-    /// stale (superseded by an earlier one) and ignored.
-    policy_wakeup_at: Option<SimTime>,
-    /// Time of the most recently popped event — the engine clock. After a
-    /// settled batch this is the batch instant, which is what a checkpoint
-    /// records as its boundary.
-    clock: SimTime,
     /// Set once the initial events (arrivals, fault plan, recoveries) have
     /// been seeded; a resumed engine starts seeded (its event queue came
     /// from the checkpoint).
     seeded: bool,
-    events_processed: u64,
-    timeline: Vec<TimelineEntry>,
-    results: Vec<Option<JobResult>>,
-    makespan: SimTime,
     /// Opt-in runtime invariant checker (`None` on the production hot
     /// path). Boxed so a disabled engine pays one pointer of space and a
     /// predictable branch per event batch.
@@ -539,22 +553,16 @@ impl<'a> SimulatorEngine<'a> {
             last_pulled_arrival: SimTime::ZERO,
             policy_reads_counts: policy.reads_task_counts(),
             policy,
-            queue: EventQueue::new(),
-            maps: SlotPool::new(cluster.map_slots, map_slowdown),
-            reduces: SlotPool::new(cluster.reduce_slots, reduce_slowdown),
-            dead_hosts: vec![false; cluster.hosts],
-            fault_plan,
+            run: RunState {
+                maps: SlotPool::new(cluster.map_slots, map_slowdown),
+                reduces: SlotPool::new(cluster.reduce_slots, reduce_slowdown),
+                dead_hosts: vec![false; cluster.hosts],
+                fault_plan,
+                ..RunState::default()
+            },
             jobq: JobQueue::default(),
-            jobq_dirty: false,
             victims: Vec::new(),
-            policy_wakeup_at: None,
-            clock: SimTime::ZERO,
             seeded: false,
-            jobs: JobTable::default(),
-            events_processed: 0,
-            timeline: Vec::new(),
-            results: Vec::new(),
-            makespan: SimTime::ZERO,
             invariants: config.invariants_enabled().then(|| Box::new(InvariantState::new(&config))),
             #[cfg(any(test, debug_assertions))]
             snapshot_oracle: false,
@@ -565,13 +573,13 @@ impl<'a> SimulatorEngine<'a> {
     /// and what-if runs). Entries naming host 0, an unknown host, or an
     /// already-failed host are ignored at fire time.
     pub fn with_fault_plan(mut self, plan: Vec<HostFailure>) -> Self {
-        self.fault_plan = plan;
+        self.run.fault_plan = plan;
         self
     }
 
     /// The host failures this run will inject, in plan order.
     pub fn fault_plan(&self) -> &[HostFailure] {
-        &self.fault_plan
+        &self.run.fault_plan
     }
 
     /// Debug-only reference mode: rebuilds the job view from the engine's
@@ -623,11 +631,11 @@ impl<'a> SimulatorEngine<'a> {
     /// Adds a job to the table under the next id and queues its arrival.
     fn admit(&mut self, template: Arc<JobTemplate>, arrival: SimTime, deadline: Option<SimTime>) {
         let state = JobState::new(template, arrival, deadline, &self.config);
-        let id = self.jobs.push(Box::new(state));
+        let id = self.run.jobs.push(Box::new(state));
         if self.config.collect_job_results {
-            self.results.push(None);
+            self.run.results.push(None);
         }
-        self.queue.push(arrival, EventKind::JobArrival, id, 0);
+        self.run.queue.push(arrival, EventKind::JobArrival, id, 0);
     }
 
     /// Runs the simulation to completion, surfacing streaming-source
@@ -685,9 +693,9 @@ impl<'a> SimulatorEngine<'a> {
         }
         self.seeded = true;
         self.pull_next_arrival()?;
-        for i in 0..self.fault_plan.len() {
-            let f = self.fault_plan[i];
-            self.queue.push(f.at, EventKind::HostFailure, JobId(0), f.host.0);
+        for i in 0..self.run.fault_plan.len() {
+            let f = self.run.fault_plan[i];
+            self.run.queue.push(f.at, EventKind::HostFailure, JobId(0), f.host.0);
         }
         // One recovery per planned failure, after an exponential downtime
         // drawn from a dedicated stream: arming recovery never perturbs
@@ -695,10 +703,10 @@ impl<'a> SimulatorEngine<'a> {
         if let Some(rec) = self.config.recovery {
             let mut rng = SeededRng::new(rec.seed).fork(RECOVERY_STREAM);
             let downtime = Dist::Exponential { mean: rec.mean_ms.max(1) as f64 };
-            for i in 0..self.fault_plan.len() {
-                let f = self.fault_plan[i];
+            for i in 0..self.run.fault_plan.len() {
+                let f = self.run.fault_plan[i];
                 let delay = (downtime.sample(&mut rng).round() as u64).max(1);
-                self.queue.push(f.at + delay, EventKind::HostRecovery, JobId(0), f.host.0);
+                self.run.queue.push(f.at + delay, EventKind::HostRecovery, JobId(0), f.host.0);
             }
         }
         Ok(())
@@ -711,24 +719,24 @@ impl<'a> SimulatorEngine<'a> {
     fn run_loop(&mut self, stop_after: Option<SimTime>) -> Result<(), SourceError> {
         loop {
             if let Some(stop) = stop_after {
-                match self.queue.next_time() {
+                match self.run.queue.next_time() {
                     Some(next) if next <= stop => {}
                     _ => break,
                 }
             }
-            let Some(event) = self.queue.pop() else {
+            let Some(event) = self.run.queue.pop() else {
                 break;
             };
-            self.events_processed += 1;
+            self.run.events_processed += 1;
             // Makespan tracks job completions only: stale events (a killed
             // attempt's in-flight departure, a lost speculation race, a
             // late fault or straggler timer) may pop after the last job
             // has departed.
             if event.kind == EventKind::JobDeparture {
-                self.makespan = event.time;
+                self.run.makespan = event.time;
             }
             let now = event.time;
-            self.clock = now;
+            self.run.clock = now;
             let job = event.job;
             if let Some(inv) = self.invariants.as_deref_mut() {
                 inv.on_event(now);
@@ -760,7 +768,7 @@ impl<'a> SimulatorEngine<'a> {
             // (simultaneous arrivals, departures, AllMapsFinished) has been
             // applied — the job master sees a consistent queue state, and
             // EDF-style policies observe all jobs submitted at that instant.
-            if self.queue.next_time() == Some(now) {
+            if self.run.queue.next_time() == Some(now) {
                 continue;
             }
             // Fixpoint at `now`: launches may complete instantly
@@ -768,17 +776,17 @@ impl<'a> SimulatorEngine<'a> {
             // further launches, so re-run until the instant is quiescent.
             loop {
                 let launched = self.schedule(now);
-                self.events_processed += launched;
+                self.run.events_processed += launched;
                 if let Some(inv) = self.invariants.as_deref_mut() {
                     inv.note_launches(launched);
                 }
-                if launched == 0 || self.queue.next_time() == Some(now) {
+                if launched == 0 || self.run.queue.next_time() == Some(now) {
                     break;
                 }
             }
             // The instant is quiescent (no further same-time events):
             // every engine invariant must hold on the settled state.
-            if self.invariants.is_some() && self.queue.next_time() != Some(now) {
+            if self.invariants.is_some() && self.run.queue.next_time() != Some(now) {
                 let mut inv = self.invariants.take().expect("checked is_some");
                 inv.check_batch(self, now);
                 self.invariants = Some(inv);
@@ -792,7 +800,8 @@ impl<'a> SimulatorEngine<'a> {
     fn finish(mut self) -> SimulationReport {
         let invariants = self.invariants.take();
         let jobs = if self.config.collect_job_results {
-            self.results
+            self.run
+                .results
                 .into_iter()
                 .enumerate()
                 .map(|(i, r)| r.unwrap_or_else(|| panic!("job {i} never departed")))
@@ -802,12 +811,12 @@ impl<'a> SimulatorEngine<'a> {
         };
         let report = SimulationReport {
             jobs,
-            makespan: self.makespan,
-            events_processed: self.events_processed,
-            timeline: self.timeline,
+            makespan: self.run.makespan,
+            events_processed: self.run.events_processed,
+            timeline: self.run.timeline,
         };
         if let Some(inv) = invariants {
-            inv.check_report(&report, &self.maps, &self.reduces);
+            inv.check_report(&report, &self.run.maps, &self.run.reduces);
         }
         report
     }
@@ -819,7 +828,7 @@ impl<'a> SimulatorEngine<'a> {
     /// exempt: they happen *inside* a pass, which re-consults the policy to
     /// a fixpoint before the flag matters again.
     fn note_mutation(&mut self, site: &'static str) {
-        let dirty = self.jobq_dirty;
+        let dirty = self.run.jobq_dirty;
         if let Some(inv) = self.invariants.as_deref_mut() {
             inv.mutation_covered(dirty, site);
         }
@@ -827,16 +836,60 @@ impl<'a> SimulatorEngine<'a> {
 
     /// Appends a timeline bar, running it through the online per-slot
     /// disjointness check when invariants are enabled.
-    fn record_bar(&mut self, bar: TimelineEntry) {
+    fn record_bar(
+        &mut self,
+        job: JobId,
+        phase: TimelinePhase,
+        slot: u32,
+        start: SimTime,
+        end: SimTime,
+    ) {
+        let bar = TimelineEntry { job, phase, slot, start, end };
         if let Some(inv) = self.invariants.as_deref_mut() {
             inv.check_bar(&bar);
         }
-        self.timeline.push(bar);
+        self.run.timeline.push(bar);
+    }
+
+    /// Records the bar of map attempt `a`, which left `slot` at `now`, if
+    /// the run records a timeline. Map bars are recorded when the attempt
+    /// leaves its slot (departure or kill), not at launch: a killed
+    /// attempt shows its true truncated extent, never a full-duration
+    /// phantom bar overlapping the slot's next occupant.
+    fn record_map_bar(&mut self, job: JobId, slot: u32, a: &Attempt, now: SimTime) {
+        if self.config.record_timeline {
+            self.record_bar(job, TimelinePhase::Map, slot, a.start, now);
+        }
+    }
+
+    /// Records the bars of reduce attempt `a`, which left `slot` at `now`,
+    /// if the run records a timeline: its shuffle, then its reduce phase
+    /// from the shuffle's end. An attempt `killed` before its shuffle
+    /// ended (a first-wave filler's end is infinite), or at that instant,
+    /// records its shuffle alone, cut at `now`; a departing attempt
+    /// records both, the reduce bar empty if the phase took no time.
+    fn record_reduce_bars(
+        &mut self,
+        job: JobId,
+        slot: u32,
+        a: &Attempt,
+        now: SimTime,
+        killed: bool,
+    ) {
+        if !self.config.record_timeline {
+            return;
+        }
+        if killed && a.shuffle_end >= now {
+            self.record_bar(job, TimelinePhase::Shuffle, slot, a.start, now);
+        } else {
+            self.record_bar(job, TimelinePhase::Shuffle, slot, a.start, a.shuffle_end);
+            self.record_bar(job, TimelinePhase::Reduce, slot, a.shuffle_end, now);
+        }
     }
 
     /// The policy-visible entry equivalent to a job's current state.
     pub(crate) fn entry_of(&self, job: JobId) -> JobEntry {
-        let s = self.jobs.get(job).expect("entry_of on a retired job");
+        let s = self.run.jobs.get(job).expect("entry_of on a retired job");
         let mut e = JobEntry {
             id: job,
             arrival: s.arrival,
@@ -862,7 +915,7 @@ impl<'a> SimulatorEngine<'a> {
     /// the policy reads the new entry there. A policy that does not read
     /// task counts hears only of mutations that flip one of its flags.
     fn sync_entry(&mut self, job: JobId) {
-        let state = self.jobs.get(job).expect("sync_entry on a retired job");
+        let state = self.run.jobs.get(job).expect("sync_entry on a retired job");
         let Some(entry) = self.jobq.get_mut(job) else {
             panic!("job {job} is not in the job queue");
         };
@@ -874,13 +927,13 @@ impl<'a> SimulatorEngine<'a> {
     }
 
     fn on_job_arrival(&mut self, job: JobId, _now: SimTime) {
-        let state = self.jobs.get_mut(job).expect("arrival of a retired job");
+        let state = self.run.jobs.get_mut(job).expect("arrival of a retired job");
         state.active = true;
         let template = Arc::clone(&state.template);
         let relative_deadline = state.deadline.map(|d| d.since(state.arrival));
         let entry = self.entry_of(job);
         self.jobq.insert(entry);
-        self.jobq_dirty = true;
+        self.run.jobq_dirty = true;
         self.policy.on_job_arrival(job, &template, relative_deadline, self.config.cluster);
         // after on_job_arrival so routing-table state (pool assignment)
         // exists before the entry's counters are credited
@@ -889,24 +942,24 @@ impl<'a> SimulatorEngine<'a> {
     }
 
     fn on_map_departure(&mut self, job: JobId, task_index: u32, attempt: u32, now: SimTime) {
-        let Some(state) = self.jobs.get_mut(job) else {
+        let Some(state) = self.run.jobs.get_mut(job) else {
             // the job already departed and was retired; the attempt this
             // event named was accounted for then
             return;
         };
-        let Some(slot) = self.maps.running.find(&state.maps, task_index, attempt) else {
+        let Some(slot) = self.run.maps.running.find(&state.maps, task_index, attempt) else {
             // stale departure from a killed attempt (preemption, host
             // failure, or a lost speculation race): its slot was already
             // handled at kill time, and nothing observable changed
             return;
         };
-        let winner = self.maps.running.vacate(&mut state.maps, slot);
+        let winner = self.run.maps.running.vacate(&mut state.maps, slot);
         let task = &mut state.maps.recs[task_index as usize];
         debug_assert!(!task.done(), "live attempt of an already-done map");
         task.set_done(true);
         task.set_output_slot(slot);
         state.maps_completed += 1;
-        self.maps.free.push(slot);
+        self.run.maps.free.push(slot);
         // First finisher wins: kill the losing duplicate attempts and
         // cancel a not-yet-launched duplicate. Only a speculated task can
         // have either.
@@ -915,28 +968,21 @@ impl<'a> SimulatorEngine<'a> {
             if let Some(p) = state.spec_pending.iter().position(|&x| x == task_index) {
                 state.spec_pending.remove(p);
             }
-            let free = &mut self.maps.free;
-            self.maps.running.vacate_task(&mut state.maps, task_index, |s, a| {
+            let free = &mut self.run.maps.free;
+            self.run.maps.running.vacate_task(&mut state.maps, task_index, |s, a| {
                 free.push(s);
                 losers.push((s, a));
             });
         }
         let all_done = state.maps_completed == state.maps_total;
         self.sync_entry(job);
-        self.jobq_dirty = true;
-        // Map bars are recorded at *departure* (not launch): a killed
-        // attempt must not leave a full-duration phantom bar overlapping
-        // the slot's next occupant.
-        if self.config.record_timeline {
-            let (start, end) = (winner.start, now);
-            self.record_bar(TimelineEntry { job, phase: TimelinePhase::Map, slot, start, end });
-            for (slot, l) in losers {
-                let start = l.start;
-                self.record_bar(TimelineEntry { job, phase: TimelinePhase::Map, slot, start, end });
-            }
+        self.run.jobq_dirty = true;
+        self.record_map_bar(job, slot, &winner, now);
+        for (slot, loser) in losers {
+            self.record_map_bar(job, slot, &loser, now);
         }
         if all_done {
-            self.queue.push(now, EventKind::AllMapsFinished, job, 0);
+            self.run.queue.push(now, EventKind::AllMapsFinished, job, 0);
         }
         self.note_mutation("on_map_departure");
     }
@@ -948,7 +994,7 @@ impl<'a> SimulatorEngine<'a> {
     /// or pending, in which case the survivor covers it. Returns false when
     /// the job had no running map.
     fn preempt_map(&mut self, job: JobId, now: SimTime) -> bool {
-        let Some(state) = self.jobs.get_mut(job) else {
+        let Some(state) = self.run.jobs.get_mut(job) else {
             return false;
         };
         let Some(slot) = state.maps.newest_slot() else {
@@ -956,27 +1002,17 @@ impl<'a> SimulatorEngine<'a> {
         };
         // The in-flight departure of (task, attempt) is now stale: the
         // pair no longer runs and attempts are never reused.
-        let victim = self.maps.running.vacate(&mut state.maps, slot);
+        let victim = self.run.maps.running.vacate(&mut state.maps, slot);
         if state.maps.recs[victim.task as usize].newest == NONE {
             state.requeue_killed_map(victim.task);
         }
-        self.maps.free.push(slot);
+        self.run.maps.free.push(slot);
         self.sync_entry(job);
         // The kill changed the policy-visible queue and freed a slot: the
         // next scheduling pass must not no-op behind a clean flag (a pass
         // that kills without relaunching would otherwise end that way).
-        self.jobq_dirty = true;
-        // The killed attempt's bar is truncated at the kill instant, so
-        // the slot's next occupant never overlaps it.
-        if self.config.record_timeline {
-            self.record_bar(TimelineEntry {
-                job,
-                phase: TimelinePhase::Map,
-                slot,
-                start: victim.start,
-                end: now,
-            });
-        }
+        self.run.jobq_dirty = true;
+        self.record_map_bar(job, slot, &victim, now);
         self.note_mutation("preempt_map");
         true
     }
@@ -987,7 +1023,7 @@ impl<'a> SimulatorEngine<'a> {
         // AllMapsFinished later: only the first event of a truly closed
         // stage resolves the fillers.
         {
-            let Some(state) = self.jobs.get_mut(job) else {
+            let Some(state) = self.run.jobs.get_mut(job) else {
                 return;
             };
             if state.maps_completed != state.maps_total || state.maps_finished.is_some() {
@@ -1000,10 +1036,10 @@ impl<'a> SimulatorEngine<'a> {
         // launch order. Resolving fillers changes neither the job queue
         // nor the free slots, so this handler leaves the dirty flag
         // untouched.
-        let state = self.jobs.get_mut(job).expect("state fetched above");
+        let state = self.run.jobs.get_mut(job).expect("state fetched above");
         let template = &state.template;
-        let slowdown = &self.reduces.slowdown;
-        self.reduces.running.for_each_mut(&state.reduces, |slot, r| {
+        let slowdown = &self.run.reduces.slowdown;
+        self.run.reduces.running.for_each_mut(&state.reduces, |slot, r| {
             if !r.shuffle_end.is_infinite() {
                 // later-wave reduce already fully scheduled at launch
                 return;
@@ -1012,55 +1048,46 @@ impl<'a> SimulatorEngine<'a> {
             let reduce = slots::scaled(slowdown, slot, template.reduce_duration(r.task as usize));
             r.shuffle_end = now + slots::scaled(slowdown, slot, shuffle);
             let finish = r.shuffle_end + reduce;
-            self.queue.push_attempt(finish, EventKind::ReduceTaskDeparture, job, r.task, r.attempt);
+            self.run.queue.push_attempt(
+                finish,
+                EventKind::ReduceTaskDeparture,
+                job,
+                r.task,
+                r.attempt,
+            );
             // No bars yet: reduce bars are recorded at departure (or kill)
             // so a host failure can truncate them at the true extent.
         });
         if state.reduces_total == 0 {
-            self.queue.push(now, EventKind::JobDeparture, job, 0);
+            self.run.queue.push(now, EventKind::JobDeparture, job, 0);
         }
     }
 
     fn on_reduce_departure(&mut self, job: JobId, task_index: u32, attempt: u32, now: SimTime) {
-        let Some(state) = self.jobs.get_mut(job) else {
+        let Some(state) = self.run.jobs.get_mut(job) else {
             // the job already departed and was retired
             return;
         };
-        let Some(slot) = self.reduces.running.find(&state.reduces, task_index, attempt) else {
+        let Some(slot) = self.run.reduces.running.find(&state.reduces, task_index, attempt) else {
             // stale departure from an attempt killed by a host failure
             return;
         };
-        let done = self.reduces.running.vacate(&mut state.reduces, slot);
+        let done = self.run.reduces.running.vacate(&mut state.reduces, slot);
         state.reduces_completed += 1;
         let job_done = state.reduces_completed == state.reduces_total
             && state.maps_completed == state.maps_total;
-        self.reduces.free.push(slot);
+        self.run.reduces.free.push(slot);
         self.sync_entry(job);
-        self.jobq_dirty = true;
-        if self.config.record_timeline {
-            self.record_bar(TimelineEntry {
-                job,
-                phase: TimelinePhase::Shuffle,
-                slot,
-                start: done.start,
-                end: done.shuffle_end,
-            });
-            self.record_bar(TimelineEntry {
-                job,
-                phase: TimelinePhase::Reduce,
-                slot,
-                start: done.shuffle_end,
-                end: now,
-            });
-        }
+        self.run.jobq_dirty = true;
+        self.record_reduce_bars(job, slot, &done, now, false);
         if job_done {
-            self.queue.push(now, EventKind::JobDeparture, job, 0);
+            self.run.queue.push(now, EventKind::JobDeparture, job, 0);
         }
         self.note_mutation("on_reduce_departure");
     }
 
     fn on_job_departure(&mut self, job: JobId, now: SimTime) {
-        let Some(state) = self.jobs.get_mut(job) else {
+        let Some(state) = self.run.jobs.get_mut(job) else {
             // duplicate departure of an already-retired job
             return;
         };
@@ -1070,10 +1097,10 @@ impl<'a> SimulatorEngine<'a> {
             // policy needs to release the entry's counter contribution
             self.policy.on_job_dequeued(&removed);
         }
-        self.jobq_dirty = true;
+        self.run.jobq_dirty = true;
         if self.config.collect_job_results {
-            let state = self.jobs.get(job).expect("state fetched above");
-            self.results[job.index()] = Some(JobResult {
+            let state = self.run.jobs.get(job).expect("state fetched above");
+            self.run.results[job.index()] = Some(JobResult {
                 job,
                 name: state.template.name.clone(),
                 arrival: state.arrival,
@@ -1088,7 +1115,7 @@ impl<'a> SimulatorEngine<'a> {
         // Retire the state: later in-flight events naming this job (stale
         // attempt departures, straggler timers) resolve to `None` and
         // no-op, and the table's window compacts past it.
-        self.jobs.retire(job);
+        self.run.jobs.retire(job);
         self.policy.on_job_departure(job);
         self.note_mutation("on_job_departure");
     }
@@ -1107,17 +1134,17 @@ impl<'a> SimulatorEngine<'a> {
     /// This also shields against out-of-range hosts in a user fault plan.
     fn on_host_failure(&mut self, host: u32, now: SimTime) {
         let hosts = self.config.cluster.hosts;
-        if host == 0 || host as usize >= hosts || self.dead_hosts[host as usize] {
+        if host == 0 || host as usize >= hosts || self.run.dead_hosts[host as usize] {
             return;
         }
-        self.dead_hosts[host as usize] = true;
-        self.maps.fail_host(host as usize, hosts);
-        self.reduces.fail_host(host as usize, hosts);
+        self.run.dead_hosts[host as usize] = true;
+        self.run.maps.fail_host(host as usize, hosts);
+        self.run.reduces.fail_host(host as usize, hosts);
 
-        let (lo, hi) = self.jobs.id_range();
+        let (lo, hi) = self.run.jobs.id_range();
         for j in lo..hi {
             let job = JobId(j as u32);
-            let Some(state) = self.jobs.get_mut(job) else {
+            let Some(state) = self.run.jobs.get_mut(job) else {
                 continue;
             };
             if !state.active {
@@ -1130,9 +1157,9 @@ impl<'a> SimulatorEngine<'a> {
             // order; the survivors keep theirs for the preemption victim
             // choice. A task whose last live attempt died is requeued in
             // kill order once the walk is done.
-            let dead_maps = &self.maps.dead;
+            let dead_maps = &self.run.maps.dead;
             let mut orphaned: Vec<u32> = Vec::new();
-            self.maps.running.vacate_where(
+            self.run.maps.running.vacate_where(
                 &mut state.maps,
                 |slot| dead_maps[slot as usize],
                 |slot, victim, survivor| {
@@ -1162,9 +1189,9 @@ impl<'a> SimulatorEngine<'a> {
                 }
             }
             // kill running reduce attempts placed on the dead host
-            let dead_reduces = &self.reduces.dead;
+            let dead_reduces = &self.run.reduces.dead;
             let requeued = &mut state.requeued_reduces;
-            self.reduces.running.vacate_where(
+            self.run.reduces.running.vacate_where(
                 &mut state.reduces,
                 |slot| dead_reduces[slot as usize],
                 |slot, victim, _| {
@@ -1176,46 +1203,14 @@ impl<'a> SimulatorEngine<'a> {
                 continue;
             }
             self.sync_entry(job);
-            if self.config.record_timeline {
-                for (slot, m) in map_bars {
-                    self.record_bar(TimelineEntry {
-                        job,
-                        phase: TimelinePhase::Map,
-                        slot,
-                        start: m.start,
-                        end: now,
-                    });
-                }
-                for (slot, r) in reduce_bars {
-                    if r.shuffle_end >= now {
-                        // killed mid-shuffle (fillers have infinite ends)
-                        self.record_bar(TimelineEntry {
-                            job,
-                            phase: TimelinePhase::Shuffle,
-                            slot,
-                            start: r.start,
-                            end: now,
-                        });
-                    } else {
-                        self.record_bar(TimelineEntry {
-                            job,
-                            phase: TimelinePhase::Shuffle,
-                            slot,
-                            start: r.start,
-                            end: r.shuffle_end,
-                        });
-                        self.record_bar(TimelineEntry {
-                            job,
-                            phase: TimelinePhase::Reduce,
-                            slot,
-                            start: r.shuffle_end,
-                            end: now,
-                        });
-                    }
-                }
+            for (slot, m) in map_bars {
+                self.record_map_bar(job, slot, &m, now);
+            }
+            for (slot, r) in reduce_bars {
+                self.record_reduce_bars(job, slot, &r, now, true);
             }
         }
-        self.jobq_dirty = true;
+        self.run.jobq_dirty = true;
         self.note_mutation("on_host_failure");
     }
 
@@ -1227,13 +1222,13 @@ impl<'a> SimulatorEngine<'a> {
     /// entry names it.
     fn on_host_recovery(&mut self, host: u32) {
         let hosts = self.config.cluster.hosts;
-        if host == 0 || host as usize >= hosts || !self.dead_hosts[host as usize] {
+        if host == 0 || host as usize >= hosts || !self.run.dead_hosts[host as usize] {
             return;
         }
-        self.dead_hosts[host as usize] = false;
-        self.maps.recover_host(host as usize, hosts);
-        self.reduces.recover_host(host as usize, hosts);
-        self.jobq_dirty = true;
+        self.run.dead_hosts[host as usize] = false;
+        self.run.maps.recover_host(host as usize, hosts);
+        self.run.reduces.recover_host(host as usize, hosts);
+        self.run.jobq_dirty = true;
         self.note_mutation("on_host_recovery");
     }
 
@@ -1243,11 +1238,11 @@ impl<'a> SimulatorEngine<'a> {
     /// next queue event. A timer that was superseded by an earlier one is
     /// stale and ignored.
     fn on_policy_wakeup(&mut self, now: SimTime) {
-        if self.policy_wakeup_at != Some(now) {
+        if self.run.policy_wakeup_at != Some(now) {
             return;
         }
-        self.policy_wakeup_at = None;
-        self.jobq_dirty = true;
+        self.run.policy_wakeup_at = None;
+        self.run.jobq_dirty = true;
         self.note_mutation("on_policy_wakeup");
     }
 
@@ -1256,7 +1251,7 @@ impl<'a> SimulatorEngine<'a> {
     /// event is stale (ignored) when the attempt already finished or was
     /// killed; a task is speculated at most once per primary attempt.
     fn on_speculation_due(&mut self, job: JobId, task_index: u32, attempt: u32) {
-        let Some(state) = self.jobs.get_mut(job) else {
+        let Some(state) = self.run.jobs.get_mut(job) else {
             // the job departed (and was retired) before its timer fired
             return;
         };
@@ -1264,13 +1259,13 @@ impl<'a> SimulatorEngine<'a> {
         if task.done() || task.speculated() {
             return;
         }
-        if self.maps.running.find(&state.maps, task_index, attempt).is_none() {
+        if self.run.maps.running.find(&state.maps, task_index, attempt).is_none() {
             return;
         }
         state.maps.recs[task_index as usize].set_speculated(true);
         state.spec_pending.push(task_index);
         self.sync_entry(job);
-        self.jobq_dirty = true;
+        self.run.jobq_dirty = true;
         self.note_mutation("on_speculation_due");
     }
 
@@ -1280,8 +1275,13 @@ impl<'a> SimulatorEngine<'a> {
     /// differential tests exercise the exact rebuild `resume_materialized`
     /// relies on.
     fn rebuild_jobq(&mut self) {
-        let mut entries: Vec<crate::JobEntry> =
-            self.jobs.iter().filter(|(_, s)| s.active).map(|(id, _)| self.entry_of(id)).collect();
+        let mut entries: Vec<crate::JobEntry> = self
+            .run
+            .jobs
+            .iter()
+            .filter(|(_, s)| s.active)
+            .map(|(id, _)| self.entry_of(id))
+            .collect();
         entries.sort_by_key(|e| (e.arrival, e.id));
         self.jobq.clear();
         for entry in entries {
@@ -1297,12 +1297,12 @@ impl<'a> SimulatorEngine<'a> {
         #[cfg(any(test, debug_assertions))]
         if self.snapshot_oracle {
             self.rebuild_jobq();
-            self.jobq_dirty = true;
+            self.run.jobq_dirty = true;
         }
-        if !self.jobq_dirty {
+        if !self.run.jobq_dirty {
             return 0;
         }
-        self.jobq_dirty = false;
+        self.run.jobq_dirty = false;
         // NOTE: no free-slot early return here. A fully busy cluster must
         // still reach the preemption rounds below — bailing out when no
         // slot of either kind is free silently disabled `map_preemptions`
@@ -1315,35 +1315,34 @@ impl<'a> SimulatorEngine<'a> {
             return 0;
         }
         let mut launched = 0u64;
-
-        while !self.maps.free.is_empty() {
-            let Some(id) = self.policy.choose_next_map_task(&self.jobq) else {
-                break;
-            };
-            let Some(entry) = self.jobq.get(id) else {
-                debug_assert!(false, "policy chose unknown job {id}");
-                break;
-            };
-            if !entry.has_schedulable_map() {
-                debug_assert!(false, "policy chose job {id} without pending maps");
+        // Map launches, then preemption rounds: when the map slots are
+        // exhausted, the policy may name victim jobs whose most recent map
+        // task is killed and requeued, freeing slots for more urgent work,
+        // which the next launch pass fills. Bounded by the cluster size so
+        // a misbehaving policy cannot loop forever.
+        let mut rounds = self.config.cluster.map_slots;
+        loop {
+            while !self.run.maps.free.is_empty() {
+                let Some(id) = self.policy.choose_next_map_task(&self.jobq) else {
+                    break;
+                };
+                let Some(entry) = self.jobq.get(id) else {
+                    debug_assert!(false, "policy chose unknown job {id}");
+                    break;
+                };
+                if !entry.has_schedulable_map() {
+                    debug_assert!(false, "policy chose job {id} without pending maps");
+                    break;
+                }
+                self.launch_map(id, now);
+                launched += 1;
+            }
+            if !self.run.maps.free.is_empty() || rounds == 0 {
                 break;
             }
-            self.launch_map(id, now);
-            launched += 1;
-        }
-
-        // Preemption rounds: when the map slots are exhausted, the policy
-        // may name victim jobs whose most recent map task is killed and
-        // requeued, freeing slots for more urgent work. Bounded by the
-        // cluster size so a misbehaving policy cannot loop forever.
-        let mut rounds = self.config.cluster.map_slots;
-        while self.maps.free.is_empty() && rounds > 0 {
             rounds -= 1;
             self.victims.clear();
             self.policy.map_preemptions(&self.jobq, &mut self.victims);
-            if self.victims.is_empty() {
-                break;
-            }
             let mut any = false;
             for i in 0..self.victims.len() {
                 let victim = self.victims[i];
@@ -1354,22 +1353,9 @@ impl<'a> SimulatorEngine<'a> {
             if !any {
                 break;
             }
-            while !self.maps.free.is_empty() {
-                let Some(id) = self.policy.choose_next_map_task(&self.jobq) else {
-                    break;
-                };
-                let Some(entry) = self.jobq.get(id) else {
-                    break;
-                };
-                if !entry.has_schedulable_map() {
-                    break;
-                }
-                self.launch_map(id, now);
-                launched += 1;
-            }
         }
 
-        while !self.reduces.free.is_empty() {
+        while !self.run.reduces.free.is_empty() {
             let Some(id) = self.policy.choose_next_reduce_task(&self.jobq) else {
                 break;
             };
@@ -1395,16 +1381,16 @@ impl<'a> SimulatorEngine<'a> {
     /// later deadline is re-armed then).
     fn consult_wakeup(&mut self, now: SimTime) {
         if let Some(at) = self.policy.next_wakeup(&self.jobq) {
-            if at > now && !at.is_infinite() && self.policy_wakeup_at.is_none_or(|p| at < p) {
-                self.policy_wakeup_at = Some(at);
-                self.queue.push(at, EventKind::PolicyWakeup, JobId(0), 0);
+            if at > now && !at.is_infinite() && self.run.policy_wakeup_at.is_none_or(|p| at < p) {
+                self.run.policy_wakeup_at = Some(at);
+                self.run.queue.push(at, EventKind::PolicyWakeup, JobId(0), 0);
             }
         }
     }
 
     fn launch_map(&mut self, job: JobId, now: SimTime) {
-        let slot = self.maps.free.pop().expect("launch_map called with no free map slot");
-        let state = self.jobs.get_mut(job).expect("launch_map on a retired job");
+        let slot = self.run.maps.free.pop().expect("launch_map called with no free map slot");
+        let state = self.run.jobs.get_mut(job).expect("launch_map on a retired job");
         // Requeued tasks (kills, failure reruns) go first, then fresh tasks,
         // then speculative duplicates of running stragglers.
         let (idx, primary) = if let Some(idx) = state.requeued_maps.pop() {
@@ -1424,18 +1410,18 @@ impl<'a> SimulatorEngine<'a> {
         task.launches += 1;
         let (attempt, already_speculated) = (task.launches, task.speculated());
         let a = Attempt::new(job, idx, attempt, now, SimTime::INFINITY);
-        self.maps.running.launch(&mut state.maps, slot, a);
+        self.run.maps.running.launch(&mut state.maps, slot, a);
         state.first_map_start.get_or_insert(now);
         let spec_threshold = state.spec_threshold;
         let base = state.template.map_duration(idx as usize);
         self.sync_entry(job);
-        let duration = self.maps.scaled(slot, base);
-        self.queue.push_attempt(now + duration, EventKind::MapTaskDeparture, job, idx, attempt);
+        let duration = self.run.maps.scaled(slot, base);
+        self.run.queue.push_attempt(now + duration, EventKind::MapTaskDeparture, job, idx, attempt);
         // Arm the straggler timer only for primary attempts that will
         // actually outlive the threshold (the common fast case never
         // allocates a timer event).
         if primary && spec_threshold > 0 && duration > spec_threshold && !already_speculated {
-            self.queue.push_attempt(
+            self.run.queue.push_attempt(
                 now + spec_threshold,
                 EventKind::SpeculationDue,
                 job,
@@ -1449,8 +1435,9 @@ impl<'a> SimulatorEngine<'a> {
     }
 
     fn launch_reduce(&mut self, job: JobId, now: SimTime) {
-        let slot = self.reduces.free.pop().expect("launch_reduce called with no free reduce slot");
-        let state = self.jobs.get_mut(job).expect("launch_reduce on a retired job");
+        let slot =
+            self.run.reduces.free.pop().expect("launch_reduce called with no free reduce slot");
+        let state = self.run.jobs.get_mut(job).expect("launch_reduce on a retired job");
         let maps_done = state.maps_finished.is_some();
         let idx = state.requeued_reduces.pop().unwrap_or_else(|| {
             let fresh = state.fresh_reduces as u32;
@@ -1463,9 +1450,10 @@ impl<'a> SimulatorEngine<'a> {
         let shuffle_end = if maps_done {
             // later-wave reduce: typical shuffle + reduce phase
             let shuffle = state.template.typical_shuffle_duration(idx as usize);
-            let reduce = self.reduces.scaled(slot, state.template.reduce_duration(idx as usize));
-            let shuffle_end = now + self.reduces.scaled(slot, shuffle);
-            self.queue.push_attempt(
+            let reduce =
+                self.run.reduces.scaled(slot, state.template.reduce_duration(idx as usize));
+            let shuffle_end = now + self.run.reduces.scaled(slot, shuffle);
+            self.run.queue.push_attempt(
                 shuffle_end + reduce,
                 EventKind::ReduceTaskDeparture,
                 job,
@@ -1479,41 +1467,24 @@ impl<'a> SimulatorEngine<'a> {
             SimTime::INFINITY
         };
         let a = Attempt::new(job, idx, attempt, now, shuffle_end);
-        self.reduces.running.launch(&mut state.reduces, slot, a);
+        self.run.reduces.running.launch(&mut state.reduces, slot, a);
         // after the launch: the entry's running count is the job's
         self.sync_entry(job);
         // No timeline bars yet: reduce bars are recorded at departure (or
         // kill) so a host failure can truncate them at the true extent.
     }
 
-    /// Snapshots the engine's full deterministic state at the current
-    /// settled boundary. `at` records the *requested* checkpoint instant;
-    /// the actual boundary is `clock` (the last settled batch at or
-    /// before `at`).
-    fn capture(&self, at: SimTime) -> crate::EngineCheckpoint {
-        let (events, next_seq, pushed) = self.queue.snapshot();
+    /// Turns the engine, stopped at a settled boundary, into a checkpoint:
+    /// its run state and the policy's snapshot. `at` records the
+    /// *requested* checkpoint instant; the actual boundary is the clock
+    /// (the last settled batch at or before `at`).
+    fn capture(self, at: SimTime) -> crate::EngineCheckpoint {
         crate::EngineCheckpoint {
             at,
-            clock: self.clock,
-            hosts: self.config.cluster.hosts,
             collected: self.config.collect_job_results,
-            jobq_dirty: self.jobq_dirty,
-            events,
-            next_seq,
-            pushed,
-            jobs_base: self.jobs.id_range().0,
-            jobs: self.jobs.raw_slots().map(|s| s.cloned()).collect(),
-            maps: self.maps.clone(),
-            reduces: self.reduces.clone(),
-            dead_hosts: self.dead_hosts.clone(),
-            fault_plan: self.fault_plan.clone(),
-            policy_wakeup_at: self.policy_wakeup_at,
-            events_processed: self.events_processed,
-            makespan: self.makespan,
-            timeline: self.timeline.clone(),
-            results: self.results.clone(),
             policy_name: self.policy.name().to_string(),
             policy_blob: self.policy.snapshot(),
+            run: self.run,
         }
     }
 
@@ -1535,7 +1506,7 @@ impl<'a> SimulatorEngine<'a> {
     ) -> Result<Self, crate::CkptError> {
         use crate::CkptError;
         let c = config.cluster;
-        let shape = (ckpt.maps.len(), ckpt.reduces.len(), ckpt.hosts);
+        let shape = (ckpt.run.maps.len(), ckpt.run.reduces.len(), ckpt.run.dead_hosts.len());
         if (c.map_slots, c.reduce_slots, c.hosts) != shape {
             return Err(CkptError::Mismatch(format!(
                 "checkpoint cluster is {}m/{}r slots on {} hosts, resume config says {}m/{}r on {}",
@@ -1556,11 +1527,6 @@ impl<'a> SimulatorEngine<'a> {
                 if config.collect_job_results { "collects" } else { "does not collect" }
             )));
         }
-        let jobs = JobTable::from_parts(
-            ckpt.jobs_base,
-            ckpt.jobs.iter().map(|s| s.clone().map(Box::new)).collect(),
-        );
-        let boundary = (ckpt.events_processed > 0).then_some(ckpt.clock);
         let mut engine = SimulatorEngine {
             config,
             source: None,
@@ -1568,34 +1534,17 @@ impl<'a> SimulatorEngine<'a> {
             // set by `adopt_policy` below
             policy_reads_counts: true,
             policy,
-            queue: EventQueue::from_snapshot(ckpt.events.clone(), ckpt.next_seq, ckpt.pushed),
-            maps: ckpt.maps.clone(),
-            reduces: ckpt.reduces.clone(),
-            dead_hosts: ckpt.dead_hosts.clone(),
-            fault_plan: ckpt.fault_plan.clone(),
-            jobq: JobQueue::with_capacity(jobs.total().min(1024)),
-            jobq_dirty: ckpt.jobq_dirty,
+            run: ckpt.run.clone(),
+            jobq: JobQueue::with_capacity(ckpt.run.jobs.total().min(1024)),
             victims: Vec::new(),
-            policy_wakeup_at: ckpt.policy_wakeup_at,
-            clock: ckpt.clock,
             seeded: true,
-            jobs,
-            events_processed: ckpt.events_processed,
-            timeline: ckpt.timeline.clone(),
-            results: ckpt.results.clone(),
-            makespan: ckpt.makespan,
-            invariants: config.invariants_enabled().then(|| {
-                Box::new(InvariantState::resume(
-                    &config,
-                    ckpt.events_processed,
-                    boundary,
-                    &ckpt.timeline,
-                ))
-            }),
+            invariants: config
+                .invariants_enabled()
+                .then(|| Box::new(InvariantState::resume(&config, &ckpt.run))),
             #[cfg(any(test, debug_assertions))]
             snapshot_oracle: false,
         };
-        engine.jobq.now = ckpt.clock;
+        engine.jobq.now = engine.run.clock;
         engine.rebuild_jobq();
         engine.adopt_policy();
         engine.policy.restore(&ckpt.policy_blob).map_err(CkptError::Mismatch)?;
@@ -1614,7 +1563,7 @@ impl<'a> SimulatorEngine<'a> {
         self.policy_reads_counts = self.policy.reads_task_counts();
         let entries: Vec<JobEntry> = self.jobq.entries().to_vec();
         for e in &entries {
-            let state = self.jobs.get(e.id).expect("queued job must be live");
+            let state = self.run.jobs.get(e.id).expect("queued job must be live");
             let template = Arc::clone(&state.template);
             let relative_deadline = state.deadline.map(|d| d.since(state.arrival));
             self.policy.on_job_arrival(e.id, &template, relative_deadline, self.config.cluster);
@@ -1631,7 +1580,8 @@ impl<'a> SimulatorEngine<'a> {
     /// land strictly after the boundary batch, which has already settled.
     pub fn apply_fork(&mut self, fork: crate::ForkSpec) -> Result<(), crate::CkptError> {
         use crate::{CkptError, Divergence};
-        let horizon = if self.events_processed > 0 { self.clock + 1 } else { SimTime::ZERO };
+        let horizon =
+            if self.run.events_processed > 0 { self.run.clock + 1 } else { SimTime::ZERO };
         for d in fork.divergences {
             match d {
                 Divergence::PolicySwap(new_policy) => {
@@ -1641,7 +1591,7 @@ impl<'a> SimulatorEngine<'a> {
                     // event on.
                     self.policy = new_policy;
                     self.adopt_policy();
-                    self.jobq_dirty = true;
+                    self.run.jobq_dirty = true;
                 }
                 Divergence::AddSlots { map_slots, reduce_slots } => {
                     // Grow-only: new slots join the free pools alive and
@@ -1659,12 +1609,12 @@ impl<'a> SimulatorEngine<'a> {
                     self.config.cluster.reduce_slots += reduce_slots;
                     let (new_m, new_r) =
                         (self.config.cluster.map_slots, self.config.cluster.reduce_slots);
-                    self.maps.grow(new_m);
-                    self.reduces.grow(new_r);
+                    self.run.maps.grow(new_m);
+                    self.run.reduces.grow(new_r);
                     if let Some(inv) = self.invariants.as_deref_mut() {
                         inv.grow_cluster(new_m, new_r);
                     }
-                    self.jobq_dirty = true;
+                    self.run.jobq_dirty = true;
                 }
                 Divergence::InjectFault { host, at } => {
                     if host.0 == 0 || host.0 as usize >= self.config.cluster.hosts {
@@ -1675,8 +1625,8 @@ impl<'a> SimulatorEngine<'a> {
                         )));
                     }
                     let t = at.max(horizon);
-                    self.fault_plan.push(HostFailure { host, at: t });
-                    self.queue.push(t, EventKind::HostFailure, JobId(0), host.0);
+                    self.run.fault_plan.push(HostFailure { host, at: t });
+                    self.run.queue.push(t, EventKind::HostFailure, JobId(0), host.0);
                 }
                 Divergence::ArrivalSurge(specs) => {
                     self.admit_rest().map_err(|e| {

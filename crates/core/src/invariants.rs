@@ -62,7 +62,7 @@
 //! only a `None` option and a predictable branch per event; `bench_engine`
 //! guards the release hot path.
 
-use crate::engine::SimulatorEngine;
+use crate::engine::{RunState, SimulatorEngine};
 use crate::jobq::JobEntry;
 use crate::slots::SlotPool;
 use crate::EngineConfig;
@@ -118,23 +118,19 @@ impl InvariantState {
         }
     }
 
-    /// A checker attached to an engine resumed from a checkpoint: event
-    /// accounting starts from the checkpoint's count, time monotonicity
-    /// from its settled boundary (every post-resume event is strictly
-    /// later), and the per-slot bar high-water marks are re-derived from
-    /// the recorded timeline prefix — exactly the state the original
-    /// run's checker held at the boundary.
-    pub(crate) fn resume(
-        config: &EngineConfig,
-        baseline_events: u64,
-        boundary: Option<SimTime>,
-        timeline: &[TimelineEntry],
-    ) -> Self {
+    /// A checker attached to an engine resumed from `run`, a checkpoint's
+    /// state: event accounting starts from its event count, time
+    /// monotonicity from its settled boundary (every post-resume event is
+    /// strictly later), and the per-slot bar high-water marks are
+    /// re-derived from the recorded timeline prefix — exactly the state
+    /// the original run's checker held at the boundary.
+    pub(crate) fn resume(config: &EngineConfig, run: &RunState) -> Self {
         let mut state = InvariantState::new(config);
-        state.baseline_events = baseline_events;
+        let boundary = (run.events_processed > 0).then_some(run.clock);
+        state.baseline_events = run.events_processed;
         state.last_event = boundary;
         state.last_batch = boundary;
-        for bar in timeline {
+        for bar in &run.timeline {
             let ends = match bar.phase {
                 TimelinePhase::Map => &mut state.map_bar_end,
                 TimelinePhase::Shuffle | TimelinePhase::Reduce => &mut state.reduce_bar_end,
@@ -229,7 +225,7 @@ impl InvariantState {
         }
         self.last_batch = Some(now);
         self.batches_checked += 1;
-        self.check_slots(&engine.maps, &engine.reduces, now);
+        self.check_slots(&engine.run.maps, &engine.run.reduces, now);
         self.check_entries(engine, now);
         // Stateful policies (notably the hierarchical pool tree) re-derive
         // their own share accounting against the queue they scheduled from.
@@ -255,12 +251,13 @@ impl InvariantState {
         let mut active = 0usize;
         let speculation = engine.config.speculation_factor.is_some();
         let (mut listed_maps, mut listed_reduces) = (0usize, 0usize);
-        for (id, state) in engine.jobs.iter() {
+        let (maps, reduces) = (&engine.run.maps.running, &engine.run.reduces.running);
+        for (id, state) in engine.run.jobs.iter() {
             // the job's launch orders and task chains against the slot
             // tables, before anything below trusts them
             let checked = [
-                ("map", engine.maps.running.verify(id, &state.maps, state.fresh_maps)),
-                ("reduce", engine.reduces.running.verify(id, &state.reduces, state.fresh_reduces)),
+                ("map", maps.verify(id, &state.maps, state.fresh_maps)),
+                ("reduce", reduces.verify(id, &state.reduces, state.fresh_reduces)),
             ];
             for (kind, checked) in checked {
                 if let Err(e) = checked {
@@ -274,7 +271,7 @@ impl InvariantState {
             // may have up to two live attempts under speculation, so the
             // conservation law counts *distinct* running task indices
             let mut running_idx: Vec<u32> =
-                engine.maps.running.launch_order(&state.maps).map(|(_, a)| a.task).collect();
+                maps.launch_order(&state.maps).map(|(_, a)| a.task).collect();
             running_idx.sort_unstable();
             let mut distinct = 0usize;
             for (k, &idx) in running_idx.iter().enumerate() {
@@ -389,8 +386,8 @@ impl InvariantState {
         }
         // every occupied slot belongs to some job's launch order
         let occupied = [
-            ("map", engine.maps.running.occupied().count(), listed_maps),
-            ("reduce", engine.reduces.running.occupied().count(), listed_reduces),
+            ("map", maps.occupied().count(), listed_maps),
+            ("reduce", reduces.occupied().count(), listed_reduces),
         ];
         for (kind, occupied, listed) in occupied {
             if occupied != listed {

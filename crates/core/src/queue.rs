@@ -33,7 +33,7 @@ const BUCKETS: usize = u64::BITS as usize;
 
 /// A deterministic min-priority queue of [`Event`]s, ordered by
 /// `(time, insertion sequence)`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EventQueue {
     /// The last popped time (or the earliest pushed one, after a rebase):
     /// no pending event is earlier.

@@ -33,7 +33,7 @@ use simmr_types::{DurationMs, JobId, SimTime};
 /// One slot kind's slots (§III-B's job master has a pool of map slots
 /// and a pool of reduce slots). Slots are striped over the cluster's
 /// hosts: slot `s` lives on host `s % hosts`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SlotPool {
     /// Free slots; a launch pops from the back.
     pub(crate) free: Vec<u32>,

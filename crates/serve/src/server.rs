@@ -11,7 +11,7 @@
 //!   leaks into it.
 //! * `POST /v1/sweep` — a base scenario crossed with `policies` ×
 //!   `seeds` (or an explicit `scenarios` list). Uncached scenarios are
-//!   fanned out over the server's own workers (see [`fan_out`]); with
+//!   fanned out over the server's own workers (see `fan_out`); with
 //!   `?stream=1` each result is flushed as an NDJSON chunk the moment
 //!   it completes.
 //! * `POST /v1/shutdown` — responds, then stops the accept loop and
@@ -28,7 +28,7 @@
 //! `200` head ends without the final chunk, so the client sees a short
 //! stream, never one that looks complete.
 //!
-//! Every piece of state lives in one [`ServerState`] value borrowed by
+//! Every piece of state lives in one `ServerState` value borrowed by
 //! the workers — no globals, so tests run servers side by side in one
 //! process.
 

@@ -4,14 +4,14 @@
 //! lookup and storage) using a job template."* Ours is a directory of
 //! trace files, one per trace, in either of two formats:
 //!
-//! * `{name}.trace.json` — human-inspectable JSON ([`Self::store`]);
+//! * `{name}.trace.json` — human-inspectable JSON ([`TraceDatabase::store`]);
 //! * `{name}.trace.bin` — the compact SIMMRBIN format
-//!   ([`Self::store_bin`], see [`crate::binfmt`]), preferred at scale.
+//!   ([`TraceDatabase::store_bin`], see [`crate::binfmt`]), preferred at scale.
 //!
-//! [`Self::load`] auto-detects the format (binary preferred when both
+//! [`TraceDatabase::load`] auto-detects the format (binary preferred when both
 //! exist). All writes go through a temp-file-plus-rename so a crash
 //! mid-write can never shadow the previous version with a torn file, and
-//! [`Self::list`] reports unreadable traces as [`TraceStatus::Corrupt`]
+//! [`TraceDatabase::list`] reports unreadable traces as [`TraceStatus::Corrupt`]
 //! instead of silently dropping them.
 
 use crate::binfmt::{self, BinError};
