@@ -47,7 +47,7 @@ use crate::codec::{
     DecodeError, Reader, TemplateTable,
 };
 use crate::engine::{
-    HostFailure, JobState, JobTable, MapTask, ReduceTask, RunState, MAX_MAP_SLOTS,
+    check_below, HostFailure, JobState, JobTable, MapTask, ReduceTask, RunState, MAX_MAP_SLOTS,
 };
 use crate::event::{Event, EventKind};
 use crate::queue::EventQueue;
@@ -139,8 +139,6 @@ impl From<DecodeError> for CkptError {
 pub struct EngineCheckpoint {
     /// The requested checkpoint instant.
     pub(crate) at: SimTime,
-    /// The run collects per-job results.
-    pub(crate) collected: bool,
     /// The engine's run state at the boundary; its clock is the time of
     /// the last settled batch at or before `at`.
     pub(crate) run: RunState,
@@ -211,7 +209,7 @@ impl EngineCheckpoint {
         put_u32(&mut out, run.reduces.len() as u32);
         put_u32(&mut out, run.dead_hosts.len() as u32);
         // bit 0 held the streaming flag until version 4
-        out.push((self.collected as u8) << 1 | (run.jobq_dirty as u8) << 2);
+        out.push((run.collected as u8) << 1 | (run.jobq_dirty as u8) << 2);
         put_opt_time(&mut out, run.policy_wakeup_at);
         put_u64(&mut out, run.events_processed);
         put_u64(&mut out, run.makespan.as_millis());
@@ -288,7 +286,13 @@ impl EngineCheckpoint {
     }
 
     /// Decodes a checkpoint, verifying magic, version, and the trailing
-    /// CRC-64 before parsing the body.
+    /// CRC-64 before parsing the body. Parsing checks only what it needs
+    /// to build the state without panicking or over-allocating: tags,
+    /// counts against the bytes left, header counts against the vectors
+    /// they head, the event list's order and the indices it builds the
+    /// slot tables with. The state it builds must then pass
+    /// `RunState::check`, whose first broken rule makes the checkpoint
+    /// [`CkptError::Malformed`].
     pub fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
         if bytes.len() < CKPT_MAGIC.len() + 2 + 8 {
             if bytes.len() >= CKPT_MAGIC.len() && &bytes[..CKPT_MAGIC.len()] != CKPT_MAGIC {
@@ -341,26 +345,31 @@ impl EngineCheckpoint {
             let task_index = r.u32()?;
             let attempt = r.u32()?;
             let event = Event { time, seq, kind, job, task_index, attempt };
-            // the queue needs unique `(time, seq)` pairs in order, seqs
-            // below `next_seq` and nothing before the clock
+            // the queue is built from a strictly `(time, seq)`-ordered
+            // list, which is also the only canonical one
             if events.last().is_some_and(|prev| *prev >= event) {
                 return Err(CkptError::Malformed("event list out of (time, seq) order".into()));
-            }
-            if seq >= next_seq {
-                return Err(CkptError::Malformed(format!("event seq {seq} not below {next_seq}")));
-            }
-            if time < clock {
-                return Err(CkptError::Malformed(format!(
-                    "event at {} before the clock {}",
-                    time.as_millis(),
-                    clock.as_millis()
-                )));
             }
             events.push(event);
         }
         let (free_maps, free_reduces) = (r.u32_vec()?, r.u32_vec()?);
         let dead_hosts = r.bool_vec()?;
         let (dead_maps, dead_reduces) = (r.bool_vec()?, r.bool_vec()?);
+        // the header's counts are those of the vectors they head
+        if dead_hosts.len() != hosts {
+            let n = dead_hosts.len();
+            return Err(CkptError::Malformed(format!("{n} host flags for {hosts} hosts")));
+        }
+        for (kind, dead, n) in
+            [("map", &dead_maps, map_slots), ("reduce", &dead_reduces, reduce_slots)]
+        {
+            if dead.len() != n {
+                let m = dead.len();
+                return Err(CkptError::Malformed(format!(
+                    "{m} dead-slot flags for {n} {kind} slots"
+                )));
+            }
+        }
         let n_faults = r.count(12)?; // host, instant
         let mut fault_plan = Vec::with_capacity(n_faults);
         for _ in 0..n_faults {
@@ -370,9 +379,7 @@ impl EngineCheckpoint {
         }
         // each job's running attempts are launched into the pools in the
         // order they were encoded, which rebuilds every link. A table is
-        // sized by the dead flags, whose bytes the file holds, and not by
-        // the header's slot count, which the partition check below holds
-        // it to: a corrupt count then allocates nothing.
+        // sized by the dead flags, whose bytes the file holds.
         let pool = |free, dead: Vec<bool>, slowdown| SlotPool {
             free,
             running: SlotTable::new(dead.len()),
@@ -404,16 +411,6 @@ impl EngineCheckpoint {
             }
         }
         let jobs = JobTable::from_parts(jobs_base, jobs);
-        check_event_jobs(&events, &jobs)?;
-        if dead_hosts.len() != hosts {
-            return Err(CkptError::Malformed(format!(
-                "{} host flags for {hosts} hosts",
-                dead_hosts.len()
-            )));
-        }
-        for (kind, pool, n) in [("map", &maps, map_slots), ("reduce", &reduces, reduce_slots)] {
-            pool.check_partition(kind, n).map_err(CkptError::Malformed)?;
-        }
         let n_bars = r.count(25)?; // job, phase, slot, start, end
         let mut timeline = Vec::with_capacity(n_bars);
         for _ in 0..n_bars {
@@ -459,13 +456,6 @@ impl EngineCheckpoint {
                 t => return Err(CkptError::Malformed(format!("unknown result tag {t}"))),
             }
         }
-        let admitted = if collected { jobs.total() } else { 0 };
-        if results.len() != admitted {
-            return Err(CkptError::Malformed(format!(
-                "{} job results for {admitted} expected",
-                results.len()
-            )));
-        }
         let policy_name = r.str()?.to_owned();
         let blob_len = r.count(1)?;
         let policy_blob = r.take(blob_len)?.to_vec();
@@ -483,9 +473,11 @@ impl EngineCheckpoint {
             dead_hosts,
             fault_plan,
             timeline,
+            collected,
             results,
         };
-        Ok(EngineCheckpoint { at, collected, run, policy_name, policy_blob })
+        run.check().map_err(CkptError::Malformed)?;
+        Ok(EngineCheckpoint { at, run, policy_name, policy_blob })
     }
 }
 
@@ -590,35 +582,6 @@ fn put_event(out: &mut Vec<u8>, e: &Event) {
     put_u32(out, e.attempt);
 }
 
-/// Checks that a resume can handle every event naming a job: the job was
-/// admitted, an arrival names a live job that has not arrived yet, and a
-/// task event naming a live job names one of its tasks. An event naming
-/// a retired job is stale, and a resume ignores it.
-fn check_event_jobs(events: &[Event], jobs: &JobTable) -> Result<(), CkptError> {
-    use EventKind as K;
-    for e in events {
-        let (job, admitted) = (e.job.0, jobs.total());
-        let tasks = match (e.kind, jobs.get(e.job)) {
-            (K::HostFailure | K::HostRecovery | K::PolicyWakeup, _) => continue, // no job
-            _ if e.job.index() >= admitted => {
-                let kind = e.kind;
-                let msg = format!("{kind:?} event names job {job} of {admitted} admitted");
-                return Err(CkptError::Malformed(msg));
-            }
-            (K::JobArrival, Some(s)) if !s.active => continue,
-            (K::JobArrival, _) => {
-                let msg = format!("arrival of job {job}, which is retired or already arrived");
-                return Err(CkptError::Malformed(msg));
-            }
-            (K::MapTaskDeparture | K::SpeculationDue, Some(s)) => s.maps_total,
-            (K::ReduceTaskDeparture, Some(s)) => s.reduces_total,
-            _ => continue,
-        };
-        check_below(&format!("{:?} task", e.kind), [e.task_index], tasks)?;
-    }
-    Ok(())
-}
-
 fn put_opt_time(out: &mut Vec<u8>, t: Option<SimTime>) {
     put_opt_u64(out, t.map(SimTime::as_millis));
 }
@@ -681,27 +644,15 @@ fn encode_job(
     put_u32_vec(out, &s.spec_pending);
 }
 
-/// Fails unless every index in `indices` is below `bound`; `what` names
-/// the field for the error.
-fn check_below(
-    what: &str,
-    indices: impl IntoIterator<Item = u32>,
-    bound: usize,
-) -> Result<(), CkptError> {
-    match indices.into_iter().find(|&i| i as usize >= bound) {
-        Some(i) => Err(CkptError::Malformed(format!("{what} {i} is out of range (bound {bound})"))),
-        None => Ok(()),
-    }
-}
-
 /// A running attempt as encoded: task, attempt, start, slot, shuffle end
 /// (reduces only).
 type Encoded = (u32, u32, SimTime, u32, SimTime);
 
 /// Launches a job's decoded running attempts into `table` in launch
-/// order, which rebuilds the job's launch order and task chains. A slot
-/// already running an attempt (of this or an earlier job) is malformed:
-/// resuming would book it twice.
+/// order, which rebuilds the job's launch order and task chains. The task
+/// and the slot index the records and the table, and a slot already
+/// running an attempt (of this or an earlier job) would be booked twice,
+/// so each is checked first.
 fn launch_decoded<T: TaskRecord>(
     kind: &str,
     table: &mut SlotTable,
@@ -710,6 +661,9 @@ fn launch_decoded<T: TaskRecord>(
     running: &[Encoded],
 ) -> Result<(), CkptError> {
     for &(task, attempt, start, slot, shuffle_end) in running {
+        check_below(format_args!("running {kind} task"), [task], tasks.recs.len())
+            .and_then(|()| check_below(format_args!("running {kind} slot"), [slot], table.len()))
+            .map_err(CkptError::Malformed)?;
         if table.get(slot).is_some() {
             return Err(CkptError::Malformed(format!("{kind} slot {slot} runs two attempts")));
         }
@@ -730,10 +684,6 @@ fn task_count(r: &mut Reader, total: usize, what: &str) -> Result<(), CkptError>
 }
 
 /// Decodes one job and launches its running attempts into the pools.
-/// Every task index is checked against the job's task totals and every
-/// running slot against the cluster's slot counts: a resume indexes the
-/// task records and the slot tables with them, so an out-of-range value
-/// is a malformed checkpoint, not a later panic.
 fn decode_job(
     r: &mut Reader,
     id: JobId,
@@ -777,10 +727,11 @@ fn decode_job(
         t.set_done(r.bool()?);
     }
     task_count(r, maps_total, "map output slot")?;
-    let output_bound = map_pool.len().max(1);
     for t in maps.iter_mut() {
         let slot = r.u32()?;
-        check_below("map output slot", [slot], output_bound)?;
+        if slot as usize >= MAX_MAP_SLOTS {
+            return Err(CkptError::Malformed(format!("map output slot {slot} past its 30 bits")));
+        }
         t.set_output_slot(slot);
     }
     let maps_completed = r.u32()? as usize;
@@ -811,20 +762,6 @@ fn decode_job(
         t.set_speculated(r.bool()?);
     }
     let spec_pending = r.u32_vec()?;
-    if fresh_maps > maps_total || fresh_reduces > reduces_total {
-        return Err(CkptError::Malformed(format!(
-            "job launched {fresh_maps} fresh maps of {maps_total} and {fresh_reduces} fresh \
-             reduces of {reduces_total}"
-        )));
-    }
-    let (map_slots, reduce_slots) = (map_pool.len(), reduce_pool.len());
-    check_below("requeued map task", requeued_maps.iter().copied(), maps_total)?;
-    check_below("running map task", running_maps.iter().map(|a| a.0), maps_total)?;
-    check_below("running map slot", running_maps.iter().map(|a| a.3), map_slots)?;
-    check_below("pending duplicate of map task", spec_pending.iter().copied(), maps_total)?;
-    check_below("requeued reduce task", requeued_reduces.iter().copied(), reduces_total)?;
-    check_below("running reduce task", running_reduces.iter().map(|a| a.0), reduces_total)?;
-    check_below("running reduce slot", running_reduces.iter().map(|a| a.3), reduce_slots)?;
     let mut maps = Tasks::new(maps);
     let mut reduces = Tasks::new(reduces);
     launch_decoded("map", &mut map_pool.running, &mut maps, id, &running_maps)?;
@@ -856,7 +793,7 @@ fn decode_job(
 mod tests {
     use super::*;
     use crate::{EngineConfig, FaultSpec, RecoverySpec, SimulatorEngine};
-    use simmr_stats::Dist;
+    use simmr_stats::{Dist, SeededRng};
     use simmr_types::{JobId, JobTemplate, WorkloadTrace};
 
     /// Minimal FIFO — the checkpoint layer must not depend on simmr-sched.
@@ -1099,7 +1036,7 @@ mod tests {
         bad.run.results.pop();
         assert_malformed("5 job results for 6 expected", &bad.encode());
         let mut bad = EngineCheckpoint::decode(&bytes).unwrap();
-        bad.collected = false;
+        bad.run.collected = false;
         assert_malformed("6 job results for 0 expected", &bad.encode());
         // job ids are `u32`s
         let mut bad = EngineCheckpoint::decode(&bytes).unwrap();
@@ -1211,7 +1148,7 @@ mod tests {
             e[at].task_index = task;
         };
         type Edit<'a> = &'a dyn Fn(&mut Vec<Event>);
-        let corruptions: [(&str, Edit); 10] = [
+        let corruptions: [(&str, Edit); 11] = [
             ("out of (time, seq) order", &|e| e.swap(0, 1)),
             ("out of (time, seq) order", &|e| e[1] = e[0]),
             ("not below", &|e| e.last_mut().unwrap().seq = next_seq),
@@ -1228,16 +1165,93 @@ mod tests {
             ("SpeculationDue task 9999 is out of range", &|e| {
                 task(e, EventKind::SpeculationDue, 9999)
             }),
+            // the first event is the departure of a running map, which
+            // then never departs: its job would never finish
+            ("map attempt 1 of job 3 task 2 on slot 1 has no pending departure", &|e| {
+                e[0].job = JobId(1)
+            }),
         ];
         for (what, edit) in corruptions {
             assert_malformed(what, &with_events(&ckpt, edit));
         }
-        // an event naming a retired job is stale, which a resume ignores
+        // an event naming a retired job is stale, which a resume ignores:
+        // a straggler timer moved to retired job 1 decodes and resumes
         let stale = with_events(&ckpt, &|e| {
-            e[0].job = JobId(1);
-            e[0].task_index = 9999;
+            let at = e.iter().position(|x| x.kind == EventKind::SpeculationDue).unwrap();
+            e[at].job = JobId(1);
+            e[at].task_index = 9999;
         });
-        assert!(EngineCheckpoint::decode(&stale).is_ok());
+        let stale = EngineCheckpoint::decode(&stale).unwrap();
+        let resumed =
+            SimulatorEngine::resume_materialized(busy_config(), &stale, Box::new(TestFifo));
+        assert_eq!(resumed.unwrap().try_run().unwrap().jobs.len(), 6);
+    }
+
+    /// CRC-valid checkpoints that decoded at the SIMMRCKP v4 codec's
+    /// first cut and then panicked on resume, or silently dropped every
+    /// later policy timer, are malformed and name the broken rule of
+    /// `RunState::check`.
+    #[test]
+    fn decode_rejects_a_state_a_resume_would_panic_on() {
+        let trace = busy_trace();
+        let ckpt = SimulatorEngine::new(busy_config(), &trace, Box::new(TestFifo))
+            .checkpoint_at(SimTime::from_millis(100))
+            .unwrap();
+        // jobs 2 to 5 have not arrived; hosts 1 and 3 failed at 53 and
+        // 59 ms and recover at 180 and 255 ms
+        let (events, _, _) = ckpt.run.queue.snapshot();
+        let arrivals = events.iter().filter(|e| e.kind == EventKind::JobArrival).count();
+        assert_eq!((ckpt.jobs_admitted(), arrivals), (6, 4));
+        assert_eq!(ckpt.run.fault_plan.iter().map(|f| f.host.0).collect::<Vec<_>>(), [1, 3]);
+        let last_arrival = |e: &mut Vec<Event>| -> usize {
+            e.iter().rposition(|x| x.kind == EventKind::JobArrival).unwrap()
+        };
+        type Edit<'a> = &'a dyn Fn(&mut Vec<Event>);
+        let corruptions: [(&str, Edit); 3] = [
+            // job 5 then never arrives and never departs
+            ("HostRecovery of host 0, which no fault-plan entry fails", &|e| {
+                let at = last_arrival(e);
+                (e[at].kind, e[at].job, e[at].task_index) = (EventKind::HostRecovery, JobId(0), 0);
+            }),
+            // job 4 would arrive twice
+            ("job 4 has two pending arrivals", &|e| {
+                let at = last_arrival(e);
+                e[at].job = JobId(4);
+            }),
+            // host 1 would fail a second time, unplanned
+            ("HostFailure of host 1 at 0.180s matches no fault-plan entry", &|e| {
+                let at = e.iter().position(|x| x.kind == EventKind::HostRecovery).unwrap();
+                e[at].kind = EventKind::HostFailure;
+            }),
+        ];
+        for (what, edit) in corruptions {
+            assert_malformed(what, &with_events(&ckpt, edit));
+        }
+        // a timer armed with no PolicyWakeup pending: a policy's later
+        // timers at or after it would all be dropped
+        let mut bad = EngineCheckpoint::decode(&ckpt.encode()).unwrap();
+        bad.run.policy_wakeup_at = Some(SimTime::from_millis(140));
+        assert_malformed(
+            "policy wakeup armed at 0.140s has no pending PolicyWakeup",
+            &bad.encode(),
+        );
+    }
+
+    /// A run state that breaks a rule, handed to the invariant checker's
+    /// resume without going through the codec, is named at resume.
+    #[test]
+    #[should_panic(expected = "engine invariant violated [run-state]: at resume: job 5 has not \
+                               arrived and has no pending arrival")]
+    fn checker_resume_names_the_broken_run_state_rule() {
+        let trace = busy_trace();
+        let mut ckpt = SimulatorEngine::new(busy_config(), &trace, Box::new(TestFifo))
+            .checkpoint_at(SimTime::from_millis(100))
+            .unwrap();
+        let (mut events, next_seq, pushed) = ckpt.run.queue.snapshot();
+        events.retain(|e| (e.kind, e.job) != (EventKind::JobArrival, JobId(5)));
+        ckpt.run.queue = EventQueue::from_snapshot(events, next_seq, pushed);
+        // the busy config arms the checker
+        let _ = SimulatorEngine::resume_materialized(busy_config(), &ckpt, Box::new(TestFifo));
     }
 
     /// The encoding of `ckpt` with its `(time, seq)`-ordered event list
@@ -1258,6 +1272,231 @@ mod tests {
         edit(&mut events);
         bytes[at..at + old.len()].copy_from_slice(&encode(&events));
         resign(bytes)
+    }
+
+    /// A FIFO that asks for a scheduling pass every 40 ms while jobs
+    /// wait, so its checkpoints carry armed policy timers.
+    struct WakeFifo;
+    impl SchedulerPolicy for WakeFifo {
+        fn name(&self) -> &str {
+            "wake-fifo"
+        }
+        fn choose_next_map_task(&mut self, q: &crate::JobQueue) -> Option<JobId> {
+            TestFifo.choose_next_map_task(q)
+        }
+        fn choose_next_reduce_task(&mut self, q: &crate::JobQueue) -> Option<JobId> {
+            TestFifo.choose_next_reduce_task(q)
+        }
+        fn next_wakeup(&mut self, q: &crate::JobQueue) -> Option<SimTime> {
+            (!q.is_empty()).then(|| SimTime::from_millis((q.now.as_millis() / 40 + 1) * 40))
+        }
+    }
+
+    /// Applies one structural edit drawn from `rng` to `run` and names it:
+    /// an event dropped, duplicated or retargeted, a counter bumped, a
+    /// slot moved between the free, running and lost lists, a task
+    /// record or list edited, the policy timer or a host or job flag
+    /// changed.
+    fn mutate(run: &mut RunState, rng: &mut SeededRng) -> String {
+        let (mut events, mut next_seq, pushed) = run.queue.snapshot();
+        let live: Vec<JobId> = run.jobs.iter().map(|(id, _)| id).collect();
+        let clock = run.clock.as_millis();
+        let what = match rng.index(11) {
+            0..=3 if events.is_empty() => "nothing (no pending event)".to_string(),
+            0 => format!("drop {:?}", events.remove(rng.index(events.len()))),
+            1 => {
+                let mut e = events[rng.index(events.len())];
+                (e.seq, next_seq) = (next_seq, next_seq + 1);
+                events.push(e);
+                format!("duplicate {e:?}")
+            }
+            2 => {
+                let i = rng.index(events.len());
+                let before = events[i];
+                let e = &mut events[i];
+                match rng.index(5) {
+                    0 => e.job = JobId(rng.index(run.jobs.total() + 1) as u32),
+                    1 => e.task_index = rng.index(6) as u32,
+                    2 => e.attempt = rng.index(4) as u32,
+                    3 => e.kind = event_kind_from_tag(rng.index(9) as u8).unwrap(),
+                    _ => e.time = SimTime::from_millis(clock + rng.index(300) as u64),
+                }
+                format!("retarget {before:?} to {e:?}")
+            }
+            3 if !live.is_empty() => {
+                let s = run.jobs.get_mut(live[rng.index(live.len())]).unwrap();
+                let task = rng.index(s.maps_total);
+                let up = rng.index(2) == 0;
+                let bump = |x: &mut usize| *x = if up { *x + 1 } else { x.saturating_sub(1) };
+                let (field, counter) = match rng.index(5) {
+                    0 => ("maps_completed", &mut s.maps_completed),
+                    1 => ("fresh_maps", &mut s.fresh_maps),
+                    2 => ("fresh_reduces", &mut s.fresh_reduces),
+                    3 => ("reduces_completed", &mut s.reduces_completed),
+                    _ => ("reduce_threshold", &mut s.reduce_threshold),
+                };
+                match rng.index(4) {
+                    0 => s.spec_threshold += 1,
+                    1 => s.maps.recs[task].launches += 1,
+                    2 => run.events_processed += 1,
+                    _ => bump(counter),
+                }
+                format!("bump {field} or another counter (up: {up}, task {task})")
+            }
+            4 | 5 => {
+                let (kind, pool) = if rng.index(2) == 0 {
+                    ("map", &mut run.maps)
+                } else {
+                    ("reduce", &mut run.reduces)
+                };
+                let running: Vec<u32> = pool.running.occupied().map(|(s, _)| s).collect();
+                let slot = rng.index(pool.len()) as u32;
+                match rng.index(6) {
+                    0 if !pool.free.is_empty() => {
+                        let s = pool.free.remove(rng.index(pool.free.len()));
+                        pool.dead[s as usize] = true;
+                        format!("{kind} slot {s} from free to lost")
+                    }
+                    1 if !running.is_empty() => {
+                        let s = running[rng.index(running.len())];
+                        pool.free.push(s);
+                        format!("running {kind} slot {s} also free")
+                    }
+                    2 if !running.is_empty() => {
+                        let s = running[rng.index(running.len())];
+                        pool.dead[s as usize] = true;
+                        format!("running {kind} slot {s} also lost")
+                    }
+                    3 if pool.dead[slot as usize] => {
+                        pool.dead[slot as usize] = false;
+                        pool.free.push(slot);
+                        format!("{kind} slot {slot} from lost to free")
+                    }
+                    4 => {
+                        pool.free.push(slot);
+                        format!("{kind} slot {slot} pushed free")
+                    }
+                    _ => {
+                        pool.dead[slot as usize] ^= true;
+                        format!("{kind} slot {slot} dead flag flipped")
+                    }
+                }
+            }
+            6 if !live.is_empty() => {
+                let id = live[rng.index(live.len())];
+                let s = run.jobs.get_mut(id).unwrap();
+                let (map, reduce) =
+                    (rng.index(s.maps_total) as u32, rng.index(s.reduces_total.max(1)) as u32);
+                let t = &mut s.maps.recs[map as usize];
+                let edit = rng.index(7);
+                match edit {
+                    0 => t.set_done(!t.done()),
+                    1 => t.set_speculated(!t.speculated()),
+                    2 => t.set_output_slot(rng.index(run.maps.len() + 1) as u32),
+                    3 => s.requeued_maps.push(map),
+                    4 => s.spec_pending.push(map),
+                    5 => s.requeued_reduces.push(reduce),
+                    _ => s.active = !s.active,
+                }
+                let edit = [
+                    "done flipped",
+                    "speculated flipped",
+                    "output slot moved",
+                    "requeued",
+                    "duplicate pending",
+                    "reduce requeued",
+                    "arrival flag flipped",
+                ][edit];
+                format!("job {}: map {map} / reduce {reduce} {edit}", id.0)
+            }
+            7 => {
+                let wakeups: Vec<SimTime> = events
+                    .iter()
+                    .filter(|e| e.kind == EventKind::PolicyWakeup)
+                    .map(|e| e.time)
+                    .collect();
+                run.policy_wakeup_at = match rng.index(3) {
+                    0 => None,
+                    1 if !wakeups.is_empty() => Some(wakeups[rng.index(wakeups.len())]),
+                    _ => Some(SimTime::from_millis(clock + rng.index(200) as u64)),
+                };
+                format!("policy wakeup set to {:?}", run.policy_wakeup_at)
+            }
+            8 => {
+                let host = rng.index(run.dead_hosts.len());
+                run.dead_hosts[host] ^= true;
+                format!("host {host} dead flag flipped")
+            }
+            9 => match run.results.iter_mut().rposition(|r| r.is_some()) {
+                Some(i) => {
+                    run.results[i] = None;
+                    format!("result of job {i} dropped")
+                }
+                None => "nothing (no result)".to_string(),
+            },
+            _ => {
+                run.makespan = SimTime::from_millis(run.makespan.as_millis() + 1);
+                "makespan bumped".to_string()
+            }
+        };
+        events.sort_unstable();
+        run.queue = EventQueue::from_snapshot(events, next_seq, pushed);
+        what
+    }
+
+    /// Structure-aware fuzzing of the run-state rules. Byte flips only
+    /// reach the CRC, so each case makes one to three edits to a decoded
+    /// run state (see [`mutate`]), re-encodes it, and requires either a
+    /// decode error or a resume that runs to completion under the
+    /// invariant checker (the busy config arms it). Fixed seed and case
+    /// count.
+    #[test]
+    fn fuzz_run_state_mutations_decode_or_resume() {
+        const CASES: usize = 300;
+        let (trace, config) = (busy_trace(), busy_config());
+        let mut rng = SeededRng::new(0x5113_c4ec);
+        let (mut rejected, mut resumed, mut failures) = (0, 0, Vec::new());
+        for at in [0u64, 40, 100, 170, 260, 350, 480] {
+            let base = SimulatorEngine::new(config, &trace, Box::new(WakeFifo))
+                .checkpoint_at(SimTime::from_millis(at))
+                .unwrap()
+                .encode();
+            for case in 0..CASES {
+                let mut ckpt = EngineCheckpoint::decode(&base).unwrap();
+                let edits = 1 + rng.index(3);
+                let what: Vec<String> =
+                    (0..edits).map(|_| mutate(&mut ckpt.run, &mut rng)).collect();
+                let what = what.join("; ");
+                let Ok(ckpt) = EngineCheckpoint::decode(&ckpt.encode()) else {
+                    rejected += 1;
+                    continue;
+                };
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    SimulatorEngine::resume_materialized(config, &ckpt, Box::new(WakeFifo))
+                        .map(|engine| engine.try_run())
+                }));
+                match run {
+                    Ok(Ok(Ok(_))) => resumed += 1,
+                    Ok(other) => failures.push(format!("t={at} case {case} ({what}): {other:?}")),
+                    Err(panic) => {
+                        let msg = panic
+                            .downcast_ref::<String>()
+                            .cloned()
+                            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()));
+                        failures.push(format!("t={at} case {case} ({what}) panicked: {msg:?}"));
+                    }
+                }
+            }
+        }
+        assert!(
+            failures.is_empty(),
+            "{} cases decoded and then failed:\n{}",
+            failures.len(),
+            failures.join("\n")
+        );
+        // both outcomes occur: the rules reject most edits, and harmless
+        // ones (a bumped launch counter, a stale event) still resume
+        assert!(rejected > CASES && resumed > CASES / 4, "{rejected} rejected, {resumed} resumed");
     }
 
     #[test]

@@ -51,11 +51,11 @@
 //! links in the table entries.
 
 use crate::config::EngineConfig;
-use crate::event::EventKind;
+use crate::event::{Event, EventKind};
 use crate::invariants::InvariantState;
 use crate::jobq::{JobEntry, JobQueue, SchedulerPolicy};
 use crate::queue::EventQueue;
-use crate::slots::{self, Attempt, SlotPool, TaskRecord, Tasks, NONE};
+use crate::slots::{self, Attempt, SlotPool, SlotTable, TaskRecord, Tasks, NONE};
 use crate::source::{JobSource, SourceError, TraceJobSource};
 use simmr_stats::{Dist, Distribution, SeededRng};
 use simmr_types::{
@@ -310,6 +310,171 @@ impl JobState {
         }
         self.requeued_maps.push(idx);
     }
+
+    /// Every task of the job completed: its departure is due.
+    fn finished(&self) -> bool {
+        self.maps_completed == self.maps_total && self.reduces_completed == self.reduces_total
+    }
+
+    /// The rules of [`RunState::check_jobs`] for live job `id`. `marks` is
+    /// scratch for spotting a task listed twice, zero between calls.
+    fn check(
+        &self,
+        id: JobId,
+        map_pool: &SlotPool,
+        reduce_pool: &SlotPool,
+        marks: &mut Vec<u8>,
+    ) -> Result<(), String> {
+        let (m, r, t) = (self.maps_total, self.reduces_total, &self.template);
+        if (m, r) != (t.num_maps, t.num_reduces) {
+            let (tm, tr) = (t.num_maps, t.num_reduces);
+            return Err(format!("{m} maps and {r} reduces, of a template with {tm} and {tr}"));
+        }
+        let (fm, fr) = (self.fresh_maps, self.fresh_reduces);
+        if fm > m || fr > r {
+            return Err(format!("launched {fm} fresh maps of {m} and {fr} fresh reduces of {r}"));
+        }
+        if self.reduce_threshold > m {
+            return Err(format!("reduces wait for {} of {m} maps", self.reduce_threshold));
+        }
+        if !self.active && (fm > 0 || fr > 0) {
+            return Err("launched tasks before it arrived".into());
+        }
+        check_below("requeued map task", self.requeued_maps.iter().copied(), m)?;
+        check_below("pending duplicate of map task", self.spec_pending.iter().copied(), m)?;
+        check_below("requeued reduce task", self.requeued_reduces.iter().copied(), r)?;
+        let (maps, reduces) = (&map_pool.running, &reduce_pool.running);
+        // the chains of tasks past the fresh counters are checked empty below
+        maps.verify(id, &self.maps, fm).map_err(|e| format!("map attempts: {e}"))?;
+        reduces.verify(id, &self.reduces, fr).map_err(|e| format!("reduce attempts: {e}"))?;
+        let output_bound = map_pool.len().max(1);
+        let (mut running, mut done) = (0, 0);
+        for (task, rec) in self.maps.recs.iter().enumerate() {
+            check_below("map output slot", [rec.output_slot()], output_bound)?;
+            let live = live_attempts("map", task, maps, rec.newest, rec.launches)?;
+            if task >= fm && (rec.launches > 0 || rec.done() || rec.newest != NONE) {
+                return Err(format!("map task {task} ran, past the fresh counter {fm}"));
+            }
+            if live > 1 && !(rec.speculated() && self.spec_threshold > 0) {
+                return Err(format!("map task {task} runs {live} attempts, unspeculated"));
+            }
+            if rec.done() && live > 0 {
+                return Err(format!("completed map task {task} still has a live attempt"));
+            }
+            running += (live > 0) as usize;
+            done += rec.done() as usize;
+        }
+        if done != self.maps_completed {
+            let c = self.maps_completed;
+            return Err(format!("{done} map done flags but maps_completed = {c}"));
+        }
+        if self.maps_finished.is_some() && done != m {
+            return Err(format!("the map stage closed with {done} of {m} maps done"));
+        }
+        marks.resize(marks.len().max(m.max(r)), 0);
+        let recs = &self.maps.recs;
+        check_listed("requeued map task", &self.requeued_maps, marks, |t| match &recs[t] {
+            _ if t >= fm => Some("was never launched"),
+            rec if rec.done() => Some("is done"),
+            rec if rec.newest != NONE => Some("is running"),
+            _ => None,
+        })?;
+        check_listed(
+            "pending duplicate of map task",
+            &self.spec_pending,
+            marks,
+            |t| match &recs[t] {
+                rec if !rec.speculated() => Some("is not flagged speculated"),
+                rec if rec.done() => Some("is done"),
+                rec if rec.newest == NONE => Some("has no live primary attempt"),
+                _ => None,
+            },
+        )?;
+        let (fresh, requeued) = (m - fm, self.requeued_maps.len());
+        if fresh + requeued + running + done != m {
+            let sum =
+                format!("{fresh} fresh + {requeued} requeued + {running} running + {done} done");
+            return Err(format!("{sum} != {m} total maps"));
+        }
+        let mut running = 0;
+        for (task, rec) in self.reduces.recs.iter().enumerate() {
+            let live = live_attempts("reduce", task, reduces, rec.newest, rec.launches)?;
+            if task >= fr && (rec.launches > 0 || rec.newest != NONE) {
+                return Err(format!("reduce task {task} ran, past the fresh counter {fr}"));
+            }
+            if live > 1 {
+                return Err(format!("reduce task {task} has {live} live attempts"));
+            }
+            running += live;
+        }
+        let recs = &self.reduces.recs;
+        check_listed("requeued reduce task", &self.requeued_reduces, marks, |t| match &recs[t] {
+            _ if t >= fr => Some("was never launched"),
+            rec if rec.newest != NONE => Some("is running"),
+            _ => None,
+        })?;
+        let (fresh, requeued, done) = (r - fr, self.requeued_reduces.len(), self.reduces_completed);
+        if fresh + requeued + running + done != r {
+            let sum =
+                format!("{fresh} fresh + {requeued} requeued + {running} running + {done} done");
+            return Err(format!("{sum} != {r} total reduces"));
+        }
+        let closed = self.maps_finished.is_some();
+        for (slot, a) in reduces.launch_order(&self.reduces) {
+            if a.shuffle_end.is_infinite() == closed {
+                let task = a.task;
+                let how = if closed { "waits for the closed" } else { "has resolved before the" };
+                return Err(format!("reduce task {task} on slot {slot} {how} map stage"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Counts the live attempts of a task whose newest runs on slot `newest`
+/// of `table`, checking that their numbers fall from at most the task's
+/// `launches` launches, which also bounds the walk.
+fn live_attempts(
+    kind: &str,
+    task: usize,
+    table: &SlotTable,
+    newest: u32,
+    launches: u32,
+) -> Result<usize, String> {
+    if newest == NONE {
+        return Ok(0); // the common case: the task is not running
+    }
+    let (mut live, mut bound) = (0, launches);
+    for a in table.chain(newest) {
+        if a.attempt == 0 || a.attempt > bound {
+            let n = a.attempt;
+            return Err(format!("{kind} task {task} runs attempt {n} of {launches} out of order"));
+        }
+        bound = a.attempt - 1;
+        live += 1;
+    }
+    Ok(live)
+}
+
+/// Checks that `why` finds nothing wrong with any task of `tasks` and that
+/// none is listed twice, naming the list `what`; `marks` covers every task
+/// and is zero on entry and on return.
+fn check_listed(
+    what: &str,
+    tasks: &[u32],
+    marks: &mut [u8],
+    why: impl Fn(usize) -> Option<&'static str>,
+) -> Result<(), String> {
+    let mut result = Ok(());
+    for &task in tasks {
+        let twice = std::mem::replace(&mut marks[task as usize], 1) != 0;
+        if let Some(why) = if twice { Some("is listed twice") } else { why(task as usize) } {
+            result = Err(format!("{what} {task} {why}"));
+            break;
+        }
+    }
+    tasks.iter().for_each(|&task| marks[task as usize] = 0);
+    result
 }
 
 /// The engine's job-state table, addressed by [`JobId`].
@@ -431,9 +596,348 @@ pub(crate) struct RunState {
     /// explicitly via [`SimulatorEngine::with_fault_plan`].
     pub(crate) fault_plan: Vec<HostFailure>,
     pub(crate) timeline: Vec<TimelineEntry>,
+    /// The run collects per-job results (the configuration's
+    /// `collect_job_results`).
+    pub(crate) collected: bool,
     /// One entry per admitted job when the run collects results, filled
     /// at departure; empty otherwise.
     pub(crate) results: Vec<Option<JobResult>>,
+}
+
+/// [`RunState::check`]'s tally of a job's pending events.
+const PENDING_ARRIVAL: u8 = 1;
+const PENDING_DEPARTURE: u8 = 2;
+const PENDING_ALL_MAPS: u8 = 4;
+
+impl RunState {
+    /// Checks every cross-field rule of a run state at a settled batch
+    /// boundary and returns the first breach. These are the rules a
+    /// resume relies on: a state that passes continues without panicking,
+    /// and checkpoint decode and the invariant checker's resume both run
+    /// this one function. The rules, in the order they are checked:
+    ///
+    /// * **Hosts and slots** — the cluster has a host, and host 0 (which
+    ///   never fails) is up. Each pool has one dead flag per slot, and
+    ///   every slot is exactly one of free, running or lost
+    ///   ([`SlotPool::check_partition`]). A lost slot sits on a failed
+    ///   host (slot `s` on host `s % hosts`), and a pool has one slowdown
+    ///   factor per slot or none.
+    /// * **Jobs** ([`Self::check_jobs`]) — each live job has its
+    ///   template's task totals, has launched no more fresh tasks than it
+    ///   has, and waits for at most all its maps before its reduces. A
+    ///   job that has not arrived has launched nothing. Its launch orders
+    ///   and task chains match the slot tables both ways, live attempts
+    ///   are numbered below their task's launch count, a map's output
+    ///   slot is a map slot, and no task past the fresh counter ever
+    ///   ran. Every launched map is exactly one of requeued, running or
+    ///   done, and `maps_completed` counts the done flags; a map runs
+    ///   twice only as a speculated duplicate of a job that speculates,
+    ///   and a pending duplicate shadows a live, undone, speculated map.
+    ///   Fresh, requeued, running and completed reduces add up to the
+    ///   total, a reduce runs at most once, and a reduce's shuffle is
+    ///   resolved exactly when the job's map stage has closed, which it
+    ///   has only once every map is done. Every running attempt is in
+    ///   its job's launch order.
+    /// * **Events** — each is below the queue's next sequence number and
+    ///   not before the clock, and strictly after it once the run has
+    ///   processed an event (the clock is then a settled batch). A job
+    ///   event names an admitted job; an event of a retired job is stale
+    ///   and ignored, unless it is an arrival or a departure. Each job
+    ///   that has not arrived has exactly one pending `JobArrival`, at
+    ///   its arrival time, and no other job has one; the arrivals pop in
+    ///   `(arrival, id)` order, after every job that has arrived, which
+    ///   arrived by the clock. A `JobDeparture`
+    ///   names a live job that has finished every task, at most once, and
+    ///   such a job has one. A job whose maps are all done has closed its
+    ///   map stage or has `AllMapsFinished` pending. A task event of a
+    ///   live job names one of its tasks and an attempt it launched, and
+    ///   every running map attempt, and every reduce attempt with a
+    ///   resolved shuffle, has its departure pending, at the instant the
+    ///   attempt ends. A `HostFailure` matches a fault-plan entry (host
+    ///   and instant) and a `HostRecovery` names a planned host.
+    ///   `policy_wakeup_at` is `None`, or a `PolicyWakeup` is pending at
+    ///   exactly that instant, later than the clock (else every later
+    ///   timer at or after it would be dropped).
+    /// * **Results** — one per admitted job when the run collects them
+    ///   and none otherwise; a job has one exactly when it departed,
+    ///   naming it, completing no earlier than its arrival and no later
+    ///   than the clock, and the makespan is the latest completion.
+    ///
+    /// One pass over each table, with a few table-sized scratch vectors
+    /// and no allocation per job. The queue keeps its events in
+    /// `(time, seq)` order itself; decode checks the list it builds one
+    /// from.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let hosts = self.dead_hosts.len();
+        match self.dead_hosts.first() {
+            None => return Err("the cluster has no host".into()),
+            Some(true) => return Err("host 0, which never fails, is down".into()),
+            Some(false) => {}
+        }
+        for (kind, pool) in [("map", &self.maps), ("reduce", &self.reduces)] {
+            let n = pool.len();
+            pool.check_partition(kind, n)?;
+            if let Some(s) = (0..n).find(|&s| pool.dead[s] && !self.dead_hosts[s % hosts]) {
+                return Err(format!("lost {kind} slot {s} is on host {}, which is up", s % hosts));
+            }
+            if !pool.slowdown.is_empty() && pool.slowdown.len() != n {
+                let m = pool.slowdown.len();
+                return Err(format!("{m} slowdown factors for {n} {kind} slots"));
+            }
+        }
+        self.check_jobs()?;
+        self.check_events()?;
+        self.check_results()
+    }
+
+    /// The job rules of [`Self::check`], which the invariant checker also
+    /// runs after every settled batch.
+    pub(crate) fn check_jobs(&self) -> Result<(), String> {
+        let mut marks = Vec::new();
+        let (mut listed_maps, mut listed_reduces) = (0, 0);
+        for (id, s) in self.jobs.iter() {
+            s.check(id, &self.maps, &self.reduces, &mut marks)
+                .map_err(|e| format!("job {}: {e}", id.0))?;
+            listed_maps += s.maps.running();
+            listed_reduces += s.reduces.running();
+        }
+        for (kind, pool, listed) in
+            [("map", &self.maps, listed_maps), ("reduce", &self.reduces, listed_reduces)]
+        {
+            let occupied = pool.running.occupied().count();
+            if occupied != listed {
+                return Err(format!("{occupied} {kind} slots run, launch orders list {listed}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// The event rules of [`Self::check`]; the job tables are checked, so
+    /// attempt lookups are safe.
+    fn check_events(&self) -> Result<(), String> {
+        use EventKind as K;
+        let (events, next_seq, _) = self.queue.snapshot();
+        let (lo, admitted) = (self.jobs.id_range().0, self.jobs.total());
+        let mut pending = vec![0u8; admitted - lo];
+        let mut map_due = vec![false; self.maps.len()];
+        let mut reduce_due = vec![false; self.reduces.len()];
+        let mut plan: Vec<(u32, SimTime)> =
+            self.fault_plan.iter().map(|f| (f.host.0, f.at)).collect();
+        plan.sort_unstable();
+        let mut wakeup_pending = false;
+        // the pending arrivals in pop order, by `(arrival, id)`: the job
+        // queue takes each arriving job after every job already in it
+        let (mut first_arrival, mut last_arrival) = (None, None);
+        for e in &events {
+            let (kind, job, task, t) = (e.kind, e.job, e.task_index, e.time);
+            let j = job.0;
+            if e.seq >= next_seq {
+                return Err(format!("event seq {} not below {next_seq}", e.seq));
+            }
+            if t < self.clock || (t == self.clock && self.events_processed > 0) {
+                let c = self.clock;
+                return Err(format!("{kind:?} event at {t} before the clock {c} or at it"));
+            }
+            let state = match kind {
+                K::HostFailure => {
+                    if plan.binary_search(&(task, t)).is_err() {
+                        return Err(format!(
+                            "HostFailure of host {task} at {t} matches no fault-plan entry"
+                        ));
+                    }
+                    continue;
+                }
+                K::HostRecovery => {
+                    if plan.get(plan.partition_point(|p| p.0 < task)).is_none_or(|p| p.0 != task) {
+                        let msg = "which no fault-plan entry fails";
+                        return Err(format!("HostRecovery of host {task}, {msg}"));
+                    }
+                    continue;
+                }
+                K::PolicyWakeup => {
+                    wakeup_pending |= self.policy_wakeup_at == Some(t);
+                    continue;
+                }
+                _ if job.index() >= admitted => {
+                    return Err(format!("{kind:?} event names job {j} of {admitted} admitted"));
+                }
+                _ => self.jobs.get(job),
+            };
+            // other events of a retired job are stale, which a resume
+            // ignores; a departure would still move the makespan
+            let s = match (kind, state) {
+                (K::JobArrival, s) if s.is_none_or(|s| s.active) => {
+                    return Err(format!("arrival of job {j}, which is retired or already arrived"));
+                }
+                (K::JobDeparture, None) => {
+                    return Err(format!("departure of job {j}, which departed"));
+                }
+                (_, None) => continue,
+                (_, Some(s)) => s,
+            };
+            let tally = &mut pending[job.index() - lo];
+            match kind {
+                K::JobArrival => {
+                    if *tally & PENDING_ARRIVAL != 0 {
+                        return Err(format!("job {j} has two pending arrivals"));
+                    }
+                    if t != s.arrival {
+                        let at = s.arrival;
+                        return Err(format!("arrival of job {j} at {t}, which arrives at {at}"));
+                    }
+                    if last_arrival.is_some_and(|last| last > (t, job)) {
+                        return Err(format!("arrival of job {j} at {t} pops after a later job's"));
+                    }
+                    first_arrival = first_arrival.or(Some((t, job)));
+                    last_arrival = Some((t, job));
+                    *tally |= PENDING_ARRIVAL;
+                }
+                K::JobDeparture => {
+                    if !s.active || !s.finished() {
+                        return Err(format!("departure of job {j}, which has tasks left"));
+                    }
+                    if *tally & PENDING_DEPARTURE != 0 {
+                        return Err(format!("job {j} has two pending departures"));
+                    }
+                    *tally |= PENDING_DEPARTURE;
+                }
+                K::AllMapsFinished => *tally |= PENDING_ALL_MAPS,
+                K::MapTaskDeparture | K::SpeculationDue => {
+                    check_task_event(e, &s.maps.recs, |r| r.launches)?;
+                    let slot = self.maps.running.find(&s.maps, task, e.attempt);
+                    if let (K::MapTaskDeparture, Some(slot)) = (kind, slot) {
+                        let a = self.maps.running.get(slot).expect("a live attempt");
+                        let base = s.template.map_duration(task as usize);
+                        check_departure_time(e, a.start + self.maps.scaled(slot, base))?;
+                        map_due[slot as usize] = true;
+                    }
+                }
+                K::ReduceTaskDeparture => {
+                    check_task_event(e, &s.reduces.recs, |r| r.launches)?;
+                    if let Some(slot) = self.reduces.running.find(&s.reduces, task, e.attempt) {
+                        let a = self.reduces.running.get(slot).expect("a live attempt");
+                        let base = s.template.reduce_duration(task as usize);
+                        check_departure_time(e, a.shuffle_end + self.reduces.scaled(slot, base))?;
+                        reduce_due[slot as usize] = true;
+                    }
+                }
+                K::HostFailure | K::HostRecovery | K::PolicyWakeup => {}
+            }
+        }
+        if let Some(at) = self.policy_wakeup_at {
+            if at <= self.clock || !wakeup_pending {
+                let c = self.clock;
+                return Err(format!(
+                    "policy wakeup armed at {at} has no pending PolicyWakeup ({c})"
+                ));
+            }
+        }
+        for (job, s) in self.jobs.iter() {
+            let (tally, id) = (pending[job.index() - lo], job.0);
+            let maps_done = s.maps_completed == s.maps_total;
+            if !s.active && tally & PENDING_ARRIVAL == 0 {
+                return Err(format!("job {id} has not arrived and has no pending arrival"));
+            }
+            let after_pending = first_arrival.is_some_and(|f| (s.arrival, job) > f);
+            if s.active && (s.arrival > self.clock || after_pending) {
+                let at = s.arrival;
+                return Err(format!("job {id} arrived at {at}, after the clock or an arrival"));
+            }
+            if s.active && maps_done && s.maps_finished.is_none() && tally & PENDING_ALL_MAPS == 0 {
+                return Err(format!("job {id} finished its maps; no AllMapsFinished pending"));
+            }
+            if s.active && s.finished() && tally & PENDING_DEPARTURE == 0 {
+                return Err(format!("job {id} finished every task and has no pending departure"));
+            }
+        }
+        for (kind, pool, due) in
+            [("map", &self.maps, &map_due), ("reduce", &self.reduces, &reduce_due)]
+        {
+            // a reduce with an unresolved shuffle departs once
+            // AllMapsFinished resolves it
+            let waiting = pool.running.occupied().find(|&(slot, a)| {
+                !due[slot as usize] && (kind == "map" || !a.shuffle_end.is_infinite())
+            });
+            if let Some((slot, a)) = waiting {
+                let (job, task, attempt) = (a.job.0, a.task, a.attempt);
+                let attempt = format!("{kind} attempt {attempt} of job {job} task {task}");
+                return Err(format!("{attempt} on slot {slot} has no pending departure"));
+            }
+        }
+        Ok(())
+    }
+
+    /// The result rules of [`Self::check`].
+    fn check_results(&self) -> Result<(), String> {
+        let expected = if self.collected { self.jobs.total() } else { 0 };
+        if self.results.len() != expected {
+            return Err(format!("{} job results for {expected} expected", self.results.len()));
+        }
+        let mut latest = SimTime::ZERO;
+        for (i, r) in self.results.iter().enumerate() {
+            let departed = self.jobs.get(JobId(i as u32)).is_none();
+            match r {
+                None if departed => return Err(format!("job {i} departed without a result")),
+                None => {}
+                Some(_) if !departed => {
+                    return Err(format!("job {i} has a result but has not departed"))
+                }
+                Some(r) => {
+                    let (job, from, to) = (r.job.0, r.arrival, r.completion);
+                    if job as usize != i || to < from || to > self.clock {
+                        return Err(format!(
+                            "result {i} names job {job} completing at {to} after arriving at \
+                             {from}, by the clock {}",
+                            self.clock
+                        ));
+                    }
+                    latest = latest.max(to);
+                }
+            }
+        }
+        if self.collected && self.makespan != latest {
+            let m = self.makespan;
+            return Err(format!("makespan {m} is not the latest completion {latest}"));
+        }
+        Ok(())
+    }
+}
+
+/// Fails unless task event `e` names a task in `recs` and an attempt no
+/// later than that task's `launches`.
+fn check_task_event<T>(e: &Event, recs: &[T], launches: impl Fn(&T) -> u32) -> Result<(), String> {
+    let (kind, task, attempt) = (e.kind, e.task_index, e.attempt);
+    check_below(format_args!("{kind:?} task"), [task], recs.len())?;
+    let n = launches(&recs[task as usize]);
+    if attempt > n {
+        return Err(format!("{kind:?} names attempt {attempt} of task {task}, launched {n} times"));
+    }
+    Ok(())
+}
+
+/// Fails unless the departure `e` of a live attempt falls when the
+/// attempt ends.
+fn check_departure_time(e: &Event, end: SimTime) -> Result<(), String> {
+    if e.time != end {
+        let (kind, job, task, attempt, t) = (e.kind, e.job.0, e.task_index, e.attempt, e.time);
+        return Err(format!(
+            "{kind:?} of job {job} task {task} attempt {attempt} at {t}, which ends at {end}"
+        ));
+    }
+    Ok(())
+}
+
+/// Fails unless every index in `indices` is below `bound`; `what` names
+/// the field for the error.
+pub(crate) fn check_below(
+    what: impl std::fmt::Display,
+    indices: impl IntoIterator<Item = u32>,
+    bound: usize,
+) -> Result<(), String> {
+    match indices.into_iter().find(|&i| i as usize >= bound) {
+        Some(i) => Err(format!("{what} {i} is out of range (bound {bound})")),
+        None => Ok(()),
+    }
 }
 
 /// The SimMR Simulator Engine.
@@ -558,6 +1062,7 @@ impl<'a> SimulatorEngine<'a> {
                 reduces: SlotPool::new(cluster.reduce_slots, reduce_slowdown),
                 dead_hosts: vec![false; cluster.hosts],
                 fault_plan,
+                collected: config.collect_job_results,
                 ..RunState::default()
             },
             jobq: JobQueue::default(),
@@ -1074,8 +1579,7 @@ impl<'a> SimulatorEngine<'a> {
         };
         let done = self.run.reduces.running.vacate(&mut state.reduces, slot);
         state.reduces_completed += 1;
-        let job_done = state.reduces_completed == state.reduces_total
-            && state.maps_completed == state.maps_total;
+        let job_done = state.finished();
         self.run.reduces.free.push(slot);
         self.sync_entry(job);
         self.run.jobq_dirty = true;
@@ -1481,7 +1985,6 @@ impl<'a> SimulatorEngine<'a> {
     fn capture(self, at: SimTime) -> crate::EngineCheckpoint {
         crate::EngineCheckpoint {
             at,
-            collected: self.config.collect_job_results,
             policy_name: self.policy.name().to_string(),
             policy_blob: self.policy.snapshot(),
             run: self.run,
@@ -1520,10 +2023,10 @@ impl<'a> SimulatorEngine<'a> {
                 policy.name()
             )));
         }
-        if config.collect_job_results != ckpt.collected {
+        if config.collect_job_results != ckpt.run.collected {
             return Err(CkptError::Mismatch(format!(
                 "checkpoint {} job results, resume config {} them",
-                if ckpt.collected { "collected" } else { "did not collect" },
+                if ckpt.run.collected { "collected" } else { "did not collect" },
                 if config.collect_job_results { "collects" } else { "does not collect" }
             )));
         }

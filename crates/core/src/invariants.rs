@@ -13,28 +13,29 @@
 //!
 //! Checked invariants:
 //!
+//! * **Run state at resume** — a checker attached to a resumed engine
+//!   first runs [`RunState::check`], the same rules checkpoint decode
+//!   runs, and names the first broken one (`[run-state]`) before an event
+//!   pops.
 //! * **Slot conservation** — per slot kind, every configured slot is
 //!   exactly one of free, running or lost to a failed host
-//!   ([`SlotPool::check_partition`], the check checkpoint decode runs).
+//!   ([`SlotPool::check_partition`], part of [`RunState::check`]).
+//! * **Jobs and slot tables** — [`RunState::check_jobs`], the job rules
+//!   of [`RunState::check`] (`[run-state]`): per-job task accounting
+//!   (`fresh + requeued + distinct running + done = total`, with
+//!   duplicate attempts only as speculated duplicates), the speculation
+//!   bookkeeping (`spec_pending` entries always shadow a live primary
+//!   attempt), and each job's launch orders and task chains against the
+//!   slot tables both ways, with no occupied slot outside every job's
+//!   launch order. A task with two live attempts must be flagged
+//!   speculated, which is what lets a departure skip the loser lookup
+//!   for every other task.
 //! * **Counter consistency** — every [`crate::JobEntry`] field of every
 //!   active job is re-derivable from the engine's [`JobState`]; a mismatch
 //!   reports the differing fields one by one (a strict generalization of
 //!   the snapshot oracle, which only detects divergence after it changes a
-//!   scheduling decision). Per-job task accounting (`fresh + requeued +
-//!   distinct running + done = total`, with duplicate attempts only under
-//!   speculation) is verified along the way, including the speculation
-//!   bookkeeping (`spec_pending` entries always shadow a live primary
-//!   attempt), and the queue itself must stay sorted by `(arrival, id)`
-//!   and contain exactly the active jobs.
-//! * **Slot tables** — each job's launch order of map and reduce
-//!   attempts links exactly its running count of occupied slots of that
-//!   job both ways, every task record's chain links only live attempts
-//!   of its task, the chains together cover the launch order, a lookup
-//!   by `(task, attempt)` finds every live attempt on its own slot, and
-//!   no occupied slot is left outside every job's launch order
-//!   (`[attempt-index]`). A task with two live attempts must be flagged
-//!   speculated, which is what lets a departure skip the loser lookup
-//!   for every other task.
+//!   scheduling decision), and the queue itself must stay sorted by
+//!   `(arrival, id)` and contain exactly the active jobs.
 //! * **Event-time monotonicity** — popped events never go back in time,
 //!   and settled batches are strictly increasing.
 //! * **Timeline disjointness (online)** — every recorded bar must start at
@@ -119,12 +120,16 @@ impl InvariantState {
     }
 
     /// A checker attached to an engine resumed from `run`, a checkpoint's
-    /// state: event accounting starts from its event count, time
-    /// monotonicity from its settled boundary (every post-resume event is
-    /// strictly later), and the per-slot bar high-water marks are
-    /// re-derived from the recorded timeline prefix — exactly the state
-    /// the original run's checker held at the boundary.
+    /// state, which must pass [`RunState::check`] (`[run-state]`): event
+    /// accounting starts from its event count, time monotonicity from its
+    /// settled boundary (every post-resume event is strictly later), and
+    /// the per-slot bar high-water marks are re-derived from the recorded
+    /// timeline prefix — exactly the state the original run's checker
+    /// held at the boundary.
     pub(crate) fn resume(config: &EngineConfig, run: &RunState) -> Self {
+        if let Err(e) = run.check() {
+            violation!("run-state", "at resume: {e}");
+        }
         let mut state = InvariantState::new(config);
         let boundary = (run.events_processed > 0).then_some(run.clock);
         state.baseline_events = run.events_processed;
@@ -248,121 +253,13 @@ impl InvariantState {
     /// active job must be re-derivable from the engine's job state, and
     /// the queue must contain exactly the active jobs in arrival order.
     fn check_entries(&self, engine: &SimulatorEngine<'_>, now: SimTime) {
+        // the jobs' records, counters and launch orders against the slot
+        // tables, before anything below trusts them
+        if let Err(e) = engine.run.check_jobs() {
+            violation!("run-state", "at t={now}: {e}");
+        }
         let mut active = 0usize;
-        let speculation = engine.config.speculation_factor.is_some();
-        let (mut listed_maps, mut listed_reduces) = (0usize, 0usize);
-        let (maps, reduces) = (&engine.run.maps.running, &engine.run.reduces.running);
         for (id, state) in engine.run.jobs.iter() {
-            // the job's launch orders and task chains against the slot
-            // tables, before anything below trusts them
-            let checked = [
-                ("map", maps.verify(id, &state.maps, state.fresh_maps)),
-                ("reduce", reduces.verify(id, &state.reduces, state.fresh_reduces)),
-            ];
-            for (kind, checked) in checked {
-                if let Err(e) = checked {
-                    violation!("attempt-index", "job {id} {kind} attempts at t={now}: {e}");
-                }
-            }
-            listed_maps += state.maps.running();
-            listed_reduces += state.reduces.running();
-            let tasks = &state.maps.recs;
-            // internal task accounting before the view comparison: a task
-            // may have up to two live attempts under speculation, so the
-            // conservation law counts *distinct* running task indices
-            let mut running_idx: Vec<u32> =
-                maps.launch_order(&state.maps).map(|(_, a)| a.task).collect();
-            running_idx.sort_unstable();
-            let mut distinct = 0usize;
-            for (k, &idx) in running_idx.iter().enumerate() {
-                if k > 0 && running_idx[k - 1] == idx {
-                    if !speculation {
-                        violation!(
-                            "task-accounting",
-                            "job {id} at t={now}: map task {idx} has multiple live attempts \
-                             with speculation disabled"
-                        );
-                    }
-                    if !tasks[idx as usize].speculated() {
-                        violation!(
-                            "speculation-bookkeeping",
-                            "job {id} at t={now}: map task {idx} has two live attempts but is \
-                             not flagged speculated"
-                        );
-                    }
-                    continue;
-                }
-                distinct += 1;
-                if tasks[idx as usize].done() {
-                    violation!(
-                        "task-accounting",
-                        "job {id} at t={now}: completed map task {idx} still has a live attempt"
-                    );
-                }
-            }
-            let fresh_left = state.maps_total - state.fresh_maps;
-            let placed = fresh_left + state.requeued_maps.len() + distinct + state.maps_completed;
-            if placed != state.maps_total {
-                violation!(
-                    "task-accounting",
-                    "job {id} at t={now}: {fresh_left} fresh + {} requeued + {distinct} running \
-                     + {} done != {} total maps",
-                    state.requeued_maps.len(),
-                    state.maps_completed,
-                    state.maps_total
-                );
-            }
-            for &idx in &state.requeued_maps {
-                if tasks[idx as usize].done() {
-                    violation!(
-                        "task-accounting",
-                        "job {id} at t={now}: requeued map task {idx} is marked done"
-                    );
-                }
-                if running_idx.binary_search(&idx).is_ok() {
-                    violation!(
-                        "task-accounting",
-                        "job {id} at t={now}: map task {idx} is both requeued and running"
-                    );
-                }
-            }
-            // every not-yet-launched duplicate must shadow a live primary
-            for &idx in &state.spec_pending {
-                let task = &tasks[idx as usize];
-                if !task.speculated() || task.done() || running_idx.binary_search(&idx).is_err() {
-                    violation!(
-                        "speculation-bookkeeping",
-                        "job {id} at t={now}: spec_pending map task {idx} has no live primary \
-                         attempt (speculated={}, done={})",
-                        task.speculated(),
-                        task.done()
-                    );
-                }
-            }
-            let done_flags = tasks.iter().filter(|t| t.done()).count();
-            if done_flags != state.maps_completed {
-                violation!(
-                    "task-accounting",
-                    "job {id} at t={now}: {done_flags} map_done flags but maps_completed = {}",
-                    state.maps_completed
-                );
-            }
-            let fresh_left_r = state.reduces_total - state.fresh_reduces;
-            let placed_r = fresh_left_r
-                + state.requeued_reduces.len()
-                + state.reduces.running()
-                + state.reduces_completed;
-            if placed_r != state.reduces_total {
-                violation!(
-                    "task-accounting",
-                    "job {id} at t={now}: {fresh_left_r} fresh + {} requeued + {} running + {} \
-                     done != {} total reduces",
-                    state.requeued_reduces.len(),
-                    state.reduces.running(),
-                    state.reduces_completed,
-                    state.reduces_total
-                );
-            }
             if !state.active {
                 if engine.jobq.get(id).is_some() {
                     violation!(
@@ -381,20 +278,6 @@ impl InvariantState {
                 violation!(
                     "counter-consistency",
                     "job {id} at t={now}: incremental entry diverged from re-derived state: {diff}"
-                );
-            }
-        }
-        // every occupied slot belongs to some job's launch order
-        let occupied = [
-            ("map", maps.occupied().count(), listed_maps),
-            ("reduce", reduces.occupied().count(), listed_reduces),
-        ];
-        for (kind, occupied, listed) in occupied {
-            if occupied != listed {
-                violation!(
-                    "attempt-index",
-                    "{occupied} {kind} slots run attempts at t={now} but the jobs' launch orders \
-                     list {listed}"
                 );
             }
         }

@@ -25,8 +25,8 @@
 //! A [`SlotPool`] holds one kind's slots whole: the free list, the slots
 //! lost to failed hosts, the table of running attempts and the per-slot
 //! speed. Every slot of a pool is exactly one of free, running or lost;
-//! [`SlotPool::check_partition`] is that rule, shared by the checkpoint
-//! decoder and the runtime invariant checker.
+//! [`SlotPool::check_partition`] is that rule, part of `RunState::check`
+//! and run by the runtime invariant checker after every settled batch.
 
 use simmr_types::{DurationMs, JobId, SimTime};
 
@@ -312,6 +312,19 @@ impl SlotTable {
             s = a.older;
         }
         None
+    }
+
+    /// The live attempts of a task, newest first, from the slot its
+    /// record names as the newest ([`NONE`] for none), up to an empty
+    /// slot. A chain [`Self::verify`] has not checked may loop, so its
+    /// walker must bound the walk.
+    pub(crate) fn chain(&self, newest: u32) -> impl Iterator<Item = &Attempt> {
+        let mut s = newest;
+        std::iter::from_fn(move || {
+            let a = self.get(s)?;
+            s = a.older;
+            Some(a)
+        })
     }
 
     /// Removes the attempt on `slot` from its job's launch order and its
