@@ -4,10 +4,9 @@
 //! (the paper's choice) balances the two.
 
 use simmr_bench::csvout::write_csv;
-use simmr_bench::workloads::assign_deadlines;
 use simmr_core::{EngineConfig, JobQueue, SchedulerPolicy, SimulatorEngine};
 use simmr_model::{min_slots_for_deadline_with, BoundBasis, JobProfileSummary, SlotAllocation};
-use simmr_stats::SeededRng;
+use simmr_serve::attach_deadlines;
 use simmr_trace::FacebookWorkload;
 use simmr_types::{DurationMs, JobId, JobTemplate};
 use std::collections::HashMap;
@@ -85,8 +84,7 @@ fn main() {
         let reps = 20;
         for rep in 0..reps {
             let mut trace = FacebookWorkload { mean_interarrival_ms: 60_000.0 }.generate(100, rep);
-            let mut rng = SeededRng::new(rep ^ 0xBA515);
-            assign_deadlines(&mut trace, 1.5, 64, 64, &mut rng);
+            attach_deadlines(&mut trace, 1.5, 64, 64, rep ^ 0xBA515);
             let report = SimulatorEngine::new(
                 EngineConfig::new(64, 64),
                 &trace,

@@ -8,9 +8,9 @@
 //! the bump (at the cost of wasted, re-executed work).
 
 use simmr_bench::csvout::write_csv;
-use simmr_bench::workloads::{assign_deadlines, permute_with_exponential_arrivals};
+use simmr_bench::workloads::permute_with_exponential_arrivals;
 use simmr_cluster::{ClusterConfig, ClusterPolicy, ClusterSim};
-use simmr_serve::{ScenarioSpec, SimFacade, TraceRef};
+use simmr_serve::{attach_deadlines_with, ScenarioSpec, SimFacade, TraceRef};
 use simmr_stats::SeededRng;
 use simmr_trace::profile_history;
 use simmr_types::{JobSpec, JobTemplate, SimTime, WorkloadTrace};
@@ -38,7 +38,7 @@ fn one_run(templates: &[JobTemplate], mean_ia_ms: f64, policy: &str, seed: u64) 
         trace.push(JobSpec::new(t.clone(), SimTime::ZERO));
     }
     permute_with_exponential_arrivals(&mut trace, mean_ia_ms, &mut rng);
-    assign_deadlines(&mut trace, 1.0, 64, 64, &mut rng);
+    attach_deadlines_with(&mut trace, 1.0, 64, 64, &mut rng);
     // deadlines are stamped above, so the spec carries no deadline_factor
     let spec = ScenarioSpec::new(TraceRef::Inline(trace), policy.parse().expect("policy exists"));
     SimFacade::new().run(&spec).expect("scenario runs").report.total_relative_deadline_exceeded()

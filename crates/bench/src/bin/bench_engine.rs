@@ -3,7 +3,8 @@
 //! scale on the synthetic Facebook workload, under FIFO, MaxEDF, MinEDF,
 //! fair share and the hierarchical pool tree (`hier`, the heaviest
 //! scheduler: every slot assignment walks the tree and the min-share
-//! clocks).
+//! clocks). This binary is the one measurement of that claim: the `fifo`
+//! 1k-job row sets `claim_1m_events_per_sec_fifo_1k` in the report.
 //!
 //! A streaming section runs first: 100k- and 1M-job pooled binary traces
 //! (`SIMMR_BENCH_STREAM_JOBS` overrides, empty disables) are generated
@@ -59,15 +60,27 @@
 //! the speedup is machine-independent; under `SIMMR_BENCH_ASSERT=1` the
 //! warm sweep must run at least 2x faster than the cold one, and every
 //! warm report is asserted equal to its cold counterpart first.
+//!
+//! Three sections time what the paper's experiments run around the
+//! engine. The testbed heartbeat ablation (`testbed-hb300`, `-hb600`,
+//! `-hb1200`) runs one 64x16-task WordCount job on the 8-node testbed
+//! at that heartbeat interval; its `events` are the testbed's events.
+//! `profile-parse` is the MRProfiler parse of a six-job testbed history;
+//! its `events` are history lines. `kl` is the Table I symmetric KL
+//! divergence of two 100-job Facebook map-duration samples; its `events`
+//! are samples. These rows are recorded, not gated.
 
+use simmr_apps::{AppKind, JobModel};
 use simmr_bench::csvout::workspace_root;
+use simmr_cluster::{ClusterConfig, ClusterPolicy, ClusterSim};
 use simmr_core::{
     Divergence, EngineConfig, EventKind, EventQueue, FaultSpec, ForkSpec, RecoverySpec,
     SimulatorEngine,
 };
 use simmr_sched::parse_policy;
-use simmr_stats::{Dist, SeededRng};
-use simmr_trace::{BinTraceSource, FacebookWorkload, SyntheticWorkload};
+use simmr_stats::kl::symmetric_kl_ms;
+use simmr_stats::{Dist, KlOptions, SeededRng};
+use simmr_trace::{profile_history, BinTraceSource, FacebookWorkload, SyntheticWorkload};
 use simmr_types::{JobId, SimTime, WorkloadTrace};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -290,35 +303,6 @@ fn write_stream_trace(jobs: usize) -> PathBuf {
     path
 }
 
-/// Streaming counterpart of [`measure`]: replays the binary trace at
-/// `path` until `min_secs` accumulate (at least 3 reps) and records the
-/// process's peak RSS alongside the throughput.
-fn measure_stream(path: &Path, jobs: usize, min_secs: f64) -> Measurement {
-    let mut samples = Vec::new();
-    let mut events = None;
-    let mut total = 0.0;
-    while total < min_secs || samples.len() < 3 {
-        let start = Instant::now();
-        let n = one_stream_run(path);
-        let secs = start.elapsed().as_secs_f64();
-        assert_eq!(n, *events.get_or_insert(n), "simulation is not deterministic");
-        samples.push(secs);
-        total += secs;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-    let median_secs = samples[samples.len() / 2];
-    let events = events.expect("at least one rep ran");
-    Measurement {
-        jobs,
-        policy: "fifo-stream",
-        events,
-        reps: samples.len(),
-        median_secs,
-        events_per_sec: events as f64 / median_secs,
-        peak_rss_kb: peak_rss_kb(),
-    }
-}
-
 /// Fork-sweep scale: enough jobs that the 90% prefix dominates a full
 /// replay, small enough to keep the gate fast.
 const FORK_JOBS: usize = 1_000;
@@ -381,6 +365,59 @@ fn measure_fork_sweep(min_secs: f64) -> (Measurement, Measurement, f64) {
     let warm = measure_fn(FORK_JOBS, "fork-warm", min_secs, one_warm);
     let speedup = cold.median_secs / warm.median_secs;
     (cold, warm, speedup)
+}
+
+/// Jobs per Facebook sample of the KL row.
+const KL_JOBS: usize = 100;
+
+/// The testbed heartbeat ablation's (interval in ms, JSON label) rows.
+const HEARTBEATS: [(u64, &str); 3] =
+    [(300, "testbed-hb300"), (600, "testbed-hb600"), (1200, "testbed-hb1200")];
+
+/// The heartbeat rows, the MRProfiler row and the KL row (see the module
+/// doc): measured and recorded, not gated.
+fn measure_tools(min_secs: f64) -> Vec<Measurement> {
+    let mut rows = Vec::new();
+    for (hb, label) in HEARTBEATS {
+        // one 64x16 WordCount job of constant task times on 8 nodes
+        let run = || {
+            let config = ClusterConfig { heartbeat_ms: hb, ..ClusterConfig::tiny(8) };
+            let mut sim = ClusterSim::new(config, ClusterPolicy::Fifo, hb);
+            let mut job = JobModel::with_task_counts(AppKind::WordCount, 64, 16);
+            job.map_time_s = Dist::Constant { value: 5.0 };
+            job.reduce_time_s = Dist::Constant { value: 2.0 };
+            sim.submit(job, SimTime::ZERO, None);
+            sim.run().events
+        };
+        rows.push(measure_fn(1, label, min_secs, run));
+    }
+
+    // the history of the six apps at 200 maps each, 30 s apart
+    let mut sim = ClusterSim::new(ClusterConfig::tiny(16), ClusterPolicy::Fifo, 0x77);
+    let models = simmr_apps::standard_suite(&[0]);
+    let jobs = models.len();
+    for (i, mut model) in models.into_iter().enumerate() {
+        model.num_maps = 200;
+        sim.submit(model, SimTime::from_secs(i as u64 * 30), None);
+    }
+    let history = sim.run().history;
+    let lines = history.lines().count() as u64;
+    rows.push(measure_fn(jobs, "profile-parse", min_secs, || {
+        std::hint::black_box(profile_history(&history).expect("history parses"));
+        lines
+    }));
+
+    let maps = |seed| -> Vec<u64> {
+        let trace = FacebookWorkload { mean_interarrival_ms: 0.0 }.generate(KL_JOBS, seed);
+        trace.jobs.iter().flat_map(|j| j.template.map_durations.clone()).collect()
+    };
+    let (a, b) = (maps(3), maps(4));
+    let samples = (a.len() + b.len()) as u64;
+    rows.push(measure_fn(KL_JOBS, "kl", min_secs, || {
+        std::hint::black_box(symmetric_kl_ms(&a, &b, KlOptions::default()));
+        samples
+    }));
+    rows
 }
 
 /// Repeats `run` (which returns its event count) until `min_secs` of
@@ -478,7 +515,9 @@ fn main() {
     // engine, not the materialized traces benchmarked below.
     for jobs in stream_sizes() {
         let path = write_stream_trace(jobs);
-        let m = measure_stream(&path, jobs, min_secs);
+        let m = measure_fn(jobs, "fifo-stream", min_secs, || one_stream_run(&path));
+        // read after the rows so far: the high-water mark of this process
+        let m = Measurement { peak_rss_kb: peak_rss_kb(), ..m };
         println!(
             "{:>8} {:>11} {:>12} {:>6} {:>12.3} {:>14.0}   peak_rss {} MiB",
             m.jobs,
@@ -530,6 +569,11 @@ fn main() {
     );
     rows.push(fork_cold);
     rows.push(fork_warm);
+
+    for m in measure_tools(min_secs) {
+        print_row(&m);
+        rows.push(m);
+    }
 
     // The paper's claim, checked at 1k-job scale, plus the scaling bound:
     // 10k jobs may cost at most 2x the per-event time of 1k jobs.

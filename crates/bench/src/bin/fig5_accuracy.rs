@@ -13,7 +13,6 @@ use simmr_bench::pipeline::{
     accuracy_rows, max_abs_error, mean_abs_error, replay_in_mumak, replay_in_simmr,
     replay_in_simmr_with, run_testbed, AccuracyRow,
 };
-use simmr_bench::workloads::standalone_runtime_ms;
 use simmr_cluster::{ClusterConfig, ClusterPolicy};
 use simmr_mumak::MumakConfig;
 use simmr_stats::SeededRng;
@@ -153,11 +152,5 @@ fn main() {
     let t = simmr_bench::suite_models(&[1])[0].clone();
     let profile = simmr_cluster::estimate_profile(&t, &config);
     let est = simmr_model::estimate_completion(&profile, 64, 64).predicted();
-    let mut trace = simmr_types::WorkloadTrace::new("sanity", "fig5");
-    trace.push(simmr_types::JobSpec::new(
-        simmr_types::JobTemplate::new("sanity", vec![1000; 4], vec![], vec![], vec![]).unwrap(),
-        SimTime::ZERO,
-    ));
-    let _ = standalone_runtime_ms(&trace.jobs[0].template, 4, 4);
     eprintln!("[model] WordCount-40GB predicted standalone: {:.1}s", est / 1000.0);
 }

@@ -13,10 +13,11 @@
 //! inter-arrival grows; a non-preemption "bump" near 100 s.
 
 use simmr_bench::csvout::write_csv;
-use simmr_bench::workloads::{assign_deadlines, permute_with_exponential_arrivals};
+use simmr_bench::workloads::permute_with_exponential_arrivals;
 use simmr_cluster::{ClusterConfig, ClusterPolicy, ClusterSim};
 use simmr_core::{EngineConfig, SimulatorEngine};
 use simmr_sched::parse_policy;
+use simmr_serve::attach_deadlines_with;
 use simmr_stats::SeededRng;
 use simmr_trace::profile_history;
 use simmr_types::{JobSpec, JobTemplate, SimTime, WorkloadTrace};
@@ -46,7 +47,7 @@ fn one_run(templates: &[JobTemplate], mean_ia_ms: f64, df: f64, policy: &str, se
         trace.push(JobSpec::new(t.clone(), SimTime::ZERO));
     }
     permute_with_exponential_arrivals(&mut trace, mean_ia_ms, &mut rng);
-    assign_deadlines(&mut trace, df, 64, 64, &mut rng);
+    attach_deadlines_with(&mut trace, df, 64, 64, &mut rng);
     let report = SimulatorEngine::new(
         EngineConfig::new(64, 64),
         &trace,

@@ -10,10 +10,9 @@
 //! MaxEDF, consistent with the real-trace study.
 
 use simmr_bench::csvout::write_csv;
-use simmr_bench::workloads::assign_deadlines;
 use simmr_core::{EngineConfig, SimulatorEngine};
 use simmr_sched::parse_policy;
-use simmr_stats::SeededRng;
+use simmr_serve::attach_deadlines;
 use simmr_trace::FacebookWorkload;
 
 const JOBS_PER_TRACE: usize = 100;
@@ -25,8 +24,7 @@ fn reps() -> usize {
 fn one_run(mean_ia_ms: f64, df: f64, policy: &str, seed: u64) -> f64 {
     let mut trace =
         FacebookWorkload { mean_interarrival_ms: mean_ia_ms }.generate(JOBS_PER_TRACE, seed);
-    let mut rng = SeededRng::new(seed ^ 0xDEAD);
-    assign_deadlines(&mut trace, df, 64, 64, &mut rng);
+    attach_deadlines(&mut trace, df, 64, 64, seed ^ 0xDEAD);
     let report = SimulatorEngine::new(
         EngineConfig::new(64, 64),
         &trace,

@@ -1,55 +1,12 @@
 //! Workload construction shared by the experiment binaries.
 
-use simmr_core::{EngineConfig, SimulatorEngine};
-use simmr_sched::FifoPolicy;
 use simmr_stats::{Dist, Distribution, SeededRng};
-use simmr_types::{DurationMs, JobSpec, JobTemplate, SimTime, WorkloadTrace};
+use simmr_types::{DurationMs, SimTime, WorkloadTrace};
 
 /// The 18 application-on-dataset job models of §IV-C (6 apps × 3 datasets),
 /// or a subset by dataset index.
 pub fn suite_models(datasets: &[usize]) -> Vec<simmr_apps::JobModel> {
     simmr_apps::standard_suite(datasets)
-}
-
-/// The completion time `T_J` of a job template given **all** the cluster
-/// resources, computed by a standalone SimMR run (used as the deadline
-/// baseline in §V-B).
-pub fn standalone_runtime_ms(
-    template: &JobTemplate,
-    map_slots: usize,
-    reduce_slots: usize,
-) -> DurationMs {
-    let mut trace = WorkloadTrace::new("standalone", "harness");
-    trace.push(JobSpec::new(template.clone(), SimTime::ZERO));
-    let report = SimulatorEngine::new(
-        EngineConfig::new(map_slots, reduce_slots),
-        &trace,
-        Box::new(FifoPolicy::new()),
-    )
-    .run();
-    report.jobs[0].duration()
-}
-
-/// Assigns §V-B-style deadlines in place: each job's deadline is uniform in
-/// `[T_J, df · T_J]` after its arrival, where `T_J` is the job's
-/// standalone (all-slots) runtime. Returns the per-job absolute deadlines.
-pub fn assign_deadlines(
-    trace: &mut WorkloadTrace,
-    deadline_factor: f64,
-    map_slots: usize,
-    reduce_slots: usize,
-    rng: &mut SeededRng,
-) -> Vec<Option<SimTime>> {
-    assert!(deadline_factor >= 1.0, "deadline factor must be >= 1");
-    let mut out = Vec::with_capacity(trace.jobs.len());
-    for job in trace.jobs.iter_mut() {
-        let t_j = standalone_runtime_ms(&job.template, map_slots, reduce_slots) as f64;
-        let rel = rng.uniform(t_j, deadline_factor * t_j).max(t_j);
-        let deadline = job.arrival + rel as DurationMs;
-        job.deadline = Some(deadline);
-        out.push(Some(deadline));
-    }
-    out
 }
 
 /// Randomly permutes job order and re-draws exponential arrivals with the
@@ -75,49 +32,10 @@ pub fn permute_with_exponential_arrivals(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simmr_types::{JobSpec, JobTemplate};
 
     fn template(maps: usize, map_ms: u64) -> JobTemplate {
         JobTemplate::new("t", vec![map_ms; maps], vec![10], vec![20; 2], vec![30; 2]).unwrap()
-    }
-
-    #[test]
-    fn standalone_runtime_matches_wave_math() {
-        // 8 maps of 1000ms on 4 slots = 2 waves = 2000ms, plus reduces
-        let t = template(8, 1000);
-        let rt = standalone_runtime_ms(&t, 4, 4);
-        assert!(rt >= 2000, "{rt}");
-        // map-only exact check
-        let t = JobTemplate::new("m", vec![1000; 8], vec![], vec![], vec![]).unwrap();
-        assert_eq!(standalone_runtime_ms(&t, 4, 4), 2000);
-        assert_eq!(standalone_runtime_ms(&t, 8, 8), 1000);
-    }
-
-    #[test]
-    fn deadlines_in_band() {
-        let mut trace = WorkloadTrace::new("t", "test");
-        for i in 0..20 {
-            trace.push(JobSpec::new(template(4, 500), SimTime::from_secs(i)));
-        }
-        let mut rng = SeededRng::new(1);
-        let deadlines = assign_deadlines(&mut trace, 3.0, 4, 4, &mut rng);
-        for (job, d) in trace.jobs.iter().zip(&deadlines) {
-            let d = d.unwrap();
-            let t_j = standalone_runtime_ms(&job.template, 4, 4);
-            let rel = d.since(job.arrival);
-            assert!(rel >= t_j, "deadline below standalone runtime");
-            assert!(rel <= 3 * t_j + 1, "deadline above df*T_J");
-            assert_eq!(job.deadline, Some(d));
-        }
-    }
-
-    #[test]
-    fn df_one_pins_deadline_to_runtime() {
-        let mut trace = WorkloadTrace::new("t", "test");
-        trace.push(JobSpec::new(template(4, 500), SimTime::ZERO));
-        let mut rng = SeededRng::new(2);
-        let deadlines = assign_deadlines(&mut trace, 1.0, 4, 4, &mut rng);
-        let t_j = standalone_runtime_ms(&trace.jobs[0].template, 4, 4);
-        assert_eq!(deadlines[0].unwrap().as_millis(), t_j);
     }
 
     #[test]

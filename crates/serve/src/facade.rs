@@ -711,9 +711,8 @@ fn decode_trace_file(path: &str, bytes: &[u8]) -> Result<WorkloadTrace, FacadeEr
     Ok(trace)
 }
 
-/// Attaches §V-B-style deadlines to every job of a trace: each job's
-/// relative deadline is uniform in `[T_j, max(1, factor) × T_j]`, where
-/// `T_j` is its standalone FIFO duration on the given slot pools.
+/// Attaches §V-B-style deadlines to every job of a trace, drawing from
+/// `SeededRng::new(seed)`: [`attach_deadlines_with`] in its seed form.
 pub fn attach_deadlines(
     trace: &mut WorkloadTrace,
     factor: f64,
@@ -721,7 +720,21 @@ pub fn attach_deadlines(
     reduce_slots: usize,
     seed: u64,
 ) {
-    let mut rng = SeededRng::new(seed);
+    attach_deadlines_with(trace, factor, map_slots, reduce_slots, &mut SeededRng::new(seed));
+}
+
+/// Attaches §V-B-style deadlines to every job of a trace: each job's
+/// relative deadline is uniform in `[T_j, max(1, factor) × T_j]`, where
+/// `T_j` is its standalone FIFO duration on the given slot pools. Draws
+/// one value from `rng` per job, in trace order (none when the band is
+/// empty, as at `factor` 1).
+pub fn attach_deadlines_with(
+    trace: &mut WorkloadTrace,
+    factor: f64,
+    map_slots: usize,
+    reduce_slots: usize,
+    rng: &mut SeededRng,
+) {
     for job in trace.jobs.iter_mut() {
         let mut single = WorkloadTrace::new("standalone", "cli");
         single.push(JobSpec::new(job.template.clone(), SimTime::ZERO));
@@ -1276,6 +1289,56 @@ mod tests {
         assert_eq!(resolved.trace.jobs[1].deadline, manual.jobs[1].deadline);
         // the digest is of the stored trace, not the stamped one
         assert_eq!(resolved.digest, digest_trace(&tiny_trace()).unwrap());
+    }
+
+    /// The standalone FIFO runtime `T_j` of one job on `m`×`r` slots,
+    /// computed apart from the stamping.
+    fn standalone_ms(template: &JobTemplate, m: usize, r: usize) -> u64 {
+        let mut single = WorkloadTrace::new("standalone", "unit");
+        single.push(JobSpec::new(template.clone(), SimTime::ZERO));
+        let report =
+            SimulatorEngine::new(EngineConfig::new(m, r), &single, PolicySpec::Fifo.build()).run();
+        report.jobs[0].duration()
+    }
+
+    /// `maps` map tasks of `map_ms` each, plus two reduces.
+    fn wave_template(maps: usize, map_ms: u64) -> JobTemplate {
+        JobTemplate::new("t", vec![map_ms; maps], vec![10], vec![20; 2], vec![30; 2]).unwrap()
+    }
+
+    #[test]
+    fn deadlines_in_band() {
+        let mut trace = WorkloadTrace::new("t", "unit");
+        for i in 0..20 {
+            trace.push(JobSpec::new(wave_template(4, 500), SimTime::from_secs(i)));
+        }
+        attach_deadlines_with(&mut trace, 3.0, 4, 4, &mut SeededRng::new(1));
+        for job in &trace.jobs {
+            let t_j = standalone_ms(&job.template, 4, 4);
+            let rel = job.deadline.unwrap().since(job.arrival);
+            assert!(rel >= t_j, "deadline below standalone runtime");
+            assert!(rel <= 3 * t_j + 1, "deadline above df*T_J");
+        }
+    }
+
+    /// At factor 1 a job's deadline is its standalone runtime: for the
+    /// map-only inputs that is wave math (8 maps of 1000 ms take two
+    /// waves on 4 slots, one on 8).
+    #[test]
+    fn df_one_pins_deadline_to_runtime() {
+        let df_one = |template: &JobTemplate, slots: usize| {
+            let mut trace = WorkloadTrace::new("t", "unit");
+            trace.push(JobSpec::new(template.clone(), SimTime::ZERO));
+            attach_deadlines_with(&mut trace, 1.0, slots, slots, &mut SeededRng::new(2));
+            trace.jobs[0].deadline.unwrap().as_millis()
+        };
+        let t = wave_template(4, 500);
+        assert_eq!(df_one(&t, 4), standalone_ms(&t, 4, 4));
+        let map_only = JobTemplate::new("m", vec![1000; 8], vec![], vec![], vec![]).unwrap();
+        assert_eq!(df_one(&map_only, 4), 2000);
+        assert_eq!(df_one(&map_only, 8), 1000);
+        // the reduces run after both map waves
+        assert!(df_one(&wave_template(8, 1000), 4) >= 2000);
     }
 
     /// More distinct trace files and stamped variants than the memo's

@@ -44,7 +44,7 @@ pub mod server;
 
 pub use cache::{CacheStats, CkptCache, MemoCache, ReportCache};
 pub use facade::{
-    attach_deadlines, load_trace_file, DivergenceSpec, FacadeError, FacadeRun, ResolvedScenario,
-    ScenarioSpec, SimFacade, TraceRef, MAX_CLUSTER_SIZE,
+    attach_deadlines, attach_deadlines_with, load_trace_file, DivergenceSpec, FacadeError,
+    FacadeRun, ResolvedScenario, ScenarioSpec, SimFacade, TraceRef, MAX_CLUSTER_SIZE,
 };
 pub use server::{ServeConfig, Server};

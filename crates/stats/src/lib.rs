@@ -14,7 +14,7 @@
 //! * the Facebook fit is selected by the *Kolmogorov-Smirnov* statistic over
 //!   a family of candidate distributions.
 //!
-//! All of these live here, self-contained on top of `rand`: samplers
+//! All of these live here, self-contained on the seeded RNG ([`rng`]): samplers
 //! ([`dist`]), empirical CDFs ([`cdf`]), histogram-based symmetric KL
 //! ([`kl`]), K-S statistics ([`ks`]), maximum-likelihood/method-of-moments
 //! fitting ([`fit`]), and scalar summaries ([`summary`]). The

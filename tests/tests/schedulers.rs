@@ -2,10 +2,10 @@
 //! plus property-based engine invariants.
 
 use proptest::prelude::*;
-use simmr_bench::workloads::assign_deadlines;
 use simmr_core::codec::Crc64;
 use simmr_core::{EngineConfig, FaultSpec, RecoverySpec, SimulatorEngine};
 use simmr_sched::parse_policy;
+use simmr_serve::{attach_deadlines, attach_deadlines_with};
 use simmr_stats::{Dist, SeededRng};
 use simmr_trace::{FacebookWorkload, MultiTenantWorkload};
 use simmr_types::{JobSpec, JobTemplate, SimTime, WorkloadTrace};
@@ -27,8 +27,7 @@ fn minedf_beats_maxedf_on_average() {
     let mut max_total = 0.0;
     for seed in 0..8u64 {
         let mut trace = FacebookWorkload { mean_interarrival_ms: 30_000.0 }.generate(60, seed);
-        let mut rng = SeededRng::new(seed ^ 0xD00D);
-        assign_deadlines(&mut trace, 2.0, 32, 32, &mut rng);
+        attach_deadlines(&mut trace, 2.0, 32, 32, seed ^ 0xD00D);
         min_total += run(&trace, "minedf", 32).total_relative_deadline_exceeded();
         max_total += run(&trace, "maxedf", 32).total_relative_deadline_exceeded();
     }
@@ -63,7 +62,7 @@ fn df_one_policies_coincide() {
         trace.push(JobSpec::new(template, clock));
         clock += rng.uniform_u64(1_000, 20_000);
     }
-    assign_deadlines(&mut trace, 1.0, 16, 16, &mut rng);
+    attach_deadlines_with(&mut trace, 1.0, 16, 16, &mut rng);
     let min = run(&trace, "minedf", 16);
     let max = run(&trace, "maxedf", 16);
     let completions =
@@ -83,8 +82,7 @@ fn relaxed_deadlines_monotone() {
         let mut at: Vec<f64> = Vec::new();
         for df in [1.0, 1.5, 3.0] {
             let mut trace = base.clone();
-            let mut rng = SeededRng::new(42);
-            assign_deadlines(&mut trace, df, 16, 16, &mut rng);
+            attach_deadlines(&mut trace, df, 16, 16, 42);
             at.push(run(&trace, policy, 16).total_relative_deadline_exceeded());
         }
         assert!(
@@ -104,8 +102,7 @@ fn sparser_arrivals_reduce_pressure() {
         let mut total = 0.0;
         for seed in 0..6u64 {
             let mut trace = FacebookWorkload { mean_interarrival_ms: mean_ia }.generate(40, seed);
-            let mut rng = SeededRng::new(seed);
-            assign_deadlines(&mut trace, 1.5, 16, 16, &mut rng);
+            attach_deadlines(&mut trace, 1.5, 16, 16, seed);
             total += run(&trace, "maxedf", 16).total_relative_deadline_exceeded();
         }
         values.push(total);
@@ -122,8 +119,7 @@ fn sparser_arrivals_reduce_pressure() {
 fn fifo_is_deadline_blind() {
     let mut trace = FacebookWorkload { mean_interarrival_ms: 10_000.0 }.generate(30, 3);
     let a = run(&trace, "fifo", 8);
-    let mut rng = SeededRng::new(1);
-    assign_deadlines(&mut trace, 2.0, 8, 8, &mut rng);
+    attach_deadlines(&mut trace, 2.0, 8, 8, 1);
     let b = run(&trace, "fifo", 8);
     let completions =
         |r: &simmr_types::SimulationReport| r.jobs.iter().map(|j| j.completion).collect::<Vec<_>>();
@@ -288,7 +284,7 @@ fn edf_schedules_match_golden_digests() {
         [0xa780_93b7_1a92_2d2d, 0xa636_6933_5ab6_2c85],
     ];
     let mut trace = FacebookWorkload { mean_interarrival_ms: 6_000.0 }.generate(50, 14);
-    assign_deadlines(&mut trace, 1.6, 16, 16, &mut SeededRng::new(0xEDF));
+    attach_deadlines(&mut trace, 1.6, 16, 16, 0xEDF);
     let shapes = [
         EngineConfig::new(16, 16),
         EngineConfig::new(12, 8)
