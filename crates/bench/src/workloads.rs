@@ -38,6 +38,45 @@ mod tests {
         JobTemplate::new("t", vec![map_ms; maps], vec![10], vec![20; 2], vec![30; 2]).unwrap()
     }
 
+    /// A job's deadline at factor 1 from the one stamping function.
+    fn df_one_deadline_ms(template: &JobTemplate, m: usize, r: usize) -> u64 {
+        let mut trace = WorkloadTrace::new("t", "test");
+        trace.push(JobSpec::new(template.clone(), SimTime::ZERO));
+        simmr_serve::attach_deadlines_with(&mut trace, 1.0, m, r, &mut SeededRng::new(2));
+        trace.jobs[0].deadline.unwrap().as_millis()
+    }
+
+    /// At factor 1 the stamped deadline is the standalone runtime, which
+    /// for map-only jobs is wave math.
+    #[test]
+    fn standalone_runtime_matches_wave_math() {
+        // 8 maps of 1000ms on 4 slots = 2 waves = 2000ms, plus reduces
+        let rt = df_one_deadline_ms(&template(8, 1000), 4, 4);
+        assert!(rt >= 2000, "{rt}");
+        // map-only exact check
+        let t = JobTemplate::new("m", vec![1000; 8], vec![], vec![], vec![]).unwrap();
+        assert_eq!(df_one_deadline_ms(&t, 4, 4), 2000);
+        assert_eq!(df_one_deadline_ms(&t, 8, 8), 1000);
+    }
+
+    /// At factor 1 the stamped deadline equals a standalone FIFO run of
+    /// the job computed apart from the stamping.
+    #[test]
+    fn df_one_pins_deadline_to_runtime() {
+        let t = template(4, 500);
+        let mut single = WorkloadTrace::new("standalone", "test");
+        single.push(JobSpec::new(t.clone(), SimTime::ZERO));
+        let t_j = simmr_core::SimulatorEngine::new(
+            simmr_core::EngineConfig::new(4, 4),
+            &single,
+            Box::new(simmr_sched::FifoPolicy::new()),
+        )
+        .run()
+        .jobs[0]
+            .duration();
+        assert_eq!(df_one_deadline_ms(&t, 4, 4), t_j);
+    }
+
     #[test]
     fn permutation_rewrites_arrivals() {
         let mut trace = WorkloadTrace::new("t", "test");

@@ -1321,26 +1321,6 @@ mod tests {
         }
     }
 
-    /// At factor 1 a job's deadline is its standalone runtime: for the
-    /// map-only inputs that is wave math (8 maps of 1000 ms take two
-    /// waves on 4 slots, one on 8).
-    #[test]
-    fn df_one_pins_deadline_to_runtime() {
-        let df_one = |template: &JobTemplate, slots: usize| {
-            let mut trace = WorkloadTrace::new("t", "unit");
-            trace.push(JobSpec::new(template.clone(), SimTime::ZERO));
-            attach_deadlines_with(&mut trace, 1.0, slots, slots, &mut SeededRng::new(2));
-            trace.jobs[0].deadline.unwrap().as_millis()
-        };
-        let t = wave_template(4, 500);
-        assert_eq!(df_one(&t, 4), standalone_ms(&t, 4, 4));
-        let map_only = JobTemplate::new("m", vec![1000; 8], vec![], vec![], vec![]).unwrap();
-        assert_eq!(df_one(&map_only, 4), 2000);
-        assert_eq!(df_one(&map_only, 8), 1000);
-        // the reduces run after both map waves
-        assert!(df_one(&wave_template(8, 1000), 4) >= 2000);
-    }
-
     /// More distinct trace files and stamped variants than the memo's
     /// caps: the memo stays within both, and every resolve still returns
     /// the deadlines a fresh stamping gives, evicted or not.
